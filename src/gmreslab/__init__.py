@@ -22,8 +22,6 @@ from .dense_core import (
     eig_hermitian,
     evaluate_residual_polynomial,
     hermitian_part,
-    matrix_inverse,
-    solve_linear,
     spectral_norm,
 )
 from .errors import (
@@ -52,12 +50,7 @@ from .fov import (
     support_extremes,
 )
 from .krylov import (
-    ArnoldiDecomposition,
-    ProblemInstance,
-    ResidualCurve,
-    arnoldi,
     gmres_residuals,
-    min_residual_over_polys,
     optimal_alpha,
 )
 from .matrices import MatrixSpec, generate_matrix
@@ -95,8 +88,6 @@ __all__ = [
     "hermitian_part",
     "eig_hermitian",
     "spectral_norm",
-    "solve_linear",
-    "matrix_inverse",
     "evaluate_residual_polynomial",
     # field of values
     "FovBoundary",
@@ -109,12 +100,7 @@ __all__ = [
     "nu_fov_inverse",
     "fov_summary",
     # Krylov / GMRES
-    "ProblemInstance",
-    "ArnoldiDecomposition",
-    "ResidualCurve",
-    "arnoldi",
     "gmres_residuals",
-    "min_residual_over_polys",
     "optimal_alpha",
     # minimization
     "SolverOptions",

@@ -140,19 +140,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    raw = {
-        "matrix": {"family": "file", "path": args.matrix},
-        "depths": parse_depths(args.depths),
-        "out_dir": args.out_dir or "out",
-    }
-    if args.trials is not None:
-        raw["trials"] = args.trials
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.strict is not None:
-        raw["strict"] = args.strict
-    if args.threads is not None:
-        raw["threads"] = args.threads
+    raw = {k: v for k, v in _overrides_from(args).items() if v is not None}
     cfg = experiment.ExperimentConfig.from_dict(raw)
     code = experiment.run_experiment(cfg)
     if code != EXIT_IO:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotHermitian, SingularMatrix
+from .errors import NoConvergence, NotHermitian
 
 __all__ = [
     "KernelTolerances",
@@ -28,8 +28,6 @@ __all__ = [
     "eig_hermitian",
     "spectral_norm",
     "top_singular_triple",
-    "solve_linear",
-    "matrix_inverse",
     "evaluate_residual_polynomial",
 ]
 
@@ -42,16 +40,13 @@ class KernelTolerances:
         Symmetry gate of :func:`eig_hermitian`: the defect ``||M - M^H||_F``
         may not exceed ``hermitian_check * ||M||_F``.
     pivot_floor
-        Pivot magnitude below which :func:`solve_linear` declares the matrix
-        numerically singular, relative to ``||A||_inf``.
-    breakdown
-        Arnoldi basis-vector floor used by the Krylov layer, relative to
-        ``||A||_2``.  Kept here so every tolerance lives in one record.
+        LU pivot magnitude below which
+        :func:`~gmreslab.fov.nu_fov_inverse` declares the matrix numerically
+        singular, relative to ``||A||_inf``.
     """
 
     hermitian_check: float = 1e-12
     pivot_floor: float = 1e-14
-    breakdown: float = 1e-13
 
 
 DEFAULT_TOLERANCES = KernelTolerances()
@@ -154,51 +149,6 @@ def top_singular_triple(a, tol: KernelTolerances = DEFAULT_TOLERANCES):
         u = np.zeros_like(w)
         u[0] = 1.0
     return sigma, u, w
-
-
-def solve_linear(a, b, tol: KernelTolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Solve ``A x = b`` by Gaussian elimination with partial pivoting.
-
-    ``b`` may be a vector or a matrix of stacked right-hand sides; the
-    result has the same shape.  A pivot of magnitude at most
-    ``tol.pivot_floor * ||A||_inf`` raises :class:`SingularMatrix`.
-    """
-    m = as_matrix(a)
-    rhs = np.asarray(b, dtype=np.complex128)
-    vector_input = rhs.ndim == 1
-    if vector_input:
-        rhs = rhs[:, None]
-    if rhs.ndim != 2 or rhs.shape[0] != m.shape[0]:
-        raise ValueError(
-            f"right-hand side shape {rhs.shape} does not match matrix order {m.shape[0]}"
-        )
-    n = m.shape[0]
-    scale = float(np.linalg.norm(m, np.inf)) if n else 0.0
-    floor = tol.pivot_floor * scale
-    lu = m.copy()
-    x = rhs.copy()
-    for col in range(n):
-        p = col + int(np.argmax(np.abs(lu[col:, col])))
-        if abs(lu[p, col]) <= floor:
-            raise SingularMatrix(
-                f"pivot {abs(lu[p, col]):.3e} at column {col} is below "
-                f"{tol.pivot_floor:.1e} * ||A||_inf"
-            )
-        if p != col:
-            lu[[col, p]] = lu[[p, col]]
-            x[[col, p]] = x[[p, col]]
-        factors = lu[col + 1 :, col] / lu[col, col]
-        lu[col + 1 :, col:] -= factors[:, None] * lu[col, col:]
-        x[col + 1 :] -= factors[:, None] * x[col]
-    for col in range(n - 1, -1, -1):
-        x[col] = (x[col] - lu[col, col + 1 :] @ x[col + 1 :]) / lu[col, col]
-    return x[:, 0] if vector_input else x
-
-
-def matrix_inverse(a, tol: KernelTolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Explicit inverse via :func:`solve_linear` on the identity."""
-    m = as_matrix(a)
-    return solve_linear(m, np.eye(m.shape[0], dtype=np.complex128), tol)
 
 
 def evaluate_residual_polynomial(a, coefficients) -> np.ndarray:

@@ -32,7 +32,7 @@ class NoConvergence(LabError):
 
 
 class SingularMatrix(LabError):
-    """Elimination hit a pivot below the relative floor."""
+    """LU factorization hit a pivot below the relative floor."""
 
 
 class DegenerateImage(LabError):

@@ -51,7 +51,7 @@ from .errors import (
     UnsupportedFormat,
 )
 from .matrices import MatrixSpec
-from .minimax import SolverOptions
+from .minimax import MAX_DEPTH, SolverOptions
 
 __all__ = [
     "ExperimentConfig",
@@ -86,12 +86,18 @@ class ExperimentConfig:
         if not self.depths:
             raise InvalidSpec("depths must be a non-empty list")
         for k in self.depths:
-            if not isinstance(k, int) or k < 1:
-                raise InvalidSpec(f"invalid depth {k!r}: need integer >= 1")
+            if not isinstance(k, int) or not 1 <= k <= MAX_DEPTH:
+                raise InvalidSpec(
+                    f"invalid depth {k!r}: need integer in 1..{MAX_DEPTH}"
+                )
         if self.trials < 1:
             raise InvalidSpec(f"trials must be >= 1, got {self.trials}")
         if self.threads is not None and self.threads < 1:
             raise InvalidSpec(f"threads must be >= 1, got {self.threads}")
+        try:
+            dataclasses.replace(self.solver, seed=self.seed)
+        except (TypeError, ValueError) as exc:
+            raise InvalidSpec(f"invalid seed: {exc}") from None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -112,7 +118,10 @@ class ExperimentConfig:
         bad = set(solver_raw) - _SOLVER_KEYS
         if bad:
             raise InvalidSpec(f"unknown solver options: {sorted(bad)}")
-        data["solver"] = SolverOptions(**solver_raw)
+        try:
+            data["solver"] = SolverOptions(**solver_raw)
+        except (TypeError, ValueError) as exc:
+            raise InvalidSpec(f"invalid solver options: {exc}") from None
         return cls(**data)
 
 

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import dense_core
 from .dense_core import DEFAULT_TOLERANCES, KernelTolerances, as_matrix
-from .errors import ZeroVector
+from .errors import SingularMatrix, ZeroVector
 
 __all__ = [
     "FovBoundary",
@@ -235,12 +236,24 @@ def nu_fov(a, tol: KernelTolerances = DEFAULT_TOLERANCES) -> NuResult:
 
 
 def nu_fov_inverse(a, tol: KernelTolerances = DEFAULT_TOLERANCES) -> float:
-    """``nu(F(A^{-1}))`` via the explicitly formed inverse.
+    """``nu(F(A^{-1}))``, with the inverse formed from a LAPACK LU factorization.
 
-    Raises :class:`~gmreslab.errors.SingularMatrix` when A is not
-    invertible at working precision.
+    Raises :class:`~gmreslab.errors.SingularMatrix` when some pivot of the
+    partially pivoted factorization has magnitude at most
+    ``tol.pivot_floor * ||A||_inf``.
     """
-    return nu_fov(dense_core.matrix_inverse(a, tol), tol).value
+    mat = as_matrix(a)
+    # getrf itself, because lu_factor warns on an exactly singular matrix,
+    # which the pivot gate below reports as an error instead
+    getrf, getrs = lapack.get_lapack_funcs(("getrf", "getrs"), (mat,))
+    lu, piv, _ = getrf(mat)
+    pivot = float(np.abs(np.diag(lu)).min())
+    if pivot <= tol.pivot_floor * float(np.linalg.norm(mat, np.inf)):
+        raise SingularMatrix(
+            f"LU pivot {pivot:.3e} is below {tol.pivot_floor:.1e} * ||A||_inf"
+        )
+    inverse, _ = getrs(lu, piv, np.eye(mat.shape[0], dtype=np.complex128))
+    return nu_fov(inverse, tol).value
 
 
 def fov_summary(a, tol: KernelTolerances = DEFAULT_TOLERANCES) -> FovSummary:

@@ -1,83 +1,34 @@
-"""Arnoldi, GMRES residual norms, and polynomial least-squares residuals.
+"""GMRES residual ratios from one batched kernel.
 
 The quantity of interest is the GMRES residual ratio
 
     ||r_k|| / ||r_0|| = min over p in pi_k of ||p(A) r_0|| / ||r_0||,
 
 where pi_k is the set of polynomials of degree at most k with p(0) = 1.
-Two independent routes compute it: :func:`gmres_residuals` runs Arnoldi
-with a Givens-rotation least-squares recurrence, and
-:func:`min_residual_over_polys` solves the dense least-squares problem on
-the Krylov block directly.  They are cross-checked against each other in
-the test suite; neither ever forms normal equations.
+One kernel computes it for a whole block of vectors at once: the Krylov
+directions are orthonormalized by batched modified Gram-Schmidt and
+projected out of the residual, so normal equations are never formed.
+:func:`gmres_residuals` returns the ratio at every depth up to ``kmax``,
+:func:`min_residual_values` the ratio at one depth.  Arnoldi with Givens
+rotations and a dense least-squares solve serve as independent
+cross-checks in the test suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .dense_core import DEFAULT_TOLERANCES, KernelTolerances, as_matrix, spectral_norm
+from .dense_core import as_matrix
 from .errors import DegenerateImage, ZeroVector
 
 __all__ = [
-    "ProblemInstance",
-    "ArnoldiDecomposition",
-    "ResidualCurve",
     "OneStepResult",
-    "arnoldi",
     "gmres_residuals",
-    "min_residual_over_polys",
     "min_residual_values",
     "optimal_alpha",
 ]
-
-
-@dataclass
-class ProblemInstance:
-    """A linear system A x = b with optional initial guess x0 (default 0)."""
-
-    a: np.ndarray
-    b: np.ndarray
-    x0: Optional[np.ndarray] = None
-
-    def residual0(self) -> np.ndarray:
-        m = as_matrix(self.a)
-        b = np.asarray(self.b, dtype=np.complex128).ravel()
-        if b.shape[0] != m.shape[0]:
-            raise ValueError("right-hand side length does not match matrix order")
-        if self.x0 is None:
-            return b.copy()
-        x0 = np.asarray(self.x0, dtype=np.complex128).ravel()
-        if x0.shape[0] != m.shape[0]:
-            raise ValueError("initial guess length does not match matrix order")
-        return b - m @ x0
-
-
-@dataclass(frozen=True)
-class ArnoldiDecomposition:
-    """Arnoldi relation A V_m = V_{m+1} Hbar.
-
-    ``v`` holds the orthonormal basis columns, ``hbar`` the (m+1) x m
-    upper Hessenberg data.  On lucky breakdown at step j the process stops
-    with j basis columns, a (j+1) x j Hessenberg block whose last subdiagonal
-    entry is exact zero, and ``breakdown_step = j``; the Krylov space is then
-    A-invariant and GMRES has converged exactly.
-    """
-
-    v: np.ndarray
-    hbar: np.ndarray
-    m: int
-    breakdown_step: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class ResidualCurve:
-    """GMRES residual ratios ``ratios[k] = ||r_k|| / ||r_0||`` for k = 0..kmax."""
-
-    ratios: np.ndarray
 
 
 class OneStepResult(NamedTuple):
@@ -87,161 +38,28 @@ class OneStepResult(NamedTuple):
     residual_ratio: float
 
 
-def arnoldi(a, r0, m: int, tol: KernelTolerances = DEFAULT_TOLERANCES) -> ArnoldiDecomposition:
-    """Run m steps of Arnoldi with modified Gram-Schmidt and one
-    reorthogonalization pass.
+def _residual_curves(mat: np.ndarray, batch: np.ndarray, k: int) -> np.ndarray:
+    """Residual ratios at depths 0..k for each column of ``batch``.
 
-    Breakdown is declared when the candidate basis vector has norm at most
-    ``tol.breakdown * ||A||_2``; the decomposition returned at that point is
-    exact (the subdiagonal entry is stored as zero).
+    Row j holds ``min over p in pi_j of ||p(A) v|| / ||v||``: the unit-scaled
+    Krylov directions ``A v, .., A^k v`` are orthonormalized by batched
+    modified Gram-Schmidt with one reorthogonalization pass, and each new
+    direction is projected out of the running residual.  Dependent
+    directions are dropped, which leaves the spanned space and hence the
+    minimum unchanged.
     """
-    mat = as_matrix(a)
-    n = mat.shape[0]
-    if not 1 <= m <= n:
-        raise ValueError(f"step count must satisfy 1 <= m <= {n}, got {m}")
-    start = np.asarray(r0, dtype=np.complex128).ravel()
-    if start.shape[0] != n:
-        raise ValueError("start vector length does not match matrix order")
-    norm0 = float(np.linalg.norm(start))
-    if norm0 == 0.0:
-        raise ZeroVector("Arnoldi start vector is zero")
-    floor = tol.breakdown * spectral_norm(mat, tol)
-
-    basis = [start / norm0]
-    hbar = np.zeros((m + 1, m), dtype=np.complex128)
-    for j in range(m):
-        w = mat @ basis[j]
-        for _ in range(2):  # MGS plus one reorthogonalization pass
-            for i in range(j + 1):
-                hij = np.vdot(basis[i], w)
-                w = w - hij * basis[i]
-                hbar[i, j] += hij
-        h_next = float(np.linalg.norm(w))
-        if h_next <= floor:
-            return ArnoldiDecomposition(
-                v=np.column_stack(basis),
-                hbar=hbar[: j + 2, : j + 1],
-                m=j + 1,
-                breakdown_step=j + 1,
-            )
-        hbar[j + 1, j] = h_next
-        basis.append(w / h_next)
-    return ArnoldiDecomposition(
-        v=np.column_stack(basis), hbar=hbar, m=m, breakdown_step=None
-    )
-
-
-def _givens(a: complex, b: complex):
-    """Unitary rotation G = [[c, s], [-conj(s), conj(c)]] with G [a, b]^T = [r, 0]^T."""
-    if b == 0:
-        return 1.0 + 0.0j, 0.0 + 0.0j
-    r = np.hypot(abs(a), abs(b))
-    return np.conj(a) / r, np.conj(b) / r
-
-
-def gmres_residuals(
-    problem: ProblemInstance, kmax: int, tol: KernelTolerances = DEFAULT_TOLERANCES
-) -> ResidualCurve:
-    """GMRES residual ratios for steps 0..kmax via Arnoldi plus Givens
-    rotations on the Hessenberg least-squares problem.
-
-    After a lucky breakdown the remaining ratios are exact zeros.
-    """
-    mat = as_matrix(problem.a)
-    n = mat.shape[0]
-    if not 1 <= kmax <= n:
-        raise ValueError(f"kmax must satisfy 1 <= kmax <= {n}, got {kmax}")
-    r0 = problem.residual0()
-    norm0 = float(np.linalg.norm(r0))
-    if norm0 == 0.0:
-        raise ZeroVector("initial residual is zero")
-
-    dec = arnoldi(mat, r0, kmax, tol)
-    steps = dec.hbar.shape[1]
-    h = dec.hbar.astype(np.complex128).copy()
-    g = np.zeros(steps + 1, dtype=np.complex128)
-    g[0] = norm0
-    cs = np.zeros(steps, dtype=np.complex128)
-    sn = np.zeros(steps, dtype=np.complex128)
-
-    ratios = [1.0]
-    for j in range(steps):
-        for i in range(j):
-            t = cs[i] * h[i, j] + sn[i] * h[i + 1, j]
-            h[i + 1, j] = -np.conj(sn[i]) * h[i, j] + np.conj(cs[i]) * h[i + 1, j]
-            h[i, j] = t
-        cs[j], sn[j] = _givens(h[j, j], h[j + 1, j])
-        h[j, j] = cs[j] * h[j, j] + sn[j] * h[j + 1, j]
-        h[j + 1, j] = 0.0
-        g[j + 1] = -np.conj(sn[j]) * g[j]
-        g[j] = cs[j] * g[j]
-        ratios.append(float(abs(g[j + 1])) / norm0)
-    while len(ratios) < kmax + 1:
-        ratios.append(0.0)
-    return ResidualCurve(np.asarray(ratios))
-
-
-def min_residual_over_polys(a, v, k: int):
-    """Minimize ``||p(A) v|| / ||v||`` over polynomials p in pi_k.
-
-    Solves the least-squares problem ``min_c ||v + [Av .. A^k v] c||`` with
-    unit-scaled Krylov columns through an orthogonal (SVD) factorization.
-    Returns ``(value, coefficients)`` with ``coefficients`` holding
-    ``c_1 .. c_k`` of the optimal ``p(z) = 1 + c_1 z + ... + c_k z^k``.
-    """
-    mat = as_matrix(a)
-    vec = np.asarray(v, dtype=np.complex128).ravel()
-    if vec.shape[0] != mat.shape[0]:
-        raise ValueError("vector length does not match matrix order")
-    if k < 1:
-        raise ValueError("polynomial degree bound must be at least 1")
-    if k > 8:
-        raise ValueError("monomial-basis formulation is limited to degree 8")
-    norm_v = float(np.linalg.norm(vec))
-    if norm_v == 0.0:
-        raise ZeroVector("cannot minimize the residual of the zero vector")
-
-    cols = []
-    w = vec
-    for _ in range(k):
-        w = mat @ w
-        cols.append(w)
-    krylov = np.column_stack(cols)
-    scales = np.linalg.norm(krylov, axis=0)
-    safe = np.where(scales > 0.0, scales, 1.0)
-    scaled = krylov / safe
-    d, *_ = np.linalg.lstsq(scaled, -vec, rcond=None)
-    coeffs = d / safe
-    residual = vec + scaled @ d
-    return float(np.linalg.norm(residual)) / norm_v, coeffs
-
-
-def min_residual_values(a, vs: np.ndarray, k: int) -> np.ndarray:
-    """Batched values of :func:`min_residual_over_polys`.
-
-    ``vs`` holds one candidate vector per column; the return value has one
-    residual ratio per column.  Zero columns yield ratio 1 (the polynomial
-    p = 1 is optimal for them vacuously); callers that care should not pass
-    them.  Dependent Krylov directions are dropped, which leaves the spanned
-    space and hence the minimum unchanged.
-    """
-    mat = as_matrix(a)
-    batch = np.asarray(vs, dtype=np.complex128)
-    if batch.ndim != 2 or batch.shape[0] != mat.shape[0]:
-        raise ValueError("candidate block must be n x B")
     norms = np.linalg.norm(batch, axis=0)
     safe_norms = np.where(norms > 0.0, norms, 1.0)
-
-    columns = []
-    w = batch
-    for _ in range(k):
-        w = mat @ w
-        scale = np.linalg.norm(w, axis=0)
-        columns.append(w / np.where(scale > 0.0, scale, 1.0))
+    curves = np.empty((k + 1, batch.shape[1]))
+    curves[0] = norms / safe_norms
 
     ortho = []
-    for col in columns:
-        q = col.copy()
+    residual = batch.copy()
+    w = batch
+    for j in range(1, k + 1):
+        w = mat @ w
+        scale = np.linalg.norm(w, axis=0)
+        q = w / np.where(scale > 0.0, scale, 1.0)
         for _ in range(2):
             for qi in ortho:
                 q = q - qi * np.sum(np.conj(qi) * q, axis=0)
@@ -249,11 +67,42 @@ def min_residual_values(a, vs: np.ndarray, k: int) -> np.ndarray:
         keep = nq > 1e-12
         q = np.where(keep[None, :], q / np.where(keep, nq, 1.0)[None, :], 0.0)
         ortho.append(q)
+        residual = residual - q * np.sum(np.conj(q) * residual, axis=0)
+        curves[j] = np.linalg.norm(residual, axis=0) / safe_norms
+    return curves
 
-    residual = batch.copy()
-    for qi in ortho:
-        residual = residual - qi * np.sum(np.conj(qi) * residual, axis=0)
-    return np.linalg.norm(residual, axis=0) / safe_norms
+
+def gmres_residuals(a, r0s, kmax: int) -> np.ndarray:
+    """GMRES residual ratios ``||r_j|| / ||r_0||`` for steps j = 0..kmax.
+
+    ``r0s`` holds one initial residual per column; the result is the
+    ``(kmax + 1) x B`` block of ratio curves.  After a lucky breakdown the
+    remaining ratios are zero up to rounding.
+    """
+    mat = as_matrix(a)
+    n = mat.shape[0]
+    if not 1 <= kmax <= n:
+        raise ValueError(f"kmax must satisfy 1 <= kmax <= {n}, got {kmax}")
+    block = np.asarray(r0s, dtype=np.complex128)
+    if block.ndim != 2 or block.shape[0] != n:
+        raise ValueError("initial residual block must be n x B")
+    if np.any(np.linalg.norm(block, axis=0) == 0.0):
+        raise ZeroVector("initial residual is zero")
+    return _residual_curves(mat, block, kmax)
+
+
+def min_residual_values(a, vs: np.ndarray, k: int) -> np.ndarray:
+    """Minimize ``||p(A) v|| / ||v||`` over p in pi_k for a block of vectors.
+
+    ``vs`` holds one candidate vector per column; the return value has one
+    residual ratio per column.  Zero columns yield ratio 0; callers that
+    care should not pass them.
+    """
+    mat = as_matrix(a)
+    batch = np.asarray(vs, dtype=np.complex128)
+    if batch.ndim != 2 or batch.shape[0] != mat.shape[0]:
+        raise ValueError("candidate block must be n x B")
+    return _residual_curves(mat, batch, k)[k]
 
 
 def optimal_alpha(a, v) -> OneStepResult:

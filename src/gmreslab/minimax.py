@@ -38,7 +38,7 @@ from scipy import optimize
 from . import dense_core
 from .dense_core import as_matrix
 from .errors import BudgetExceeded, DegenerateImage, NoConvergence
-from .krylov import min_residual_over_polys, min_residual_values, optimal_alpha
+from .krylov import min_residual_values, optimal_alpha
 
 __all__ = [
     "MAX_DEPTH",
@@ -413,10 +413,9 @@ def ideal_gmres(a, k: int, opts: Optional[SolverOptions] = None) -> MinimaxResul
         if upper - lower <= 0.25 * opts.tolerance:
             break
         val0 = float(phi_batch(v0[:, None])[0])
-        v_ref, _ = _ascend_on_sphere(
+        _, refined = _ascend_on_sphere(
             phi_batch, v0, val0, opts, min(opts.max_iters, 80)
         )
-        refined, _ = min_residual_over_polys(mat, v_ref, k)
         lower = max(lower, refined)
     lower = min(lower, upper)  # guard against eigensolver noise at equality
     return MinimaxResult(
@@ -488,13 +487,11 @@ def worst_case_gmres(
         if val > best_phi:
             best_phi, best_v = val, v
 
-    value, _ = min_residual_over_polys(mat, best_v, k)
-    value = max(value, best_phi)
     return MinimaxResult(
-        value=value,
+        value=best_phi,
         coefficients=None,
         witness_vector=best_v,
-        lower_bound=value,
+        lower_bound=best_phi,
         upper_bound=1.0,
         gap_tolerance=opts.tolerance,
         certified=False,

@@ -2,10 +2,16 @@
 
 Everything here is deliberately written against different machinery than
 the package: hull geometry instead of support-function duality, explicit
-equioscillation solves instead of numerical minimization.
+equioscillation solves instead of numerical minimization, Arnoldi with
+Givens rotations and dense least squares instead of the batched
+Gram-Schmidt residual kernel, a generalized Hermitian eigenproblem instead
+of an explicit inverse.
 """
 
+from typing import NamedTuple, Optional
+
 import numpy as np
+from scipy.linalg import eigh
 from scipy.spatial import ConvexHull, QhullError
 
 
@@ -89,3 +95,134 @@ def rayleigh_cloud(a, count, seed):
     block = rng.standard_normal((n, count)) + 1j * rng.standard_normal((n, count))
     block /= np.linalg.norm(block, axis=0)
     return np.sum(np.conj(block) * (a @ block), axis=0)
+
+
+class ArnoldiDecomposition(NamedTuple):
+    """Arnoldi relation A V_m = V_{m+1} Hbar.
+
+    ``v`` holds the orthonormal basis columns, ``hbar`` the (m+1) x m
+    upper Hessenberg data.  On lucky breakdown at step j the process stops
+    with j basis columns, a (j+1) x j Hessenberg block whose last subdiagonal
+    entry is exact zero, and ``breakdown_step = j``.
+    """
+
+    v: np.ndarray
+    hbar: np.ndarray
+    m: int
+    breakdown_step: Optional[int]
+
+
+def arnoldi(a, r0, m, breakdown=1e-13):
+    """m steps of Arnoldi with modified Gram-Schmidt and one
+    reorthogonalization pass; breakdown when the candidate basis vector has
+    norm at most ``breakdown * ||A||_2``."""
+    mat = np.asarray(a, dtype=np.complex128)
+    start = np.asarray(r0, dtype=np.complex128).ravel()
+    norm0 = float(np.linalg.norm(start))
+    if norm0 == 0.0:
+        raise ValueError("Arnoldi start vector is zero")
+    floor = breakdown * float(np.linalg.norm(mat, 2))
+    basis = [start / norm0]
+    hbar = np.zeros((m + 1, m), dtype=np.complex128)
+    for j in range(m):
+        w = mat @ basis[j]
+        for _ in range(2):
+            for i in range(j + 1):
+                hij = np.vdot(basis[i], w)
+                w = w - hij * basis[i]
+                hbar[i, j] += hij
+        h_next = float(np.linalg.norm(w))
+        if h_next <= floor:
+            return ArnoldiDecomposition(
+                np.column_stack(basis), hbar[: j + 2, : j + 1], j + 1, j + 1
+            )
+        hbar[j + 1, j] = h_next
+        basis.append(w / h_next)
+    return ArnoldiDecomposition(np.column_stack(basis), hbar, m, None)
+
+
+def _givens(a, b):
+    """Unitary rotation G = [[c, s], [-conj(s), conj(c)]] with G [a, b]^T = [r, 0]^T."""
+    if b == 0:
+        return 1.0 + 0.0j, 0.0 + 0.0j
+    r = np.hypot(abs(a), abs(b))
+    return np.conj(a) / r, np.conj(b) / r
+
+
+def gmres_givens(a, r0, kmax):
+    """GMRES ratios ``||r_j|| / ||r_0||`` for j = 0..kmax from Arnoldi plus
+    Givens rotations on the Hessenberg least-squares problem; exact zeros
+    after a lucky breakdown."""
+    start = np.asarray(r0, dtype=np.complex128).ravel()
+    norm0 = float(np.linalg.norm(start))
+    dec = arnoldi(a, start, kmax)
+    steps = dec.hbar.shape[1]
+    h = dec.hbar.copy()
+    g = np.zeros(steps + 1, dtype=np.complex128)
+    g[0] = norm0
+    cs = np.zeros(steps, dtype=np.complex128)
+    sn = np.zeros(steps, dtype=np.complex128)
+    ratios = [1.0]
+    for j in range(steps):
+        for i in range(j):
+            t = cs[i] * h[i, j] + sn[i] * h[i + 1, j]
+            h[i + 1, j] = -np.conj(sn[i]) * h[i, j] + np.conj(cs[i]) * h[i + 1, j]
+            h[i, j] = t
+        cs[j], sn[j] = _givens(h[j, j], h[j + 1, j])
+        h[j, j] = cs[j] * h[j, j] + sn[j] * h[j + 1, j]
+        h[j + 1, j] = 0.0
+        g[j + 1] = -np.conj(sn[j]) * g[j]
+        g[j] = cs[j] * g[j]
+        ratios.append(float(abs(g[j + 1])) / norm0)
+    ratios += [0.0] * (kmax + 1 - len(ratios))
+    return np.asarray(ratios)
+
+
+def min_residual_lstsq(a, v, k):
+    """``min over p in pi_k of ||p(A) v|| / ||v||`` by an SVD least-squares
+    solve on the unit-scaled Krylov block ``[Av .. A^k v]``.
+
+    Returns ``(value, coefficients)`` with ``coefficients`` holding
+    ``c_1 .. c_k`` of the optimal ``p(z) = 1 + c_1 z + ... + c_k z^k``.
+    """
+    mat = np.asarray(a, dtype=np.complex128)
+    vec = np.asarray(v, dtype=np.complex128).ravel()
+    norm_v = float(np.linalg.norm(vec))
+    if norm_v == 0.0:
+        raise ValueError("cannot minimize the residual of the zero vector")
+    cols = []
+    w = vec
+    for _ in range(k):
+        w = mat @ w
+        cols.append(w)
+    krylov = np.column_stack(cols)
+    scales = np.linalg.norm(krylov, axis=0)
+    safe = np.where(scales > 0.0, scales, 1.0)
+    scaled = krylov / safe
+    d, *_ = np.linalg.lstsq(scaled, -vec, rcond=None)
+    return float(np.linalg.norm(vec + scaled @ d)) / norm_v, d / safe
+
+
+def nu_inverse_pencil(a, angles=720, fine=401):
+    """``nu(F(A^{-1}))`` without forming the inverse, on an angle grid.
+
+    With v = A w, ``v^H H_theta(A^{-1}) v / v^H v`` equals
+    ``w^H H_{-theta}(A) w / w^H A^H A w``, so lambda_min of the rotated
+    Hermitian part of the inverse is the smallest eigenvalue of the pencil
+    (H_{-theta}(A), A^H A).  A coarse grid is followed by a fine grid across
+    the two cells around its best angle; the grid maximum is a lower bound
+    on the supremum over theta.
+    """
+    mat = np.asarray(a, dtype=np.complex128)
+    gram = mat.conj().T @ mat
+
+    def lam_min(theta):
+        rotated = np.exp(1j * theta) * mat
+        herm = 0.5 * (rotated + rotated.conj().T)
+        return float(eigh(herm, gram, eigvals_only=True)[0])
+
+    step = 2.0 * np.pi / angles
+    coarse = [lam_min(t) for t in step * np.arange(angles)]
+    center = step * int(np.argmax(coarse))
+    best = max(lam_min(t) for t in center + np.linspace(-step, step, fine))
+    return max(best, max(coarse), 0.0)

@@ -11,9 +11,11 @@ import subprocess
 import sys
 import time
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
+import gmreslab
 from gmreslab import (
     elman_bound,
     fov_boundary,
@@ -234,7 +236,12 @@ def test_report_bytes_identical_across_thread_counts(tmp_path):
         run_dir = tmp_path / f"threads{threads}"
         run_dir.mkdir()
         (run_dir / "config.json").write_text(config_text)
-        env = dict(os.environ, LAB_THREADS=threads)
+        # the run happens in a tmp cwd, where a relative PYTHONPATH misses
+        package_root = str(Path(gmreslab.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])
+        )
+        env = dict(os.environ, LAB_THREADS=threads, PYTHONPATH=pythonpath)
         proc = subprocess.run(
             [sys.executable, "-m", "gmreslab", "run", "config.json"],
             cwd=run_dir,

@@ -102,6 +102,13 @@ def test_bad_json_config_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_out_of_range_depth_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"matrix": {"family": "identity", "n": 10}, "depths": [9]}))
+    assert main(["run", str(cfg)]) == 2
+    assert "error: invalid depth 9" in capsys.readouterr().err
+
+
 def test_corrupt_matrix_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.mtx"
     bad.write_text("%%MatrixMarket matrix array real general\n2 2\n1.0\nbogus\n")

@@ -1,17 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, seed
-from hypothesis import strategies as st
 
 from gmreslab import (
     NoConvergence,
     NotHermitian,
-    SingularMatrix,
     eig_hermitian,
     evaluate_residual_polynomial,
     hermitian_part,
-    matrix_inverse,
-    solve_linear,
     spectral_norm,
 )
 from conftest import random_complex
@@ -87,41 +82,6 @@ def test_spectral_norm_dominates_sampled_vectors():
     block /= np.linalg.norm(block, axis=0)
     sampled = np.linalg.norm(a @ block, axis=0)
     assert sampled.max() <= sigma + 1e-10
-
-
-def test_solve_identity():
-    assert np.allclose(solve_linear(np.eye(2), np.array([3.0, 4.0])), [3.0, 4.0])
-
-
-def test_solve_diagonal():
-    x = solve_linear(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
-    assert np.allclose(x, [1.0, 1.0])
-
-
-def test_solve_permutation():
-    x = solve_linear(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([5.0, 7.0]))
-    assert np.allclose(x, [7.0, 5.0])
-
-
-def test_solve_rejects_singular():
-    with pytest.raises(SingularMatrix):
-        solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
-
-
-@seed(7)
-@given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=2**31))
-def test_solve_then_multiply_roundtrips(n, key):
-    rng = np.random.default_rng(key)
-    a = random_complex(rng, n)
-    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x = solve_linear(a, b)
-    assert np.linalg.norm(a @ x - b) <= 1e-8 * max(np.linalg.norm(b), 1.0)
-
-
-def test_matrix_inverse_roundtrip():
-    rng = np.random.default_rng(21)
-    a = random_complex(rng, 5)
-    assert np.linalg.norm(a @ matrix_inverse(a) - np.eye(5)) <= 1e-10
 
 
 def test_polynomial_empty_is_identity():

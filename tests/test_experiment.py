@@ -62,6 +62,9 @@ def test_from_dict_reads_solver_options():
         {"matrix": {"family": "identity", "n": 2}, "threads": 0},
         {"matrix": {"family": "identity", "n": 2}, "solver": {"warp": 9}},
         {"matrix": {"family": "identity", "n": 2}, "solver": 3},
+        {"matrix": {"family": "identity", "n": 10}, "depths": [9]},
+        {"matrix": {"family": "identity", "n": 2}, "seed": -1},
+        {"matrix": {"family": "identity", "n": 2}, "solver": {"starts": 0}},
     ],
 )
 def test_from_dict_rejects_malformed(raw):

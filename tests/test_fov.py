@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed
+from hypothesis import strategies as st
 
 from gmreslab import (
     SingularMatrix,
@@ -113,6 +115,25 @@ def test_nu_inverse_examples():
 def test_nu_inverse_rejects_singular():
     with pytest.raises(SingularMatrix):
         nu_fov_inverse(np.diag([1.0, 0.0]))
+    with pytest.raises(SingularMatrix):
+        nu_fov_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+def test_nu_inverse_jordan(jordan_block):
+    # inv([[1, 1], [0, 1]]) = [[1, -1], [0, 1]]: F is the disk |z - 1| <= 1/2
+    assert nu_fov_inverse(jordan_block) == pytest.approx(0.5, abs=1e-9)
+
+
+@seed(47)
+@given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**31))
+def test_nu_inverse_matches_inverse_free_pencil(n, key):
+    rng = np.random.default_rng(key)
+    a = random_nonsingular(rng, n, spread=float(rng.uniform(0.2, 1.0)))
+    nu = nu_fov_inverse(a)
+    grid = oracles.nu_inverse_pencil(a)
+    # the grid maximum bounds the supremum from below, and from above to
+    # second order in the fine grid spacing
+    assert grid - 1e-10 <= nu <= grid + 1e-8
 
 
 def test_nu_matches_hull_distance_on_random_matrices():

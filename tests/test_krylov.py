@@ -5,22 +5,21 @@ from hypothesis import strategies as st
 
 from gmreslab import (
     DegenerateImage,
-    ProblemInstance,
     ZeroVector,
-    arnoldi,
     gmres_residuals,
-    min_residual_over_polys,
     optimal_alpha,
     spectral_norm,
 )
+from gmreslab.krylov import min_residual_values
 from conftest import random_complex, random_unit
+import oracles
 
 RELATION_TOL = 1e-10
 ORACLE_TOL = 1e-9
 
 
 def test_arnoldi_identity_breaks_down_immediately():
-    dec = arnoldi(np.eye(2, dtype=complex), np.array([1.0, 0.0]), 1)
+    dec = oracles.arnoldi(np.eye(2, dtype=complex), np.array([1.0, 0.0]), 1)
     assert dec.breakdown_step == 1
     assert dec.hbar.shape == (2, 1)
     assert dec.hbar[1, 0] == 0.0
@@ -31,7 +30,7 @@ def test_arnoldi_hand_gram_schmidt():
     #   h00 = 3/2, the defect is (-1,1)/(2 sqrt(2)), so h10 = 1/2
     a = np.diag([1.0, 2.0]).astype(complex)
     r0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    dec = arnoldi(a, r0, 1)
+    dec = oracles.arnoldi(a, r0, 1)
     assert dec.v.shape == (2, 2)
     assert dec.hbar[0, 0] == pytest.approx(1.5, abs=1e-14)
     assert abs(dec.hbar[1, 0]) == pytest.approx(0.5, abs=1e-14)
@@ -41,13 +40,13 @@ def test_arnoldi_hand_gram_schmidt():
 
 def test_arnoldi_nilpotent_breakdown():
     a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    dec = arnoldi(a, np.array([0.0, 1.0]), 2)
+    dec = oracles.arnoldi(a, np.array([0.0, 1.0]), 2)
     assert dec.breakdown_step == 2
 
 
 def test_arnoldi_rejects_zero_start():
-    with pytest.raises(ZeroVector):
-        arnoldi(np.eye(3), np.zeros(3), 2)
+    with pytest.raises(ValueError):
+        oracles.arnoldi(np.eye(3), np.zeros(3), 2)
 
 
 @seed(13)
@@ -56,7 +55,7 @@ def test_arnoldi_relation_and_orthonormality(n, key):
     rng = np.random.default_rng(key)
     a = random_complex(rng, n)
     r0 = random_unit(rng, n)
-    dec = arnoldi(a, r0, n)
+    dec = oracles.arnoldi(a, r0, n)
     m = dec.m
     v, hbar = dec.v, dec.hbar
     # after a breakdown the rows of hbar past the stored basis are all zero
@@ -69,52 +68,58 @@ def test_arnoldi_relation_and_orthonormality(n, key):
 
 
 def test_gmres_identity_curve():
-    inst = ProblemInstance(np.eye(3, dtype=complex), np.array([1.0, 2.0, 2.0]))
-    assert np.array_equal(gmres_residuals(inst, 3).ratios, [1.0, 0.0, 0.0, 0.0])
+    # the kernel leaves rounding-level residue (about 1e-17) after breakdown
+    curve = gmres_residuals(np.eye(3), np.array([[1.0], [2.0], [2.0]]), 3)
+    assert curve.shape == (4, 1)
+    assert curve[:, 0] == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-14)
 
 
 def test_gmres_two_step_values():
     a = np.diag([1.0, 2.0]).astype(complex)
-    b = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    curve = gmres_residuals(ProblemInstance(a, b), 2)
-    assert curve.ratios[1] == pytest.approx(10.0**-0.5, abs=1e-12)
-    assert curve.ratios[2] == pytest.approx(0.0, abs=1e-13)
+    b = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
+    curve = gmres_residuals(a, b, 2)[:, 0]
+    assert curve[1] == pytest.approx(10.0**-0.5, abs=1e-12)
+    assert curve[2] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_gmres_rejects_zero_residual():
-    inst = ProblemInstance(np.eye(2, dtype=complex), np.zeros(2))
+    block = np.array([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ZeroVector):
-        gmres_residuals(inst, 1)
+        gmres_residuals(np.eye(2), block, 1)
 
 
-def test_gmres_nonzero_initial_guess():
-    a = np.diag([1.0, 2.0]).astype(complex)
-    x0 = np.array([1.0, 0.0], dtype=complex)
-    b = np.array([2.0, 1.0], dtype=complex)
-    inst = ProblemInstance(a, b, x0)
-    r0 = b - a @ x0
-    direct = gmres_residuals(ProblemInstance(a, r0), 2)
-    shifted = gmres_residuals(inst, 2)
-    assert np.allclose(direct.ratios, shifted.ratios, atol=1e-13)
+def test_gmres_block_columns_are_independent():
+    rng = np.random.default_rng(23)
+    a = random_complex(rng, 5)
+    block = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    curves = gmres_residuals(a, block, 5)
+    assert curves.shape == (6, 4)
+    for t in range(4):
+        single = gmres_residuals(a, block[:, t : t + 1], 5)[:, 0]
+        assert np.allclose(curves[:, t], single, rtol=0.0, atol=1e-14)
 
 
 @seed(17)
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=2**31))
 def test_gmres_matches_polynomial_route(n, key):
-    """Givens recurrence and explicit least squares agree at every depth."""
+    """The package kernel agrees with Arnoldi/Givens and with dense least
+    squares at every depth, and both public entry points share it."""
     rng = np.random.default_rng(key)
     a = random_complex(rng, n)
     r0 = random_unit(rng, n)
-    curve = gmres_residuals(ProblemInstance(a, r0), n)
-    assert np.all(np.diff(curve.ratios) <= 1e-13)
-    assert curve.ratios[n] <= 1e-10
+    curve = gmres_residuals(a, r0[:, None], n)[:, 0]
+    assert np.all(np.diff(curve) <= 1e-13)
+    assert curve[n] <= 1e-10
+    givens = oracles.gmres_givens(a, r0, n)
     for k in range(1, n + 1):
-        value, _ = min_residual_over_polys(a, r0, k)
-        assert abs(curve.ratios[k] - value) <= ORACLE_TOL
+        value, _ = oracles.min_residual_lstsq(a, r0, k)
+        assert abs(curve[k] - value) <= ORACLE_TOL
+        assert abs(curve[k] - givens[k]) <= ORACLE_TOL
+        assert min_residual_values(a, r0[:, None], k)[0] == curve[k]
 
 
 def test_min_residual_identity():
-    value, coeffs = min_residual_over_polys(np.eye(3, dtype=complex), np.ones(3), 1)
+    value, coeffs = oracles.min_residual_lstsq(np.eye(3, dtype=complex), np.ones(3), 1)
     assert value == pytest.approx(0.0, abs=1e-13)
     assert coeffs[0] == pytest.approx(-1.0, abs=1e-12)
 
@@ -122,20 +127,20 @@ def test_min_residual_identity():
 def test_min_residual_two_point_least_squares():
     a = np.diag([1.0, 2.0]).astype(complex)
     v = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    value, coeffs = min_residual_over_polys(a, v, 1)
+    value, coeffs = oracles.min_residual_lstsq(a, v, 1)
     assert value == pytest.approx(10.0**-0.5, abs=1e-12)
     assert coeffs[0] == pytest.approx(-0.6, abs=1e-12)
 
 
 def test_min_residual_eigenvector_is_exact():
     a = np.diag([1.0, 2.0]).astype(complex)
-    value, _ = min_residual_over_polys(a, np.array([1.0, 0.0]), 1)
+    value, _ = oracles.min_residual_lstsq(a, np.array([1.0, 0.0]), 1)
     assert value == pytest.approx(0.0, abs=1e-13)
 
 
 def test_min_residual_rejects_zero_vector():
-    with pytest.raises(ZeroVector):
-        min_residual_over_polys(np.eye(2), np.zeros(2), 1)
+    with pytest.raises(ValueError):
+        oracles.min_residual_lstsq(np.eye(2), np.zeros(2), 1)
 
 
 def test_optimal_alpha_scaled_identity():
@@ -176,5 +181,5 @@ def test_one_step_identity_is_exact(n, key):
     av = a @ v
     cos2 = abs(np.vdot(v, av)) ** 2 / (np.vdot(av, av).real * np.vdot(v, v).real)
     assert abs(res.residual_ratio**2 + cos2 - 1.0) <= 1e-13
-    value, _ = min_residual_over_polys(a, v, 1)
+    value = min_residual_values(a, v[:, None], 1)[0]
     assert abs(res.residual_ratio - value) <= 1e-12

@@ -7,7 +7,6 @@ from gmreslab import (
     BudgetExceeded,
     SolverOptions,
     ideal_gmres,
-    min_residual_over_polys,
     one_step_ideal,
     scalar_minimax_oracle,
     spectral_norm,
@@ -100,7 +99,7 @@ def test_worst_case_full_depth_is_zero():
 def test_worst_case_extra_starts_are_floor():
     a = np.diag([1.0, 2.0, 4.0]).astype(complex)
     v = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-    floor, _ = min_residual_over_polys(a, v, 1)
+    floor, _ = oracles.min_residual_lstsq(a, v, 1)
     res = worst_case_gmres(a, 1, extra_starts=[v])
     assert res.value >= floor - 1e-14
 
