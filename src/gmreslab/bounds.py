@@ -195,7 +195,7 @@ def verify_chain(
     k_eff = min(k, n)
     ratios = gmres_residuals(mat, r0_block, k_eff)[k_eff].tolist()
 
-    ideal = ideal_gmres(mat, k, replace(opts, seed=_derived_seed(opts.seed, 201, k)))
+    ideal = ideal_gmres(mat, k, opts)
     extra = [r0_block[:, t] for t in range(trials)]
     extra.append(ideal.witness_vector)
     if fov_data.witness_vector is not None:

@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedFormat,
 )
 from .experiment import EXIT_IO, EXIT_NOT_CERTIFIED, EXIT_OK
-from .minimax import SolverOptions, ideal_gmres
+from .minimax import ideal_gmres
 from .reporting import format_real
 
 __all__ = ["main", "parse_depths"]
@@ -98,7 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ideal_cmd = subs.add_parser("ideal", help="one ideal-GMRES minimization")
     ideal_cmd.add_argument("--matrix", required=True, help="Matrix Market file")
     ideal_cmd.add_argument("-k", "--depth", type=int, required=True, dest="k")
-    ideal_cmd.add_argument("--seed", type=int, default=0)
     ideal_cmd.add_argument("--strict", action="store_true")
     ideal_cmd.set_defaults(func=_cmd_ideal)
 
@@ -195,7 +194,7 @@ def _cmd_ideal(args: argparse.Namespace) -> int:
     a = mmio.read_matrix_market(args.matrix)
     if not 1 <= args.k <= a.shape[0]:
         raise InvalidSpec(f"depth {args.k} outside [1, {a.shape[0]}]")
-    result = ideal_gmres(a, args.k, SolverOptions(seed=args.seed))
+    result = ideal_gmres(a, args.k)
     print(f"ideal(k={args.k}) = {format_real(result.value)}")
     print(f"certified lower bound = {format_real(result.lower_bound)}")
     print(f"gap = {format_real(result.upper_bound - result.lower_bound)}")

@@ -1,6 +1,9 @@
-"""Exception types shared across the lab."""
+"""Exception types shared across the lab, and its one integer check."""
+
+from numbers import Integral
 
 __all__ = [
+    "is_int",
     "LabError",
     "ZeroVector",
     "NotHermitian",
@@ -63,3 +66,12 @@ class UnsupportedFormat(LabError):
 
 class FileError(LabError):
     """File system level failure while reading or writing artifacts."""
+
+
+def is_int(value) -> bool:
+    """True for integers, False for bools, floats, strings and the rest.
+
+    Every integer field of a config or of the solver options goes through
+    this check, so ``true``, ``1.5`` and ``"3"`` are rejected alike.
+    """
+    return isinstance(value, Integral) and not isinstance(value, bool)

@@ -49,6 +49,7 @@ from .errors import (
     ParseError,
     SingularMatrix,
     UnsupportedFormat,
+    is_int,
 )
 from .matrices import MatrixSpec
 from .minimax import MAX_DEPTH, SolverOptions
@@ -86,14 +87,14 @@ class ExperimentConfig:
         if not self.depths:
             raise InvalidSpec("depths must be a non-empty list")
         for k in self.depths:
-            if not isinstance(k, int) or not 1 <= k <= MAX_DEPTH:
+            if not is_int(k) or not 1 <= k <= MAX_DEPTH:
                 raise InvalidSpec(
                     f"invalid depth {k!r}: need integer in 1..{MAX_DEPTH}"
                 )
-        if self.trials < 1:
-            raise InvalidSpec(f"trials must be >= 1, got {self.trials}")
-        if self.threads is not None and self.threads < 1:
-            raise InvalidSpec(f"threads must be >= 1, got {self.threads}")
+        if not is_int(self.trials) or self.trials < 1:
+            raise InvalidSpec(f"trials must be an integer >= 1, got {self.trials!r}")
+        if self.threads is not None and (not is_int(self.threads) or self.threads < 1):
+            raise InvalidSpec(f"threads must be an integer >= 1, got {self.threads!r}")
         try:
             dataclasses.replace(self.solver, seed=self.seed)
         except (TypeError, ValueError) as exc:
@@ -111,7 +112,10 @@ class ExperimentConfig:
             raise InvalidSpec("config requires a 'matrix' entry")
         data = dict(raw)
         data["matrix"] = MatrixSpec.from_dict(data["matrix"])
-        data["depths"] = tuple(data.get("depths", (1, 2, 3)))
+        depths = data.get("depths", (1, 2, 3))
+        if not isinstance(depths, (list, tuple)):
+            raise InvalidSpec(f"depths must be a list, got {depths!r}")
+        data["depths"] = tuple(depths)
         solver_raw = data.get("solver", {})
         if not isinstance(solver_raw, dict):
             raise InvalidSpec("'solver' must be an object")

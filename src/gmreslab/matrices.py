@@ -15,7 +15,7 @@ from typing import Any, Dict
 import numpy as np
 
 from . import dense_core, mmio
-from .errors import InvalidSpec
+from .errors import InvalidSpec, is_int
 
 __all__ = ["MatrixSpec", "generate_matrix", "FAMILIES"]
 
@@ -49,6 +49,9 @@ class MatrixSpec:
                 f"unknown family {family!r}; known families: {', '.join(FAMILIES)}"
             )
         params = {key: value for key, value in data.items() if key != "family"}
+        if "n" in params:
+            _as_size(params)
+        _as_seed(params)
         return cls(family=family, params=params)
 
     def to_dict(self) -> dict:
@@ -71,14 +74,14 @@ def _as_size(params: dict, key: str = "n") -> int:
     if key not in params:
         raise InvalidSpec(f"missing size parameter {key!r}")
     n = params[key]
-    if not isinstance(n, int) or n < 1:
+    if not is_int(n) or n < 1:
         raise InvalidSpec(f"size {key!r} must be a positive integer, got {n!r}")
     return n
 
 
 def _as_seed(params: dict) -> int:
     seed = params.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not is_int(seed) or seed < 0:
         raise InvalidSpec(f"seed must be a non-negative integer, got {seed!r}")
     return seed
 

@@ -9,14 +9,16 @@ with pi_k the polynomials of degree at most k normalized to p(0) = 1.
 The worst case never exceeds the ideal value, and both lie in [0, 1]
 because p = 1 is admissible.  At depth 1 the two coincide.
 
-``ideal_gmres`` minimizes the nonsmooth convex function
-``c -> sigma_max(I + c_1 A + ... + c_k A^k)`` by multi-start projected
-subgradient descent with Polyak-style steps against a running lower bound,
-then sharpens the incumbent with cutting planes (exact subgradients from
-the top singular pair, trust-region stabilized), falling back to a
-deterministic Nelder-Mead polish only when the cutting-plane model has not
-closed.  The returned upper bound is always certified (it is the norm of a
-feasible polynomial); the lower bound comes from worst-case probes.
+``ideal_gmres`` and ``one_step_ideal`` share one convex solver:
+quasi-Newton descent on a smoothed top eigenvalue of ``p(A)^H p(A)``,
+continued to vanishing smoothing.  The upper bound is the norm of the
+returned feasible polynomial; the lower bound is a norm-duality
+certificate,
+
+    ideal(A, k) = max |tr Y| / ||Y||_*  over Y != 0 with <A^j, Y> = 0, j = 1..k,
+
+built from the smoothed problem's own dual matrix (``||.||_*`` is the
+nuclear norm, ``<.,.>`` the Frobenius inner product).
 
 ``worst_case_gmres`` runs alternating maximization on the unit sphere: the
 inner polynomial problem is solved exactly per candidate vector, the outer
@@ -28,7 +30,7 @@ safe for the inequality checks downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple, Optional, Sequence
 
@@ -37,8 +39,8 @@ from scipy import optimize
 
 from . import dense_core
 from .dense_core import as_matrix
-from .errors import BudgetExceeded, DegenerateImage, NoConvergence
-from .krylov import min_residual_values, optimal_alpha
+from .errors import BudgetExceeded, NoConvergence, is_int
+from .krylov import min_residual_values
 
 __all__ = [
     "MAX_DEPTH",
@@ -54,21 +56,27 @@ __all__ = [
 # The monomial-coefficient parametrization is well conditioned only for
 # small degrees; everything in this package stays at or below this depth.
 MAX_DEPTH = 8
+# _minimize_norm stops once the norm and its dual bound are this close.
+_GAP_TARGET = 1e-10
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Budget and determinism knobs shared by the minimax solvers.
+    """Budget and determinism knobs of the minimax solvers.
+
+    ``ideal_gmres`` reads only ``tolerance``: its solver has no starts, no
+    randomness and a fixed convergence target.  The other fields steer the
+    sphere ascent of ``worst_case_gmres``.
 
     starts
-        Number of optimization starts (a few deterministic construction
-        starts are always included; random starts fill up the rest).
+        Number of ascent starts (caller-supplied and two constructed starts
+        come first; random unit vectors fill up the rest).
     max_iters
-        Iteration cap per start.
+        Iteration cap per ascent.
     seed
-        Root seed; fixes the whole run including probe vectors.
+        Root seed of the random ascent starts.
     tolerance
-        Certification gap target: a result is flagged certified when
+        Certification gap target: an ideal result is flagged certified when
         ``upper_bound - lower_bound <= tolerance``.
     fd_step
         Central-difference step scale of the sphere ascent, applied as
@@ -78,10 +86,6 @@ class SolverOptions:
     max_halvings
         The ascent halves its step on non-improvement and gives up on a
         start after this many halvings.
-    probes
-        Number of random probe vectors for the ideal lower bound.
-    polish_fevals
-        Function-evaluation budget of the Nelder-Mead polish stage.
     """
 
     starts: int = 16
@@ -91,10 +95,11 @@ class SolverOptions:
     fd_step: float = 1e-6
     ascent_step: float = 0.5
     max_halvings: int = 25
-    probes: int = 32
-    polish_fevals: int = 6000
 
     def __post_init__(self):
+        for name in ("starts", "max_iters", "seed", "max_halvings"):
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"SolverOptions.{name} must be an integer")
         for name in (
             "starts",
             "max_iters",
@@ -102,8 +107,6 @@ class SolverOptions:
             "fd_step",
             "ascent_step",
             "max_halvings",
-            "probes",
-            "polish_fevals",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"SolverOptions.{name} must be positive")
@@ -116,11 +119,11 @@ class MinimaxResult:
     """Outcome of one minimax solve.
 
     For ``ideal_gmres`` the value equals ``upper_bound`` (the norm of the
-    returned feasible polynomial) and ``lower_bound`` is the best worst-case
-    probe.  For ``worst_case_gmres`` the value is itself a certified lower
-    bound on the true worst case; ``upper_bound`` is the trivial ceiling 1
-    and ``certified`` is False because that solver carries no two-sided
-    certificate.
+    returned feasible polynomial) and ``lower_bound`` is the norm-duality
+    certificate of :func:`_dual_lower_bound`.  For ``worst_case_gmres`` the
+    value is itself a certified lower bound on the true worst case;
+    ``upper_bound`` is the trivial ceiling 1 and ``certified`` is False
+    because that solver carries no two-sided certificate.
     """
 
     value: float
@@ -168,75 +171,86 @@ def _random_unit_block(rng: np.random.Generator, n: int, count: int) -> np.ndarr
     return block / np.linalg.norm(block, axis=0)
 
 
-def _nelder_mead_polish(fun, x0: np.ndarray, fevals: int) -> tuple[np.ndarray, float]:
-    """Two restarted Nelder-Mead passes; deterministic."""
-    best_x, best_f = x0, fun(x0)
-    for budget in (fevals, max(fevals // 2, 100)):
-        res = optimize.minimize(
-            fun,
-            best_x,
-            method="Nelder-Mead",
-            options={
-                "maxfev": budget,
-                "xatol": 1e-12,
-                "fatol": 1e-13,
-            },
-        )
-        if res.fun < best_f:
-            best_x, best_f = res.x, float(res.fun)
-    return best_x, best_f
+def _minimize_norm(mat: np.ndarray, k: int, c0) -> tuple[np.ndarray, float]:
+    """Minimize ``||P(c)||``, ``P(c) = I + c_1 A + ... + c_k A^k``, from ``c0``.
 
+    L-BFGS-B minimizes the smoothed top eigenvalue of ``X = P^H P``,
 
-def _refine_cutting_planes(
-    fun_and_subgrad,
-    x0: np.ndarray,
-    budget: int,
-    target_gap: float,
-) -> tuple[np.ndarray, float, float]:
-    """Kelley cutting-plane descent for a convex function of few variables.
+        F_mu(c) = lambda_max + mu log sum_i exp((lambda_i - lambda_max) / mu),
 
-    Each cut ``f(x) >= f_i + s_i . (x - x_i)`` is globally valid, so the
-    model LP minimum lower-bounds the objective on the current box.  The box
-    is centered on the incumbent and halves on non-improving steps, which
-    tames the oscillation plain Kelley iterations are prone to.  Returns the
-    incumbent, its value, and the final model gap.
+    which is convex in c with exact gradient ``2 tr(W P^H A^j)``,
+    ``W = V diag(softmax(lambda / mu)) V^H``.  ``mu`` starts at
+    ``0.1 ||P(c0)||^2`` and shrinks tenfold per stage, each stage
+    warm-started at the last, until the norm and the dual bound of
+    :func:`_dual_lower_bound` meet within ``_GAP_TARGET`` or ``mu`` reaches
+    rounding level.  Returns the best coefficients seen, whose norm never
+    exceeds the norm at ``c0``, and the best dual lower bound.
     """
-    dim = x0.size
-    f0, s0 = fun_and_subgrad(x0)
-    x_best, f_best = x0.copy(), f0
-    cuts_s = [s0]
-    cuts_rhs = [float(s0 @ x0) - f0]
-    radius = 1.0 + float(np.max(np.abs(x0)))
-    gap = np.inf
-    objective = np.zeros(dim + 1)
-    objective[dim] = 1.0
-    for _ in range(budget):
-        a_ub = np.column_stack([np.array(cuts_s), -np.ones(len(cuts_s))])
-        bounds = [(x_best[i] - radius, x_best[i] + radius) for i in range(dim)]
-        bounds.append((0.0, f_best))
-        res = optimize.linprog(
-            objective,
-            A_ub=a_ub,
-            b_ub=np.array(cuts_rhs),
-            bounds=bounds,
-            method="highs",
-        )
-        if not res.success:
-            break
-        x_new = res.x[:dim]
-        gap = f_best - float(res.x[dim])
-        if gap <= target_gap:
-            break
-        f_new, s_new = fun_and_subgrad(x_new)
-        cuts_s.append(s_new)
-        cuts_rhs.append(float(s_new @ x_new) - f_new)
-        if f_new < f_best - 1e-15:
-            x_best, f_best = x_new.copy(), f_new
-        else:
-            radius *= 0.5
-            if radius < 1e-11:
-                break
-    return x_best, f_best, gap
+    n = mat.shape[0]
+    scale = dense_core.spectral_norm(mat) or 1.0
+    # Work in the basis B^j of B = A / ||A||, where coefficients are O(1).
+    powers = _matrix_powers(mat / scale, k)
+    flat = powers.reshape(k, -1)
+    scales = scale ** np.arange(1, k + 1)
+    eye = np.eye(n, dtype=np.complex128)
+
+    def smoothed(x: np.ndarray, mu: float):
+        """F_mu, its gradient in (Re d, Im d), Y = P W and lambda_max."""
+        p = eye + np.tensordot(x[:k] + 1j * x[k:], powers, axes=1)
+        lam, vecs = np.linalg.eigh(p.conj().T @ p)
+        z = np.exp((lam - lam[-1]) / mu)
+        y = p @ (vecs * (z / z.sum())) @ vecs.conj().T
+        g = flat @ y.conj().ravel()  # tr(W P^H B^j)
+        value = lam[-1] + mu * np.log(z.sum())
+        return value, 2.0 * np.concatenate([g.real, -g.imag]), y, lam[-1]
+
+    d0 = np.broadcast_to(np.asarray(c0, dtype=np.complex128), (k,)) * scales
+    x = best_x = np.concatenate([d0.real, d0.imag])
+    upper = float(np.sqrt(max(smoothed(x, 1.0)[3], 0.0)))  # any mu: lambda_max
+    lower = 0.0
+    mu = 0.1 * upper**2
+    while upper - lower > _GAP_TARGET and mu >= 1e-14 * upper**2:
+        # Not BFGS: when rounding stalls its line search, scipy falls back
+        # to a search it silences by swapping the process-wide warning
+        # filters, which races on the depth thread pool.  L-BFGS-B just stops.
+        x = optimize.minimize(
+            lambda x: smoothed(x, mu)[:2],
+            x,
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": 500, "ftol": 0.0, "gtol": 0.0},
+        ).x
+        _, _, y, top = smoothed(x, mu)
+        value = float(np.sqrt(max(top, 0.0)))
+        if value < upper:
+            best_x, upper = x, value
+        lower = max(lower, _dual_lower_bound(powers, y, x[:k] + 1j * x[k:]))
+        mu *= 0.1
+    return (best_x[:k] + 1j * best_x[k:]) / scales, min(lower, upper)
+
+
+def _dual_lower_bound(powers: np.ndarray, y: np.ndarray, d: np.ndarray) -> float:
+    """Norm-duality lower bound on ``min over c of ||I + sum_j c_j B^j||``.
+
+    Every Y orthogonal to all ``B^j`` in the Frobenius inner product gives
+    ``|tr Y| = |<P(c), Y>| <= ||P(c)|| ||Y||_*`` for every c, so
+    ``|tr Y| / ||Y||_*`` is a lower bound.  ``y`` is projected off
+    ``span{B^j}``; the rounding allowance covers the projection's leftover
+    inner products weighted by the incumbent coefficients ``d``.  A
+    projection that removes nearly all of ``y`` leaves rounding noise and
+    certifies nothing.
+    """
+    k, n = powers.shape[0], y.shape[0]
+    flat = powers.reshape(k, -1)
+    beta = np.linalg.lstsq(flat.T, y.ravel(), rcond=None)[0]
+    yp = y - np.tensordot(beta, powers, axes=1)
+    nuclear = float(np.linalg.svd(yp, compute_uv=False).sum())
+    eps = np.finfo(float).eps
+    if nuclear <= np.sqrt(eps) * float(np.linalg.svd(y, compute_uv=False).sum()):
+        return 0.0
+    leftover = float(np.abs(flat.conj() @ yp.ravel()) @ np.abs(d))
+    allowance = leftover / nuclear + n * eps * (1.0 + float(np.abs(d).sum()))
+    return max(abs(complex(np.trace(yp))) / nuclear - allowance, 0.0)
 
 
 def _ascend_on_sphere(
@@ -289,144 +303,30 @@ def _ascend_on_sphere(
 def ideal_gmres(a, k: int, opts: Optional[SolverOptions] = None) -> MinimaxResult:
     """Minimize ``||p(A)||`` over polynomials p in pi_k.
 
-    Returns a :class:`MinimaxResult` whose value is the spectral norm of the
-    best polynomial found (a certified upper bound on the true minimum)
-    together with a certified lower bound from worst-case probes.  When the
-    gap exceeds ``opts.tolerance`` the result is flagged non-certified but
-    is still returned; the upper bound remains sound.
+    Starts from ``(1 - alpha z)^k`` with alpha from :func:`one_step_ideal`,
+    so the value never exceeds ``one_step_ideal(A).value ** k``.  The value
+    is the spectral norm of the returned polynomial (an upper bound on the
+    true minimum) and the lower bound is a norm-duality certificate.  When
+    the gap exceeds ``opts.tolerance`` the result is flagged non-certified
+    but is still returned; both bounds remain sound.
     """
     mat = as_matrix(a)
     k = _check_depth(k)
     opts = opts or SolverOptions()
-    n = mat.shape[0]
-    powers = _matrix_powers(mat, k)
-    eye = np.eye(n, dtype=np.complex128)
-
-    def poly(c: np.ndarray) -> np.ndarray:
-        return eye + np.tensordot(c, powers, axes=1)
-
-    def value(c: np.ndarray) -> float:
-        p = poly(c)
-        top = float(np.linalg.eigvalsh(p.conj().T @ p)[-1])
-        return float(np.sqrt(max(top, 0.0)))
-
-    def value_and_subgrad(c: np.ndarray):
-        p = poly(c)
-        vals, vecs = np.linalg.eigh(p.conj().T @ p)
-        w = vecs[:, -1]
-        pw = p @ w
-        sigma = float(np.linalg.norm(pw))
-        if sigma < 1e-15:
-            return sigma, w, None
-        u = pw / sigma
-        grad = np.array([np.vdot(u, powers[j] @ w) for j in range(k)])
-        return sigma, w, grad
-
-    seq = np.random.SeedSequence(opts.seed)
-    probe_seed, start_seed = seq.spawn(2)
-    probe_rng = np.random.default_rng(probe_seed)
-    start_rng = np.random.default_rng(start_seed)
-
-    probe_block = _random_unit_block(probe_rng, n, opts.probes)
-    probe_values = min_residual_values(mat, probe_block, k)
-    lower = float(np.max(probe_values))
-
-    norm_a, _, w_top = dense_core.top_singular_triple(mat)
-    scale = max(norm_a, np.finfo(float).tiny)
-
-    starts = [np.zeros(k, dtype=np.complex128)]
-    try:
-        alpha_sv = optimal_alpha(mat, w_top).alpha_star
-        starts.append(_damped_power_coefficients(alpha_sv, k))
-    except DegenerateImage:
-        pass
-    one_step = one_step_ideal(
-        mat,
-        replace(opts, starts=max(4, opts.starts // 2), polish_fevals=2000),
-    )
-    starts.append(_damped_power_coefficients(one_step.alpha, k))
-    column_scales = np.array([0.7 / scale**j for j in range(1, k + 1)])
-    while len(starts) < opts.starts:
-        c = (
-            start_rng.standard_normal(k) + 1j * start_rng.standard_normal(k)
-        ) * column_scales
-        starts.append(c)
-
-    best_f = np.inf
-    best_c = starts[0]
-    # The Polyak phase only has to deliver a decent incumbent; the
-    # cutting-plane stage below owns final convergence.
-    polyak_iters = min(opts.max_iters, 60)
-    for c0 in starts:
-        c = np.asarray(c0, dtype=np.complex128).copy()
-        for it in range(polyak_iters):
-            f, _, grad = value_and_subgrad(c)
-            if f < best_f:
-                best_f, best_c = f, c.copy()
-            if grad is None:
-                break
-            gn2 = float(np.sum(np.abs(grad) ** 2))
-            if gn2 <= 1e-30:
-                break
-            gap = f - lower
-            if gap <= 1e-14:
-                break
-            # Polyak step against the running lower bound, with a
-            # diminishing cap so a loose bound cannot cause blowup.
-            t = min(gap / gn2, 1.0 / (np.sqrt(gn2) * np.sqrt(1.0 + it)))
-            c = c - t * np.conj(grad)
-
-    def real_objective(x: np.ndarray) -> float:
-        return value(x[:k] + 1j * x[k:])
-
-    def real_value_subgrad(x: np.ndarray) -> tuple[float, np.ndarray]:
-        f, _, grad = value_and_subgrad(x[:k] + 1j * x[k:])
-        if grad is None:
-            return f, np.zeros(2 * k)
-        return f, np.concatenate([grad.real, -grad.imag])
-
-    x0 = np.concatenate([best_c.real, best_c.imag])
-    model_gap = np.inf
-    if best_f > 1e-13:
-        x_cut, f_cut, model_gap = _refine_cutting_planes(
-            real_value_subgrad, x0, budget=140, target_gap=1e-10
-        )
-        if f_cut < best_f:
-            best_f, best_c = f_cut, x_cut[:k] + 1j * x_cut[k:]
-            x0 = x_cut
-    if model_gap > 1e-7:
-        x_pol, f_pol = _nelder_mead_polish(real_objective, x0, opts.polish_fevals)
-        if f_pol < best_f:
-            best_c = x_pol[:k] + 1j * x_pol[k:]
-
-    p_best = dense_core.evaluate_residual_polynomial(mat, best_c)
-    upper = dense_core.spectral_norm(p_best)
-    _, _, witness = dense_core.top_singular_triple(p_best)
-
-    # Sharpen the lower bound: every unit vector certifies one, and pushing
-    # the best probes uphill usually closes the gap to the worst-case value.
-    def phi_batch(block: np.ndarray) -> np.ndarray:
-        return min_residual_values(mat, block, k)
-
-    cert_seeds = [witness, probe_block[:, int(np.argmax(probe_values))]]
-    for v0 in cert_seeds:
-        if upper - lower <= 0.25 * opts.tolerance:
-            break
-        val0 = float(phi_batch(v0[:, None])[0])
-        _, refined = _ascend_on_sphere(
-            phi_batch, v0, val0, opts, min(opts.max_iters, 80)
-        )
-        lower = max(lower, refined)
-    lower = min(lower, upper)  # guard against eigensolver noise at equality
+    alpha = one_step_ideal(mat).alpha
+    coeffs, lower = _minimize_norm(mat, k, _damped_power_coefficients(alpha, k))
+    p_best = dense_core.evaluate_residual_polynomial(mat, coeffs)
+    upper, _, witness = dense_core.top_singular_triple(p_best)
+    lower = float(min(lower, upper))
     return MinimaxResult(
         value=upper,
-        coefficients=best_c,
+        coefficients=coeffs,
         witness_vector=witness,
         lower_bound=lower,
         upper_bound=upper,
         gap_tolerance=opts.tolerance,
-        certified=(upper - lower) <= opts.tolerance,
-        starts_used=len(starts),
+        certified=bool(upper - lower <= opts.tolerance),
+        starts_used=1,
     )
 
 
@@ -462,9 +362,7 @@ def worst_case_gmres(
 
     _, _, w_top = dense_core.top_singular_triple(mat)
     seeds.append(w_top)
-    one_step = one_step_ideal(
-        mat, replace(opts, starts=max(4, opts.starts // 4), polish_fevals=1500)
-    )
+    one_step = one_step_ideal(mat)
     step_matrix = np.eye(n, dtype=np.complex128) - one_step.alpha * mat
     _, _, w_step = dense_core.top_singular_triple(step_matrix)
     seeds.append(w_step)
@@ -499,92 +397,13 @@ def worst_case_gmres(
     )
 
 
-def one_step_ideal(a, opts: Optional[SolverOptions] = None) -> OneStepIdealResult:
-    """Minimize ``||I - alpha A||`` over complex alpha.
-
-    Same subgradient machinery as :func:`ideal_gmres` restricted to a single
-    coefficient, with a Nelder-Mead polish in the two real parameters.
-    """
+def one_step_ideal(a) -> OneStepIdealResult:
+    """Minimize ``||I - alpha A||`` over complex alpha."""
     mat = as_matrix(a)
-    opts = opts or SolverOptions(starts=8, max_iters=150, polish_fevals=2000)
-    n = mat.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-
-    def step_matrix(alpha: complex) -> np.ndarray:
-        return eye - alpha * mat
-
-    def value(alpha: complex) -> float:
-        p = step_matrix(alpha)
-        top = float(np.linalg.eigvalsh(p.conj().T @ p)[-1])
-        return float(np.sqrt(max(top, 0.0)))
-
-    def value_and_subgrad(alpha: complex):
-        p = step_matrix(alpha)
-        vals, vecs = np.linalg.eigh(p.conj().T @ p)
-        w = vecs[:, -1]
-        pw = p @ w
-        sigma = float(np.linalg.norm(pw))
-        if sigma < 1e-15:
-            return sigma, None
-        u = pw / sigma
-        return sigma, -np.vdot(u, mat @ w)
-
-    seq = np.random.SeedSequence(opts.seed)
-    probe_seed, start_seed = seq.spawn(2)
-    probe_block = _random_unit_block(
-        np.random.default_rng(probe_seed), n, opts.probes
-    )
-    lower = float(np.max(min_residual_values(mat, probe_block, 1)))
-
-    norm_a, _, w_top = dense_core.top_singular_triple(mat)
-    scale = max(norm_a, np.finfo(float).tiny)
-    starts: list[complex] = [0.0 + 0.0j]
-    try:
-        starts.append(optimal_alpha(mat, w_top).alpha_star)
-    except DegenerateImage:
-        pass
-    trace = complex(np.trace(mat))
-    frob_sq = float(np.linalg.norm(mat, "fro") ** 2)
-    if frob_sq > 0.0:
-        starts.append(np.conj(trace) / frob_sq)
-    rng = np.random.default_rng(start_seed)
-    while len(starts) < opts.starts:
-        starts.append(
-            complex(rng.standard_normal() + 1j * rng.standard_normal()) / scale
-        )
-
-    best_f = np.inf
-    best_alpha = 0.0 + 0.0j
-    for alpha0 in starts:
-        alpha = complex(alpha0)
-        for it in range(opts.max_iters):
-            f, grad = value_and_subgrad(alpha)
-            if f < best_f:
-                best_f, best_alpha = f, alpha
-            if grad is None:
-                break
-            gn2 = abs(grad) ** 2
-            if gn2 <= 1e-30:
-                break
-            gap = f - lower
-            if gap <= 1e-14:
-                break
-            t = min(gap / gn2, 1.0 / (np.sqrt(gn2) * np.sqrt(1.0 + it)))
-            alpha = alpha - t * np.conj(grad)
-
-    def real_objective(x: np.ndarray) -> float:
-        return value(complex(x[0], x[1]))
-
-    x_pol, f_pol = _nelder_mead_polish(
-        real_objective,
-        np.array([best_alpha.real, best_alpha.imag]),
-        opts.polish_fevals,
-    )
-    if f_pol < best_f:
-        best_alpha = complex(x_pol[0], x_pol[1])
-
-    final = dense_core.spectral_norm(step_matrix(best_alpha))
-    return OneStepIdealResult(final, best_alpha)
+    coeffs, _ = _minimize_norm(mat, 1, 0.0)
+    alpha = -complex(coeffs[0])
+    step_matrix = np.eye(mat.shape[0], dtype=np.complex128) - alpha * mat
+    return OneStepIdealResult(dense_core.spectral_norm(step_matrix), alpha)
 
 
 # ---------------------------------------------------------------------------

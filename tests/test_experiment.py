@@ -65,6 +65,14 @@ def test_from_dict_reads_solver_options():
         {"matrix": {"family": "identity", "n": 10}, "depths": [9]},
         {"matrix": {"family": "identity", "n": 2}, "seed": -1},
         {"matrix": {"family": "identity", "n": 2}, "solver": {"starts": 0}},
+        {"matrix": {"family": "identity", "n": True}},
+        {"matrix": {"family": "random_pd_part", "n": 3, "seed": 1.5}},
+        {"matrix": {"family": "identity", "n": 2}, "seed": 1.5},
+        {"matrix": {"family": "identity", "n": 2}, "trials": "3"},
+        {"matrix": {"family": "identity", "n": 2}, "threads": True},
+        {"matrix": {"family": "identity", "n": 2}, "solver": {"starts": 2.5}},
+        {"matrix": {"family": "identity", "n": 2}, "depths": [True]},
+        {"matrix": {"family": "identity", "n": 2}, "depths": 2},
     ],
 )
 def test_from_dict_rejects_malformed(raw):

@@ -48,6 +48,30 @@ def test_ideal_certificates_are_ordered():
     assert res.lower_bound <= res.value + 1e-15
     assert res.value <= res.upper_bound
     assert res.value <= 1.0 + CEILING_SLACK
+    assert res.certified
+    assert res.upper_bound - res.lower_bound <= 1e-8
+
+
+def test_ideal_real_diagonal_depth_three():
+    """diag(1, 2, 3, 4) at k = 3: the equioscillation value is 1/15."""
+    res = ideal_gmres(np.diag([1.0, 2.0, 3.0, 4.0]), 3)
+    assert abs(res.value - 1.0 / 15.0) <= 1e-8
+    assert res.certified
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.1])
+def test_toh_ideal_strictly_above_worst_case(eps):
+    """Toh's 4x4 matrix (SIMAX 1997): ideal = 0.8 at k = 3, while the worst
+    case stays strictly below it, so a worst-case probe can never certify
+    the ideal value."""
+    a = np.array(
+        [[1, eps, 0, 0], [0, -1, 1 / eps, 0], [0, 0, 1, eps], [0, 0, 0, -1]],
+        dtype=np.complex128,
+    )
+    ideal = ideal_gmres(a, 3)
+    assert abs(ideal.value - 0.8) <= 1e-8
+    assert ideal.certified
+    assert worst_case_gmres(a, 3).value < ideal.value - 0.05
 
 
 def test_ideal_witness_and_coefficients_recompute():
@@ -198,9 +222,10 @@ def test_diagonal_ideal_matches_scalar_oracle(n, k, key):
     must land on the same minimax value."""
     rng = np.random.default_rng(key)
     lam = rng.uniform(0.5, 3.0, size=n) + 1j * rng.uniform(-1.0, 1.0, size=n)
-    got = ideal_gmres(np.diag(lam), k).value
+    res = ideal_gmres(np.diag(lam), k)
     want = scalar_minimax_oracle(lam, k)
-    assert abs(got - want) <= 1e-4
+    assert abs(res.value - want) <= 1e-4
+    assert res.lower_bound <= want + 1e-6
 
 
 def test_solver_options_validation():
@@ -210,3 +235,7 @@ def test_solver_options_validation():
         SolverOptions(tolerance=-1.0)
     with pytest.raises(ValueError):
         SolverOptions(max_halvings=0)
+    with pytest.raises(ValueError):
+        SolverOptions(starts=2.5)
+    with pytest.raises(ValueError):
+        SolverOptions(seed=True)
