@@ -122,12 +122,20 @@ def eig_hermitian(m, tol: KernelTolerances = DEFAULT_TOLERANCES) -> EigenSpectru
     return EigenSpectrum(values, vectors)
 
 
+def _scaled_gram_spectrum(a, tol: KernelTolerances):
+    """``(S, e, spectrum of S^H S)`` with ``S = A / 2^e``, where ``2^e``
+    bounds the largest entry, so that ``S^H S`` neither overflows nor
+    underflows.  Scaling by a power of two is exact."""
+    m = as_matrix(a)
+    e = int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
+    scaled = np.ldexp(m.real, -e) + 1j * np.ldexp(m.imag, -e)
+    return scaled, e, eig_hermitian(scaled.conj().T @ scaled, tol)
+
+
 def spectral_norm(a, tol: KernelTolerances = DEFAULT_TOLERANCES) -> float:
     """Spectral norm ``||A||_2 = sqrt(lambda_max(A^H A))``."""
-    m = as_matrix(a)
-    gram = m.conj().T @ m
-    spectrum = eig_hermitian(gram, tol)
-    return float(np.sqrt(max(float(spectrum.values[-1]), 0.0)))
+    _, e, spectrum = _scaled_gram_spectrum(a, tol)
+    return float(np.ldexp(np.sqrt(max(float(spectrum.values[-1]), 0.0)), e))
 
 
 def top_singular_triple(a, tol: KernelTolerances = DEFAULT_TOLERANCES):
@@ -137,18 +145,16 @@ def top_singular_triple(a, tol: KernelTolerances = DEFAULT_TOLERANCES):
     :func:`spectral_norm`.  When ``sigma`` vanishes the left vector ``u``
     defaults to the first coordinate direction.
     """
-    m = as_matrix(a)
-    gram = m.conj().T @ m
-    spectrum = eig_hermitian(gram, tol)
+    scaled, e, spectrum = _scaled_gram_spectrum(a, tol)
     w = spectrum.vectors[:, -1]
-    z = m @ w
+    z = scaled @ w
     sigma = float(np.linalg.norm(z))
     if sigma > 0.0:
         u = z / sigma
     else:
         u = np.zeros_like(w)
         u[0] = 1.0
-    return sigma, u, w
+    return float(np.ldexp(sigma, e)), u, w
 
 
 def evaluate_residual_polynomial(a, coefficients) -> np.ndarray:

@@ -95,6 +95,11 @@ class ExperimentConfig:
             raise InvalidSpec(f"trials must be an integer >= 1, got {self.trials!r}")
         if self.threads is not None and (not is_int(self.threads) or self.threads < 1):
             raise InvalidSpec(f"threads must be an integer >= 1, got {self.threads!r}")
+        if not isinstance(self.out_dir, str):
+            raise InvalidSpec(f"out_dir must be a string, got {self.out_dir!r}")
+        for name in ("plot", "strict"):
+            if not isinstance(getattr(self, name), bool):
+                raise InvalidSpec(f"{name} must be true or false")
         try:
             dataclasses.replace(self.solver, seed=self.seed)
         except (TypeError, ValueError) as exc:

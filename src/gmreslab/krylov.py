@@ -9,8 +9,9 @@ One kernel computes it for a whole block of vectors at once: the Krylov
 directions are orthonormalized by batched modified Gram-Schmidt and
 projected out of the residual, so normal equations are never formed.
 :func:`gmres_residuals` returns the ratio at every depth up to ``kmax``,
-:func:`min_residual_values` the ratio at one depth.  Arnoldi with Givens
-rotations and a dense least-squares solve serve as independent
+:func:`min_residual_values` the ratio at one depth, and
+:func:`min_residual_gradients` adds its exact gradient in v.  Arnoldi with
+Givens rotations and a dense least-squares solve serve as independent
 cross-checks in the test suite.
 """
 
@@ -26,6 +27,7 @@ from .errors import DegenerateImage, ZeroVector
 __all__ = [
     "OneStepResult",
     "gmres_residuals",
+    "min_residual_gradients",
     "min_residual_values",
     "optimal_alpha",
 ]
@@ -38,7 +40,7 @@ class OneStepResult(NamedTuple):
     residual_ratio: float
 
 
-def _residual_curves(mat: np.ndarray, batch: np.ndarray, k: int) -> np.ndarray:
+def _residual_curves(mat: np.ndarray, batch: np.ndarray, k: int):
     """Residual ratios at depths 0..k for each column of ``batch``.
 
     Row j holds ``min over p in pi_j of ||p(A) v|| / ||v||``: the unit-scaled
@@ -46,30 +48,36 @@ def _residual_curves(mat: np.ndarray, batch: np.ndarray, k: int) -> np.ndarray:
     modified Gram-Schmidt with one reorthogonalization pass, and each new
     direction is projected out of the running residual.  Dependent
     directions are dropped, which leaves the spanned space and hence the
-    minimum unchanged.
+    minimum unchanged.  Each vector carries its coordinates in the basis
+    ``A v, .., A^k v`` as k extra rows, so the depth-k residual ``p(A) v``
+    is returned with the coefficients ``c_1 .. c_k`` of its polynomial.
     """
+    n = mat.shape[0]
     norms = np.linalg.norm(batch, axis=0)
     safe_norms = np.where(norms > 0.0, norms, 1.0)
     curves = np.empty((k + 1, batch.shape[1]))
     curves[0] = norms / safe_norms
 
     ortho = []
-    residual = batch.copy()
+    residual = np.vstack([batch, np.zeros((k, batch.shape[1]), batch.dtype)])
     w = batch
     for j in range(1, k + 1):
         w = mat @ w
         scale = np.linalg.norm(w, axis=0)
-        q = w / np.where(scale > 0.0, scale, 1.0)
+        scale = np.where(scale > 0.0, scale, 1.0)
+        q = np.zeros_like(residual)
+        q[:n] = w / scale
+        q[n + j - 1] = 1.0 / scale
         for _ in range(2):
             for qi in ortho:
-                q = q - qi * np.sum(np.conj(qi) * q, axis=0)
-        nq = np.linalg.norm(q, axis=0)
+                q = q - qi * np.sum(np.conj(qi[:n]) * q[:n], axis=0)
+        nq = np.linalg.norm(q[:n], axis=0)
         keep = nq > 1e-12
         q = np.where(keep[None, :], q / np.where(keep, nq, 1.0)[None, :], 0.0)
         ortho.append(q)
-        residual = residual - q * np.sum(np.conj(q) * residual, axis=0)
-        curves[j] = np.linalg.norm(residual, axis=0) / safe_norms
-    return curves
+        residual = residual - q * np.sum(np.conj(q[:n]) * residual[:n], axis=0)
+        curves[j] = np.linalg.norm(residual[:n], axis=0) / safe_norms
+    return curves, residual[:n], residual[n:]
 
 
 def gmres_residuals(a, r0s, kmax: int) -> np.ndarray:
@@ -88,7 +96,15 @@ def gmres_residuals(a, r0s, kmax: int) -> np.ndarray:
         raise ValueError("initial residual block must be n x B")
     if np.any(np.linalg.norm(block, axis=0) == 0.0):
         raise ZeroVector("initial residual is zero")
-    return _residual_curves(mat, block, kmax)
+    return _residual_curves(mat, block, kmax)[0]
+
+
+def _candidate_block(a, vs) -> tuple[np.ndarray, np.ndarray]:
+    mat = as_matrix(a)
+    batch = np.asarray(vs, dtype=np.complex128)
+    if batch.ndim != 2 or batch.shape[0] != mat.shape[0]:
+        raise ValueError("candidate block must be n x B")
+    return mat, batch
 
 
 def min_residual_values(a, vs: np.ndarray, k: int) -> np.ndarray:
@@ -98,11 +114,30 @@ def min_residual_values(a, vs: np.ndarray, k: int) -> np.ndarray:
     residual ratio per column.  Zero columns yield ratio 0; callers that
     care should not pass them.
     """
-    mat = as_matrix(a)
-    batch = np.asarray(vs, dtype=np.complex128)
-    if batch.ndim != 2 or batch.shape[0] != mat.shape[0]:
-        raise ValueError("candidate block must be n x B")
-    return _residual_curves(mat, batch, k)[k]
+    mat, batch = _candidate_block(a, vs)
+    return _residual_curves(mat, batch, k)[0][k]
+
+
+def min_residual_gradients(a, vs: np.ndarray, k: int):
+    """Ratios ``phi(v)`` as :func:`min_residual_values`, and gradients of ``phi^2 / 2``.
+
+    The gradient (complex form ``d/dRe v + i d/dIm v``) is, by the envelope
+    theorem, ``(p(A)^H p(A) v - phi^2 v) / ||v||^2`` with p the minimizing
+    polynomial of v held fixed; ``p(A)^H`` is applied to the kernel's
+    residual ``p(A) v`` by Horner's rule.  Raises :class:`ZeroVector` for a
+    zero column.
+    """
+    mat, batch = _candidate_block(a, vs)
+    norms_sq = np.sum(np.abs(batch) ** 2, axis=0)
+    if np.any(norms_sq == 0.0):
+        raise ZeroVector("gradient at the zero vector")
+    curves, residual, coeffs = _residual_curves(mat, batch, k)
+    adjoint = mat.conj().T
+    adjoint_terms = np.zeros_like(residual)  # sum_j conj(c_j) (A^H)^j p(A) v
+    for c in coeffs[::-1]:
+        adjoint_terms = adjoint @ (np.conj(c) * residual + adjoint_terms)
+    phi = curves[k]
+    return phi, (residual + adjoint_terms - phi**2 * batch) / norms_sq
 
 
 def optimal_alpha(a, v) -> OneStepResult:

@@ -20,12 +20,14 @@ certificate,
 built from the smoothed problem's own dual matrix (``||.||_*`` is the
 nuclear norm, ``<.,.>`` the Frobenius inner product).
 
-``worst_case_gmres`` runs alternating maximization on the unit sphere: the
-inner polynomial problem is solved exactly per candidate vector, the outer
-ascent uses central finite-difference gradients projected to the tangent
-space with renormalization as the retraction.  Every evaluated candidate is
-a certified lower bound on the true worst case, so under-convergence is
-safe for the inequality checks downstream.
+``worst_case_gmres`` runs gradient ascent on the unit sphere, all starts in
+lockstep as one block of columns.  One kernel pass per step solves the
+inner polynomial problem exactly for every candidate and returns its exact
+gradient: by the envelope theorem the sphere gradient of
+``||p_v(A) v||^2 / 2`` is ``p_v(A)^H p_v(A) v - phi^2 v`` with p_v the
+minimizing polynomial of v.  Renormalization is the retraction.  Every
+evaluated candidate is a certified lower bound on the true worst case, so
+under-convergence is safe for the inequality checks downstream.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from scipy import optimize
 from . import dense_core
 from .dense_core import as_matrix
 from .errors import BudgetExceeded, NoConvergence, is_int
-from .krylov import min_residual_values
+from .krylov import min_residual_gradients, min_residual_values
 
 __all__ = [
     "MAX_DEPTH",
@@ -69,30 +71,27 @@ class SolverOptions:
     sphere ascent of ``worst_case_gmres``.
 
     starts
-        Number of ascent starts (caller-supplied and two constructed starts
-        come first; random unit vectors fill up the rest).
+        Number of ascent starts, moved together as one block: the best of
+        the caller-supplied starts, two constructed starts and random unit
+        vectors that fill the pool up to this size.
     max_iters
-        Iteration cap per ascent.
+        Iteration cap of the ascent, one kernel pass over the block each.
     seed
         Root seed of the random ascent starts.
     tolerance
         Certification gap target: an ideal result is flagged certified when
         ``upper_bound - lower_bound <= tolerance``.
-    fd_step
-        Central-difference step scale of the sphere ascent, applied as
-        ``fd_step * (1 + ||v||)``.
     ascent_step
         Initial step length of the sphere ascent.
     max_halvings
-        The ascent halves its step on non-improvement and gives up on a
-        start after this many halvings.
+        Each start halves its own step on non-improvement and stops after
+        this many halvings, or once its gradient vanishes.
     """
 
     starts: int = 16
     max_iters: int = 200
     seed: int = 0
     tolerance: float = 1e-4
-    fd_step: float = 1e-6
     ascent_step: float = 0.5
     max_halvings: int = 25
 
@@ -104,7 +103,6 @@ class SolverOptions:
             "starts",
             "max_iters",
             "tolerance",
-            "fd_step",
             "ascent_step",
             "max_halvings",
         ):
@@ -164,11 +162,6 @@ def _damped_power_coefficients(alpha: complex, k: int) -> np.ndarray:
     return np.array(
         [comb(k, j) * (-alpha) ** j for j in range(1, k + 1)], dtype=np.complex128
     )
-
-
-def _random_unit_block(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    block = rng.standard_normal((n, count)) + 1j * rng.standard_normal((n, count))
-    return block / np.linalg.norm(block, axis=0)
 
 
 def _minimize_norm(mat: np.ndarray, k: int, c0) -> tuple[np.ndarray, float]:
@@ -253,53 +246,6 @@ def _dual_lower_bound(powers: np.ndarray, y: np.ndarray, d: np.ndarray) -> float
     return max(abs(complex(np.trace(yp))) / nuclear - allowance, 0.0)
 
 
-def _ascend_on_sphere(
-    phi_batch,
-    v0: np.ndarray,
-    val0: float,
-    opts: "SolverOptions",
-    max_iters: int,
-) -> tuple[np.ndarray, float]:
-    """Maximize ``phi`` over the unit sphere starting from ``v0``.
-
-    Central finite differences in all 2n real coordinates, evaluated in one
-    batch, projected to the tangent space; retraction by normalization and
-    step halving on non-improvement.  Returns the best iterate and its
-    value as computed by ``phi_batch``.
-    """
-    n = v0.shape[0]
-    h = opts.fd_step * 2.0  # fd_step * (1 + ||v||) on the unit sphere
-    index = np.arange(n)
-    v, val = v0.copy(), val0
-    step = opts.ascent_step
-    halvings = 0
-    for _ in range(max_iters):
-        if halvings >= opts.max_halvings:
-            break
-        batch = np.tile(v[:, None], (1, 4 * n))
-        batch[index, index] += h
-        batch[index, n + index] -= h
-        batch[index, 2 * n + index] += 1j * h
-        batch[index, 3 * n + index] -= 1j * h
-        vals = phi_batch(batch)
-        grad = (vals[:n] - vals[n : 2 * n]) / (2.0 * h) + 1j * (
-            vals[2 * n : 3 * n] - vals[3 * n :]
-        ) / (2.0 * h)
-        grad = grad - v * np.vdot(v, grad).real
-        gn = float(np.linalg.norm(grad))
-        if gn <= 1e-14:
-            break
-        cand = v + step * grad / gn
-        cand = cand / np.linalg.norm(cand)
-        cval = float(phi_batch(cand[:, None])[0])
-        if cval > val + 1e-14:
-            v, val = cand, cval
-        else:
-            step *= 0.5
-            halvings += 1
-    return v, val
-
-
 def ideal_gmres(a, k: int, opts: Optional[SolverOptions] = None) -> MinimaxResult:
     """Minimize ``||p(A)||`` over polynomials p in pi_k.
 
@@ -349,42 +295,49 @@ def worst_case_gmres(
     opts = opts or SolverOptions(starts=20)
     n = mat.shape[0]
 
-    def phi_batch(block: np.ndarray) -> np.ndarray:
-        return min_residual_values(mat, block, k)
-
     seeds: list[np.ndarray] = []
-    if extra_starts is not None:
-        for vec in extra_starts:
-            w = np.asarray(vec, dtype=np.complex128).ravel()
-            nw = np.linalg.norm(w)
-            if w.shape[0] == n and nw > 0.0:
-                seeds.append(w / nw)
+    for vec in extra_starts or ():
+        w = np.asarray(vec, dtype=np.complex128).ravel()
+        nw = np.linalg.norm(w)
+        if w.shape[0] == n and nw > 0.0:
+            seeds.append(w / nw)
 
-    _, _, w_top = dense_core.top_singular_triple(mat)
-    seeds.append(w_top)
-    one_step = one_step_ideal(mat)
-    step_matrix = np.eye(n, dtype=np.complex128) - one_step.alpha * mat
-    _, _, w_step = dense_core.top_singular_triple(step_matrix)
-    seeds.append(w_step)
+    seeds.append(dense_core.top_singular_triple(mat)[2])
+    step_matrix = np.eye(n, dtype=np.complex128) - one_step_ideal(mat).alpha * mat
+    seeds.append(dense_core.top_singular_triple(step_matrix)[2])
 
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed).spawn(1)[0])
     while len(seeds) < opts.starts:
-        seeds.append(_random_unit_block(rng, n, 1)[:, 0])
+        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        seeds.append(w / np.linalg.norm(w))
 
     pool = np.column_stack(seeds)
-    pool_values = phi_batch(pool)
-    best_idx = int(np.argmax(pool_values))
-    best_v = pool[:, best_idx].copy()
-    best_phi = float(pool_values[best_idx])
+    pool_values, pool_grads = min_residual_gradients(mat, pool, k)
+    order = np.argsort(-pool_values, kind="stable")[: opts.starts]
+    v, val, grad = pool[:, order], pool_values[order], pool_grads[:, order]
+    step = np.full(order.size, opts.ascent_step)
+    halvings = np.zeros(order.size, dtype=int)
+    for _ in range(opts.max_iters):
+        # grad is the gradient of phi^2 / 2 = phi * grad(phi): a column stops
+        # once ||grad(phi)|| <= 1e-14 or after max_halvings halvings.
+        gn = np.linalg.norm(grad, axis=0)
+        active = (halvings < opts.max_halvings) & (gn > 1e-14 * val)
+        if not active.any():
+            break
+        idx = np.flatnonzero(active)
+        cand = v[:, idx] + step[idx] * grad[:, idx] / gn[idx]
+        cand = cand / np.linalg.norm(cand, axis=0)
+        cval, cgrad = min_residual_gradients(mat, cand, k)
+        better = cval > val[idx] + 1e-14
+        up, down = idx[better], idx[~better]
+        v[:, up] = cand[:, better]
+        val[up] = cval[better]
+        grad[:, up] = cgrad[:, better]
+        step[down] *= 0.5
+        halvings[down] += 1
 
-    ascent_order = np.argsort(-pool_values, kind="stable")[: opts.starts]
-    for idx in ascent_order:
-        v, val = _ascend_on_sphere(
-            phi_batch, pool[:, idx], float(pool_values[idx]), opts, opts.max_iters
-        )
-        if val > best_phi:
-            best_phi, best_v = val, v
-
+    best_v = v[:, int(np.argmax(val))]
+    best_phi = float(min_residual_values(mat, best_v[:, None], k)[0])
     return MinimaxResult(
         value=best_phi,
         coefficients=None,

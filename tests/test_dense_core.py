@@ -9,6 +9,7 @@ from gmreslab import (
     hermitian_part,
     spectral_norm,
 )
+from gmreslab.dense_core import top_singular_triple
 from conftest import random_complex
 
 RECON_TOL = 1e-9
@@ -72,6 +73,16 @@ def test_spectral_norm_examples():
     assert spectral_norm(np.array([[0.0, 3.0], [0.0, 0.0]])) == pytest.approx(
         3.0, abs=1e-14
     )
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e200])
+def test_spectral_norm_extreme_magnitudes(c):
+    """Power-of-two scaling keeps A^H A clear of overflow and underflow."""
+    a = c * np.diag([1.0, 2.0])
+    assert spectral_norm(a) == pytest.approx(2.0 * c, rel=1e-15)
+    sigma, u, w = top_singular_triple(a)
+    assert sigma == pytest.approx(2.0 * c, rel=1e-15)
+    assert np.allclose(a @ w, sigma * u, rtol=0.0, atol=1e-15 * c)
 
 
 def test_spectral_norm_dominates_sampled_vectors():

@@ -73,6 +73,10 @@ def test_from_dict_reads_solver_options():
         {"matrix": {"family": "identity", "n": 2}, "solver": {"starts": 2.5}},
         {"matrix": {"family": "identity", "n": 2}, "depths": [True]},
         {"matrix": {"family": "identity", "n": 2}, "depths": 2},
+        {"matrix": {"family": "identity", "n": 2}, "solver": {"fd_step": 1e-6}},
+        {"matrix": {"family": "identity", "n": 2}, "out_dir": 5},
+        {"matrix": {"family": "identity", "n": 2}, "plot": "no"},
+        {"matrix": {"family": "identity", "n": 2}, "strict": "no"},
     ],
 )
 def test_from_dict_rejects_malformed(raw):

@@ -10,7 +10,7 @@ from gmreslab import (
     optimal_alpha,
     spectral_norm,
 )
-from gmreslab.krylov import min_residual_values
+from gmreslab.krylov import min_residual_gradients, min_residual_values
 from conftest import random_complex, random_unit
 import oracles
 
@@ -116,6 +116,30 @@ def test_gmres_matches_polynomial_route(n, key):
         assert abs(curve[k] - value) <= ORACLE_TOL
         assert abs(curve[k] - givens[k]) <= ORACLE_TOL
         assert min_residual_values(a, r0[:, None], k)[0] == curve[k]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_min_residual_gradient_matches_central_differences(n):
+    """The envelope gradient of phi^2 / 2 agrees with central differences
+    of phi^2 in all 2n real coordinates (k < n: at k = n phi vanishes)."""
+    rng = np.random.default_rng(200 + n)
+    a = random_complex(rng, n)
+    v = (rng.standard_normal(n) + 1j * rng.standard_normal(n))[:, None]
+    h = 1e-6
+    steps = np.hstack([h * np.eye(n), 1j * h * np.eye(n)])
+    for k in range(1, min(3, n - 1) + 1):
+        values, grads = min_residual_gradients(a, v, k)
+        assert values[0] == min_residual_values(a, v, k)[0]
+        plus = min_residual_values(a, v + steps, k) ** 2
+        minus = min_residual_values(a, v - steps, k) ** 2
+        fd = (plus - minus) / (4.0 * h)
+        want = fd[:n] + 1j * fd[n:]
+        assert np.linalg.norm(grads[:, 0] - want) <= 1e-6 * np.linalg.norm(want)
+
+
+def test_min_residual_gradient_rejects_zero_column():
+    with pytest.raises(ZeroVector):
+        min_residual_gradients(np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]]), 1)
 
 
 def test_min_residual_identity():
