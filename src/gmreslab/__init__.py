@@ -16,9 +16,7 @@ from .bounds import (
     verify_chain,
 )
 from .dense_core import (
-    DEFAULT_TOLERANCES,
     EigenSpectrum,
-    KernelTolerances,
     eig_hermitian,
     evaluate_residual_polynomial,
     hermitian_part,
@@ -33,7 +31,6 @@ from .errors import (
     NoConvergence,
     NotHermitian,
     ParseError,
-    SingularMatrix,
     UnsupportedFormat,
     ZeroVector,
 )
@@ -74,7 +71,6 @@ __all__ = [
     "ZeroVector",
     "NotHermitian",
     "NoConvergence",
-    "SingularMatrix",
     "DegenerateImage",
     "BudgetExceeded",
     "InvalidSpec",
@@ -82,8 +78,6 @@ __all__ = [
     "UnsupportedFormat",
     "FileError",
     # dense kernels
-    "KernelTolerances",
-    "DEFAULT_TOLERANCES",
     "EigenSpectrum",
     "hermitian_part",
     "eig_hermitian",

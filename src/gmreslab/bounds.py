@@ -4,8 +4,9 @@ Two classical convergence bounds for GMRES are evaluated:
 
 * the Elman bound ``(1 - lambda_min(M)^2 / lambda_max(A^H A))^(k/2)`` with
   ``M`` the Hermitian part of A, defined whenever M is positive definite;
-* the Starke bound ``(1 - nu(F(A)) nu(F(A^{-1})))^(k/2)`` for nonsingular
-  A, where ``nu`` is the distance from the origin to the field of values.
+* the Starke bound ``(1 - nu(F(A)) nu(F(A^{-1})))^(k/2)``, where ``nu`` is
+  the distance from the origin to the field of values; it is 1 when the
+  origin lies in F(A), which covers every singular A.
 
 ``verify_chain`` checks both bounds, at the requested depth, not just
 against sampled GMRES residual ratios but against the computed worst-case
@@ -140,8 +141,8 @@ def elman_bound(a, k: int, slacks: ChainSlacks = DEFAULT_SLACKS) -> Optional[flo
 
 
 def starke_bound(a, k: int, fov_data: Optional[fov.FovSummary] = None) -> float:
-    """Starke bound at depth k.  Equals 1 when the origin lies in F(A) or
-    in F(A^{-1}); propagates SingularMatrix for singular input."""
+    """Starke bound at depth k.  Equals 1 when the origin lies in F(A),
+    singular A included."""
     if fov_data is None:
         fov_data = fov.fov_summary(as_matrix(a))
     prod = fov_data.nu_a * fov_data.nu_ainv

@@ -21,15 +21,9 @@ import sys
 from typing import List, Optional
 
 from . import experiment, fov, mmio
-from .errors import (
-    FileError,
-    InvalidSpec,
-    ParseError,
-    SingularMatrix,
-    UnsupportedFormat,
-)
+from .errors import FileError, InvalidSpec, ParseError, UnsupportedFormat
 from .experiment import EXIT_IO, EXIT_NOT_CERTIFIED, EXIT_OK
-from .minimax import ideal_gmres
+from .minimax import MAX_DEPTH, ideal_gmres
 from .reporting import format_real
 
 __all__ = ["main", "parse_depths"]
@@ -66,7 +60,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
         default=None,
         help="exit 3 when a minimization is not certified",
     )
-    sub.add_argument("--threads", type=int, default=None, help="worker threads")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -110,7 +103,6 @@ def _overrides_from(args: argparse.Namespace) -> dict:
         "seed": args.seed,
         "out_dir": args.out_dir,
         "strict": args.strict,
-        "threads": args.threads,
     }
     if getattr(args, "matrix", None):
         overrides["matrix"] = {"family": "file", "path": args.matrix}
@@ -167,14 +159,10 @@ def _cmd_fov(args: argparse.Namespace) -> int:
         )
     text = "\n".join(lines) + "\n"
 
-    nu_a = fov.nu_fov(a).value
-    try:
-        nu_inv_text = format_real(fov.nu_fov_inverse(a))
-    except SingularMatrix:
-        nu_inv_text = "n/a (singular matrix)"
+    data = fov.fov_summary(a)
     summary = (
-        f"nu(F(A)) = {format_real(nu_a)}\n"
-        f"nu(F(inv(A))) = {nu_inv_text}\n"
+        f"nu(F(A)) = {format_real(data.nu_a)}\n"
+        f"nu(F(inv(A))) = {format_real(data.nu_ainv)}\n"
     )
     if args.out is None:
         sys.stdout.write(text)
@@ -192,8 +180,9 @@ def _cmd_fov(args: argparse.Namespace) -> int:
 
 def _cmd_ideal(args: argparse.Namespace) -> int:
     a = mmio.read_matrix_market(args.matrix)
-    if not 1 <= args.k <= a.shape[0]:
-        raise InvalidSpec(f"depth {args.k} outside [1, {a.shape[0]}]")
+    top = min(a.shape[0], MAX_DEPTH)
+    if not 1 <= args.k <= top:
+        raise InvalidSpec(f"depth {args.k} outside [1, {top}]")
     result = ideal_gmres(a, args.k)
     print(f"ideal(k={args.k}) = {format_real(result.value)}")
     print(f"certified lower bound = {format_real(result.lower_bound)}")
@@ -212,7 +201,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, UnsupportedFormat, FileError, InvalidSpec, SingularMatrix) as exc:
+    except (ParseError, UnsupportedFormat, FileError, InvalidSpec) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

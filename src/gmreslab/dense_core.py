@@ -6,9 +6,6 @@ input is accepted everywhere and is promoted to complex storage; there is
 no separate real code path.  The inner product convention is
 ``<x, y> = y^H x`` (conjugate-linear in the second argument) throughout
 the package.
-
-All tolerances are relative to a natural scale of the operand and live in
-one configuration record, :class:`KernelTolerances`.
 """
 
 from __future__ import annotations
@@ -20,8 +17,6 @@ import numpy as np
 from .errors import NoConvergence, NotHermitian
 
 __all__ = [
-    "KernelTolerances",
-    "DEFAULT_TOLERANCES",
     "EigenSpectrum",
     "as_matrix",
     "hermitian_part",
@@ -31,25 +26,8 @@ __all__ = [
     "evaluate_residual_polynomial",
 ]
 
-
-@dataclass(frozen=True)
-class KernelTolerances:
-    """Relative tolerances shared by the dense kernels.
-
-    hermitian_check
-        Symmetry gate of :func:`eig_hermitian`: the defect ``||M - M^H||_F``
-        may not exceed ``hermitian_check * ||M||_F``.
-    pivot_floor
-        LU pivot magnitude below which
-        :func:`~gmreslab.fov.nu_fov_inverse` declares the matrix numerically
-        singular, relative to ``||A||_inf``.
-    """
-
-    hermitian_check: float = 1e-12
-    pivot_floor: float = 1e-14
-
-
-DEFAULT_TOLERANCES = KernelTolerances()
+# Symmetry gate of eig_hermitian, relative to ||M||_F.
+_HERMITIAN_CHECK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -84,15 +62,14 @@ def hermitian_part(a) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def eig_hermitian(m, tol: KernelTolerances = DEFAULT_TOLERANCES) -> EigenSpectrum:
+def eig_hermitian(m) -> EigenSpectrum:
     """Full eigendecomposition of a Hermitian matrix.
 
     Parameters
     ----------
     m : array_like
-        Square matrix, Hermitian up to ``tol.hermitian_check`` relative to
-        its Frobenius norm.
-    tol : KernelTolerances
+        Square matrix, Hermitian up to a defect ``||M - M^H||_F`` of 1e-12
+        relative to ``||M||_F``.
 
     Returns
     -------
@@ -109,9 +86,9 @@ def eig_hermitian(m, tol: KernelTolerances = DEFAULT_TOLERANCES) -> EigenSpectru
     a = as_matrix(m)
     scale = float(np.linalg.norm(a, "fro"))
     defect = float(np.linalg.norm(a - a.conj().T, "fro"))
-    if defect > tol.hermitian_check * max(scale, np.finfo(float).tiny):
+    if defect > _HERMITIAN_CHECK * max(scale, np.finfo(float).tiny):
         raise NotHermitian(
-            f"symmetry defect {defect:.3e} exceeds {tol.hermitian_check:.1e} * ||M||_F"
+            f"symmetry defect {defect:.3e} exceeds {_HERMITIAN_CHECK:.1e} * ||M||_F"
         )
     # Symmetrize storage so the tolerated skew part cannot leak into the result.
     a = 0.5 * (a + a.conj().T)
@@ -122,30 +99,30 @@ def eig_hermitian(m, tol: KernelTolerances = DEFAULT_TOLERANCES) -> EigenSpectru
     return EigenSpectrum(values, vectors)
 
 
-def _scaled_gram_spectrum(a, tol: KernelTolerances):
+def _scaled_gram_spectrum(a):
     """``(S, e, spectrum of S^H S)`` with ``S = A / 2^e``, where ``2^e``
     bounds the largest entry, so that ``S^H S`` neither overflows nor
     underflows.  Scaling by a power of two is exact."""
     m = as_matrix(a)
     e = int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
     scaled = np.ldexp(m.real, -e) + 1j * np.ldexp(m.imag, -e)
-    return scaled, e, eig_hermitian(scaled.conj().T @ scaled, tol)
+    return scaled, e, eig_hermitian(scaled.conj().T @ scaled)
 
 
-def spectral_norm(a, tol: KernelTolerances = DEFAULT_TOLERANCES) -> float:
+def spectral_norm(a) -> float:
     """Spectral norm ``||A||_2 = sqrt(lambda_max(A^H A))``."""
-    _, e, spectrum = _scaled_gram_spectrum(a, tol)
+    _, e, spectrum = _scaled_gram_spectrum(a)
     return float(np.ldexp(np.sqrt(max(float(spectrum.values[-1]), 0.0)), e))
 
 
-def top_singular_triple(a, tol: KernelTolerances = DEFAULT_TOLERANCES):
+def top_singular_triple(a):
     """Dominant singular triple ``(sigma, u, w)`` with ``A w = sigma u``.
 
     Computed from the eigendecomposition of ``A^H A``, consistent with
     :func:`spectral_norm`.  When ``sigma`` vanishes the left vector ``u``
     defaults to the first coordinate direction.
     """
-    scaled, e, spectrum = _scaled_gram_spectrum(a, tol)
+    scaled, e, spectrum = _scaled_gram_spectrum(a)
     w = spectrum.vectors[:, -1]
     z = scaled @ w
     sigma = float(np.linalg.norm(z))

@@ -8,7 +8,6 @@ __all__ = [
     "ZeroVector",
     "NotHermitian",
     "NoConvergence",
-    "SingularMatrix",
     "DegenerateImage",
     "BudgetExceeded",
     "InvalidSpec",
@@ -32,10 +31,6 @@ class NotHermitian(LabError):
 
 class NoConvergence(LabError):
     """An iterative kernel exhausted its iteration budget."""
-
-
-class SingularMatrix(LabError):
-    """LU factorization hit a pivot below the relative floor."""
 
 
 class DegenerateImage(LabError):

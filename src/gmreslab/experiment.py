@@ -13,10 +13,9 @@ A config is a single JSON document.  Example::
       "strict": false
     }
 
-The top-level ``seed`` feeds every sampling and solver stream, so a config
-fully determines the outputs.  Depths run on a thread pool; results are
-sorted by depth before serialization, which makes ``report.json`` and
-``curves.csv`` byte-identical across worker counts.
+The top-level ``seed`` feeds every sampling and solver stream, and depths
+run in ascending order, so a config fully determines the bytes of
+``report.json`` and ``curves.csv``.
 
 Exit codes returned by :func:`run_experiment`:
 
@@ -34,12 +33,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from . import bounds, fov, matrices, reporting
 from .errors import (
@@ -47,7 +44,6 @@ from .errors import (
     InvalidSpec,
     LabError,
     ParseError,
-    SingularMatrix,
     UnsupportedFormat,
     is_int,
 )
@@ -58,7 +54,6 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "run_experiment",
-    "resolve_workers",
 ]
 
 EXIT_OK = 0
@@ -81,7 +76,6 @@ class ExperimentConfig:
     out_dir: str = "out"
     plot: bool = True
     strict: bool = False
-    threads: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.depths:
@@ -93,8 +87,6 @@ class ExperimentConfig:
                 )
         if not is_int(self.trials) or self.trials < 1:
             raise InvalidSpec(f"trials must be an integer >= 1, got {self.trials!r}")
-        if self.threads is not None and (not is_int(self.threads) or self.threads < 1):
-            raise InvalidSpec(f"threads must be an integer >= 1, got {self.threads!r}")
         if not isinstance(self.out_dir, str):
             raise InvalidSpec(f"out_dir must be a string, got {self.out_dir!r}")
         for name in ("plot", "strict"):
@@ -124,6 +116,8 @@ class ExperimentConfig:
         solver_raw = data.get("solver", {})
         if not isinstance(solver_raw, dict):
             raise InvalidSpec("'solver' must be an object")
+        if "seed" in solver_raw:
+            raise InvalidSpec("solver options take no 'seed': set the top-level 'seed'")
         bad = set(solver_raw) - _SOLVER_KEYS
         if bad:
             raise InvalidSpec(f"unknown solver options: {sorted(bad)}")
@@ -152,21 +146,6 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
-def resolve_workers(requested: Optional[int], tasks: int) -> int:
-    """Worker count after applying the LAB_THREADS environment cap."""
-    count = requested if requested is not None else (os.cpu_count() or 1)
-    cap = os.environ.get("LAB_THREADS")
-    if cap is not None:
-        try:
-            cap_value = int(cap)
-        except ValueError as exc:
-            raise InvalidSpec(f"LAB_THREADS must be an integer, got {cap!r}") from exc
-        if cap_value < 1:
-            raise InvalidSpec(f"LAB_THREADS must be >= 1, got {cap_value}")
-        count = min(count, cap_value)
-    return max(1, min(count, tasks))
-
-
 def _run_validated(cfg: ExperimentConfig) -> int:
     a = matrices.generate_matrix(cfg.matrix)
     n = a.shape[0]
@@ -176,17 +155,10 @@ def _run_validated(cfg: ExperimentConfig) -> int:
 
     opts = dataclasses.replace(cfg.solver, seed=cfg.seed)
     fov_data = fov.fov_summary(a)
-
-    def one_depth(k: int) -> bounds.BoundsReport:
-        return bounds.verify_chain(a, k, cfg.trials, opts=opts, fov_data=fov_data)
-
-    workers = resolve_workers(cfg.threads, len(cfg.depths))
-    if workers == 1:
-        reports = [one_depth(k) for k in cfg.depths]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(one_depth, cfg.depths))
-    reports.sort(key=lambda r: r.k)
+    reports = [
+        bounds.verify_chain(a, k, cfg.trials, opts=opts, fov_data=fov_data)
+        for k in sorted(cfg.depths)
+    ]
 
     out = Path(cfg.out_dir)
     try:
@@ -211,7 +183,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute the experiment, write outputs, return a process exit code."""
     try:
         return _run_validated(cfg)
-    except (FileError, ParseError, UnsupportedFormat, InvalidSpec, SingularMatrix) as exc:
+    except (FileError, ParseError, UnsupportedFormat, InvalidSpec) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except LabError as exc:

@@ -10,6 +10,8 @@ eigenvectors give boundary points.  The distance from the origin,
     nu(F(A)) = max(0, max_theta lambda_min(H(theta))),
 
 is computed by a coarse angular scan refined by golden-section search.
+``nu(F(A^{-1}))`` is the same scan applied to the inverse, which is formed
+only where ``nu(F(A)) > 0`` guarantees ``||A^{-1}|| <= 1 / nu(F(A))``.
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import dense_core
-from .dense_core import DEFAULT_TOLERANCES, KernelTolerances, as_matrix
-from .errors import SingularMatrix, ZeroVector
+from .dense_core import as_matrix
+from .errors import ZeroVector
 
 __all__ = [
     "FovBoundary",
@@ -103,14 +104,14 @@ def rotated_hermitian_part(a, theta: float) -> np.ndarray:
     return dense_core.hermitian_part(np.exp(-1j * theta) * as_matrix(a))
 
 
-def support_extremes(a, theta: float, tol: KernelTolerances = DEFAULT_TOLERANCES):
+def support_extremes(a, theta: float):
     """Extreme eigenpairs of the rotated Hermitian part.
 
     Returns ``(lambda_min, lambda_max, v_min, v_max)``.  ``lambda_max`` is the
     support function of F(A) in direction ``theta``; ``rayleigh(a, v_max)``
     is a boundary point of F(A).
     """
-    spectrum = dense_core.eig_hermitian(rotated_hermitian_part(a, theta), tol)
+    spectrum = dense_core.eig_hermitian(rotated_hermitian_part(a, theta))
     return (
         float(spectrum.values[0]),
         float(spectrum.values[-1]),
@@ -197,7 +198,7 @@ def _golden_max(fun, lo: float, hi: float, width: float):
     return best_t, best_v
 
 
-def nu_fov(a, tol: KernelTolerances = DEFAULT_TOLERANCES) -> NuResult:
+def nu_fov(a) -> NuResult:
     """Distance from the origin to F(A).
 
     A coarse scan over 720 equispaced directions is refined by
@@ -231,41 +232,39 @@ def nu_fov(a, tol: KernelTolerances = DEFAULT_TOLERANCES) -> NuResult:
             best_angle, best_value = t, v
     if best_value <= 0.0:
         return NuResult(0.0, best_angle, None)
-    spectrum = dense_core.eig_hermitian(rotated_hermitian_part(mat, best_angle), tol)
+    spectrum = dense_core.eig_hermitian(rotated_hermitian_part(mat, best_angle))
     return NuResult(best_value, best_angle, spectrum.vectors[:, 0])
 
 
-def nu_fov_inverse(a, tol: KernelTolerances = DEFAULT_TOLERANCES) -> float:
-    """``nu(F(A^{-1}))``, with the inverse formed from a LAPACK LU factorization.
+def _nu_inverse(mat: np.ndarray, nu_a: float) -> float:
+    """``nu(F(A^{-1}))`` given ``nu_a = nu(F(A))``.
 
-    Raises :class:`~gmreslab.errors.SingularMatrix` when some pivot of the
-    partially pivoted factorization has magnitude at most
-    ``tol.pivot_floor * ||A||_inf``.
+    With ``w = A v``, ``w^H A^{-1} w = conj(v^H A v)``, so the origin lies in
+    F(A^{-1}) exactly when it lies in F(A), and the value is 0.  A singular
+    A has 0 in F(A) as well.  A ``nu_a`` at or below eigensolver rounding,
+    ``n eps ||A||_F``, counts as 0; above it A is invertible with
+    ``||A^{-1}|| <= 1 / nu_a``.
     """
+    if nu_a <= mat.shape[0] * np.finfo(float).eps * np.linalg.norm(mat, "fro"):
+        return 0.0
+    return nu_fov(np.linalg.inv(mat)).value
+
+
+def nu_fov_inverse(a) -> float:
+    """``nu(F(A^{-1}))``; 0 when the origin lies in F(A), singular A included."""
     mat = as_matrix(a)
-    # getrf itself, because lu_factor warns on an exactly singular matrix,
-    # which the pivot gate below reports as an error instead
-    getrf, getrs = lapack.get_lapack_funcs(("getrf", "getrs"), (mat,))
-    lu, piv, _ = getrf(mat)
-    pivot = float(np.abs(np.diag(lu)).min())
-    if pivot <= tol.pivot_floor * float(np.linalg.norm(mat, np.inf)):
-        raise SingularMatrix(
-            f"LU pivot {pivot:.3e} is below {tol.pivot_floor:.1e} * ||A||_inf"
-        )
-    inverse, _ = getrs(lu, piv, np.eye(mat.shape[0], dtype=np.complex128))
-    return nu_fov(inverse, tol).value
+    return _nu_inverse(mat, nu_fov(mat).value)
 
 
-def fov_summary(a, tol: KernelTolerances = DEFAULT_TOLERANCES) -> FovSummary:
+def fov_summary(a) -> FovSummary:
     """Bundle the field-of-values quantities used by the bound evaluations."""
     mat = as_matrix(a)
     m_part = dense_core.hermitian_part(mat)
-    lambda_min_m = float(dense_core.eig_hermitian(m_part, tol).values[0])
-    nu_a = nu_fov(mat, tol)
-    nu_ainv = nu_fov_inverse(mat, tol)
+    lambda_min_m = float(dense_core.eig_hermitian(m_part).values[0])
+    nu_a = nu_fov(mat)
     return FovSummary(
         nu_a=nu_a.value,
-        nu_ainv=nu_ainv,
+        nu_ainv=_nu_inverse(mat, nu_a.value),
         lambda_min_m=lambda_min_m,
         argmin_angle=nu_a.angle,
         witness_vector=nu_a.witness,

@@ -72,8 +72,8 @@ class SolverOptions:
 
     starts
         Number of ascent starts, moved together as one block: the best of
-        the caller-supplied starts, two constructed starts and random unit
-        vectors that fill the pool up to this size.
+        the caller-supplied starts, the top right singular vector of A and
+        random unit vectors that fill the pool up to this size.
     max_iters
         Iteration cap of the ascent, one kernel pass over the block each.
     seed
@@ -204,8 +204,8 @@ def _minimize_norm(mat: np.ndarray, k: int, c0) -> tuple[np.ndarray, float]:
     mu = 0.1 * upper**2
     while upper - lower > _GAP_TARGET and mu >= 1e-14 * upper**2:
         # Not BFGS: when rounding stalls its line search, scipy falls back
-        # to a search it silences by swapping the process-wide warning
-        # filters, which races on the depth thread pool.  L-BFGS-B just stops.
+        # to a second search whose LineSearchWarning escapes under a
+        # warnings-as-errors filter.  L-BFGS-B just stops.
         x = optimize.minimize(
             lambda x: smoothed(x, mu)[:2],
             x,
@@ -303,8 +303,6 @@ def worst_case_gmres(
             seeds.append(w / nw)
 
     seeds.append(dense_core.top_singular_triple(mat)[2])
-    step_matrix = np.eye(n, dtype=np.complex128) - one_step_ideal(mat).alpha * mat
-    seeds.append(dense_core.top_singular_triple(step_matrix)[2])
 
     rng = np.random.default_rng(np.random.SeedSequence(opts.seed).spawn(1)[0])
     while len(seeds) < opts.starts:

@@ -221,7 +221,7 @@ def test_ideal_below_one_step_power():
             assert ideal[k] <= one_step**k + RELAXATION_SLACK
 
 
-def test_report_bytes_identical_across_thread_counts(tmp_path):
+def test_report_bytes_identical_across_runs(tmp_path):
     config_text = json.dumps(
         {
             "matrix": {"family": "bidiagonal", "diag": [1.0, 2.0, 3.0], "superdiag": 0.4},
@@ -232,8 +232,8 @@ def test_report_bytes_identical_across_thread_counts(tmp_path):
         }
     )
     payloads = []
-    for threads in ("1", "3"):
-        run_dir = tmp_path / f"threads{threads}"
+    for run in ("a", "b"):
+        run_dir = tmp_path / run
         run_dir.mkdir()
         (run_dir / "config.json").write_text(config_text)
         # the run happens in a tmp cwd, where a relative PYTHONPATH misses
@@ -241,7 +241,7 @@ def test_report_bytes_identical_across_thread_counts(tmp_path):
         pythonpath = os.pathsep.join(
             filter(None, [package_root, os.environ.get("PYTHONPATH")])
         )
-        env = dict(os.environ, LAB_THREADS=threads, PYTHONPATH=pythonpath)
+        env = dict(os.environ, PYTHONPATH=pythonpath)
         proc = subprocess.run(
             [sys.executable, "-m", "gmreslab", "run", "config.json"],
             cwd=run_dir,

@@ -146,7 +146,9 @@ def test_fov_singular_matrix_summary(tmp_path, capsys):
     path = tmp_path / "singular.mtx"
     write_matrix_market(str(path), np.diag([0.0, 1.0]))
     assert main(["fov", "--matrix", str(path), "--samples", "16"]) == 0
-    assert "n/a (singular matrix)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "nu(F(A)) = 0\n" in err
+    assert "nu(F(inv(A))) = 0\n" in err
 
 
 def test_fov_requires_enough_samples(diag_mtx, capsys):
@@ -161,9 +163,14 @@ def test_ideal_subcommand(diag_mtx, capsys):
     assert "c1 = -0.666" in out
 
 
-def test_ideal_depth_out_of_range(diag_mtx, capsys):
+def test_ideal_depth_out_of_range(tmp_path, diag_mtx, capsys):
     assert main(["ideal", "--matrix", diag_mtx, "-k", "5"]) == 2
     assert main(["ideal", "--matrix", diag_mtx, "-k", "0"]) == 2
+    # k <= n, but above MAX_DEPTH = 8
+    path = tmp_path / "diag10.mtx"
+    write_matrix_market(str(path), np.diag(np.arange(1.0, 11.0)))
+    assert main(["ideal", "--matrix", str(path), "-k", "9"]) == 2
+    assert "error: depth 9 outside [1, 8]" in capsys.readouterr().err
 
 
 def test_strict_flag_propagates_exit_three(tmp_path, monkeypatch, capsys):
@@ -192,26 +199,3 @@ def test_strict_flag_propagates_exit_three(tmp_path, monkeypatch, capsys):
     assert main(["run", str(cfg), "--strict"]) == 3
     assert "non-certified" in capsys.readouterr().out
 
-
-def test_threads_flag_keeps_bytes_identical(tmp_path, diag_mtx):
-    payloads = {}
-    for name, threads in (("t1", "1"), ("t3", "3")):
-        out = tmp_path / name
-        code = main(
-            [
-                "bounds",
-                "--matrix",
-                diag_mtx,
-                "--depths",
-                "1..2",
-                "--trials",
-                "3",
-                "--threads",
-                threads,
-                "--out-dir",
-                str(out),
-            ]
-        )
-        assert code == 0
-        payloads[name] = (out / "report.json").read_bytes()
-    assert payloads["t1"] == payloads["t3"]

@@ -4,7 +4,6 @@ from hypothesis import given, seed
 from hypothesis import strategies as st
 
 from gmreslab import (
-    SingularMatrix,
     ZeroVector,
     eig_hermitian,
     fov_boundary,
@@ -113,10 +112,27 @@ def test_nu_inverse_examples():
 
 
 def test_nu_inverse_rejects_singular():
-    with pytest.raises(SingularMatrix):
-        nu_fov_inverse(np.diag([1.0, 0.0]))
-    with pytest.raises(SingularMatrix):
-        nu_fov_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    # a singular A has 0 in F(A): no inverse is formed and the value is 0
+    assert nu_fov_inverse(np.diag([1.0, 0.0])) == 0.0
+    assert nu_fov_inverse(np.array([[1.0, 1.0], [1.0, 1.0]])) == 0.0
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.diag([1.0, -1.0]),
+        np.array(
+            [[1, 0.5, 0, 0], [0, -1, 2, 0], [0, 0, 1, 0.5], [0, 0, 0, -1]],
+            dtype=np.complex128,
+        ),
+    ],
+    ids=["diag_pm1", "toh_0.5"],
+)
+def test_nu_inverse_zero_when_origin_in_fov(a):
+    # invertible with eigenvalues +-1, so 0 lies in F(A) and in F(inv(A))
+    assert nu_fov(a).value == 0.0
+    assert nu_fov_inverse(a) == 0.0
+    assert oracles.nu_inverse_pencil(a) <= 1e-10
 
 
 def test_nu_inverse_jordan(jordan_block):
