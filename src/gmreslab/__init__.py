@@ -24,7 +24,6 @@ from .dense_core import (
 )
 from .errors import (
     BudgetExceeded,
-    DegenerateImage,
     FileError,
     InvalidSpec,
     LabError,
@@ -46,10 +45,7 @@ from .fov import (
     rayleigh,
     support_extremes,
 )
-from .krylov import (
-    gmres_residuals,
-    optimal_alpha,
-)
+from .krylov import gmres_residuals
 from .matrices import MatrixSpec, generate_matrix
 from .minimax import (
     MinimaxResult,
@@ -71,7 +67,6 @@ __all__ = [
     "ZeroVector",
     "NotHermitian",
     "NoConvergence",
-    "DegenerateImage",
     "BudgetExceeded",
     "InvalidSpec",
     "ParseError",
@@ -95,7 +90,6 @@ __all__ = [
     "fov_summary",
     # Krylov / GMRES
     "gmres_residuals",
-    "optimal_alpha",
     # minimization
     "SolverOptions",
     "MinimaxResult",

@@ -8,7 +8,6 @@ __all__ = [
     "ZeroVector",
     "NotHermitian",
     "NoConvergence",
-    "DegenerateImage",
     "BudgetExceeded",
     "InvalidSpec",
     "ParseError",
@@ -31,10 +30,6 @@ class NotHermitian(LabError):
 
 class NoConvergence(LabError):
     """An iterative kernel exhausted its iteration budget."""
-
-
-class DegenerateImage(LabError):
-    """The image A v vanished where a nonzero image was required."""
 
 
 class BudgetExceeded(LabError):

@@ -17,27 +17,16 @@ cross-checks in the test suite.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .dense_core import as_matrix
-from .errors import DegenerateImage, ZeroVector
+from .errors import ZeroVector
 
 __all__ = [
-    "OneStepResult",
     "gmres_residuals",
     "min_residual_gradients",
     "min_residual_values",
-    "optimal_alpha",
 ]
-
-
-class OneStepResult(NamedTuple):
-    """Optimal single-step damping for one vector."""
-
-    alpha_star: complex
-    residual_ratio: float
 
 
 def _residual_curves(mat: np.ndarray, batch: np.ndarray, k: int):
@@ -138,31 +127,3 @@ def min_residual_gradients(a, vs: np.ndarray, k: int):
         adjoint_terms = adjoint @ (np.conj(c) * residual + adjoint_terms)
     phi = curves[k]
     return phi, (residual + adjoint_terms - phi**2 * batch) / norms_sq
-
-
-def optimal_alpha(a, v) -> OneStepResult:
-    """Optimal one-step damping ``alpha* = <v, Av> / <Av, Av>`` for one vector.
-
-    Returns the minimizer of ``||v - alpha A v||`` over complex alpha together
-    with the attained residual ratio
-
-        sqrt(1 - |<Av, v>|^2 / (||Av||^2 ||v||^2)).
-
-    Raises :class:`ZeroVector` for ``v = 0`` and :class:`DegenerateImage`
-    when ``A v = 0``.
-    """
-    mat = as_matrix(a)
-    vec = np.asarray(v, dtype=np.complex128).ravel()
-    if vec.shape[0] != mat.shape[0]:
-        raise ValueError("vector length does not match matrix order")
-    norm_v = float(np.linalg.norm(vec))
-    if norm_v == 0.0:
-        raise ZeroVector("one-step damping of the zero vector")
-    image = mat @ vec
-    norm_image_sq = float(np.vdot(image, image).real)
-    if norm_image_sq == 0.0:
-        raise DegenerateImage("A v is zero; no damping step exists")
-    alpha = complex(np.vdot(image, vec) / norm_image_sq)
-    overlap = abs(np.vdot(vec, image)) ** 2 / (norm_image_sq * norm_v**2)
-    ratio = float(np.sqrt(max(0.0, 1.0 - overlap)))
-    return OneStepResult(alpha, ratio)

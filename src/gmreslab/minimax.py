@@ -20,14 +20,15 @@ certificate,
 built from the smoothed problem's own dual matrix (``||.||_*`` is the
 nuclear norm, ``<.,.>`` the Frobenius inner product).
 
-``worst_case_gmres`` runs gradient ascent on the unit sphere, all starts in
-lockstep as one block of columns.  One kernel pass per step solves the
-inner polynomial problem exactly for every candidate and returns its exact
-gradient: by the envelope theorem the sphere gradient of
-``||p_v(A) v||^2 / 2`` is ``p_v(A)^H p_v(A) v - phi^2 v`` with p_v the
-minimizing polynomial of v.  Renormalization is the retraction.  Every
-evaluated candidate is a certified lower bound on the true worst case, so
-under-convergence is safe for the inequality checks downstream.
+``worst_case_gmres`` runs L-BFGS-B on ``phi(v)^2 / 2``, phi(v) the residual
+ratio, over the real and imaginary parts of v: the best starts climb as one
+block, then the best of them alone.  One kernel pass per evaluation solves
+the inner polynomial problem exactly for every candidate and returns its
+exact gradient, by the envelope theorem ``(p_v(A)^H p_v(A) v - phi^2 v) /
+||v||^2`` with p_v the minimizing polynomial of v.  phi is scale-invariant,
+so no sphere constraint is needed.  Every evaluated candidate is a
+certified lower bound on the true worst case, so under-convergence is safe
+for the inequality checks downstream.
 """
 
 from __future__ import annotations
@@ -68,44 +69,33 @@ class SolverOptions:
 
     ``ideal_gmres`` reads only ``tolerance``: its solver has no starts, no
     randomness and a fixed convergence target.  The other fields steer the
-    sphere ascent of ``worst_case_gmres``.
+    ascent of ``worst_case_gmres``.
 
     starts
         Number of ascent starts, moved together as one block: the best of
         the caller-supplied starts, the top right singular vector of A and
         random unit vectors that fill the pool up to this size.
     max_iters
-        Iteration cap of the ascent, one kernel pass over the block each.
+        Kernel-evaluation budget of the ascent, one kernel pass over the
+        candidate block each, shared by its two L-BFGS-B runs.  SciPy may
+        finish its current line search, at most 20 evaluations, past it.
     seed
         Root seed of the random ascent starts.
     tolerance
         Certification gap target: an ideal result is flagged certified when
         ``upper_bound - lower_bound <= tolerance``.
-    ascent_step
-        Initial step length of the sphere ascent.
-    max_halvings
-        Each start halves its own step on non-improvement and stops after
-        this many halvings, or once its gradient vanishes.
     """
 
     starts: int = 16
     max_iters: int = 200
     seed: int = 0
     tolerance: float = 1e-4
-    ascent_step: float = 0.5
-    max_halvings: int = 25
 
     def __post_init__(self):
-        for name in ("starts", "max_iters", "seed", "max_halvings"):
+        for name in ("starts", "max_iters", "seed"):
             if not is_int(getattr(self, name)):
                 raise ValueError(f"SolverOptions.{name} must be an integer")
-        for name in (
-            "starts",
-            "max_iters",
-            "tolerance",
-            "ascent_step",
-            "max_halvings",
-        ):
+        for name in ("starts", "max_iters", "tolerance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"SolverOptions.{name} must be positive")
         if self.seed < 0:
@@ -276,6 +266,33 @@ def ideal_gmres(a, k: int, opts: Optional[SolverOptions] = None) -> MinimaxResul
     )
 
 
+def _ascend(mat: np.ndarray, v0: np.ndarray, k: int, budget: int):
+    """L-BFGS-B on ``-sum_j phi(v_j)^2 / 2`` over the columns of ``v0``.
+
+    One kernel pass per evaluation, ``budget`` evaluations plus the line
+    search under way.  Returns each column's best evaluated vector,
+    renormalized, its value, and the number of evaluations.
+    """
+    best_v = v0.copy()
+    best_phi = np.full(v0.shape[1], -1.0)
+
+    def negative_energy(x: np.ndarray):
+        v = np.ascontiguousarray(x).view(np.complex128).reshape(v0.shape)
+        phi, grad = min_residual_gradients(mat, v, k)
+        up = phi > best_phi
+        best_phi[up], best_v[:, up] = phi[up], v[:, up]
+        return -0.5 * float(phi @ phi), -grad.ravel().view(np.float64)
+
+    result = optimize.minimize(
+        negative_energy,
+        v0.ravel().view(np.float64),
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxfun": budget, "maxiter": budget, "ftol": 0.0, "gtol": 1e-15},
+    )
+    return best_v / np.linalg.norm(best_v, axis=0), best_phi, result.nfev
+
+
 def worst_case_gmres(
     a,
     k: int,
@@ -292,7 +309,7 @@ def worst_case_gmres(
     """
     mat = as_matrix(a)
     k = _check_depth(k)
-    opts = opts or SolverOptions(starts=20)
+    opts = opts or SolverOptions()
     n = mat.shape[0]
 
     seeds: list[np.ndarray] = []
@@ -310,31 +327,12 @@ def worst_case_gmres(
         seeds.append(w / np.linalg.norm(w))
 
     pool = np.column_stack(seeds)
-    pool_values, pool_grads = min_residual_gradients(mat, pool, k)
+    pool_values = min_residual_values(mat, pool, k)
     order = np.argsort(-pool_values, kind="stable")[: opts.starts]
-    v, val, grad = pool[:, order], pool_values[order], pool_grads[:, order]
-    step = np.full(order.size, opts.ascent_step)
-    halvings = np.zeros(order.size, dtype=int)
-    for _ in range(opts.max_iters):
-        # grad is the gradient of phi^2 / 2 = phi * grad(phi): a column stops
-        # once ||grad(phi)|| <= 1e-14 or after max_halvings halvings.
-        gn = np.linalg.norm(grad, axis=0)
-        active = (halvings < opts.max_halvings) & (gn > 1e-14 * val)
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        cand = v[:, idx] + step[idx] * grad[:, idx] / gn[idx]
-        cand = cand / np.linalg.norm(cand, axis=0)
-        cval, cgrad = min_residual_gradients(mat, cand, k)
-        better = cval > val[idx] + 1e-14
-        up, down = idx[better], idx[~better]
-        v[:, up] = cand[:, better]
-        val[up] = cval[better]
-        grad[:, up] = cgrad[:, better]
-        step[down] *= 0.5
-        halvings[down] += 1
-
-    best_v = v[:, int(np.argmax(val))]
+    block, block_values, nfev = _ascend(mat, pool[:, order], k, opts.max_iters // 2)
+    # The block run stops on the sum of phi^2; the best column goes on alone.
+    best = block[:, [int(np.argmax(block_values))]]
+    best_v = _ascend(mat, best, k, max(opts.max_iters - nfev, 1))[0][:, 0]
     best_phi = float(min_residual_values(mat, best_v[:, None], k)[0])
     return MinimaxResult(
         value=best_phi,

@@ -3,9 +3,9 @@
 Everything here is deliberately written against different machinery than
 the package: hull geometry instead of support-function duality, explicit
 equioscillation solves instead of numerical minimization, Arnoldi with
-Givens rotations and dense least squares instead of the batched
-Gram-Schmidt residual kernel, a generalized Hermitian eigenproblem instead
-of an explicit inverse.
+Givens rotations, dense least squares and a closed-form one-step damping
+instead of the batched Gram-Schmidt residual kernel, a generalized
+Hermitian eigenproblem instead of an explicit inverse.
 """
 
 from typing import NamedTuple, Optional
@@ -202,6 +202,37 @@ def min_residual_lstsq(a, v, k):
     d, *_ = np.linalg.lstsq(scaled, -vec, rcond=None)
     return float(np.linalg.norm(vec + scaled @ d)) / norm_v, d / safe
 
+
+
+class OneStepResult(NamedTuple):
+    """Optimal single-step damping for one vector."""
+
+    alpha_star: complex
+    residual_ratio: float
+
+
+def optimal_alpha(a, v):
+    """Optimal one-step damping ``alpha* = (Av)^H v / ||Av||^2`` in closed form.
+
+    Returns the minimizer of ``||v - alpha A v||`` over complex alpha together
+    with the attained residual ratio
+
+        sqrt(1 - |<Av, v>|^2 / (||Av||^2 ||v||^2)).
+
+    Raises ``ValueError`` for ``v = 0`` and when ``A v = 0``.
+    """
+    mat = np.asarray(a, dtype=np.complex128)
+    vec = np.asarray(v, dtype=np.complex128).ravel()
+    norm_v = float(np.linalg.norm(vec))
+    if norm_v == 0.0:
+        raise ValueError("one-step damping of the zero vector")
+    image = mat @ vec
+    norm_image_sq = float(np.vdot(image, image).real)
+    if norm_image_sq == 0.0:
+        raise ValueError("A v is zero; no damping step exists")
+    alpha = complex(np.vdot(image, vec) / norm_image_sq)
+    overlap = abs(np.vdot(vec, image)) ** 2 / (norm_image_sq * norm_v**2)
+    return OneStepResult(alpha, float(np.sqrt(max(0.0, 1.0 - overlap))))
 
 def nu_inverse_pencil(a, angles=720, fine=401):
     """``nu(F(A^{-1}))`` without forming the inverse, on an angle grid.

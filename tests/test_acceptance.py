@@ -25,7 +25,6 @@ from gmreslab import (
     MatrixSpec,
     nu_fov,
     one_step_ideal,
-    optimal_alpha,
     scalar_minimax_oracle,
     starke_bound,
     verify_chain,
@@ -152,7 +151,7 @@ def test_one_step_alpha_beats_random_sampling():
         n = int(rng.integers(2, 9))
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         v = random_unit(rng, n)
-        result = optimal_alpha(a, v)
+        result = oracles.optimal_alpha(a, v)
         w = a @ v
         # closed form through w: the step is the Rayleigh-type quotient
         alpha_direct = np.vdot(w, v) / np.vdot(w, w)

@@ -78,6 +78,8 @@ def test_from_dict_reads_solver_options():
         {"matrix": {"family": "identity", "n": 2}, "plot": "no"},
         {"matrix": {"family": "identity", "n": 2}, "strict": "no"},
         {"matrix": {"family": "identity", "n": 2}, "seed": 0, "solver": {"seed": 5}},
+        {"matrix": {"family": "identity", "n": 2}, "solver": {"ascent_step": 0.5}},
+        {"matrix": {"family": "identity", "n": 2}, "solver": {"max_halvings": 25}},
     ],
 )
 def test_from_dict_rejects_malformed(raw):
