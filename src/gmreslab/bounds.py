@@ -142,7 +142,9 @@ def elman_bound(a, k: int, slacks: ChainSlacks = DEFAULT_SLACKS) -> Optional[flo
 
 def starke_bound(a, k: int, fov_data: Optional[fov.FovSummary] = None) -> float:
     """Starke bound at depth k.  Equals 1 when the origin lies in F(A),
-    singular A included."""
+    singular A included.  It takes the lower ends of the nu brackets
+    (``NuResult.value``), so it is an upper bound up to eigensolver
+    rounding."""
     if fov_data is None:
         fov_data = fov.fov_summary(as_matrix(a))
     prod = fov_data.nu_a * fov_data.nu_ainv

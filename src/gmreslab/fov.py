@@ -2,16 +2,14 @@
 
 The field of values of A is the set of Rayleigh quotients
 ``F(A) = { <Av, v> / <v, v> : v != 0 }``, a convex compact subset of the
-complex plane.  Writing ``H(theta) = (e^{-i theta} A + e^{i theta} A^H)/2``
-for the rotated Hermitian part, the extreme eigenvalues of ``H(theta)``
-are the support function values of F(A) in direction ``theta``, and the
-eigenvectors give boundary points.  The distance from the origin,
-
-    nu(F(A)) = max(0, max_theta lambda_min(H(theta))),
-
-is computed by a coarse angular scan refined by golden-section search.
-``nu(F(A^{-1}))`` is the same scan applied to the inverse, which is formed
-only where ``nu(F(A)) > 0`` guarantees ``||A^{-1}|| <= 1 / nu(F(A))``.
+complex plane.  With ``A = H + iS`` (H, S Hermitian), the top eigenvalue
+of ``H(theta) = cos(theta) H + sin(theta) S`` is the support function of
+F(A) in direction ``theta``.  The distance from the origin,
+``nu(F(A)) = max(0, max_theta lambda_min(H(theta)))``, is the Crawford
+number of the pair (H, S); ``nu_fov`` finds it by safeguarded Newton steps
+on the concave part and brackets it by the hull of the Rayleigh quotients
+it has seen.  ``nu(F(A^{-1}))`` is the same on the inverse, formed only
+where ``nu(F(A)) > 0`` guarantees ``||A^{-1}|| <= 1 / nu(F(A))``.
 """
 
 from __future__ import annotations
@@ -20,10 +18,11 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import dense_core
 from .dense_core import as_matrix
-from .errors import ZeroVector
+from .errors import NoConvergence, ZeroVector
 
 __all__ = [
     "FovBoundary",
@@ -39,28 +38,21 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
-# Angular resolution of the coarse support-function scan.
-_SCAN_COUNT = 720
-# Number of best coarse cells that receive golden-section refinement.
-_REFINE_CELLS = 3
-# Target angular width of the refined bracket.
-_REFINE_WIDTH = 1e-10
-# Two angles within this distance of each other tie on value; the smaller wins.
-_TIE_EPS = 1e-14
+# Multiple of n eps ||A||_F up to which a distance from the origin is rounding.
+_ZERO_FACTOR = 4.0
+# Equispaced angles evaluated first by nu_fov, and its evaluation budget.
+_START_ANGLES = 8
+_MAX_EVALS = 64
+# Offsets closer than this to an evaluated angle count as evaluated.
+_ANGLE_EPS = 8.0 * np.spacing(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
 class FovBoundary:
-    """Boundary sample of the field of values.
-
-    angles
-        The sampled support directions in ``[0, 2 pi)``.
-    points
-        Rayleigh quotients of the maximizing eigenvectors: boundary points.
-    support_max, support_min
-        Extreme eigenvalues of the rotated Hermitian part per angle.
-    """
+    """Boundary sample of F(A) at the support directions ``angles`` in
+    ``[0, 2 pi)``: ``points`` are the Rayleigh quotients of the top
+    eigenvectors, boundary points; ``support_max`` and ``support_min`` are
+    the extreme eigenvalues of the rotated Hermitian part per angle."""
 
     angles: np.ndarray
     points: np.ndarray
@@ -69,11 +61,17 @@ class FovBoundary:
 
 
 class NuResult(NamedTuple):
-    """Distance from the origin to F(A) with the maximizing direction."""
+    """Bracket ``value <= nu(F(A)) <= upper`` and the best direction.
+
+    ``value`` is the largest ``lambda_min(H(theta))`` over the evaluated
+    angles (0 if none is positive or ``upper`` is rounding); ``upper`` is the
+    distance from 0 to the hull of the evaluated Rayleigh quotients.
+    """
 
     value: float
     angle: float
     witness: Optional[np.ndarray]
+    upper: float
 
 
 @dataclass(frozen=True)
@@ -120,31 +118,21 @@ def support_extremes(a, theta: float):
     )
 
 
-def _rotated_stack(m: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    phases = np.exp(-1j * thetas)
-    return 0.5 * (
-        phases[:, None, None] * m[None, :, :]
-        + np.conj(phases)[:, None, None] * m.conj().T[None, :, :]
-    )
-
-
-def _support_minima(m: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """lambda_min(H(theta)) for a batch of angles, chunked to bound memory."""
-    n = m.shape[0]
-    chunk = max(1, int(4e6 / max(n * n, 1)))
-    out = np.empty(thetas.shape[0])
-    for lo in range(0, thetas.shape[0], chunk):
-        hi = min(lo + chunk, thetas.shape[0])
-        out[lo:hi] = np.linalg.eigvalsh(_rotated_stack(m, thetas[lo:hi]))[:, 0]
-    return out
+def _one_eigenpair(h: np.ndarray, index: int, vectors: bool):
+    """Eigenpair ``index`` (1-based, ascending) of a Hermitian ``h`` by ``heevr``."""
+    w, z, _, _, info = lapack.zheevr(h, int(vectors), "I", il=index, iu=index)
+    if info != 0:
+        raise NoConvergence(f"heevr failed with info = {info}")
+    return float(w[0]), (z[:, 0] if vectors else None)
 
 
 def fov_boundary(a, m: int) -> FovBoundary:
-    """Sample the boundary of F(A) at ``m`` equispaced support directions.
+    """Sample the boundary of F(A) at ``m >= 8`` equispaced directions.
 
-    ``m`` must be at least 8.  Points are Rayleigh quotients of the top
-    eigenvectors of the rotated Hermitian parts, so they lie on the boundary
-    up to eigensolver accuracy.
+    Each angle costs one top eigenpair of ``H(theta)``, whose eigenvector's
+    Rayleigh quotient is the boundary point.  As ``H(theta + pi) =
+    -H(theta)``, an even ``m`` reads ``support_min`` off the opposite angle;
+    an odd ``m`` pays one more eigenvalue per angle.
     """
     mat = as_matrix(a)
     if m < 8:
@@ -152,88 +140,101 @@ def fov_boundary(a, m: int) -> FovBoundary:
     n = mat.shape[0]
     angles = _TWO_PI * np.arange(m) / m
     points = np.empty(m, dtype=np.complex128)
-    support_max = np.empty(m)
-    support_min = np.empty(m)
-    chunk = max(1, int(4e6 / max(n * n, 1)))
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        values, vectors = np.linalg.eigh(_rotated_stack(mat, angles[lo:hi]))
-        support_min[lo:hi] = values[:, 0]
-        support_max[lo:hi] = values[:, -1]
-        vmax = vectors[:, :, -1]
-        av = vmax @ mat.T  # row i holds (A vmax_i)^T
-        points[lo:hi] = np.sum(np.conj(vmax) * av, axis=1) / np.sum(
-            np.abs(vmax) ** 2, axis=1
-        )
+    support_max, support_min = np.empty(m), np.empty(m)
+    for j, theta in enumerate(angles):
+        h = rotated_hermitian_part(mat, theta)
+        support_max[j], v = _one_eigenpair(h, n, True)
+        points[j] = np.vdot(v, mat @ v)
+        if m % 2:
+            support_min[j] = _one_eigenpair(h, 1, False)[0]
+    if m % 2 == 0:
+        support_min = -np.roll(support_max, -(m // 2))
     return FovBoundary(angles, points, support_max, support_min)
 
 
-def _golden_max(fun, lo: float, hi: float, width: float):
-    """Golden-section maximization on [lo, hi]; returns the best sample."""
-    best_t = lo
-    best_v = -np.inf
+def _zero_tol(mat: np.ndarray) -> float:
+    """Distance from the origin up to which F(A) counts as touching it."""
+    return _ZERO_FACTOR * mat.shape[0] * np.finfo(float).eps * np.linalg.norm(mat)
 
-    def ev(t: float) -> float:
-        nonlocal best_t, best_v
-        v = fun(t)
-        if v > best_v + _TIE_EPS or (abs(v - best_v) <= _TIE_EPS and t < best_t):
-            best_t, best_v = t, v
-        return v
 
-    ev(lo)
-    ev(hi)
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = ev(c), ev(d)
-    while (b - a) > width:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = ev(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = ev(d)
-    return best_t, best_v
+def _wrap(theta):
+    """Angles reduced to ``[-pi, pi)``."""
+    return (theta + np.pi) % _TWO_PI - np.pi
+
+
+def _hull_nearest(points: np.ndarray) -> complex:
+    """Point of the convex hull of ``points`` nearest to the origin."""
+    args = np.sort(np.angle(points))
+    if np.any(points == 0) or np.diff(args, append=args[0] + _TWO_PI).max() < np.pi:
+        return 0j  # the arguments leave no gap of pi: the origin is inside
+    a, b = points[:, None], points[None, :]
+    d = b - a
+    length = np.where(a != b, np.abs(d) ** 2, 1.0)
+    t = -(np.conj(d) * a).real / length
+    # the foot inside a segment from the cross product keeps its direction exact
+    foot = 1j * d * (np.conj(d) * a).imag / length
+    near = np.where(t <= 0.0, a, np.where(t >= 1.0, b, foot)).ravel()
+    return complex(near[np.argmin(np.abs(near))])
 
 
 def nu_fov(a) -> NuResult:
-    """Distance from the origin to F(A).
+    """Distance from the origin to F(A), bracketed.
 
-    A coarse scan over 720 equispaced directions is refined by
-    golden-section search inside the three best coarse cells down to an
-    angular width of 1e-10.  Value ties within 1e-14 resolve to the smaller
-    angle, which pins the result down deterministically.
-
-    Returns ``NuResult(value, angle, witness)``.  When the origin lies in
-    F(A) the value is 0 and there is no witness; otherwise the witness is a
-    unit vector whose Rayleigh quotient has modulus ``value`` (up to
-    first-order optimality of the refined angle).
+    One eigensolve of ``H(theta)`` gives ``g = lambda_min``, ``g' = u^H H' u``
+    and ``g'' = -g + 2 sum_j |u_j^H H' u|^2 / (g - lambda_j)`` (``H'' = -H``),
+    negative where g > 0, and two Rayleigh quotients for the hull.  After 8
+    equispaced angles, while no g is positive, the next angle points to the
+    hull point nearest the origin; the value is 0 once that point is within
+    ``_zero_tol``.  Then Newton steps from the best angle stay inside the
+    arc that the evaluated angles leave around the maximum; a Newton point
+    outside it gives way to the hull direction (exact at the kinks of normal
+    matrices), that to bisection.  The loop stops once ``upper - value <=
+    _zero_tol``.  The witness is the best angle's eigenvector.
     """
     mat = as_matrix(a)
-    coarse = _TWO_PI * np.arange(_SCAN_COUNT) / _SCAN_COUNT
-    g = _support_minima(mat, coarse)
-    order = np.argsort(-g, kind="stable")[:_REFINE_CELLS]
-    delta = _TWO_PI / _SCAN_COUNT
+    herm = dense_core.hermitian_part(mat)
+    skew = dense_core.hermitian_part(-1j * mat)
+    tol = _zero_tol(mat)
+    angles, points = [], []
+    best = None  # (g, g', g'', eigenvector, angle) at the best angle
 
-    def g_single(theta: float) -> float:
-        return float(np.linalg.eigvalsh(rotated_hermitian_part(mat, theta))[0])
+    def evaluate(theta: float) -> None:
+        nonlocal best
+        c, s = np.cos(theta), np.sin(theta)
+        w, v = np.linalg.eigh(c * herm + s * skew)
+        ends = v[:, [0, -1]]
+        points.extend(np.sum(np.conj(ends) * (mat @ ends), axis=0))
+        du = np.conj(v.T) @ ((c * skew - s * herm) @ v[:, 0])
+        gaps = w[1:] - w[0]
+        coupling = np.abs(du[1:][gaps > 0]) ** 2 / gaps[gaps > 0]
+        angles.append(theta)
+        if best is None or w[0] > best[0]:
+            best = (w[0], du[0].real, -w[0] - 2.0 * coupling.sum(), v[:, 0], theta)
 
-    best_angle = float(coarse[order[0]]) % _TWO_PI
-    best_value = float(g[order[0]])
-    for idx in order:
-        center = float(coarse[idx])
-        t, v = _golden_max(g_single, center - delta, center + delta, _REFINE_WIDTH)
-        t = t % _TWO_PI
-        if v > best_value + _TIE_EPS or (
-            abs(v - best_value) <= _TIE_EPS and t < best_angle
-        ):
-            best_angle, best_value = t, v
-    if best_value <= 0.0:
-        return NuResult(0.0, best_angle, None)
-    spectrum = dense_core.eig_hermitian(rotated_hermitian_part(mat, best_angle))
-    return NuResult(best_value, best_angle, spectrum.vectors[:, 0])
+    for theta in _TWO_PI * np.arange(_START_ANGLES) / _START_ANGLES:
+        evaluate(theta)
+    while True:
+        near = _hull_nearest(np.asarray(points))
+        upper, theta_b = abs(near), best[4]
+        if upper <= tol:
+            return NuResult(0.0, theta_b % _TWO_PI, None, upper)
+        if best[0] > 0.0 and upper - best[0] <= tol or len(angles) >= _MAX_EVALS:
+            break
+        if best[0] <= 0.0:
+            evaluate(float(np.angle(near)))
+            continue
+        offsets = _wrap(np.asarray(angles) - theta_b)
+        lo = 0.0 if best[1] > 0.0 else offsets[offsets < 0.0].max()
+        hi = 0.0 if best[1] < 0.0 else offsets[offsets > 0.0].min()
+        steps = (-best[1] / best[2], _wrap(np.angle(near) - theta_b), 0.5 * (lo + hi))
+        step = next((t for t in steps if lo + _ANGLE_EPS < t < hi - _ANGLE_EPS
+                     and abs(t) > _ANGLE_EPS), None)
+        if step is None:
+            break
+        evaluate(theta_b + step)
+    value = max(float(best[0]), 0.0)
+    witness = best[3] if value > 0.0 else None
+    return NuResult(value, theta_b % _TWO_PI, witness, max(upper, value))
 
 
 def _nu_inverse(mat: np.ndarray, nu_a: float) -> float:
@@ -241,11 +242,10 @@ def _nu_inverse(mat: np.ndarray, nu_a: float) -> float:
 
     With ``w = A v``, ``w^H A^{-1} w = conj(v^H A v)``, so the origin lies in
     F(A^{-1}) exactly when it lies in F(A), and the value is 0.  A singular
-    A has 0 in F(A) as well.  A ``nu_a`` at or below eigensolver rounding,
-    ``n eps ||A||_F``, counts as 0; above it A is invertible with
-    ``||A^{-1}|| <= 1 / nu_a``.
+    A has 0 in F(A) as well.  A ``nu_a`` within ``_zero_tol``, as in
+    ``nu_fov``, counts as 0; above it ``||A^{-1}|| <= 1 / nu_a``.
     """
-    if nu_a <= mat.shape[0] * np.finfo(float).eps * np.linalg.norm(mat, "fro"):
+    if nu_a <= _zero_tol(mat):
         return 0.0
     return nu_fov(np.linalg.inv(mat)).value
 

@@ -5,7 +5,9 @@ the package: hull geometry instead of support-function duality, explicit
 equioscillation solves instead of numerical minimization, Arnoldi with
 Givens rotations, dense least squares and a closed-form one-step damping
 instead of the batched Gram-Schmidt residual kernel, a generalized
-Hermitian eigenproblem instead of an explicit inverse.
+Hermitian eigenproblem instead of an explicit inverse, an angular scan
+with golden-section refinement instead of Newton steps on the support
+function.
 """
 
 from typing import NamedTuple, Optional
@@ -233,6 +235,42 @@ def optimal_alpha(a, v):
     alpha = complex(np.vdot(image, vec) / norm_image_sq)
     overlap = abs(np.vdot(vec, image)) ** 2 / (norm_image_sq * norm_v**2)
     return OneStepResult(alpha, float(np.sqrt(max(0.0, 1.0 - overlap))))
+
+
+def nu_scan(a, angles=720, cells=3, width=1e-10):
+    """``nu(F(A))`` by brute force: ``lambda_min`` of the rotated Hermitian
+    part on an equispaced angle grid, then golden-section search across the
+    two grid cells around each of the ``cells`` best angles down to an
+    angular ``width``.  The best value found bounds the supremum from below.
+    """
+    mat = np.asarray(a, dtype=np.complex128)
+
+    def lam_min(thetas):
+        rotated = np.exp(-1j * np.asarray(thetas))[..., None, None] * mat
+        herm = 0.5 * (rotated + np.swapaxes(rotated.conj(), -1, -2))
+        return np.linalg.eigvalsh(herm)[..., 0]
+
+    step = 2.0 * np.pi / angles
+    grid = step * np.arange(angles)
+    coarse = lam_min(grid)
+    best = float(coarse.max())
+    shrink = (np.sqrt(5.0) - 1.0) / 2.0
+    for center in grid[np.argsort(-coarse)[:cells]]:
+        lo, hi = center - step, center + step
+        c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+        fc, fd = lam_min([c, d])
+        while hi - lo > width:
+            if fc > fd:
+                hi, d, fd = d, c, fc
+                c = hi - shrink * (hi - lo)
+                fc = lam_min(c)
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + shrink * (hi - lo)
+                fd = lam_min(d)
+            best = max(best, float(fc), float(fd))
+    return max(best, 0.0)
+
 
 def nu_inverse_pencil(a, angles=720, fine=401):
     """``nu(F(A^{-1}))`` without forming the inverse, on an angle grid.

@@ -133,6 +133,12 @@ def test_fov_to_stdout(diag_mtx, capsys):
     assert "nu(F(inv(A))) = 0.5" in captured.err
 
 
+def test_fov_odd_sample_count(diag_mtx, capsys):
+    assert main(["fov", "--matrix", diag_mtx, "--samples", "9"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + 9
+
+
 def test_fov_to_file(tmp_path, diag_mtx, capsys):
     out = tmp_path / "fov.csv"
     assert main(["fov", "--matrix", diag_mtx, "--samples", "32", "--out", str(out)]) == 0

@@ -15,6 +15,7 @@ from gmreslab import (
     spectral_norm,
     support_extremes,
 )
+from gmreslab.fov import _zero_tol
 from conftest import random_complex, random_nonsingular
 import oracles
 
@@ -86,6 +87,20 @@ def test_boundary_jordan_is_a_disk(jordan_block):
     assert np.max(np.abs(cloud - 1.0)) <= 0.5 + 1e-9
 
 
+@pytest.mark.parametrize("m", [720, 9])
+def test_boundary_matches_batched_eigensolves(m):
+    a = random_complex(np.random.default_rng(53), 7)
+    b = fov_boundary(a, m)
+    phases = np.exp(-1j * b.angles)[:, None, None]
+    stack = 0.5 * (phases * a + np.conj(phases) * a.conj().T)
+    values = np.linalg.eigvalsh(stack)
+    assert np.max(np.abs(b.support_min - values[:, 0])) <= 1e-12
+    assert np.max(np.abs(b.support_max - values[:, -1])) <= 1e-12
+    # each point is a boundary point on the supporting line of its angle
+    support = (np.exp(-1j * b.angles) * b.points).real
+    assert np.max(np.abs(support - b.support_max)) <= 1e-10
+
+
 def test_boundary_rejects_tiny_sample_counts(jordan_block):
     with pytest.raises(ValueError):
         fov_boundary(jordan_block, 4)
@@ -103,6 +118,73 @@ def test_nu_zero_inside():
 
 def test_nu_jordan(jordan_block):
     assert nu_fov(jordan_block).value == pytest.approx(0.5, abs=1e-9)
+
+
+def test_nu_zero_on_the_boundary():
+    # F([[1, 2], [0, 1]]) is the disk |z - 1| <= 1: A is invertible, 0 is on its rim
+    res = nu_fov(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    assert res.value == 0.0
+    assert res.upper <= 1e-14
+
+
+def test_nu_normal_kink_is_the_segment_midpoint():
+    # F is the segment [2+i, 1-2i]; its point nearest 0 is the midpoint 1.5-0.5i
+    res = nu_fov(np.diag([2 + 1j, 1 - 2j]))
+    assert res.value == pytest.approx(np.sqrt(2.5), abs=1e-14)
+    assert res.upper == pytest.approx(np.sqrt(2.5), abs=1e-14)
+    assert res.angle == pytest.approx(np.angle(1.5 - 0.5j) % (2 * np.pi), abs=1e-12)
+
+
+def test_nu_rotated_jordan(jordan_block):
+    res = nu_fov(np.exp(2.0j) * jordan_block)
+    assert res.value == pytest.approx(0.5, abs=1e-14)
+    assert res.upper - res.value <= _zero_tol(jordan_block)
+
+
+@seed(59)
+@given(
+    st.integers(min_value=2, max_value=7),
+    st.integers(min_value=0, max_value=2**31),
+    st.booleans(),
+)
+def test_nu_bracket_matches_scan_and_hull(n, key, normal):
+    rng = np.random.default_rng(key)
+    a = random_complex(rng, n, spread=float(rng.uniform(0.2, 1.5)))
+    if normal:
+        q = np.linalg.qr(a)[0]
+        a = q @ np.diag(np.linalg.eigvals(a)) @ q.conj().T
+    res = nu_fov(a)
+    scan = oracles.nu_scan(a)
+    assert res.value <= res.upper
+    assert scan - 1e-12 <= res.value <= scan + 1e-9
+    assert res.upper - res.value <= _zero_tol(a)
+    assert res.value <= oracles.hull_distance(fov_boundary(a, 2000).points) + 1e-12
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.array([[1.0, 2.0], [0.0, 1.0]]),
+        np.diag([2 + 1j, 1 - 2j]),
+        np.exp(2.0j) * np.array([[1.0, 1.0], [0.0, 1.0]]),
+        np.diag([1 + 0.5j, 2 - 0.5j, 3 + 0.25j]),  # the gallery's diag_complex
+        random_complex(np.random.default_rng(61), 128),
+    ],
+    ids=["disk_rim", "normal_kink", "rotated_jordan", "diag_complex", "random128"],
+)
+def test_nu_eigensolve_count(a, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(m):
+        calls.append(None)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    res = nu_fov(a)
+    assert len(calls) <= 20
+    if a.shape[0] == 128:
+        assert res.value > 0.0
 
 
 def test_nu_inverse_examples():
