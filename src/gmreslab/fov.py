@@ -4,7 +4,11 @@ The field of values of A is the set of Rayleigh quotients
 ``F(A) = { <Av, v> / <v, v> : v != 0 }``, a convex compact subset of the
 complex plane.  With ``A = H + iS`` (H, S Hermitian), the top eigenvalue
 of ``H(theta) = cos(theta) H + sin(theta) S`` is the support function of
-F(A) in direction ``theta``.  The distance from the origin,
+F(A) in direction ``theta``.  ``fov_boundary`` walks the angles in order
+and predicts each top eigenpair from the last ones by Rayleigh-Ritz; one
+Cholesky factorization certifies the prediction to ``_zero_tol`` and
+refines it, and only where it fails does a full eigensolve run.  For real
+A the angles past pi mirror those below it.  The distance from the origin,
 ``nu(F(A)) = max(0, max_theta lambda_min(H(theta)))``, is the Crawford
 number of the pair (H, S); ``nu_fov`` finds it by safeguarded Newton steps
 on the concave part and brackets it by the hull of the Rayleigh quotients
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from . import dense_core
 from .dense_core import as_matrix
@@ -45,6 +49,8 @@ _START_ANGLES = 8
 _MAX_EVALS = 64
 # Offsets closer than this to an evaluated angle count as evaluated.
 _ANGLE_EPS = 8.0 * np.spacing(2.0 * np.pi)
+# Top eigenvectors of the last angles whose span predicts the next one.
+_HISTORY = 8
 
 
 @dataclass(frozen=True)
@@ -126,29 +132,90 @@ def _one_eigenpair(h: np.ndarray, index: int, vectors: bool):
     return float(w[0]), (z[:, 0] if vectors else None)
 
 
+def _warm_top_pair(h: np.ndarray, history: np.ndarray, tol: float):
+    """Top eigenpair of ``h`` from the span of ``history``, or None.
+
+    Rayleigh-Ritz on the span gives a Ritz value ``ritz <= lambda_max(h)``.
+    A Cholesky factor of ``(ritz + tol) I - h`` proves ``lambda_max < ritz +
+    tol``, and one inverse-iteration step with it refines the Ritz vector,
+    whose Rayleigh quotient can only rise.  Returns that quotient and the
+    unit vector, or None when the factorization fails.
+    """
+    q = lapack.zungqr(*lapack.zgeqrf(history)[:2], overwrite_a=1)[0]
+    k = q.shape[1]
+    ritz = blas.zgemm(1.0, q, h @ q, trans_a=2)
+    w, z, _, _, info = lapack.zheevx(ritz, 1, "I", il=k, iu=k, overwrite_a=1)
+    if info != 0:
+        return None
+    shifted = -h
+    shifted.flat[:: h.shape[0] + 1] += w[0] + tol
+    factor, info = lapack.zpotrf(shifted, clean=0, overwrite_a=1)
+    if info != 0:
+        return None
+    x = lapack.zpotrs(factor, q @ z, overwrite_b=1)[0][:, 0]
+    x /= np.sqrt(np.vdot(x, x).real)
+    return float(np.vdot(x, h @ x).real), x
+
+
 def fov_boundary(a, m: int) -> FovBoundary:
     """Sample the boundary of F(A) at ``m >= 8`` equispaced directions.
 
-    Each angle costs one top eigenpair of ``H(theta)``, whose eigenvector's
-    Rayleigh quotient is the boundary point.  As ``H(theta + pi) =
-    -H(theta)``, an even ``m`` reads ``support_min`` off the opposite angle;
-    an odd ``m`` pays one more eigenvalue per angle.
+    Each angle needs the top eigenpair of ``H(theta)``; the Rayleigh
+    quotient of its eigenvector is the boundary point.  The angles are
+    walked in order.  Rayleigh-Ritz on the span of the last 8 top
+    eigenvectors gives ``ritz <= lambda_max``, one Cholesky factorization
+    of ``(ritz + tau) I - H(theta)``, ``tau = _zero_tol``, certifies
+    ``lambda_max < ritz + tau``, and one inverse-iteration step with that
+    factor gives the vector.  Its Rayleigh quotients are the point and
+    ``support_max``, which therefore lies within ``tau`` below
+    ``lambda_max``.  Where the factorization fails (too little history, a
+    crossing of the top branch, a nearly double top eigenvalue), and at
+    every angle when ``n <= 8``, the top eigenpair comes from one ``heevr``
+    call.
+
+    For real A, ``H(2 pi - theta) = conj(H(theta))``: only the angles up to
+    pi are solved, and the rest are mirrored (the point conjugated).  As
+    ``H(theta + pi) = -H(theta)``, an even ``m`` reads ``support_min`` off
+    the opposite angle; an odd ``m`` pays one more eigenvalue per angle.
     """
     mat = as_matrix(a)
     if m < 8:
         raise ValueError("boundary sampling needs at least 8 angles")
     n = mat.shape[0]
+    # an exact power-of-two scale keeps the inverse iteration in range
+    e = int(np.frexp(max(np.abs(mat.real).max(), np.abs(mat.imag).max()))[1])
+    mat = np.ldexp(mat.real, -e) + 1j * np.ldexp(mat.imag, -e)
+    herm = np.asfortranarray(dense_core.hermitian_part(mat))
+    skew = np.asfortranarray(dense_core.hermitian_part(-1j * mat))
+    tol = _zero_tol(mat)
     angles = _TWO_PI * np.arange(m) / m
+    cosines, sines = np.cos(angles), np.sin(angles)
+    solved = m // 2 + 1 if not mat.imag.any() else m
     points = np.empty(m, dtype=np.complex128)
     support_max, support_min = np.empty(m), np.empty(m)
-    for j, theta in enumerate(angles):
-        h = rotated_hermitian_part(mat, theta)
-        support_max[j], v = _one_eigenpair(h, n, True)
+    # with n <= _HISTORY the span is the whole space: solve H(theta) itself
+    warm = n > _HISTORY
+    history = np.empty((n, _HISTORY), dtype=np.complex128, order="F")
+    for j in range(solved):
+        h = cosines[j] * herm + sines[j] * skew
+        pair = None
+        if warm and j:
+            pair = _warm_top_pair(h, history[:, : min(j, _HISTORY)], tol)
+        support_max[j], v = pair or _one_eigenpair(h, n, True)
         points[j] = np.vdot(v, mat @ v)
+        # Rayleigh-Ritz needs the span of the history, not its order
+        history[:, j % _HISTORY] = v
         if m % 2:
             support_min[j] = _one_eigenpair(h, 1, False)[0]
-    if m % 2 == 0:
+    mirror = slice(m - solved, 0, -1)
+    support_max[solved:] = support_max[mirror]
+    points[solved:] = np.conj(points[mirror])
+    if m % 2:
+        support_min[solved:] = support_min[mirror]
+    else:
         support_min = -np.roll(support_max, -(m // 2))
+    points = np.ldexp(points.real, e) + 1j * np.ldexp(points.imag, e)
+    support_max, support_min = np.ldexp(support_max, e), np.ldexp(support_min, e)
     return FovBoundary(angles, points, support_max, support_min)
 
 
@@ -191,14 +258,19 @@ def nu_fov(a) -> NuResult:
     matrices), that to bisection.  The loop stops once ``upper - value <=
     _zero_tol``.  The witness is the best angle's eigenvector.
     """
-    mat = as_matrix(a)
+    return _nu_fov(as_matrix(a))[0]
+
+
+def _nu_fov(mat: np.ndarray):
+    """``nu_fov`` and ``lambda_min`` of the Hermitian part, its first
+    evaluation (``theta = 0``, where ``H(0)`` is the Hermitian part)."""
     herm = dense_core.hermitian_part(mat)
     skew = dense_core.hermitian_part(-1j * mat)
     tol = _zero_tol(mat)
     angles, points = [], []
     best = None  # (g, g', g'', eigenvector, angle) at the best angle
 
-    def evaluate(theta: float) -> None:
+    def evaluate(theta: float) -> float:
         nonlocal best
         c, s = np.cos(theta), np.sin(theta)
         w, v = np.linalg.eigh(c * herm + s * skew)
@@ -210,14 +282,17 @@ def nu_fov(a) -> NuResult:
         angles.append(theta)
         if best is None or w[0] > best[0]:
             best = (w[0], du[0].real, -w[0] - 2.0 * coupling.sum(), v[:, 0], theta)
+        return float(w[0])
 
-    for theta in _TWO_PI * np.arange(_START_ANGLES) / _START_ANGLES:
+    starts = _TWO_PI * np.arange(_START_ANGLES) / _START_ANGLES
+    lambda_min_h = evaluate(starts[0])
+    for theta in starts[1:]:
         evaluate(theta)
     while True:
         near = _hull_nearest(np.asarray(points))
         upper, theta_b = abs(near), best[4]
         if upper <= tol:
-            return NuResult(0.0, theta_b % _TWO_PI, None, upper)
+            return NuResult(0.0, theta_b % _TWO_PI, None, upper), lambda_min_h
         if best[0] > 0.0 and upper - best[0] <= tol or len(angles) >= _MAX_EVALS:
             break
         if best[0] <= 0.0:
@@ -234,7 +309,7 @@ def nu_fov(a) -> NuResult:
         evaluate(theta_b + step)
     value = max(float(best[0]), 0.0)
     witness = best[3] if value > 0.0 else None
-    return NuResult(value, theta_b % _TWO_PI, witness, max(upper, value))
+    return NuResult(value, theta_b % _TWO_PI, witness, max(upper, value)), lambda_min_h
 
 
 def _nu_inverse(mat: np.ndarray, nu_a: float) -> float:
@@ -259,9 +334,7 @@ def nu_fov_inverse(a) -> float:
 def fov_summary(a) -> FovSummary:
     """Bundle the field-of-values quantities used by the bound evaluations."""
     mat = as_matrix(a)
-    m_part = dense_core.hermitian_part(mat)
-    lambda_min_m = float(dense_core.eig_hermitian(m_part).values[0])
-    nu_a = nu_fov(mat)
+    nu_a, lambda_min_m = _nu_fov(mat)
     return FovSummary(
         nu_a=nu_a.value,
         nu_ainv=_nu_inverse(mat, nu_a.value),

@@ -239,8 +239,9 @@ def _dual_lower_bound(powers: np.ndarray, y: np.ndarray, d: np.ndarray) -> float
 def ideal_gmres(a, k: int, opts: Optional[SolverOptions] = None) -> MinimaxResult:
     """Minimize ``||p(A)||`` over polynomials p in pi_k.
 
-    Starts from ``(1 - alpha z)^k`` with alpha from :func:`one_step_ideal`,
-    so the value never exceeds ``one_step_ideal(A).value ** k``.  The value
+    Depth 1 is the one-step solve of :func:`one_step_ideal` itself.  Deeper,
+    the solve starts from ``(1 - alpha z)^k`` with alpha its optimum, so
+    the value never exceeds ``one_step_ideal(A).value ** k``.  The value
     is the spectral norm of the returned polynomial (an upper bound on the
     true minimum) and the lower bound is a norm-duality certificate.  When
     the gap exceeds ``opts.tolerance`` the result is flagged non-certified
@@ -249,8 +250,10 @@ def ideal_gmres(a, k: int, opts: Optional[SolverOptions] = None) -> MinimaxResul
     mat = as_matrix(a)
     k = _check_depth(k)
     opts = opts or SolverOptions()
-    alpha = one_step_ideal(mat).alpha
-    coeffs, lower = _minimize_norm(mat, k, _damped_power_coefficients(alpha, k))
+    coeffs, lower = _minimize_norm(mat, 1, 0.0)
+    if k > 1:
+        alpha = -complex(coeffs[0])
+        coeffs, lower = _minimize_norm(mat, k, _damped_power_coefficients(alpha, k))
     p_best = dense_core.evaluate_residual_polynomial(mat, coeffs)
     upper, _, witness = dense_core.top_singular_triple(p_best)
     lower = float(min(lower, upper))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from gmreslab import (
     ZeroVector,
@@ -87,18 +88,105 @@ def test_boundary_jordan_is_a_disk(jordan_block):
     assert np.max(np.abs(cloud - 1.0)) <= 0.5 + 1e-9
 
 
-@pytest.mark.parametrize("m", [720, 9])
-def test_boundary_matches_batched_eigensolves(m):
-    a = random_complex(np.random.default_rng(53), 7)
-    b = fov_boundary(a, m)
+def _toh(eps):
+    return np.array(
+        [[1, eps, 0, 0], [0, -1, 1 / eps, 0], [0, 0, 1, eps], [0, 0, 0, -1]],
+        dtype=np.complex128,
+    )
+
+
+def _assert_matches_eigensolves(a, b):
+    """Support values within 1e-12 of batched eigvalsh, each point on the
+    supporting line of its angle within 1e-10."""
     phases = np.exp(-1j * b.angles)[:, None, None]
     stack = 0.5 * (phases * a + np.conj(phases) * a.conj().T)
     values = np.linalg.eigvalsh(stack)
     assert np.max(np.abs(b.support_min - values[:, 0])) <= 1e-12
     assert np.max(np.abs(b.support_max - values[:, -1])) <= 1e-12
-    # each point is a boundary point on the supporting line of its angle
     support = (np.exp(-1j * b.angles) * b.points).real
     assert np.max(np.abs(support - b.support_max)) <= 1e-10
+
+
+_SMALL_CASES = {
+    "normal_kink": np.diag([2 + 1j, 1 - 2j]),
+    "segment": np.diag([0.0, 2.0]),
+    "jordan_blocks": np.kron(np.eye(3), [[1.0, 1.0], [0.0, 1.0]]),
+    "toh_0.1": _toh(0.1),
+}
+
+
+@pytest.mark.parametrize(
+    "a, m",
+    [
+        pytest.param(random_complex(np.random.default_rng(53), 7), 720, id="720"),
+        pytest.param(random_complex(np.random.default_rng(53), 7), 9, id="9"),
+        pytest.param(
+            np.random.default_rng(67).standard_normal((12, 12)), 720, id="real12"
+        ),
+    ]
+    + [pytest.param(a, 720, id=name) for name, a in _SMALL_CASES.items()]
+    # n <= 8 solves every angle directly; five copies put the same field of
+    # values, with a multiple top eigenvalue, on the warm-started path
+    + [
+        pytest.param(np.kron(np.eye(5), a), 720, id=f"{name}_x5")
+        for name, a in _SMALL_CASES.items()
+    ],
+)
+def test_boundary_matches_batched_eigensolves(a, m):
+    _assert_matches_eigensolves(a, fov_boundary(a, m))
+
+
+@seed(71)
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=0, max_value=2**31),
+    st.sampled_from(["random", "normal", "real"]),
+    st.sampled_from([8, 9, 720]),
+)
+def test_boundary_matches_eigensolves_on_random_inputs(n, key, kind, m):
+    rng = np.random.default_rng(key)
+    a = random_complex(rng, n, spread=float(rng.uniform(0.2, 1.5)))
+    if kind == "normal":
+        q = np.linalg.qr(a)[0]
+        a = q @ np.diag(np.linalg.eigvals(a)) @ q.conj().T
+    elif kind == "real":
+        a = a.real
+    _assert_matches_eigensolves(a, fov_boundary(a, m))
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    routine = getattr(lapack, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return routine(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_boundary_needs_few_full_eigensolves(kind, monkeypatch):
+    a = random_complex(np.random.default_rng(73), 64)
+    if kind == "real":
+        a = a.real
+    calls = _count_calls(monkeypatch, "zheevr")
+    b = fov_boundary(a, 720)
+    assert len(calls) <= 16
+    _assert_matches_eigensolves(a, b)
+
+
+def test_boundary_falls_back_when_the_certificate_fails(monkeypatch):
+    def failing(a, **kwargs):
+        return a, 1
+
+    monkeypatch.setattr(lapack, "zpotrf", failing)
+    calls = _count_calls(monkeypatch, "zheevr")
+    a = random_complex(np.random.default_rng(79), 12)
+    b = fov_boundary(a, 720)
+    assert len(calls) == 720
+    _assert_matches_eigensolves(a, b)
 
 
 def test_boundary_rejects_tiny_sample_counts(jordan_block):
