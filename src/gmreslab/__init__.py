@@ -7,9 +7,7 @@ checks the classical convergence bounds against all three.
 """
 
 from .bounds import (
-    DEFAULT_SLACKS,
     BoundsReport,
-    ChainSlacks,
     Verdict,
     elman_bound,
     starke_bound,
@@ -43,14 +41,12 @@ from .fov import (
     nu_fov,
     nu_fov_inverse,
     rayleigh,
-    support_extremes,
 )
 from .krylov import gmres_residuals
 from .matrices import MatrixSpec, generate_matrix
 from .minimax import (
     MinimaxResult,
     OneStepIdealResult,
-    SolverOptions,
     ideal_gmres,
     one_step_ideal,
     scalar_minimax_oracle,
@@ -83,7 +79,6 @@ __all__ = [
     "FovSummary",
     "NuResult",
     "rayleigh",
-    "support_extremes",
     "fov_boundary",
     "nu_fov",
     "nu_fov_inverse",
@@ -91,7 +86,6 @@ __all__ = [
     # Krylov / GMRES
     "gmres_residuals",
     # minimization
-    "SolverOptions",
     "MinimaxResult",
     "OneStepIdealResult",
     "ideal_gmres",
@@ -99,8 +93,6 @@ __all__ = [
     "one_step_ideal",
     "scalar_minimax_oracle",
     # bounds
-    "ChainSlacks",
-    "DEFAULT_SLACKS",
     "Verdict",
     "BoundsReport",
     "elman_bound",

@@ -11,24 +11,24 @@ Two classical convergence bounds for GMRES are evaluated:
 ``verify_chain`` checks both bounds, at the requested depth, not just
 against sampled GMRES residual ratios but against the computed worst-case
 and ideal GMRES values, and records a signed margin per inequality.  The
-permitted slacks are configuration, not constants buried in code paths.
+slacks of the verdicts are constants of the method: 1e-6 where a solver
+value is compared, 1e-8 where only bounds are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from . import dense_core, fov
 from .dense_core import as_matrix
+from .errors import check_seed
 from .krylov import gmres_residuals
-from .minimax import MinimaxResult, SolverOptions, ideal_gmres, worst_case_gmres
+from .minimax import ideal_gmres, worst_case_gmres
 
 __all__ = [
-    "ChainSlacks",
-    "DEFAULT_SLACKS",
     "Verdict",
     "BoundsReport",
     "elman_bound",
@@ -37,26 +37,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChainSlacks:
-    """Additive slacks for the inequality verdicts plus the PD gate.
-
-    The finite-precision checks accept ``lhs <= rhs + slack``.  The solver
-    comparisons get 1e-6 (they involve iterative optimization); the bound
-    comparisons get 1e-8 (they involve only eigensolves and square roots).
-    ``pd_floor`` gates positive definiteness of the Hermitian part,
-    relative to its spectral norm.
-    """
-
-    gmres_vs_worst: float = 1e-6
-    worst_vs_ideal: float = 1e-6
-    ideal_vs_starke: float = 1e-8
-    ideal_vs_elman: float = 1e-8
-    starke_vs_elman: float = 1e-8
-    pd_floor: float = 1e-12
-
-
-DEFAULT_SLACKS = ChainSlacks()
+# The verdicts accept ``lhs <= rhs + slack``.  Comparisons with a solver
+# value (iterative optimization) get the first slack; comparisons between
+# the ideal value and the bounds, or between the bounds (eigensolves and
+# square roots only), get the second.
+_SOLVER_SLACK = 1e-6
+_BOUND_SLACK = 1e-8
+# Positive definiteness gate of the Hermitian part, relative to its norm.
+_PD_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -124,15 +112,15 @@ class BoundsReport:
         }
 
 
-def elman_bound(a, k: int, slacks: ChainSlacks = DEFAULT_SLACKS) -> Optional[float]:
+def elman_bound(a, k: int) -> Optional[float]:
     """Elman bound at depth k, or None when the Hermitian part is not
-    positive definite (gated at ``lambda_min(M) > pd_floor * ||M||``)."""
+    positive definite (gated at ``lambda_min(M) > 1e-12 ||M||``)."""
     mat = as_matrix(a)
     m_part = dense_core.hermitian_part(mat)
     spectrum = dense_core.eig_hermitian(m_part)
     lam_min = float(spectrum.values[0])
     scale = max(abs(float(spectrum.values[0])), abs(float(spectrum.values[-1])))
-    if scale == 0.0 or lam_min <= slacks.pd_floor * scale:
+    if scale == 0.0 or lam_min <= _PD_FLOOR * scale:
         return None
     norm_a = dense_core.spectral_norm(mat)
     arg = 1.0 - (lam_min / norm_a) ** 2
@@ -160,8 +148,7 @@ def verify_chain(
     a,
     k: int,
     trials: int,
-    opts: Optional[SolverOptions] = None,
-    slacks: ChainSlacks = DEFAULT_SLACKS,
+    seed: int = 0,
     fov_data: Optional[fov.FovSummary] = None,
 ) -> BoundsReport:
     """Verify the residual inequality chain at depth k.
@@ -174,7 +161,8 @@ def verify_chain(
 
     The sampled residuals are fed to the worst-case solver as extra starts,
     so the first verdict cannot fail merely because the ascent missed the
-    sampled directions.  Deterministic given ``opts.seed``.
+    sampled directions.  Deterministic given ``seed``, a non-negative int
+    from which the sampling and the ascent draw separate streams.
     """
     mat = as_matrix(a)
     k = int(k)
@@ -182,56 +170,49 @@ def verify_chain(
         raise ValueError("depth must be at least 1")
     if trials < 1:
         raise ValueError("need at least one trial residual")
-    opts = opts or SolverOptions()
+    check_seed(seed)
     n = mat.shape[0]
 
     if fov_data is None:
         fov_data = fov.fov_summary(mat)
-    elman = elman_bound(mat, k, slacks)
+    elman = elman_bound(mat, k)
     starke = starke_bound(mat, k, fov_data)
     norm_a = dense_core.spectral_norm(mat)
 
-    rng = np.random.default_rng(
-        np.random.SeedSequence(opts.seed, spawn_key=(101, k))
-    )
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101, k)))
     r0_block = rng.standard_normal((n, trials)) + 1j * rng.standard_normal((n, trials))
     k_eff = min(k, n)
     ratios = gmres_residuals(mat, r0_block, k_eff)[k_eff].tolist()
 
-    ideal = ideal_gmres(mat, k, opts)
+    ideal = ideal_gmres(mat, k)
     extra = [r0_block[:, t] for t in range(trials)]
     extra.append(ideal.witness_vector)
     if fov_data.witness_vector is not None:
         extra.append(fov_data.witness_vector)
-    worst = worst_case_gmres(
-        mat,
-        k,
-        replace(opts, seed=_derived_seed(opts.seed, 202, k)),
-        extra_starts=extra,
-    )
+    worst = worst_case_gmres(mat, k, _derived_seed(seed, 202, k), extra_starts=extra)
 
     gmres_max = max(ratios)
     verdicts = {
         "gmres_le_worst_case": Verdict(
-            gmres_max <= worst.value + slacks.gmres_vs_worst,
+            gmres_max <= worst.value + _SOLVER_SLACK,
             worst.value - gmres_max,
         ),
         "worst_case_le_ideal": Verdict(
-            worst.value <= ideal.value + slacks.worst_vs_ideal,
+            worst.value <= ideal.value + _SOLVER_SLACK,
             ideal.value - worst.value,
         ),
         "ideal_le_starke": Verdict(
-            ideal.value <= starke + slacks.ideal_vs_starke,
+            ideal.value <= starke + _BOUND_SLACK,
             starke - ideal.value,
         ),
     }
     if elman is not None:
         verdicts["ideal_le_elman"] = Verdict(
-            ideal.value <= elman + slacks.ideal_vs_elman,
+            ideal.value <= elman + _BOUND_SLACK,
             elman - ideal.value,
         )
         verdicts["starke_le_elman"] = Verdict(
-            starke <= elman + slacks.starke_vs_elman,
+            starke <= elman + _BOUND_SLACK,
             elman - starke,
         )
 

@@ -19,6 +19,7 @@ from .errors import NoConvergence, NotHermitian
 __all__ = [
     "EigenSpectrum",
     "as_matrix",
+    "binary_scaled",
     "hermitian_part",
     "eig_hermitian",
     "spectral_norm",
@@ -99,13 +100,17 @@ def eig_hermitian(m) -> EigenSpectrum:
     return EigenSpectrum(values, vectors)
 
 
-def _scaled_gram_spectrum(a):
-    """``(S, e, spectrum of S^H S)`` with ``S = A / 2^e``, where ``2^e``
-    bounds the largest entry, so that ``S^H S`` neither overflows nor
-    underflows.  Scaling by a power of two is exact."""
-    m = as_matrix(a)
+def binary_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(M / 2^e, e)`` for a complex array M, with ``2^e`` the power of two
+    just above its largest real or imaginary part, so that squares and
+    products of the scaled entries stay in range.  The scaling is exact."""
     e = int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
-    scaled = np.ldexp(m.real, -e) + 1j * np.ldexp(m.imag, -e)
+    return np.ldexp(m.real, -e) + 1j * np.ldexp(m.imag, -e), e
+
+
+def _scaled_gram_spectrum(a):
+    """``(S, e, spectrum of S^H S)`` with ``(S, e) = binary_scaled(A)``."""
+    scaled, e = binary_scaled(as_matrix(a))
     return scaled, e, eig_hermitian(scaled.conj().T @ scaled)
 
 

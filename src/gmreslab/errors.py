@@ -1,9 +1,10 @@
-"""Exception types shared across the lab, and its one integer check."""
+"""Exception types shared across the lab, and its integer checks."""
 
 from numbers import Integral
 
 __all__ = [
     "is_int",
+    "check_seed",
     "LabError",
     "ZeroVector",
     "NotHermitian",
@@ -61,7 +62,13 @@ class FileError(LabError):
 def is_int(value) -> bool:
     """True for integers, False for bools, floats, strings and the rest.
 
-    Every integer field of a config or of the solver options goes through
-    this check, so ``true``, ``1.5`` and ``"3"`` are rejected alike.
+    Every integer field of a config goes through this check, so ``true``,
+    ``1.5`` and ``"3"`` are rejected alike.
     """
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def check_seed(seed) -> None:
+    """Raise ValueError unless ``seed`` is a non-negative integer."""
+    if not is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")

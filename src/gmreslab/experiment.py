@@ -7,7 +7,6 @@ A config is a single JSON document.  Example::
       "depths": [1, 2],
       "trials": 20,
       "seed": 7,
-      "solver": {"starts": 16, "tolerance": 1e-4},
       "out_dir": "out",
       "plot": true,
       "strict": false
@@ -34,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -48,7 +47,7 @@ from .errors import (
     is_int,
 )
 from .matrices import MatrixSpec
-from .minimax import MAX_DEPTH, SolverOptions
+from .minimax import MAX_DEPTH
 
 __all__ = [
     "ExperimentConfig",
@@ -61,8 +60,6 @@ EXIT_BOUND_FAILED = 1
 EXIT_IO = 2
 EXIT_NOT_CERTIFIED = 3
 
-_SOLVER_KEYS = frozenset(f.name for f in dataclasses.fields(SolverOptions))
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -72,7 +69,6 @@ class ExperimentConfig:
     depths: Tuple[int, ...]
     trials: int = 20
     seed: int = 0
-    solver: SolverOptions = field(default_factory=SolverOptions)
     out_dir: str = "out"
     plot: bool = True
     strict: bool = False
@@ -87,15 +83,13 @@ class ExperimentConfig:
                 )
         if not is_int(self.trials) or self.trials < 1:
             raise InvalidSpec(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not is_int(self.seed) or self.seed < 0:
+            raise InvalidSpec(f"seed must be an integer >= 0, got {self.seed!r}")
         if not isinstance(self.out_dir, str):
             raise InvalidSpec(f"out_dir must be a string, got {self.out_dir!r}")
         for name in ("plot", "strict"):
             if not isinstance(getattr(self, name), bool):
                 raise InvalidSpec(f"{name} must be true or false")
-        try:
-            dataclasses.replace(self.solver, seed=self.seed)
-        except (TypeError, ValueError) as exc:
-            raise InvalidSpec(f"invalid seed: {exc}") from None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -113,18 +107,6 @@ class ExperimentConfig:
         if not isinstance(depths, (list, tuple)):
             raise InvalidSpec(f"depths must be a list, got {depths!r}")
         data["depths"] = tuple(depths)
-        solver_raw = data.get("solver", {})
-        if not isinstance(solver_raw, dict):
-            raise InvalidSpec("'solver' must be an object")
-        if "seed" in solver_raw:
-            raise InvalidSpec("solver options take no 'seed': set the top-level 'seed'")
-        bad = set(solver_raw) - _SOLVER_KEYS
-        if bad:
-            raise InvalidSpec(f"unknown solver options: {sorted(bad)}")
-        try:
-            data["solver"] = SolverOptions(**solver_raw)
-        except (TypeError, ValueError) as exc:
-            raise InvalidSpec(f"invalid solver options: {exc}") from None
         return cls(**data)
 
 
@@ -153,10 +135,9 @@ def _run_validated(cfg: ExperimentConfig) -> int:
         if k > n:
             raise InvalidSpec(f"depth {k} exceeds matrix dimension {n}")
 
-    opts = dataclasses.replace(cfg.solver, seed=cfg.seed)
     fov_data = fov.fov_summary(a)
     reports = [
-        bounds.verify_chain(a, k, cfg.trials, opts=opts, fov_data=fov_data)
+        bounds.verify_chain(a, k, cfg.trials, cfg.seed, fov_data=fov_data)
         for k in sorted(cfg.depths)
     ]
 

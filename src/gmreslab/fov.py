@@ -19,6 +19,7 @@ where ``nu(F(A)) > 0`` guarantees ``||A^{-1}|| <= 1 / nu(F(A))``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import ldexp
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -33,8 +34,6 @@ __all__ = [
     "FovSummary",
     "NuResult",
     "rayleigh",
-    "rotated_hermitian_part",
-    "support_extremes",
     "fov_boundary",
     "nu_fov",
     "nu_fov_inverse",
@@ -103,27 +102,6 @@ def rayleigh(a, v) -> complex:
     return complex(np.vdot(vec, m @ vec) / denom)
 
 
-def rotated_hermitian_part(a, theta: float) -> np.ndarray:
-    """``H(theta) = (e^{-i theta} A + e^{i theta} A^H) / 2``."""
-    return dense_core.hermitian_part(np.exp(-1j * theta) * as_matrix(a))
-
-
-def support_extremes(a, theta: float):
-    """Extreme eigenpairs of the rotated Hermitian part.
-
-    Returns ``(lambda_min, lambda_max, v_min, v_max)``.  ``lambda_max`` is the
-    support function of F(A) in direction ``theta``; ``rayleigh(a, v_max)``
-    is a boundary point of F(A).
-    """
-    spectrum = dense_core.eig_hermitian(rotated_hermitian_part(a, theta))
-    return (
-        float(spectrum.values[0]),
-        float(spectrum.values[-1]),
-        spectrum.vectors[:, 0],
-        spectrum.vectors[:, -1],
-    )
-
-
 def _one_eigenpair(h: np.ndarray, index: int, vectors: bool):
     """Eigenpair ``index`` (1-based, ascending) of a Hermitian ``h`` by ``heevr``."""
     w, z, _, _, info = lapack.zheevr(h, int(vectors), "I", il=index, iu=index)
@@ -183,8 +161,7 @@ def fov_boundary(a, m: int) -> FovBoundary:
         raise ValueError("boundary sampling needs at least 8 angles")
     n = mat.shape[0]
     # an exact power-of-two scale keeps the inverse iteration in range
-    e = int(np.frexp(max(np.abs(mat.real).max(), np.abs(mat.imag).max()))[1])
-    mat = np.ldexp(mat.real, -e) + 1j * np.ldexp(mat.imag, -e)
+    mat, e = dense_core.binary_scaled(mat)
     herm = np.asfortranarray(dense_core.hermitian_part(mat))
     skew = np.asfortranarray(dense_core.hermitian_part(-1j * mat))
     tol = _zero_tol(mat)
@@ -263,7 +240,13 @@ def nu_fov(a) -> NuResult:
 
 def _nu_fov(mat: np.ndarray):
     """``nu_fov`` and ``lambda_min`` of the Hermitian part, its first
-    evaluation (``theta = 0``, where ``H(0)`` is the Hermitian part)."""
+    evaluation (``theta = 0``, where ``H(0)`` is the Hermitian part).
+
+    The work runs on A scaled by a power of two, as in ``fov_boundary``, so
+    that the norm in ``_zero_tol`` and the squared distances of
+    ``_hull_nearest`` stay in range; the values are scaled back.
+    """
+    mat, e = dense_core.binary_scaled(mat)
     herm = dense_core.hermitian_part(mat)
     skew = dense_core.hermitian_part(-1j * mat)
     tol = _zero_tol(mat)
@@ -292,7 +275,8 @@ def _nu_fov(mat: np.ndarray):
         near = _hull_nearest(np.asarray(points))
         upper, theta_b = abs(near), best[4]
         if upper <= tol:
-            return NuResult(0.0, theta_b % _TWO_PI, None, upper), lambda_min_h
+            nu = NuResult(0.0, theta_b % _TWO_PI, None, ldexp(upper, e))
+            return nu, ldexp(lambda_min_h, e)
         if best[0] > 0.0 and upper - best[0] <= tol or len(angles) >= _MAX_EVALS:
             break
         if best[0] <= 0.0:
@@ -309,7 +293,9 @@ def _nu_fov(mat: np.ndarray):
         evaluate(theta_b + step)
     value = max(float(best[0]), 0.0)
     witness = best[3] if value > 0.0 else None
-    return NuResult(value, theta_b % _TWO_PI, witness, max(upper, value)), lambda_min_h
+    upper = max(upper, value)
+    nu = NuResult(ldexp(value, e), theta_b % _TWO_PI, witness, ldexp(upper, e))
+    return nu, ldexp(lambda_min_h, e)
 
 
 def _nu_inverse(mat: np.ndarray, nu_a: float) -> float:
@@ -318,9 +304,11 @@ def _nu_inverse(mat: np.ndarray, nu_a: float) -> float:
     With ``w = A v``, ``w^H A^{-1} w = conj(v^H A v)``, so the origin lies in
     F(A^{-1}) exactly when it lies in F(A), and the value is 0.  A singular
     A has 0 in F(A) as well.  A ``nu_a`` within ``_zero_tol``, as in
-    ``nu_fov``, counts as 0; above it ``||A^{-1}|| <= 1 / nu_a``.
+    ``nu_fov``, counts as 0; above it ``||A^{-1}|| <= 1 / nu_a``.  The test
+    runs on A scaled by a power of two, where the norm cannot overflow.
     """
-    if nu_a <= _zero_tol(mat):
+    scaled, e = dense_core.binary_scaled(mat)
+    if ldexp(nu_a, -e) <= _zero_tol(scaled):
         return 0.0
     return nu_fov(np.linalg.inv(mat)).value
 

@@ -29,6 +29,10 @@ exact gradient, by the envelope theorem ``(p_v(A)^H p_v(A) v - phi^2 v) /
 so no sphere constraint is needed.  Every evaluated candidate is a
 certified lower bound on the true worst case, so under-convergence is safe
 for the inequality checks downstream.
+
+The budgets are constants of the method: 16 ascent starts, 200 kernel
+evaluations, and a certification gap of 1e-4 for the ideal value.  The
+only input besides A and k is the worst case's integer seed.
 """
 
 from __future__ import annotations
@@ -42,12 +46,11 @@ from scipy import optimize
 
 from . import dense_core
 from .dense_core import as_matrix
-from .errors import BudgetExceeded, NoConvergence, is_int
+from .errors import BudgetExceeded, NoConvergence, check_seed
 from .krylov import min_residual_gradients, min_residual_values
 
 __all__ = [
     "MAX_DEPTH",
-    "SolverOptions",
     "MinimaxResult",
     "OneStepIdealResult",
     "ideal_gmres",
@@ -61,45 +64,16 @@ __all__ = [
 MAX_DEPTH = 8
 # _minimize_norm stops once the norm and its dual bound are this close.
 _GAP_TARGET = 1e-10
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Budget and determinism knobs of the minimax solvers.
-
-    ``ideal_gmres`` reads only ``tolerance``: its solver has no starts, no
-    randomness and a fixed convergence target.  The other fields steer the
-    ascent of ``worst_case_gmres``.
-
-    starts
-        Number of ascent starts, moved together as one block: the best of
-        the caller-supplied starts, the top right singular vector of A and
-        random unit vectors that fill the pool up to this size.
-    max_iters
-        Kernel-evaluation budget of the ascent, one kernel pass over the
-        candidate block each, shared by its two L-BFGS-B runs.  SciPy may
-        finish its current line search, at most 20 evaluations, past it.
-    seed
-        Root seed of the random ascent starts.
-    tolerance
-        Certification gap target: an ideal result is flagged certified when
-        ``upper_bound - lower_bound <= tolerance``.
-    """
-
-    starts: int = 16
-    max_iters: int = 200
-    seed: int = 0
-    tolerance: float = 1e-4
-
-    def __post_init__(self):
-        for name in ("starts", "max_iters", "seed"):
-            if not is_int(getattr(self, name)):
-                raise ValueError(f"SolverOptions.{name} must be an integer")
-        for name in ("starts", "max_iters", "tolerance"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"SolverOptions.{name} must be positive")
-        if self.seed < 0:
-            raise ValueError("SolverOptions.seed must be non-negative")
+# An ideal result is certified when its upper and lower bounds are this close.
+_CERTIFY_GAP = 1e-4
+# Ascent starts of worst_case_gmres, moved together as one block: the best of
+# the caller's starts, the top right singular vector of A and random unit
+# vectors that fill the pool up to this size.
+_ASCENT_STARTS = 16
+# Kernel evaluations of the ascent, one kernel pass over the block each,
+# shared by its two L-BFGS-B runs; SciPy may finish its current line
+# search, at most 20 evaluations, past it.
+_ASCENT_EVALS = 200
 
 
 @dataclass(frozen=True)
@@ -107,8 +81,9 @@ class MinimaxResult:
     """Outcome of one minimax solve.
 
     For ``ideal_gmres`` the value equals ``upper_bound`` (the norm of the
-    returned feasible polynomial) and ``lower_bound`` is the norm-duality
-    certificate of :func:`_dual_lower_bound`.  For ``worst_case_gmres`` the
+    returned feasible polynomial), ``lower_bound`` is the norm-duality
+    certificate of :func:`_dual_lower_bound`, and ``certified`` says the two
+    lie within 1e-4 of each other.  For ``worst_case_gmres`` the
     value is itself a certified lower bound on the true worst case;
     ``upper_bound`` is the trivial ceiling 1 and ``certified`` is False
     because that solver carries no two-sided certificate.
@@ -119,9 +94,7 @@ class MinimaxResult:
     witness_vector: np.ndarray
     lower_bound: float
     upper_bound: float
-    gap_tolerance: float
     certified: bool
-    starts_used: int
 
 
 class OneStepIdealResult(NamedTuple):
@@ -236,7 +209,7 @@ def _dual_lower_bound(powers: np.ndarray, y: np.ndarray, d: np.ndarray) -> float
     return max(abs(complex(np.trace(yp))) / nuclear - allowance, 0.0)
 
 
-def ideal_gmres(a, k: int, opts: Optional[SolverOptions] = None) -> MinimaxResult:
+def ideal_gmres(a, k: int) -> MinimaxResult:
     """Minimize ``||p(A)||`` over polynomials p in pi_k.
 
     Depth 1 is the one-step solve of :func:`one_step_ideal` itself.  Deeper,
@@ -244,12 +217,12 @@ def ideal_gmres(a, k: int, opts: Optional[SolverOptions] = None) -> MinimaxResul
     the value never exceeds ``one_step_ideal(A).value ** k``.  The value
     is the spectral norm of the returned polynomial (an upper bound on the
     true minimum) and the lower bound is a norm-duality certificate.  When
-    the gap exceeds ``opts.tolerance`` the result is flagged non-certified
-    but is still returned; both bounds remain sound.
+    the gap exceeds 1e-4 the result is flagged non-certified but is still
+    returned; both bounds remain sound.  The solve has no starts and no
+    randomness.
     """
     mat = as_matrix(a)
     k = _check_depth(k)
-    opts = opts or SolverOptions()
     coeffs, lower = _minimize_norm(mat, 1, 0.0)
     if k > 1:
         alpha = -complex(coeffs[0])
@@ -263,9 +236,7 @@ def ideal_gmres(a, k: int, opts: Optional[SolverOptions] = None) -> MinimaxResul
         witness_vector=witness,
         lower_bound=lower,
         upper_bound=upper,
-        gap_tolerance=opts.tolerance,
-        certified=bool(upper - lower <= opts.tolerance),
-        starts_used=1,
+        certified=bool(upper - lower <= _CERTIFY_GAP),
     )
 
 
@@ -299,7 +270,7 @@ def _ascend(mat: np.ndarray, v0: np.ndarray, k: int, budget: int):
 def worst_case_gmres(
     a,
     k: int,
-    opts: Optional[SolverOptions] = None,
+    seed: int = 0,
     extra_starts: Optional[Sequence[np.ndarray]] = None,
 ) -> MinimaxResult:
     """Maximize ``min over p in pi_k of ||p(A) v|| / ||v||`` over v != 0.
@@ -307,12 +278,13 @@ def worst_case_gmres(
     ``extra_starts`` lets callers seed the ascent with vectors they care
     about (sampled initial residuals, witnesses of other solves); every seed
     is at least evaluated, so the returned value is never smaller than the
-    best seed's ratio.  The value is a certified lower bound on the true
-    worst case; no upper-bound certificate is produced.
+    best seed's ratio.  ``seed`` (a non-negative int) roots the random
+    starts that fill the pool up to 16.  The value is a certified lower
+    bound on the true worst case; no upper-bound certificate is produced.
     """
     mat = as_matrix(a)
     k = _check_depth(k)
-    opts = opts or SolverOptions()
+    check_seed(seed)
     n = mat.shape[0]
 
     seeds: list[np.ndarray] = []
@@ -324,18 +296,18 @@ def worst_case_gmres(
 
     seeds.append(dense_core.top_singular_triple(mat)[2])
 
-    rng = np.random.default_rng(np.random.SeedSequence(opts.seed).spawn(1)[0])
-    while len(seeds) < opts.starts:
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    while len(seeds) < _ASCENT_STARTS:
         w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         seeds.append(w / np.linalg.norm(w))
 
     pool = np.column_stack(seeds)
     pool_values = min_residual_values(mat, pool, k)
-    order = np.argsort(-pool_values, kind="stable")[: opts.starts]
-    block, block_values, nfev = _ascend(mat, pool[:, order], k, opts.max_iters // 2)
+    order = np.argsort(-pool_values, kind="stable")[:_ASCENT_STARTS]
+    block, block_values, nfev = _ascend(mat, pool[:, order], k, _ASCENT_EVALS // 2)
     # The block run stops on the sum of phi^2; the best column goes on alone.
     best = block[:, [int(np.argmax(block_values))]]
-    best_v = _ascend(mat, best, k, max(opts.max_iters - nfev, 1))[0][:, 0]
+    best_v = _ascend(mat, best, k, max(_ASCENT_EVALS - nfev, 1))[0][:, 0]
     best_phi = float(min_residual_values(mat, best_v[:, None], k)[0])
     return MinimaxResult(
         value=best_phi,
@@ -343,9 +315,7 @@ def worst_case_gmres(
         witness_vector=best_v,
         lower_bound=best_phi,
         upper_bound=1.0,
-        gap_tolerance=opts.tolerance,
         certified=False,
-        starts_used=pool.shape[1],
     )
 
 

@@ -1,3 +1,10 @@
+import os
+
+# Hundreds of small BLAS calls per test pay for thread hand-off under
+# OpenBLAS's default thread count; one thread is several times faster.  Set
+# before numpy loads, and inherited by the subprocess tests.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 from hypothesis import settings

@@ -4,12 +4,12 @@ from hypothesis import given, seed
 from hypothesis import strategies as st
 
 from gmreslab import (
-    ChainSlacks,
     elman_bound,
     fov_summary,
     starke_bound,
     verify_chain,
 )
+from gmreslab import bounds
 from conftest import random_complex, random_nonsingular
 
 SQRT3_OVER_2 = np.sqrt(3.0) / 2.0
@@ -172,10 +172,10 @@ def test_verify_chain_respects_precomputed_fov():
     assert report.nu_ainv == data.nu_ainv
 
 
-def test_negative_slack_forces_failure():
+def test_negative_slack_forces_failure(monkeypatch):
     a = np.diag([1.0, 2.0])
-    hostile = ChainSlacks(gmres_vs_worst=-1.0)
-    report = verify_chain(a, 1, trials=3, slacks=hostile)
+    monkeypatch.setattr(bounds, "_SOLVER_SLACK", -1.0)
+    report = verify_chain(a, 1, trials=3)
     assert not report.verdicts["gmres_le_worst_case"].passed
     assert not report.all_passed
 

@@ -109,6 +109,13 @@ def test_out_of_range_depth_exits_two(tmp_path, capsys):
     assert "error: invalid depth 9" in capsys.readouterr().err
 
 
+def test_solver_key_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"matrix": {"family": "identity", "n": 2}, "solver": {}}))
+    assert main(["run", str(cfg)]) == 2
+    assert "unknown config keys: ['solver']" in capsys.readouterr().err
+
+
 def test_corrupt_matrix_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.mtx"
     bad.write_text("%%MatrixMarket matrix array real general\n2 2\n1.0\nbogus\n")

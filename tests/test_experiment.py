@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -8,7 +7,6 @@ from gmreslab import (
     ExperimentConfig,
     InvalidSpec,
     ParseError,
-    SolverOptions,
     load_config,
     run_experiment,
 )
@@ -34,19 +32,7 @@ def test_from_dict_defaults():
     assert cfg.depths == (1, 2, 3)
     assert cfg.trials == 20
     assert cfg.seed == 0
-    assert cfg.solver == SolverOptions()
     assert cfg.plot and not cfg.strict
-
-
-def test_from_dict_reads_solver_options():
-    cfg = ExperimentConfig.from_dict(
-        {
-            "matrix": {"family": "identity", "n": 2},
-            "solver": {"starts": 4, "tolerance": 1e-3},
-        }
-    )
-    assert cfg.solver.starts == 4
-    assert cfg.solver.tolerance == 1e-3
 
 
 @pytest.mark.parametrize(
@@ -80,6 +66,8 @@ def test_from_dict_reads_solver_options():
         {"matrix": {"family": "identity", "n": 2}, "seed": 0, "solver": {"seed": 5}},
         {"matrix": {"family": "identity", "n": 2}, "solver": {"ascent_step": 0.5}},
         {"matrix": {"family": "identity", "n": 2}, "solver": {"max_halvings": 25}},
+        {"matrix": {"family": "identity", "n": 2}, "solver": {}},
+        {"matrix": {"family": "identity", "n": 2}, "seed": True},
     ],
 )
 def test_from_dict_rejects_malformed(raw):

@@ -14,7 +14,6 @@ from gmreslab import (
     nu_fov_inverse,
     rayleigh,
     spectral_norm,
-    support_extremes,
 )
 from gmreslab.fov import _zero_tol
 from conftest import random_complex, random_nonsingular
@@ -43,28 +42,27 @@ def test_rayleigh_rejects_zero():
 
 
 def test_support_diag_theta_zero():
-    lo, hi, _, _ = support_extremes(np.diag([1.0, 3.0]), 0.0)
-    assert (lo, hi) == pytest.approx((1.0, 3.0))
+    b = fov_boundary(np.diag([1.0, 3.0]), 8)
+    assert (b.support_min[0], b.support_max[0]) == pytest.approx((1.0, 3.0))
 
 
 def test_support_diag_theta_pi():
-    lo, hi, _, _ = support_extremes(np.diag([1.0, 3.0]), np.pi)
-    assert (lo, hi) == pytest.approx((-3.0, -1.0))
+    b = fov_boundary(np.diag([1.0, 3.0]), 8)
+    assert (b.support_min[4], b.support_max[4]) == pytest.approx((-3.0, -1.0))
 
 
 def test_support_jordan(jordan_block):
     # the rotated Hermitian part at angle zero is [[1, .5], [.5, 1]]
-    lo, hi, _, _ = support_extremes(jordan_block, 0.0)
-    assert (lo, hi) == pytest.approx((0.5, 1.5))
+    b = fov_boundary(jordan_block, 8)
+    assert (b.support_min[0], b.support_max[0]) == pytest.approx((0.5, 1.5))
+    assert (b.support_min[4], b.support_max[4]) == pytest.approx((-1.5, -0.5))
 
 
 def test_support_witness_touches_boundary():
-    rng = np.random.default_rng(17)
-    a = random_complex(rng, 5)
-    for theta in (0.0, 1.0, 2.5):
-        _, hi, _, v_max = support_extremes(a, theta)
-        q = rayleigh(a, v_max)
-        assert (np.exp(-1j * theta) * q).real == pytest.approx(hi, abs=1e-10)
+    a = random_complex(np.random.default_rng(17), 5)
+    b = fov_boundary(a, 8)
+    support = (np.exp(-1j * b.angles) * b.points).real
+    assert np.max(np.abs(support - b.support_max)) <= 1e-10
 
 
 def test_boundary_of_identity_is_a_point():
@@ -273,6 +271,18 @@ def test_nu_eigensolve_count(a, monkeypatch):
     assert len(calls) <= 20
     if a.shape[0] == 128:
         assert res.value > 0.0
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e160, 1e200], ids=["1e-200", "1e160", "1e200"])
+def test_nu_at_extreme_magnitudes(c):
+    """nu_fov works on A scaled by a power of two, so neither the norm of
+    its zero tolerance nor the squared distances of its hull leave range,
+    and the inverse's zero test runs in the same frame."""
+    assert nu_fov(c * np.eye(3)).value == pytest.approx(c, rel=1e-12, abs=0.0)
+    data = fov_summary(c * np.diag([1.0, 2.0]))
+    assert data.nu_a == pytest.approx(c, rel=1e-12, abs=0.0)
+    assert data.lambda_min_m == pytest.approx(c, rel=1e-12, abs=0.0)
+    assert data.nu_ainv == pytest.approx(0.5 / c, rel=1e-12, abs=0.0)
 
 
 def test_nu_inverse_examples():

@@ -6,15 +6,15 @@ from hypothesis import strategies as st
 from gmreslab import (
     BudgetExceeded,
     MatrixSpec,
-    SolverOptions,
     generate_matrix,
     ideal_gmres,
     one_step_ideal,
     scalar_minimax_oracle,
     spectral_norm,
+    verify_chain,
     worst_case_gmres,
 )
-from gmreslab import krylov
+from gmreslab import krylov, minimax
 from gmreslab.dense_core import evaluate_residual_polynomial
 from conftest import random_complex
 import oracles
@@ -110,8 +110,8 @@ def test_ideal_depth_monotonicity():
 def test_ideal_deterministic_given_seed():
     rng = np.random.default_rng(39)
     a = random_complex(rng, 5)
-    first = ideal_gmres(a, 2, SolverOptions(seed=5))
-    second = ideal_gmres(a, 2, SolverOptions(seed=5))
+    first = ideal_gmres(a, 2)
+    second = ideal_gmres(a, 2)
     assert first.value == second.value
     assert np.array_equal(first.coefficients, second.coefficients)
     assert first.lower_bound == second.lower_bound
@@ -177,8 +177,8 @@ def test_worst_case_invariant_under_transpose_and_adjoint(eps):
 def test_worst_case_kernel_calls_do_not_grow_with_starts(starts, monkeypatch):
     """All starts ascend as one block: one kernel pass per L-BFGS-B
     evaluation, the block run and the best column's own run sharing
-    ``max_iters``, plus the pool evaluation and the final re-evaluation of
-    the witness."""
+    ``_ASCENT_EVALS``, plus the pool evaluation and the final re-evaluation
+    of the witness."""
     calls = []
     kernel = krylov._residual_curves
 
@@ -187,10 +187,10 @@ def test_worst_case_kernel_calls_do_not_grow_with_starts(starts, monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(krylov, "_residual_curves", counting)
+    monkeypatch.setattr(minimax, "_ASCENT_STARTS", starts)
     a = random_complex(np.random.default_rng(71), 8)
-    opts = SolverOptions(starts=starts)
-    worst_case_gmres(a, 3, opts)
-    assert 0 < len(calls) <= opts.max_iters + 2
+    worst_case_gmres(a, 3)
+    assert 0 < len(calls) <= minimax._ASCENT_EVALS + 2
 
 
 def test_sandwich_worst_below_ideal():
@@ -293,14 +293,10 @@ def test_diagonal_ideal_matches_scalar_oracle(n, k, key):
     assert res.lower_bound <= want + 1e-6
 
 
-def test_solver_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(starts=0)
-    with pytest.raises(ValueError):
-        SolverOptions(tolerance=-1.0)
-    with pytest.raises(ValueError):
-        SolverOptions(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverOptions(starts=2.5)
-    with pytest.raises(ValueError):
-        SolverOptions(seed=True)
+def test_seed_validation():
+    a = np.diag([1.0, 2.0])
+    for bad in (True, -1, 1.5, "3"):
+        with pytest.raises(ValueError):
+            worst_case_gmres(a, 1, seed=bad)
+        with pytest.raises(ValueError):
+            verify_chain(a, 1, trials=3, seed=bad)
