@@ -70,7 +70,7 @@ class BoundsReport:
     nu_a: float
     nu_ainv: float
     lambda_min_m: float
-    lambda_max_aha: float
+    lambda_max_aha: Optional[float]  # ||A||^2; None where it overflows
     verdicts: Dict[str, Verdict]
 
     @property
@@ -114,8 +114,10 @@ class BoundsReport:
 
 def elman_bound(a, k: int) -> Optional[float]:
     """Elman bound at depth k, or None when the Hermitian part is not
-    positive definite (gated at ``lambda_min(M) > 1e-12 ||M||``)."""
-    mat = as_matrix(a)
+    positive definite (gated at ``lambda_min(M) > 1e-12 ||M||``).  A is
+    scaled by a power of two first, which leaves ``lambda_min(M) / ||A||``
+    unchanged and keeps the eigensolve in range."""
+    mat = dense_core.binary_scaled(as_matrix(a))[0]
     m_part = dense_core.hermitian_part(mat)
     spectrum = dense_core.eig_hermitian(m_part)
     lam_min = float(spectrum.values[0])
@@ -178,6 +180,7 @@ def verify_chain(
     elman = elman_bound(mat, k)
     starke = starke_bound(mat, k, fov_data)
     norm_a = dense_core.spectral_norm(mat)
+    aha = norm_a * norm_a  # a Python float: inf, not an error, on overflow
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101, k)))
     r0_block = rng.standard_normal((n, trials)) + 1j * rng.standard_normal((n, trials))
@@ -228,6 +231,6 @@ def verify_chain(
         nu_a=fov_data.nu_a,
         nu_ainv=fov_data.nu_ainv,
         lambda_min_m=fov_data.lambda_min_m,
-        lambda_max_aha=float(norm_a**2),
+        lambda_max_aha=aha if np.isfinite(aha) else None,
         verdicts=verdicts,
     )

@@ -11,7 +11,8 @@ Four subcommands::
 
 Flags override config fields.  Exit codes follow the experiment runner:
 0 all checks passed, 1 an inequality failed beyond slack, 2 I/O or parse
-trouble, 3 non-certified result under --strict.
+trouble, 3 non-certified result under --strict, 4 a solver or kernel
+failure.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import sys
 from typing import List, Optional
 
 from . import experiment, fov, mmio
-from .errors import FileError, InvalidSpec, ParseError, UnsupportedFormat
-from .experiment import EXIT_IO, EXIT_NOT_CERTIFIED, EXIT_OK
+from .errors import FileError, InvalidSpec, LabError, ParseError, UnsupportedFormat
+from .experiment import EXIT_IO, EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_SOLVER_FAILED
 from .minimax import MAX_DEPTH, ideal_gmres
 from .reporting import format_real
 
@@ -125,7 +126,7 @@ def _summarize(cfg: experiment.ExperimentConfig, code: int) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = experiment.load_config(args.config, overrides=_overrides_from(args))
     code = experiment.run_experiment(cfg)
-    if code != EXIT_IO:
+    if code not in (EXIT_IO, EXIT_SOLVER_FAILED):
         _summarize(cfg, code)
     return code
 
@@ -134,7 +135,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     raw = {k: v for k, v in _overrides_from(args).items() if v is not None}
     cfg = experiment.ExperimentConfig.from_dict(raw)
     code = experiment.run_experiment(cfg)
-    if code != EXIT_IO:
+    if code not in (EXIT_IO, EXIT_SOLVER_FAILED):
         _summarize(cfg, code)
     return code
 
@@ -188,9 +189,12 @@ def _cmd_ideal(args: argparse.Namespace) -> int:
     print(f"certified lower bound = {format_real(result.lower_bound)}")
     print(f"gap = {format_real(result.upper_bound - result.lower_bound)}")
     print(f"certified = {'yes' if result.certified else 'no'}")
-    print("residual polynomial 1 + c1*z + ... coefficients:")
-    for j, c in enumerate(result.coefficients, start=1):
-        print(f"  c{j} = {format_real(c.real)} + {format_real(c.imag)}j")
+    if result.coefficients is None:
+        print("residual polynomial coefficients: outside the float range")
+    else:
+        print("residual polynomial 1 + c1*z + ... coefficients:")
+        for j, c in enumerate(result.coefficients, start=1):
+            print(f"  c{j} = {format_real(c.real)} + {format_real(c.imag)}j")
     if args.strict and not result.certified:
         return EXIT_NOT_CERTIFIED
     return EXIT_OK
@@ -204,6 +208,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ParseError, UnsupportedFormat, FileError, InvalidSpec) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except LabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_FAILED
 
 
 if __name__ == "__main__":  # pragma: no cover

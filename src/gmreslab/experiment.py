@@ -26,6 +26,9 @@ Exit codes returned by :func:`run_experiment`:
     configuration, I/O, or parse problem.
 3
     strict mode and at least one minimization came back non-certified.
+4
+    a solver or kernel failed (any other :class:`LabError`, such as
+    ``NoConvergence``); no report is written.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ EXIT_OK = 0
 EXIT_BOUND_FAILED = 1
 EXIT_IO = 2
 EXIT_NOT_CERTIFIED = 3
+EXIT_SOLVER_FAILED = 4
 
 
 @dataclass(frozen=True)
@@ -168,7 +172,5 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except LabError as exc:
-        # Anything else escaping the kernels means a solver bug, which is
-        # what a failed inequality would indicate as well.
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUND_FAILED
+        return EXIT_SOLVER_FAILED

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dense_core import as_matrix
+from .dense_core import as_matrix, binary_scaled
 from .errors import ZeroVector
 
 __all__ = [
@@ -40,6 +40,11 @@ def _residual_curves(mat: np.ndarray, batch: np.ndarray, k: int):
     minimum unchanged.  Each vector carries its coordinates in the basis
     ``A v, .., A^k v`` as k extra rows, so the depth-k residual ``p(A) v``
     is returned with the coefficients ``c_1 .. c_k`` of its polynomial.
+
+    Callers pass ``dense_core.binary_scaled(A)``: the ratios do not depend
+    on the scale of A, and on the raw A the powers ``A^j v`` underflow or
+    overflow when ``||A||`` is far from 1.  The coefficients are then those
+    of the polynomial in the scaled matrix.
     """
     n = mat.shape[0]
     norms = np.linalg.norm(batch, axis=0)
@@ -76,7 +81,7 @@ def gmres_residuals(a, r0s, kmax: int) -> np.ndarray:
     ``(kmax + 1) x B`` block of ratio curves.  After a lucky breakdown the
     remaining ratios are zero up to rounding.
     """
-    mat = as_matrix(a)
+    mat = binary_scaled(as_matrix(a))[0]
     n = mat.shape[0]
     if not 1 <= kmax <= n:
         raise ValueError(f"kmax must satisfy 1 <= kmax <= {n}, got {kmax}")
@@ -89,7 +94,9 @@ def gmres_residuals(a, r0s, kmax: int) -> np.ndarray:
 
 
 def _candidate_block(a, vs) -> tuple[np.ndarray, np.ndarray]:
-    mat = as_matrix(a)
+    """A scaled by a power of two (see :func:`_residual_curves`) and the
+    candidate block."""
+    mat = binary_scaled(as_matrix(a))[0]
     batch = np.asarray(vs, dtype=np.complex128)
     if batch.ndim != 2 or batch.shape[0] != mat.shape[0]:
         raise ValueError("candidate block must be n x B")
@@ -113,7 +120,8 @@ def min_residual_gradients(a, vs: np.ndarray, k: int):
     The gradient (complex form ``d/dRe v + i d/dIm v``) is, by the envelope
     theorem, ``(p(A)^H p(A) v - phi^2 v) / ||v||^2`` with p the minimizing
     polynomial of v held fixed; ``p(A)^H`` is applied to the kernel's
-    residual ``p(A) v`` by Horner's rule.  Raises :class:`ZeroVector` for a
+    residual ``p(A) v`` by Horner's rule, on the same power-of-two scaling
+    of A as the kernel.  Raises :class:`ZeroVector` for a
     zero column.
     """
     mat, batch = _candidate_block(a, vs)

@@ -9,11 +9,12 @@ with pi_k the polynomials of degree at most k normalized to p(0) = 1.
 The worst case never exceeds the ideal value, and both lie in [0, 1]
 because p = 1 is admissible.  At depth 1 the two coincide.
 
-``ideal_gmres`` and ``one_step_ideal`` share one convex solver:
-quasi-Newton descent on a smoothed top eigenvalue of ``p(A)^H p(A)``,
-continued to vanishing smoothing.  The upper bound is the norm of the
-returned feasible polynomial; the lower bound is a norm-duality
-certificate,
+``ideal_gmres`` and ``one_step_ideal`` share one convex solver, run once
+per depth from p = 1 in the basis of ``B = A / ||A||``: damped Newton with
+the exact Hessian on a smoothed top eigenvalue of ``p(B)^H p(B)``, one
+Newton run per smoothing stage, continued to vanishing smoothing.  The
+upper bound is the norm of the returned feasible polynomial; the lower
+bound is a norm-duality certificate,
 
     ideal(A, k) = max |tr Y| / ||Y||_*  over Y != 0 with <A^j, Y> = 0, j = 1..k,
 
@@ -38,7 +39,6 @@ only input besides A and k is the worst case's integer seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -64,6 +64,8 @@ __all__ = [
 MAX_DEPTH = 8
 # _minimize_norm stops once the norm and its dual bound are this close.
 _GAP_TARGET = 1e-10
+# Newton steps per smoothing stage; rounding stops a stage long before.
+_NEWTON_STEPS = 100
 # An ideal result is certified when its upper and lower bounds are this close.
 _CERTIFY_GAP = 1e-4
 # Ascent starts of worst_case_gmres, moved together as one block: the best of
@@ -87,6 +89,13 @@ class MinimaxResult:
     value is itself a certified lower bound on the true worst case;
     ``upper_bound`` is the trivial ceiling 1 and ``certified`` is False
     because that solver carries no two-sided certificate.
+
+    ``coefficients`` holds ``c_1 .. c_k`` of ``p(A) = I + c_1 A + ... +
+    c_k A^k``, obtained as ``d_j / ||A||^j`` from the coefficients d of the
+    solve in ``B = A / ||A||``.  When some ``||A||^j`` or ``c_j`` leaves the
+    normal float range (``||A||^k`` beyond about 1e308 or below 1e-308) it
+    is None; value, witness and bracket come from the polynomial in B and
+    are unaffected.  For ``worst_case_gmres`` it is None.
     """
 
     value: float
@@ -120,69 +129,93 @@ def _matrix_powers(mat: np.ndarray, k: int) -> np.ndarray:
     return powers
 
 
-def _damped_power_coefficients(alpha: complex, k: int) -> np.ndarray:
-    """Coefficients c_1..c_k of (1 - alpha z)^k."""
-    return np.array(
-        [comb(k, j) * (-alpha) ** j for j in range(1, k + 1)], dtype=np.complex128
-    )
-
-
-def _minimize_norm(mat: np.ndarray, k: int, c0) -> tuple[np.ndarray, float]:
-    """Minimize ``||P(c)||``, ``P(c) = I + c_1 A + ... + c_k A^k``, from ``c0``.
-
-    L-BFGS-B minimizes the smoothed top eigenvalue of ``X = P^H P``,
-
-        F_mu(c) = lambda_max + mu log sum_i exp((lambda_i - lambda_max) / mu),
-
-    which is convex in c with exact gradient ``2 tr(W P^H A^j)``,
-    ``W = V diag(softmax(lambda / mu)) V^H``.  ``mu`` starts at
-    ``0.1 ||P(c0)||^2`` and shrinks tenfold per stage, each stage
-    warm-started at the last, until the norm and the dual bound of
-    :func:`_dual_lower_bound` meet within ``_GAP_TARGET`` or ``mu`` reaches
-    rounding level.  Returns the best coefficients seen, whose norm never
-    exceeds the norm at ``c0``, and the best dual lower bound.
-    """
-    n = mat.shape[0]
+def _normalized_powers(mat: np.ndarray, k: int):
+    """``B = A / ||A||``, ``||A||`` and ``[B, .., B^k]``: in B the optimal
+    coefficients are O(1)."""
     scale = dense_core.spectral_norm(mat) or 1.0
-    # Work in the basis B^j of B = A / ||A||, where coefficients are O(1).
-    powers = _matrix_powers(mat / scale, k)
-    flat = powers.reshape(k, -1)
-    scales = scale ** np.arange(1, k + 1)
-    eye = np.eye(n, dtype=np.complex128)
+    b = mat / scale
+    return b, scale, _matrix_powers(b, k)
 
-    def smoothed(x: np.ndarray, mu: float):
-        """F_mu, its gradient in (Re d, Im d), Y = P W and lambda_max."""
-        p = eye + np.tensordot(x[:k] + 1j * x[k:], powers, axes=1)
-        lam, vecs = np.linalg.eigh(p.conj().T @ p)
-        z = np.exp((lam - lam[-1]) / mu)
-        y = p @ (vecs * (z / z.sum())) @ vecs.conj().T
-        g = flat @ y.conj().ravel()  # tr(W P^H B^j)
-        value = lam[-1] + mu * np.log(z.sum())
-        return value, 2.0 * np.concatenate([g.real, -g.imag]), y, lam[-1]
 
-    d0 = np.broadcast_to(np.asarray(c0, dtype=np.complex128), (k,)) * scales
-    x = best_x = np.concatenate([d0.real, d0.imag])
-    upper = float(np.sqrt(max(smoothed(x, 1.0)[3], 0.0)))  # any mu: lambda_max
-    lower = 0.0
-    mu = 0.1 * upper**2
+def _smoothed(powers: np.ndarray, x: np.ndarray, mu: float):
+    """F_mu at ``d = x[:k] + i x[k:]``, its gradient and Hessian in x,
+    ``Y = P W`` and lambda_max.
+
+    With ``P^H P = V diag(lambda) V^H``, ``w = softmax(lambda / mu)`` and
+    ``X_a = V^H (E_a^H P + P^H E_a) V`` for ``E_a = B^j`` or ``i B^j``,
+    ``g_a = sum_i w_i X_a,ii`` and (Lewis & Sendov, SIMAX 2001)
+    ``H_ab = sum_il Gamma_il Re(X_a,il X_b,li) - g_a g_b / mu
+    + 2 Re tr(E_a^H E_b W)``, ``Gamma_il = (w_i - w_l) / (lambda_i -
+    lambda_l)``, or ``w_i / mu`` where the two coincide.
+    """
+    k, n = powers.shape[:2]
+    p = ((x[:k] + 1j * x[k:]) @ powers.reshape(k, -1)).reshape(n, n)
+    p.flat[:: n + 1] += 1.0
+    lam, vecs = np.linalg.eigh(p.conj().T @ p)
+    z = np.exp((lam - lam[-1]) / mu)
+    w = z / z.sum()
+    bv = powers @ vecs
+    gj = (p @ vecs).conj().T @ bv
+    gjh = gj.conj().swapaxes(1, 2)
+    xa = np.concatenate([gj + gjh, 1j * (gj - gjh)]).reshape(2 * k, -1)
+    grad = xa[:, :: n + 1].real @ w
+    # w rises with lambda: factor out the larger weight against cancellation.
+    gap, wide = np.abs(lam[:, None] - lam), np.maximum(w[:, None], w)
+    safe = np.where(gap > 0.0, gap, 1.0)
+    gamma = np.where(gap > 0.0, -wide * np.expm1(-gap / mu) / safe, wide / mu)
+    ev = (bv * np.sqrt(w)).reshape(k, -1)  # E_a V diag(w)^(1/2), real parts
+    ev = np.concatenate([ev, 1j * ev])
+    hess = ((xa * gamma.ravel()) @ xa.conj().T + 2.0 * ev.conj() @ ev.T).real
+    hess -= np.outer(grad, grad) / mu
+    y = p @ (vecs * w) @ vecs.conj().T
+    return lam[-1] + mu * np.log(z.sum()), grad, hess, y, lam[-1]
+
+
+def _minimize_norm(powers: np.ndarray) -> tuple[np.ndarray, float]:
+    """Minimize ``||P(d)||``, ``P(d) = I + d_1 B + ... + d_k B^k``, from d = 0.
+
+    Damped Newton with the exact Hessian of :func:`_smoothed` minimizes the
+    smoothed top eigenvalue of ``X = P^H P``,
+
+        F_mu(d) = lambda_max + mu log sum_i exp((lambda_i - lambda_max) / mu),
+
+    which is convex in d.  Armijo backtracking runs while the predicted
+    decrease exceeds ``4 eps |F_mu|``.  Below that F_mu is flat to
+    rounding but its gradient is not: full steps go on while each shrinks
+    the Newton decrement, which sharpens the dual matrix Y, and the stage
+    ends at the first that does not.  ``mu`` starts at ``0.1 = 0.1
+    ||P(0)||^2`` and shrinks tenfold per stage, each stage warm-started at
+    the last, until the norm and the dual bound of :func:`_dual_lower_bound`
+    meet within ``_GAP_TARGET`` or ``mu`` reaches rounding level.  Returns
+    the best coefficients seen, whose norm never exceeds 1, and the best
+    dual lower bound.
+    """
+    k = powers.shape[0]
+    x = best_x = np.zeros(2 * k)
+    upper, lower, mu = 1.0, 0.0, 0.1
     while upper - lower > _GAP_TARGET and mu >= 1e-14 * upper**2:
-        # Not BFGS: when rounding stalls its line search, scipy falls back
-        # to a second search whose LineSearchWarning escapes under a
-        # warnings-as-errors filter.  L-BFGS-B just stops.
-        x = optimize.minimize(
-            lambda x: smoothed(x, mu)[:2],
-            x,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 500, "ftol": 0.0, "gtol": 0.0},
-        ).x
-        _, _, y, top = smoothed(x, mu)
-        value = float(np.sqrt(max(top, 0.0)))
+        state, undo = _smoothed(powers, x, mu), None
+        for _ in range(_NEWTON_STEPS):
+            step = np.linalg.lstsq(state[2], -state[1], rcond=None)[0]
+            slope = float(state[1] @ step)
+            if undo is not None and slope <= undo[2]:
+                x, state = undo[:2]  # the full step did not shrink the decrement
+                break
+            trial = full = _smoothed(powers, x + step, mu)
+            t, level = 1.0, 4.0 * np.finfo(float).eps * abs(state[0])
+            while trial[0] > state[0] + 0.25 * t * slope and -t * slope > level:
+                t *= 0.5
+                trial = _smoothed(powers, x + t * step, mu)
+            undo = None
+            if trial[0] > state[0] + 0.25 * t * slope or -slope <= level:
+                undo, trial, t = (x, state, slope), full, 1.0
+            x, state = x + t * step, trial
+        value = float(np.sqrt(max(state[4], 0.0)))
         if value < upper:
             best_x, upper = x, value
-        lower = max(lower, _dual_lower_bound(powers, y, x[:k] + 1j * x[k:]))
+        lower = max(lower, _dual_lower_bound(powers, state[3], x[:k] + 1j * x[k:]))
         mu *= 0.1
-    return (best_x[:k] + 1j * best_x[k:]) / scales, min(lower, upper)
+    return best_x[:k] + 1j * best_x[k:], min(lower, upper)
 
 
 def _dual_lower_bound(powers: np.ndarray, y: np.ndarray, d: np.ndarray) -> float:
@@ -212,23 +245,30 @@ def _dual_lower_bound(powers: np.ndarray, y: np.ndarray, d: np.ndarray) -> float
 def ideal_gmres(a, k: int) -> MinimaxResult:
     """Minimize ``||p(A)||`` over polynomials p in pi_k.
 
-    Depth 1 is the one-step solve of :func:`one_step_ideal` itself.  Deeper,
-    the solve starts from ``(1 - alpha z)^k`` with alpha its optimum, so
-    the value never exceeds ``one_step_ideal(A).value ** k``.  The value
-    is the spectral norm of the returned polynomial (an upper bound on the
-    true minimum) and the lower bound is a norm-duality certificate.  When
-    the gap exceeds 1e-4 the result is flagged non-certified but is still
-    returned; both bounds remain sound.  The solve has no starts and no
-    randomness.
+    One solve at depth k, from p = 1; depth 1 is the solve of
+    :func:`one_step_ideal` itself.  No deeper solve starts from the
+    one-step polynomial, so ``ideal(k) <= one_step_ideal(A).value ** k`` is
+    a property of the converged solve (and a tested one), not of the start.
+    The value is the spectral norm of the returned polynomial (an upper
+    bound on the true minimum) and the lower bound is a norm-duality
+    certificate; value, witness and bracket are computed from the
+    polynomial in ``B = A / ||A||``, so they do not depend on the scale of
+    A.  When the gap exceeds 1e-4 the result is flagged non-certified but
+    is still returned; both bounds remain sound.  The solve has no starts
+    and no randomness.
     """
     mat = as_matrix(a)
     k = _check_depth(k)
-    coeffs, lower = _minimize_norm(mat, 1, 0.0)
-    if k > 1:
-        alpha = -complex(coeffs[0])
-        coeffs, lower = _minimize_norm(mat, k, _damped_power_coefficients(alpha, k))
-    p_best = dense_core.evaluate_residual_polynomial(mat, coeffs)
-    upper, _, witness = dense_core.top_singular_triple(p_best)
+    b, scale, powers = _normalized_powers(mat, k)
+    d, lower = _minimize_norm(powers)
+    upper, _, witness = dense_core.top_singular_triple(
+        dense_core.evaluate_residual_polynomial(b, d)
+    )
+    try:
+        with np.errstate(over="raise", under="raise"):
+            coeffs = d / scale ** np.arange(1, k + 1)
+    except FloatingPointError:
+        coeffs = None
     lower = float(min(lower, upper))
     return MinimaxResult(
         value=upper,
@@ -322,10 +362,10 @@ def worst_case_gmres(
 def one_step_ideal(a) -> OneStepIdealResult:
     """Minimize ``||I - alpha A||`` over complex alpha."""
     mat = as_matrix(a)
-    coeffs, _ = _minimize_norm(mat, 1, 0.0)
-    alpha = -complex(coeffs[0])
-    step_matrix = np.eye(mat.shape[0], dtype=np.complex128) - alpha * mat
-    return OneStepIdealResult(dense_core.spectral_norm(step_matrix), alpha)
+    b, scale, powers = _normalized_powers(mat, 1)
+    d = complex(_minimize_norm(powers)[0][0])
+    step_matrix = np.eye(mat.shape[0], dtype=np.complex128) + d * b
+    return OneStepIdealResult(dense_core.spectral_norm(step_matrix), -d / scale)
 
 
 # ---------------------------------------------------------------------------

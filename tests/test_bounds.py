@@ -198,3 +198,24 @@ def test_report_to_dict_shape():
     for verdict in doc["verdicts"].values():
         assert set(verdict) == {"passed", "margin"}
         assert isinstance(verdict["passed"], bool)
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e160])
+def test_elman_bound_is_scale_free(s):
+    """lambda_min(M) / ||A|| does not depend on the scale of A; at 1e160
+    the unscaled Hermitian part's Frobenius norm overflows."""
+    a = np.diag([1.0, 2.0])
+    assert elman_bound(s * a, 2) == pytest.approx(elman_bound(a, 2), abs=1e-15)
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e160])
+@pytest.mark.parametrize("k", [1, 2])
+def test_verify_chain_at_extreme_scales(s, k):
+    """Every quantity of the chain is scale free; at 1e-200 the Krylov
+    powers underflowed (worst case 1 against ideal 1/3), at 1e160 the
+    ideal coefficients and ||A||^2 overflowed."""
+    report = verify_chain(s * np.diag([1.0, 2.0]), k, 10)
+    assert report.all_passed, report.verdicts
+    assert report.ideal == pytest.approx(1.0 / 3.0 if k == 1 else 0.0, abs=1e-9)
+    assert report.worst_case == pytest.approx(report.ideal, abs=1e-6)
+    assert (report.lambda_max_aha is None) == (s > 1.0)

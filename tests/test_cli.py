@@ -1,11 +1,13 @@
 import json
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
 from gmreslab import write_matrix_market
 from gmreslab.cli import main, parse_depths
-from gmreslab.errors import InvalidSpec
+from gmreslab.errors import InvalidSpec, NoConvergence
 
 
 @pytest.fixture
@@ -212,3 +214,58 @@ def test_strict_flag_propagates_exit_three(tmp_path, monkeypatch, capsys):
     assert main(["run", str(cfg), "--strict"]) == 3
     assert "non-certified" in capsys.readouterr().out
 
+
+
+def test_solver_failure_exits_four(tmp_path, monkeypatch, capsys):
+    """A solver failure has its own exit code, not that of a failed bound,
+    and no report or summary is written."""
+    import gmreslab.experiment as experiment
+
+    def failing(*args, **kwargs):
+        raise NoConvergence("eigensolver did not converge")
+
+    monkeypatch.setattr(experiment.bounds, "verify_chain", failing)
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "matrix": {"family": "diagonal", "entries": [1.0, 2.0]},
+                "depths": [1],
+                "out_dir": str(out),
+            }
+        )
+    )
+    assert main(["run", str(cfg)]) == experiment.EXIT_SOLVER_FAILED == 4
+    captured = capsys.readouterr()
+    assert "error: eigensolver did not converge" in captured.err
+    assert "wrote" not in captured.out
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e160])
+def test_run_at_extreme_scales(tmp_path, capsys, s):
+    """A valid file with entries near the ends of the float range runs to
+    a schema-valid report and exit 0, not a traceback."""
+    path = tmp_path / "scaled.mtx"
+    write_matrix_market(str(path), s * np.diag([1.0, 2.0]))
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "matrix": {"family": "file", "path": str(path)},
+                "depths": [1, 2],
+                "trials": 3,
+                "out_dir": str(out),
+            }
+        )
+    )
+    assert main(["run", str(cfg)]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    schema = json.loads(
+        resources.files("gmreslab.schemas").joinpath("report.schema.json").read_text()
+    )
+    jsonschema.validate(doc, schema)
+    assert main(["ideal", "--matrix", str(path), "-k", "2"]) == 0
+    assert "coefficients: outside the float range" in capsys.readouterr().out

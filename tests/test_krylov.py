@@ -135,6 +135,22 @@ def test_min_residual_gradient_matches_central_differences(n):
         assert np.linalg.norm(grads[:, 0] - want) <= 1e-6 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("s", [1e-200, 1e160])
+def test_residual_kernel_is_scale_free(s):
+    """Ratios and v-gradients do not depend on the scale of A; on the raw A
+    the powers A^j v underflowed at 1e-200 (every ratio read 1) and
+    overflowed at 1e160."""
+    rng = np.random.default_rng(77)
+    a = random_complex(rng, 5)
+    v = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    curves = gmres_residuals(s * a, v, 3)
+    assert np.allclose(curves, gmres_residuals(a, v, 3), rtol=1e-10, atol=1e-14)
+    phi, grad = min_residual_gradients(s * a, v, 2)
+    want_phi, want_grad = min_residual_gradients(a, v, 2)
+    assert np.allclose(phi, want_phi, rtol=1e-10, atol=1e-14)
+    assert np.allclose(grad, want_grad, rtol=1e-8, atol=1e-12)
+
+
 def test_min_residual_gradient_rejects_zero_column():
     with pytest.raises(ZeroVector):
         min_residual_gradients(np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]]), 1)

@@ -77,6 +77,48 @@ def test_toh_ideal_strictly_above_worst_case(eps):
     assert worst_case_gmres(a, 3).value < ideal.value - 0.05
 
 
+@pytest.mark.parametrize("rel_mu", [1e-1, 1e-3])
+def test_smoothed_derivatives_match_central_differences(rel_mu):
+    """Gradient and exact Hessian of the smoothed objective of the ideal
+    solver against central differences, on a random complex 5x5 at k = 3."""
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    _, _, powers = minimax._normalized_powers(a, 3)
+    x = 0.3 * rng.standard_normal(6)
+    p = evaluate_residual_polynomial(powers[0], x[:3] + 1j * x[3:])
+    mu = rel_mu * spectral_norm(p) ** 2
+    _, grad, hess, _, _ = minimax._smoothed(powers, x, mu)
+    h = 1e-5
+    fd_grad, fd_hess = [], []
+    for e in np.eye(6):
+        plus = minimax._smoothed(powers, x + h * e, mu)
+        minus = minimax._smoothed(powers, x - h * e, mu)
+        fd_grad.append((plus[0] - minus[0]) / (2 * h))
+        fd_hess.append((plus[1] - minus[1]) / (2 * h))
+    assert np.abs(np.array(fd_grad) - grad).max() <= 1e-7 * np.abs(grad).max()
+    assert np.abs(np.array(fd_hess) - hess).max() <= 1e-6 * np.abs(hess).max()
+    assert np.abs(hess - hess.T).max() <= 1e-12 * np.abs(hess).max()
+
+
+def test_ideal_sixteen_by_sixteen_depth_eight_certifies():
+    """The Newton stages close the bracket far below the 1e-4 certification
+    gap at the deepest depth (L-BFGS-B stalled at 1.4e-7 here)."""
+    a = np.random.default_rng(3).standard_normal((16, 16)) / 4 + 1.5 * np.eye(16)
+    res = ideal_gmres(a, 8)
+    assert res.certified
+    assert res.upper_bound - res.lower_bound <= 1e-8
+
+
+@pytest.mark.parametrize("s", [1e-200, 1.0, 1e160])
+def test_ideal_depth_two_is_scale_free(s):
+    """ideal(s diag(1, 2, 3), 2) = 1/7 at every scale; where ||A||^2 leaves
+    the float range the coefficients in A's own basis are None."""
+    res = ideal_gmres(s * np.diag([1.0, 2.0, 3.0]), 2)
+    assert abs(res.value - 1.0 / 7.0) <= 1e-9
+    assert res.certified
+    assert (res.coefficients is None) == (s != 1.0)
+
+
 @pytest.mark.parametrize("c", [1e-200, 1e200])
 def test_ideal_at_extreme_magnitudes(c):
     """ideal(cA) = ideal(A): the Gram matrices inside may not overflow or
