@@ -70,7 +70,7 @@ class BoundsReport:
     nu_a: float
     nu_ainv: float
     lambda_min_m: float
-    lambda_max_aha: Optional[float]  # ||A||^2; None where it overflows
+    lambda_max_aha: Optional[float]  # ||A||^2; None where it leaves the float range
     verdicts: Dict[str, Verdict]
 
     @property
@@ -163,8 +163,10 @@ def verify_chain(
 
     The sampled residuals are fed to the worst-case solver as extra starts,
     so the first verdict cannot fail merely because the ascent missed the
-    sampled directions.  Deterministic given ``seed``, a non-negative int
-    from which the sampling and the ascent draw separate streams.
+    sampled directions, and the ideal value as its ceiling, so the ascent
+    stops once it meets that value.  Deterministic given ``seed``, a
+    non-negative int from which the sampling and the ascent draw separate
+    streams.
     """
     mat = as_matrix(a)
     k = int(k)
@@ -180,7 +182,8 @@ def verify_chain(
     elman = elman_bound(mat, k)
     starke = starke_bound(mat, k, fov_data)
     norm_a = dense_core.spectral_norm(mat)
-    aha = norm_a * norm_a  # a Python float: inf, not an error, on overflow
+    aha = norm_a * norm_a  # a Python float: inf or subnormal, not an error
+    in_range = norm_a == 0.0 or np.finfo(float).tiny <= aha < np.inf
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101, k)))
     r0_block = rng.standard_normal((n, trials)) + 1j * rng.standard_normal((n, trials))
@@ -192,7 +195,9 @@ def verify_chain(
     extra.append(ideal.witness_vector)
     if fov_data.witness_vector is not None:
         extra.append(fov_data.witness_vector)
-    worst = worst_case_gmres(mat, k, _derived_seed(seed, 202, k), extra_starts=extra)
+    worst = worst_case_gmres(
+        mat, k, _derived_seed(seed, 202, k), extra_starts=extra, ceiling=ideal.value
+    )
 
     gmres_max = max(ratios)
     verdicts = {
@@ -231,6 +236,6 @@ def verify_chain(
         nu_a=fov_data.nu_a,
         nu_ainv=fov_data.nu_ainv,
         lambda_min_m=fov_data.lambda_min_m,
-        lambda_max_aha=aha if np.isfinite(aha) else None,
+        lambda_max_aha=aha if in_range else None,
         verdicts=verdicts,
     )

@@ -29,11 +29,16 @@ exact gradient, by the envelope theorem ``(p_v(A)^H p_v(A) v - phi^2 v) /
 ||v||^2`` with p_v the minimizing polynomial of v.  phi is scale-invariant,
 so no sphere constraint is needed.  Every evaluated candidate is a
 certified lower bound on the true worst case, so under-convergence is safe
-for the inequality checks downstream.
+for the inequality checks downstream.  The caller may pass a known upper
+bound on the worst case, the ceiling (``verify_chain`` passes the ideal
+value, the norm of a feasible polynomial); the ascent stops as soon as phi
+comes within 1e-10 of it, which certifies the value to that gap.  For
+normal A the ideal value is attained (Greenbaum-Gurvits; Joubert), and
+often the starts already attain it, so no ascent runs at all.
 
 The budgets are constants of the method: 16 ascent starts, 200 kernel
-evaluations, and a certification gap of 1e-4 for the ideal value.  The
-only input besides A and k is the worst case's integer seed.
+evaluations, and a certification gap of 1e-4 for both brackets.  The
+inputs besides A and k are the worst case's integer seed and its ceiling.
 """
 
 from __future__ import annotations
@@ -76,19 +81,22 @@ _ASCENT_STARTS = 16
 # shared by its two L-BFGS-B runs; SciPy may finish its current line
 # search, at most 20 evaluations, past it.
 _ASCENT_EVALS = 200
+# The ascent stops once phi is this close to the caller's ceiling on wc.
+_BRACKET_GAP = 1e-10
 
 
 @dataclass(frozen=True)
 class MinimaxResult:
     """Outcome of one minimax solve.
 
-    For ``ideal_gmres`` the value equals ``upper_bound`` (the norm of the
-    returned feasible polynomial), ``lower_bound`` is the norm-duality
-    certificate of :func:`_dual_lower_bound`, and ``certified`` says the two
-    lie within 1e-4 of each other.  For ``worst_case_gmres`` the
-    value is itself a certified lower bound on the true worst case;
-    ``upper_bound`` is the trivial ceiling 1 and ``certified`` is False
-    because that solver carries no two-sided certificate.
+    ``certified`` says that ``lower_bound`` and ``upper_bound`` lie within
+    1e-4 of each other.  For ``ideal_gmres`` the value equals
+    ``upper_bound`` (the norm of the returned feasible polynomial) and
+    ``lower_bound`` is the norm-duality certificate of
+    :func:`_dual_lower_bound`.  For ``worst_case_gmres`` the value equals
+    ``lower_bound`` (phi at the witness, a certified lower bound on the
+    true worst case) and ``upper_bound`` is the caller's ceiling: the
+    ideal value under ``verify_chain``, else the trivial bound 1.
 
     ``coefficients`` holds ``c_1 .. c_k`` of ``p(A) = I + c_1 A + ... +
     c_k A^k``, obtained as ``d_j / ||A||^j`` from the coefficients d of the
@@ -280,31 +288,45 @@ def ideal_gmres(a, k: int) -> MinimaxResult:
     )
 
 
-def _ascend(mat: np.ndarray, v0: np.ndarray, k: int, budget: int):
+class _Bracketed(Exception):
+    """Raised by the ascent's objective once some phi reaches the target."""
+
+
+def _ascend(mat: np.ndarray, v0: np.ndarray, k: int, budget: int, target: float):
     """L-BFGS-B on ``-sum_j phi(v_j)^2 / 2`` over the columns of ``v0``.
 
     One kernel pass per evaluation, ``budget`` evaluations plus the line
-    search under way.  Returns each column's best evaluated vector,
-    renormalized, its value, and the number of evaluations.
+    search under way; the run ends at the first evaluation whose best phi
+    reaches ``target``, even inside a line search.  Returns each column's
+    best evaluated vector, renormalized, its value, and the number of
+    evaluations.
     """
     best_v = v0.copy()
     best_phi = np.full(v0.shape[1], -1.0)
+    nfev = 0
 
     def negative_energy(x: np.ndarray):
+        nonlocal nfev
+        nfev += 1
         v = np.ascontiguousarray(x).view(np.complex128).reshape(v0.shape)
         phi, grad = min_residual_gradients(mat, v, k)
         up = phi > best_phi
         best_phi[up], best_v[:, up] = phi[up], v[:, up]
+        if best_phi.max() >= target:
+            raise _Bracketed
         return -0.5 * float(phi @ phi), -grad.ravel().view(np.float64)
 
-    result = optimize.minimize(
-        negative_energy,
-        v0.ravel().view(np.float64),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxfun": budget, "maxiter": budget, "ftol": 0.0, "gtol": 1e-15},
-    )
-    return best_v / np.linalg.norm(best_v, axis=0), best_phi, result.nfev
+    try:
+        optimize.minimize(
+            negative_energy,
+            v0.ravel().view(np.float64),
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxfun": budget, "maxiter": budget, "ftol": 0.0, "gtol": 1e-15},
+        )
+    except _Bracketed:
+        pass
+    return best_v / np.linalg.norm(best_v, axis=0), best_phi, nfev
 
 
 def worst_case_gmres(
@@ -312,6 +334,7 @@ def worst_case_gmres(
     k: int,
     seed: int = 0,
     extra_starts: Optional[Sequence[np.ndarray]] = None,
+    ceiling: float = 1.0,
 ) -> MinimaxResult:
     """Maximize ``min over p in pi_k of ||p(A) v|| / ||v||`` over v != 0.
 
@@ -319,8 +342,12 @@ def worst_case_gmres(
     about (sampled initial residuals, witnesses of other solves); every seed
     is at least evaluated, so the returned value is never smaller than the
     best seed's ratio.  ``seed`` (a non-negative int) roots the random
-    starts that fill the pool up to 16.  The value is a certified lower
-    bound on the true worst case; no upper-bound certificate is produced.
+    starts that fill the pool up to 16.  ``ceiling`` is a known upper bound
+    on the worst case, such as ``ideal_gmres(a, k).value``; the default 1
+    is the bound from p = 1.  No ascent runs once the best start comes
+    within 1e-10 of it, and the ascent stops at the first evaluation that
+    does.  The value is a certified lower bound on the true worst case; the
+    result's bracket is ``[value, ceiling]``.
     """
     mat = as_matrix(a)
     k = _check_depth(k)
@@ -343,19 +370,26 @@ def worst_case_gmres(
 
     pool = np.column_stack(seeds)
     pool_values = min_residual_values(mat, pool, k)
-    order = np.argsort(-pool_values, kind="stable")[:_ASCENT_STARTS]
-    block, block_values, nfev = _ascend(mat, pool[:, order], k, _ASCENT_EVALS // 2)
-    # The block run stops on the sum of phi^2; the best column goes on alone.
-    best = block[:, [int(np.argmax(block_values))]]
-    best_v = _ascend(mat, best, k, max(_ASCENT_EVALS - nfev, 1))[0][:, 0]
+    target = ceiling - _BRACKET_GAP
+    best_v = pool[:, int(np.argmax(pool_values))]
+    if pool_values.max() < target:
+        order = np.argsort(-pool_values, kind="stable")[:_ASCENT_STARTS]
+        block, block_values, nfev = _ascend(
+            mat, pool[:, order], k, _ASCENT_EVALS // 2, target
+        )
+        # The block run stops on the sum of phi^2; the best column goes on alone.
+        best_v = block[:, int(np.argmax(block_values))]
+        if block_values.max() < target:
+            budget = max(_ASCENT_EVALS - nfev, 1)
+            best_v = _ascend(mat, best_v[:, None], k, budget, target)[0][:, 0]
     best_phi = float(min_residual_values(mat, best_v[:, None], k)[0])
     return MinimaxResult(
         value=best_phi,
         coefficients=None,
         witness_vector=best_v,
         lower_bound=best_phi,
-        upper_bound=1.0,
-        certified=False,
+        upper_bound=ceiling,
+        certified=bool(ceiling - best_phi <= _CERTIFY_GAP),
     )
 
 

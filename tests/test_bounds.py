@@ -218,4 +218,19 @@ def test_verify_chain_at_extreme_scales(s, k):
     assert report.all_passed, report.verdicts
     assert report.ideal == pytest.approx(1.0 / 3.0 if k == 1 else 0.0, abs=1e-9)
     assert report.worst_case == pytest.approx(report.ideal, abs=1e-6)
-    assert (report.lambda_max_aha is None) == (s > 1.0)
+    assert report.lambda_max_aha is None
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e-170, 1.0, 1e160])
+def test_lambda_max_aha_is_null_outside_the_float_range(s):
+    """||A||^2 is reported only where it is a normal float: at 1e-200 it
+    underflowed to 0, at 1e-170 to a subnormal, at 1e160 it overflows."""
+    report = verify_chain(s * np.diag([1.0, 2.0]), 1, 3)
+    if s == 1.0:
+        assert report.lambda_max_aha == pytest.approx(4.0, abs=1e-12)
+    else:
+        assert report.lambda_max_aha is None
+
+
+def test_lambda_max_aha_of_the_zero_matrix_is_zero():
+    assert verify_chain(np.zeros((2, 2)), 1, 3).lambda_max_aha == 0.0

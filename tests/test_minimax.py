@@ -14,7 +14,7 @@ from gmreslab import (
     verify_chain,
     worst_case_gmres,
 )
-from gmreslab import krylov, minimax
+from gmreslab import bounds, krylov, minimax
 from gmreslab.dense_core import evaluate_residual_polynomial
 from conftest import random_complex
 import oracles
@@ -23,6 +23,14 @@ PINNED_TOL = 1e-6
 EQUALITY_TOL = 1e-5
 SANDWICH_SLACK = 1e-6
 CEILING_SLACK = 1e-12
+
+
+def toh(eps):
+    """Toh's 4x4 example (SIMAX 1997): wc < ideal strictly at k = 3."""
+    return np.array(
+        [[1, eps, 0, 0], [0, -1, 1 / eps, 0], [0, 0, 1, eps], [0, 0, 0, -1]],
+        dtype=np.complex128,
+    )
 
 
 def test_ideal_identity_is_zero():
@@ -67,10 +75,7 @@ def test_toh_ideal_strictly_above_worst_case(eps):
     """Toh's 4x4 matrix (SIMAX 1997): ideal = 0.8 at k = 3, while the worst
     case stays strictly below it, so a worst-case probe can never certify
     the ideal value."""
-    a = np.array(
-        [[1, eps, 0, 0], [0, -1, 1 / eps, 0], [0, 0, 1, eps], [0, 0, 0, -1]],
-        dtype=np.complex128,
-    )
+    a = toh(eps)
     ideal = ideal_gmres(a, 3)
     assert abs(ideal.value - 0.8) <= 1e-8
     assert ideal.certified
@@ -207,12 +212,82 @@ def test_worst_case_matches_scalar_oracle_on_normal_gallery(name, k):
 def test_worst_case_invariant_under_transpose_and_adjoint(eps):
     """wc(A) = wc(A^T) = wc(A^H) (Faber, Liesen & Tichy, SIMAX 2013), on
     Toh's matrix, where wc < ideal strictly at k = 3."""
-    a = np.array(
-        [[1, eps, 0, 0], [0, -1, 1 / eps, 0], [0, 0, 1, eps], [0, 0, 0, -1]],
-        dtype=np.complex128,
-    )
+    a = toh(eps)
     values = [worst_case_gmres(m, 3).value for m in (a, a.T, a.conj().T)]
     assert max(values) - min(values) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "name, k", [(name, k) for name in NORMAL_GALLERY for k in (1, 2, 3)]
+)
+def test_ideal_ceiling_closes_the_bracket_on_normal_gallery(name, k):
+    """For normal A, wc = ideal: with the ideal value as ceiling the ascent
+    stops within 1e-10 below it, and the bracket is certified."""
+    a = generate_matrix(MatrixSpec.from_dict(NORMAL_GALLERY[name]))
+    ideal = ideal_gmres(a, k)
+    res = worst_case_gmres(a, k, ceiling=ideal.value)
+    assert -1e-15 <= ideal.value - res.value <= minimax._BRACKET_GAP
+    assert res.upper_bound == ideal.value
+    assert res.lower_bound == res.value
+    assert res.certified
+
+
+def test_verify_chain_skips_the_ascent_when_the_pool_meets_the_ideal(monkeypatch):
+    """On random_pd_part at k = 2 a start of the pool already attains the
+    ideal value, so the worst case makes two kernel passes, the pool and
+    the witness's re-evaluation, and no L-BFGS-B evaluation."""
+    calls, inside = [], []
+    kernel, worst_case = krylov._residual_curves, bounds.worst_case_gmres
+
+    def counting(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    def counted_worst_case(*args, **kwargs):
+        before = len(calls)
+        res = worst_case(*args, **kwargs)
+        inside.append(len(calls) - before)
+        return res
+
+    monkeypatch.setattr(krylov, "_residual_curves", counting)
+    monkeypatch.setattr(bounds, "worst_case_gmres", counted_worst_case)
+    spec = {"family": "random_pd_part", "n": 8, "seed": 3}
+    report = verify_chain(generate_matrix(MatrixSpec.from_dict(spec)), 2, 20)
+    assert inside == [2]
+    assert report.all_passed
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.1])
+def test_open_bracket_runs_the_full_ascent(eps):
+    """On Toh's matrix at k = 3 phi stays far below the ideal value, so the
+    ceiling changes nothing: the same value to the bit, not certified."""
+    a = toh(eps)
+    ideal = ideal_gmres(a, 3)
+    free = worst_case_gmres(a, 3)
+    capped = worst_case_gmres(a, 3, ceiling=ideal.value)
+    assert capped.value == free.value
+    assert capped.upper_bound == ideal.value
+    assert not capped.certified
+    assert not free.certified
+
+
+@pytest.mark.parametrize(
+    "a, k",
+    [(toh(eps), k) for eps in (0.5, 0.1) for k in (2, 3)]
+    + [(generate_matrix(MatrixSpec.from_dict(
+        {"family": "bidiagonal", "diag": [1.0, 1.5, 2.0, 2.5], "superdiag": 0.6}
+    )), 2)],
+    ids=["toh0.5-2", "toh0.5-3", "toh0.1-2", "toh0.1-3", "bidiagonal-2"],
+)
+def test_worst_case_invariant_under_unitary_similarity_and_scaling(a, k):
+    """wc(Q A Q^H) = wc(c A) = wc(A) for unitary Q and scalar c != 0: the
+    ascent starts from different vectors but must find the same maximum."""
+    rng = np.random.default_rng(83)
+    n = a.shape[0]
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    want = worst_case_gmres(a, k).value
+    for b in [q @ a @ q.conj().T] + [c * a for c in (1e-150, 3.7, 1e150)]:
+        assert abs(worst_case_gmres(b, k).value - want) <= 1e-9
 
 
 @pytest.mark.parametrize("starts", [4, 64])
