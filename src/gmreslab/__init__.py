@@ -39,8 +39,6 @@ from .fov import (
     fov_boundary,
     fov_summary,
     nu_fov,
-    nu_fov_inverse,
-    rayleigh,
 )
 from .krylov import gmres_residuals
 from .matrices import MatrixSpec, generate_matrix
@@ -78,10 +76,8 @@ __all__ = [
     "FovBoundary",
     "FovSummary",
     "NuResult",
-    "rayleigh",
     "fov_boundary",
     "nu_fov",
-    "nu_fov_inverse",
     "fov_summary",
     # Krylov / GMRES
     "gmres_residuals",

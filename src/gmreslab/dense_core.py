@@ -85,8 +85,10 @@ def eig_hermitian(m) -> EigenSpectrum:
         If the underlying LAPACK driver fails to converge.
     """
     a = as_matrix(m)
-    scale = float(np.linalg.norm(a, "fro"))
-    defect = float(np.linalg.norm(a - a.conj().T, "fro"))
+    # an exact power-of-two scale keeps both norms of the gate in range
+    scaled = binary_scaled(a)[0]
+    scale = float(np.linalg.norm(scaled, "fro"))
+    defect = float(np.linalg.norm(scaled - scaled.conj().T, "fro"))
     if defect > _HERMITIAN_CHECK * max(scale, np.finfo(float).tiny):
         raise NotHermitian(
             f"symmetry defect {defect:.3e} exceeds {_HERMITIAN_CHECK:.1e} * ||M||_F"

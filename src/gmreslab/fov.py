@@ -27,16 +27,14 @@ from scipy.linalg import blas, lapack
 
 from . import dense_core
 from .dense_core import as_matrix
-from .errors import NoConvergence, ZeroVector
+from .errors import NoConvergence
 
 __all__ = [
     "FovBoundary",
     "FovSummary",
     "NuResult",
-    "rayleigh",
     "fov_boundary",
     "nu_fov",
-    "nu_fov_inverse",
     "fov_summary",
 ]
 
@@ -50,6 +48,10 @@ _MAX_EVALS = 64
 _ANGLE_EPS = 8.0 * np.spacing(2.0 * np.pi)
 # Top eigenvectors of the last angles whose span predicts the next one.
 _HISTORY = 8
+# Orders above which the warm start beats one heevr per angle: its five
+# LAPACK calls and their glue cost about 50 us per angle whatever n, and the
+# two break even at n = 28.
+_WARM_ORDER = 28
 
 
 @dataclass(frozen=True)
@@ -88,18 +90,6 @@ class FovSummary:
     lambda_min_m: float
     argmin_angle: float
     witness_vector: Optional[np.ndarray]
-
-
-def rayleigh(a, v) -> complex:
-    """Rayleigh quotient ``<Av, v> / <v, v>`` (convention ``<x, y> = y^H x``)."""
-    m = as_matrix(a)
-    vec = np.asarray(v, dtype=np.complex128).ravel()
-    if vec.shape[0] != m.shape[0]:
-        raise ValueError("vector length does not match matrix order")
-    denom = np.vdot(vec, vec)
-    if denom.real == 0.0:
-        raise ZeroVector("Rayleigh quotient of the zero vector")
-    return complex(np.vdot(vec, m @ vec) / denom)
 
 
 def _one_eigenpair(h: np.ndarray, index: int, vectors: bool):
@@ -148,8 +138,8 @@ def fov_boundary(a, m: int) -> FovBoundary:
     ``support_max``, which therefore lies within ``tau`` below
     ``lambda_max``.  Where the factorization fails (too little history, a
     crossing of the top branch, a nearly double top eigenvalue), and at
-    every angle when ``n <= 8``, the top eigenpair comes from one ``heevr``
-    call.
+    every angle when ``n <= 28`` (where that is the cheaper path), the top
+    eigenpair comes from one ``heevr`` call.
 
     For real A, ``H(2 pi - theta) = conj(H(theta))``: only the angles up to
     pi are solved, and the rest are mirrored (the point conjugated).  As
@@ -170,8 +160,7 @@ def fov_boundary(a, m: int) -> FovBoundary:
     solved = m // 2 + 1 if not mat.imag.any() else m
     points = np.empty(m, dtype=np.complex128)
     support_max, support_min = np.empty(m), np.empty(m)
-    # with n <= _HISTORY the span is the whole space: solve H(theta) itself
-    warm = n > _HISTORY
+    warm = n > _WARM_ORDER
     history = np.empty((n, _HISTORY), dtype=np.complex128, order="F")
     for j in range(solved):
         h = cosines[j] * herm + sines[j] * skew
@@ -311,12 +300,6 @@ def _nu_inverse(mat: np.ndarray, nu_a: float) -> float:
     if ldexp(nu_a, -e) <= _zero_tol(scaled):
         return 0.0
     return nu_fov(np.linalg.inv(mat)).value
-
-
-def nu_fov_inverse(a) -> float:
-    """``nu(F(A^{-1}))``; 0 when the origin lies in F(A), singular A included."""
-    mat = as_matrix(a)
-    return _nu_inverse(mat, nu_fov(mat).value)
 
 
 def fov_summary(a) -> FovSummary:

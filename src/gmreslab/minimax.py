@@ -11,10 +11,13 @@ because p = 1 is admissible.  At depth 1 the two coincide.
 
 ``ideal_gmres`` and ``one_step_ideal`` share one convex solver, run once
 per depth from p = 1 in the basis of ``B = A / ||A||``: damped Newton with
-the exact Hessian on a smoothed top eigenvalue of ``p(B)^H p(B)``, one
-Newton run per smoothing stage, continued to vanishing smoothing.  The
-upper bound is the norm of the returned feasible polynomial; the lower
-bound is a norm-duality certificate,
+the exact Hessian on a smoothed top eigenvalue F_mu of ``p(B)^H p(B)``,
+one Newton run per smoothing stage, continued to vanishing smoothing.  A
+line-search trial costs one eigendecomposition; gradient and Hessian are
+built only at accepted points, and halving starts below a duality cap
+(``F_mu >= ||p(B)||^2 >= lower^2``, so no step whose Armijo target lies
+below ``lower^2`` can pass).  The upper bound is the norm of the returned
+feasible polynomial; the lower bound is a norm-duality certificate,
 
     ideal(A, k) = max |tr Y| / ||Y||_*  over Y != 0 with <A^j, Y> = 0, j = 1..k,
 
@@ -145,23 +148,29 @@ def _normalized_powers(mat: np.ndarray, k: int):
     return b, scale, _matrix_powers(b, k)
 
 
-def _smoothed(powers: np.ndarray, x: np.ndarray, mu: float):
-    """F_mu at ``d = x[:k] + i x[k:]``, its gradient and Hessian in x,
-    ``Y = P W`` and lambda_max.
+def _spectrum(powers: np.ndarray, x: np.ndarray, mu: float):
+    """F_mu at ``d = x[:k] + i x[k:]`` from one eigendecomposition:
+    ``(F_mu, P, lambda, V, w)`` with ``P = P(d)``, ``P^H P = V diag(lambda)
+    V^H`` (lambda ascending) and ``w = softmax(lambda / mu)``."""
+    k, n = powers.shape[:2]
+    p = ((x[:k] + 1j * x[k:]) @ powers.reshape(k, -1)).reshape(n, n)
+    p.flat[:: n + 1] += 1.0
+    lam, vecs = np.linalg.eigh(p.conj().T @ p)
+    z = np.exp((lam - lam[-1]) / mu)
+    return lam[-1] + mu * np.log(z.sum()), p, lam, vecs, z / z.sum()
 
-    With ``P^H P = V diag(lambda) V^H``, ``w = softmax(lambda / mu)`` and
-    ``X_a = V^H (E_a^H P + P^H E_a) V`` for ``E_a = B^j`` or ``i B^j``,
+
+def _derivatives(powers: np.ndarray, spec, mu: float):
+    """Gradient and Hessian in x of F_mu from its :func:`_spectrum`.
+
+    With ``X_a = V^H (E_a^H P + P^H E_a) V`` for ``E_a = B^j`` or ``i B^j``,
     ``g_a = sum_i w_i X_a,ii`` and (Lewis & Sendov, SIMAX 2001)
     ``H_ab = sum_il Gamma_il Re(X_a,il X_b,li) - g_a g_b / mu
     + 2 Re tr(E_a^H E_b W)``, ``Gamma_il = (w_i - w_l) / (lambda_i -
     lambda_l)``, or ``w_i / mu`` where the two coincide.
     """
     k, n = powers.shape[:2]
-    p = ((x[:k] + 1j * x[k:]) @ powers.reshape(k, -1)).reshape(n, n)
-    p.flat[:: n + 1] += 1.0
-    lam, vecs = np.linalg.eigh(p.conj().T @ p)
-    z = np.exp((lam - lam[-1]) / mu)
-    w = z / z.sum()
+    _, p, lam, vecs, w = spec
     bv = powers @ vecs
     gj = (p @ vecs).conj().T @ bv
     gjh = gj.conj().swapaxes(1, 2)
@@ -175,53 +184,62 @@ def _smoothed(powers: np.ndarray, x: np.ndarray, mu: float):
     ev = np.concatenate([ev, 1j * ev])
     hess = ((xa * gamma.ravel()) @ xa.conj().T + 2.0 * ev.conj() @ ev.T).real
     hess -= np.outer(grad, grad) / mu
-    y = p @ (vecs * w) @ vecs.conj().T
-    return lam[-1] + mu * np.log(z.sum()), grad, hess, y, lam[-1]
+    return grad, hess
 
 
 def _minimize_norm(powers: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimize ``||P(d)||``, ``P(d) = I + d_1 B + ... + d_k B^k``, from d = 0.
 
-    Damped Newton with the exact Hessian of :func:`_smoothed` minimizes the
-    smoothed top eigenvalue of ``X = P^H P``,
+    Damped Newton with the exact Hessian of :func:`_derivatives` minimizes
+    the smoothed top eigenvalue of ``X = P^H P``,
 
         F_mu(d) = lambda_max + mu log sum_i exp((lambda_i - lambda_max) / mu),
 
     which is convex in d.  Armijo backtracking runs while the predicted
-    decrease exceeds ``4 eps |F_mu|``.  Below that F_mu is flat to
-    rounding but its gradient is not: full steps go on while each shrinks
-    the Newton decrement, which sharpens the dual matrix Y, and the stage
-    ends at the first that does not.  ``mu`` starts at ``0.1 = 0.1
-    ||P(0)||^2`` and shrinks tenfold per stage, each stage warm-started at
-    the last, until the norm and the dual bound of :func:`_dual_lower_bound`
-    meet within ``_GAP_TARGET`` or ``mu`` reaches rounding level.  Returns
-    the best coefficients seen, whose norm never exceeds 1, and the best
-    dual lower bound.
+    decrease exceeds ``4 eps |F_mu|``; a trial evaluates only
+    :func:`_spectrum`, and the derivatives are built once per accepted
+    point.  Halving starts below the duality cap: ``F_mu >= ||P||^2 >=
+    lower^2`` at every point, so no step ``t`` with ``-t slope > 4 (F_mu -
+    lower^2 + 4 eps |F_mu|)`` can pass Armijo, and those are skipped
+    unevaluated.  Below the rounding level F_mu is flat but its gradient is
+    not: full steps go on while each shrinks the Newton decrement, which
+    sharpens the dual matrix Y, and the stage ends at the first that does
+    not.  ``mu`` starts at ``0.1 = 0.1 ||P(0)||^2`` and shrinks tenfold per
+    stage, each stage warm-started at the last, until the norm and the dual
+    bound of :func:`_dual_lower_bound` meet within ``_GAP_TARGET`` or
+    ``mu`` reaches rounding level.  Returns the best coefficients seen,
+    whose norm never exceeds 1, and the best dual lower bound.
     """
     k = powers.shape[0]
     x = best_x = np.zeros(2 * k)
     upper, lower, mu = 1.0, 0.0, 0.1
     while upper - lower > _GAP_TARGET and mu >= 1e-14 * upper**2:
-        state, undo = _smoothed(powers, x, mu), None
+        state, undo = _spectrum(powers, x, mu), None
         for _ in range(_NEWTON_STEPS):
-            step = np.linalg.lstsq(state[2], -state[1], rcond=None)[0]
-            slope = float(state[1] @ step)
+            grad, hess = _derivatives(powers, state, mu)
+            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+            slope = float(grad @ step)
             if undo is not None and slope <= undo[2]:
                 x, state = undo[:2]  # the full step did not shrink the decrement
                 break
-            trial = full = _smoothed(powers, x + step, mu)
             t, level = 1.0, 4.0 * np.finfo(float).eps * abs(state[0])
+            while -t * slope > max(level, 4.0 * (state[0] - lower**2 + level)):
+                t *= 0.5  # beyond the duality cap: Armijo fails
+            trial = _spectrum(powers, x + t * step, mu)
             while trial[0] > state[0] + 0.25 * t * slope and -t * slope > level:
                 t *= 0.5
-                trial = _smoothed(powers, x + t * step, mu)
+                trial = _spectrum(powers, x + t * step, mu)
             undo = None
             if trial[0] > state[0] + 0.25 * t * slope or -slope <= level:
+                full = trial if t == 1.0 else _spectrum(powers, x + step, mu)
                 undo, trial, t = (x, state, slope), full, 1.0
             x, state = x + t * step, trial
-        value = float(np.sqrt(max(state[4], 0.0)))
+        _, p, lam, vecs, w = state
+        value = float(np.sqrt(max(lam[-1], 0.0)))
         if value < upper:
             best_x, upper = x, value
-        lower = max(lower, _dual_lower_bound(powers, state[3], x[:k] + 1j * x[k:]))
+        y = p @ (vecs * w) @ vecs.conj().T
+        lower = max(lower, _dual_lower_bound(powers, y, x[:k] + 1j * x[k:]))
         mu *= 0.1
     return best_x[:k] + 1j * best_x[k:], min(lower, upper)
 

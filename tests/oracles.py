@@ -7,7 +7,10 @@ Givens rotations, dense least squares and a closed-form one-step damping
 instead of the batched Gram-Schmidt residual kernel, a generalized
 Hermitian eigenproblem instead of an explicit inverse, an angular scan
 with golden-section refinement instead of Newton steps on the support
-function.
+function, the ideal solver's Newton stages with plain Armijo halving
+instead of halving below a duality cap.  Two small helpers that the
+package no longer needs live here as well: the Rayleigh quotient and
+``nu(F(A^{-1}))`` on its own.
 """
 
 from typing import NamedTuple, Optional
@@ -15,6 +18,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.linalg import eigh
 from scipy.spatial import ConvexHull, QhullError
+
+from gmreslab import fov, minimax
+from gmreslab.dense_core import as_matrix
+from gmreslab.errors import ZeroVector
 
 
 def point_segment_distance(p, a, b):
@@ -87,6 +94,24 @@ def equioscillation_three_points():
     value = max(abs(1 + a * z + b * z * z) for z in (1.0, 2.0, 3.0))
     assert abs(value - abs(s)) < 1e-14
     return value, np.array([a, b])
+
+
+def rayleigh(a, v) -> complex:
+    """Rayleigh quotient ``<Av, v> / <v, v>`` (convention ``<x, y> = y^H x``)."""
+    m = as_matrix(a)
+    vec = np.asarray(v, dtype=np.complex128).ravel()
+    if vec.shape[0] != m.shape[0]:
+        raise ValueError("vector length does not match matrix order")
+    denom = np.vdot(vec, vec)
+    if denom.real == 0.0:
+        raise ZeroVector("Rayleigh quotient of the zero vector")
+    return complex(np.vdot(vec, m @ vec) / denom)
+
+
+def nu_fov_inverse(a) -> float:
+    """``nu(F(A^{-1}))``; 0 when the origin lies in F(A), singular A included."""
+    mat = as_matrix(a)
+    return fov._nu_inverse(mat, fov.nu_fov(mat).value)
 
 
 def rayleigh_cloud(a, count, seed):
@@ -295,3 +320,54 @@ def nu_inverse_pencil(a, angles=720, fine=401):
     center = step * int(np.argmax(coarse))
     best = max(lam_min(t) for t in center + np.linspace(-step, step, fine))
     return max(best, max(coarse), 0.0)
+
+
+def plain_halving_minimize_norm(powers, skipped=None):
+    """``minimax._minimize_norm`` with the line search of its first version.
+
+    Each Newton step evaluates F_mu, its derivatives and the dual matrix at
+    every trial, from ``t = 1`` halving while Armijo fails, with no duality
+    cap.  When ``skipped`` is a list, every evaluated trial that the cap
+    ``-t slope > max(level, 4 (F_mu - lower^2 + level))`` rules out is
+    appended to it as whether it passed Armijo.
+    """
+
+    def evaluate(x, mu):
+        spec = minimax._spectrum(powers, x, mu)
+        _, p, lam, vecs, w = spec
+        y = p @ (vecs * w) @ vecs.conj().T
+        return (spec[0], *minimax._derivatives(powers, spec, mu), y, lam[-1])
+
+    k = powers.shape[0]
+    x = best_x = np.zeros(2 * k)
+    upper, lower, mu = 1.0, 0.0, 0.1
+    while upper - lower > minimax._GAP_TARGET and mu >= 1e-14 * upper**2:
+        state, undo = evaluate(x, mu), None
+        for _ in range(minimax._NEWTON_STEPS):
+            step = np.linalg.lstsq(state[2], -state[1], rcond=None)[0]
+            slope = float(state[1] @ step)
+            if undo is not None and slope <= undo[2]:
+                x, state = undo[:2]
+                break
+            trial = full = evaluate(x + step, mu)
+            t, level = 1.0, 4.0 * np.finfo(float).eps * abs(state[0])
+            cap = max(level, 4.0 * (state[0] - lower**2 + level))
+            while True:
+                failed = trial[0] > state[0] + 0.25 * t * slope
+                if skipped is not None and -t * slope > cap:
+                    skipped.append(not failed)
+                if not (failed and -t * slope > level):
+                    break
+                t *= 0.5
+                trial = evaluate(x + t * step, mu)
+            undo = None
+            if trial[0] > state[0] + 0.25 * t * slope or -slope <= level:
+                undo, trial, t = (x, state, slope), full, 1.0
+            x, state = x + t * step, trial
+        value = float(np.sqrt(max(state[4], 0.0)))
+        if value < upper:
+            best_x, upper = x, value
+        d = x[:k] + 1j * x[k:]
+        lower = max(lower, minimax._dual_lower_bound(powers, state[3], d))
+        mu *= 0.1
+    return best_x[:k] + 1j * best_x[k:], min(lower, upper)

@@ -52,6 +52,16 @@ def test_eig_rejects_nonhermitian():
         eig_hermitian(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("c", [1e160, 1e-200], ids=["1e160", "1e-200"])
+def test_eig_gate_at_extreme_magnitudes(c):
+    """The symmetry gate neither overflows nor underflows into a pass: its
+    norms are taken on an exactly scaled copy."""
+    spec = eig_hermitian(c * np.diag([1.0, 2.0]))
+    assert np.allclose(spec.values / c, [1.0, 2.0], rtol=1e-15, atol=0.0)
+    with pytest.raises(NotHermitian):
+        eig_hermitian(c * np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
 def test_eig_ascending_and_reconstructs():
     rng = np.random.default_rng(11)
     for n in (2, 3, 5, 8):

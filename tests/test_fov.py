@@ -11,13 +11,12 @@ from gmreslab import (
     fov_summary,
     hermitian_part,
     nu_fov,
-    nu_fov_inverse,
-    rayleigh,
     spectral_norm,
 )
 from gmreslab.fov import _zero_tol
 from conftest import random_complex, random_nonsingular
 import oracles
+from oracles import nu_fov_inverse, rayleigh
 
 HULL_TOL = 1e-5
 
@@ -123,10 +122,11 @@ _SMALL_CASES = {
         ),
     ]
     + [pytest.param(a, 720, id=name) for name, a in _SMALL_CASES.items()]
-    # n <= 8 solves every angle directly; five copies put the same field of
-    # values, with a multiple top eigenvalue, on the warm-started path
+    # copies give the same field of values with a multiple top eigenvalue;
+    # n <= 28 solves every angle directly, 15 copies take the warm start
     + [
-        pytest.param(np.kron(np.eye(5), a), 720, id=f"{name}_x5")
+        pytest.param(np.kron(np.eye(copies), a), 720, id=f"{name}_x{copies}")
+        for copies in (5, 15)
         for name, a in _SMALL_CASES.items()
     ],
 )
@@ -181,10 +181,25 @@ def test_boundary_falls_back_when_the_certificate_fails(monkeypatch):
 
     monkeypatch.setattr(lapack, "zpotrf", failing)
     calls = _count_calls(monkeypatch, "zheevr")
-    a = random_complex(np.random.default_rng(79), 12)
+    a = random_complex(np.random.default_rng(79), 32)
     b = fov_boundary(a, 720)
     assert len(calls) == 720
     _assert_matches_eigensolves(a, b)
+
+
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_boundary_below_the_warm_order_matches_per_angle_eigvalsh(kind):
+    """At n = 20 every angle takes one heevr; the support values agree with
+    a per-angle eigvalsh of H(theta) to the zero tolerance."""
+    a = random_complex(np.random.default_rng(83), 20)
+    if kind == "real":
+        a = a.real
+    b = fov_boundary(a, 720)
+    herm, skew = hermitian_part(a), hermitian_part(-1j * a)
+    for theta, top, bottom in zip(b.angles, b.support_max, b.support_min):
+        values = np.linalg.eigvalsh(np.cos(theta) * herm + np.sin(theta) * skew)
+        assert abs(top - values[-1]) <= _zero_tol(a)
+        assert abs(bottom - values[0]) <= _zero_tol(a)
 
 
 def test_boundary_rejects_tiny_sample_counts(jordan_block):

@@ -92,17 +92,82 @@ def test_smoothed_derivatives_match_central_differences(rel_mu):
     x = 0.3 * rng.standard_normal(6)
     p = evaluate_residual_polynomial(powers[0], x[:3] + 1j * x[3:])
     mu = rel_mu * spectral_norm(p) ** 2
-    _, grad, hess, _, _ = minimax._smoothed(powers, x, mu)
+    grad, hess = minimax._derivatives(powers, minimax._spectrum(powers, x, mu), mu)
     h = 1e-5
     fd_grad, fd_hess = [], []
     for e in np.eye(6):
-        plus = minimax._smoothed(powers, x + h * e, mu)
-        minus = minimax._smoothed(powers, x - h * e, mu)
+        plus, minus = (minimax._spectrum(powers, x + s * h * e, mu) for s in (1, -1))
         fd_grad.append((plus[0] - minus[0]) / (2 * h))
-        fd_hess.append((plus[1] - minus[1]) / (2 * h))
+        fd_hess.append(
+            (minimax._derivatives(powers, plus, mu)[0]
+             - minimax._derivatives(powers, minus, mu)[0]) / (2 * h)
+        )
     assert np.abs(np.array(fd_grad) - grad).max() <= 1e-7 * np.abs(grad).max()
     assert np.abs(np.array(fd_hess) - hess).max() <= 1e-6 * np.abs(hess).max()
     assert np.abs(hess - hess.T).max() <= 1e-12 * np.abs(hess).max()
+
+
+def _line_search_cases():
+    """``[B, .., B^k]`` of the line-search tests' inputs: 12 random real
+    and complex matrices (n = 3..10, k = 1..4), Toh's matrix with eps = 0.1
+    at k = 3 and the 16x16 case at k = 8."""
+    rng = np.random.default_rng(89)
+    cases = []
+    for i in range(12):
+        n, k = int(rng.integers(3, 11)), int(rng.integers(1, 5))
+        a = random_complex(rng, n, spread=float(rng.uniform(0.3, 1.5)))
+        cases.append((a.real if i % 2 else a, k))
+    cases.append((toh(0.1), 3))
+    cases.append(
+        (np.random.default_rng(3).standard_normal((16, 16)) / 4 + 1.5 * np.eye(16), 8)
+    )
+    return [minimax._normalized_powers(a, k)[2] for a, k in cases]
+
+
+LINE_SEARCH_CASES = _line_search_cases()
+
+
+def test_capped_line_search_matches_plain_halving_to_the_bit():
+    """Halving below the duality cap and evaluating only the spectrum at a
+    trial skip only trials that fail Armijo: same coefficients and lower
+    bound, bit for bit, as evaluating everything from t = 1."""
+    for powers in LINE_SEARCH_CASES:
+        d, lower = minimax._minimize_norm(powers)
+        want_d, want_lower = oracles.plain_halving_minimize_norm(powers)
+        assert np.array_equal(d, want_d)
+        assert lower == want_lower
+
+
+def test_every_trial_beyond_the_cap_fails_armijo():
+    skipped = []
+    for powers in LINE_SEARCH_CASES:
+        oracles.plain_halving_minimize_norm(powers, skipped)
+    assert len(skipped) > 0
+    assert not any(skipped)
+
+
+def test_derivatives_once_per_newton_step(monkeypatch):
+    """One gradient and Hessian per Newton step (one ``lstsq`` each; the
+    rest of the ``lstsq`` calls are the dual bound's, one per stage)."""
+    counts = {"derivatives": 0, "lstsq": 0, "dual": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    for module, name, key in [
+        (minimax, "_derivatives", "derivatives"),
+        (np.linalg, "lstsq", "lstsq"),
+        (minimax, "_dual_lower_bound", "dual"),
+    ]:
+        monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
+    for powers in LINE_SEARCH_CASES:
+        minimax._minimize_norm(powers)
+    assert counts["dual"] > 0
+    assert counts["derivatives"] == counts["lstsq"] - counts["dual"] > 0
 
 
 def test_ideal_sixteen_by_sixteen_depth_eight_certifies():
