@@ -13,20 +13,13 @@ from .bounds import (
     starke_bound,
     verify_chain,
 )
-from .dense_core import (
-    EigenSpectrum,
-    eig_hermitian,
-    evaluate_residual_polynomial,
-    hermitian_part,
-    spectral_norm,
-)
+from .dense_core import hermitian_part, spectral_norm
 from .errors import (
     BudgetExceeded,
     FileError,
     InvalidSpec,
     LabError,
     NoConvergence,
-    NotHermitian,
     ParseError,
     UnsupportedFormat,
     ZeroVector,
@@ -59,7 +52,6 @@ __all__ = [
     # errors
     "LabError",
     "ZeroVector",
-    "NotHermitian",
     "NoConvergence",
     "BudgetExceeded",
     "InvalidSpec",
@@ -67,11 +59,8 @@ __all__ = [
     "UnsupportedFormat",
     "FileError",
     # dense kernels
-    "EigenSpectrum",
     "hermitian_part",
-    "eig_hermitian",
     "spectral_norm",
-    "evaluate_residual_polynomial",
     # field of values
     "FovBoundary",
     "FovSummary",

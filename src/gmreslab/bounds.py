@@ -118,10 +118,9 @@ def elman_bound(a, k: int) -> Optional[float]:
     scaled by a power of two first, which leaves ``lambda_min(M) / ||A||``
     unchanged and keeps the eigensolve in range."""
     mat = dense_core.binary_scaled(as_matrix(a))[0]
-    m_part = dense_core.hermitian_part(mat)
-    spectrum = dense_core.eig_hermitian(m_part)
-    lam_min = float(spectrum.values[0])
-    scale = max(abs(float(spectrum.values[0])), abs(float(spectrum.values[-1])))
+    lam = np.linalg.eigh(dense_core.hermitian_part(mat))[0]
+    lam_min = float(lam[0])
+    scale = max(abs(lam_min), abs(float(lam[-1])))
     if scale == 0.0 or lam_min <= _PD_FLOOR * scale:
         return None
     norm_a = dense_core.spectral_norm(mat)

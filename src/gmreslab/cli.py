@@ -12,7 +12,7 @@ Four subcommands::
 Flags override config fields.  Exit codes follow the experiment runner:
 0 all checks passed, 1 an inequality failed beyond slack, 2 I/O or parse
 trouble, 3 non-certified result under --strict, 4 a solver or kernel
-failure.
+failure (a LAPACK failure included).
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from __future__ import annotations
 import argparse
 import sys
 from typing import List, Optional
+
+import numpy as np
 
 from . import experiment, fov, mmio
 from .errors import FileError, InvalidSpec, LabError, ParseError, UnsupportedFormat
@@ -208,7 +210,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ParseError, UnsupportedFormat, FileError, InvalidSpec) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except LabError as exc:
+    except (LabError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILED
 

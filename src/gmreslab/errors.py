@@ -7,7 +7,6 @@ __all__ = [
     "check_seed",
     "LabError",
     "ZeroVector",
-    "NotHermitian",
     "NoConvergence",
     "BudgetExceeded",
     "InvalidSpec",
@@ -23,10 +22,6 @@ class LabError(Exception):
 
 class ZeroVector(LabError):
     """A vector argument that must be nonzero had norm zero."""
-
-
-class NotHermitian(LabError):
-    """A matrix handed to a Hermitian-only routine failed the symmetry gate."""
 
 
 class NoConvergence(LabError):

@@ -28,7 +28,8 @@ Exit codes returned by :func:`run_experiment`:
     strict mode and at least one minimization came back non-certified.
 4
     a solver or kernel failed (any other :class:`LabError`, such as
-    ``NoConvergence``); no report is written.
+    ``NoConvergence``, or a LAPACK failure, ``np.linalg.LinAlgError``); no
+    report is written.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
+
+import numpy as np
 
 from . import bounds, fov, matrices, reporting
 from .errors import (
@@ -171,6 +174,6 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     except (FileError, ParseError, UnsupportedFormat, InvalidSpec) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except LabError as exc:
+    except (LabError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILED

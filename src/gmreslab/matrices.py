@@ -3,12 +3,13 @@
 A :class:`MatrixSpec` is a JSON-friendly description (family name plus
 parameters) that :func:`generate_matrix` turns into a dense complex array.
 Random families are reproducible from their seed.  Complex scalars in a
-spec are written either as plain numbers or as two-element ``[re, im]``
-lists, since JSON has no complex literal.
+spec are finite and written either as plain numbers or as two-element
+``[re, im]`` lists, since JSON has no complex literal.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict
 
@@ -59,15 +60,13 @@ class MatrixSpec:
 
 
 def _as_scalar(value, what: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(part, (int, float)) for part in value)
-    ):
-        return complex(value[0], value[1])
-    raise InvalidSpec(f"{what} must be a number or an [re, im] pair, got {value!r}")
+    """A JSON number or ``[re, im]`` pair, finite and not ``true``/``false``."""
+    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else [value]
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
+        raise InvalidSpec(f"{what} must be a number or an [re, im] pair, got {value!r}")
+    if not all(abs(x) <= sys.float_info.max for x in parts):  # nan fails too
+        raise InvalidSpec(f"{what} must be finite, got {value!r}")
+    return complex(*parts)
 
 
 def _as_size(params: dict, key: str = "n") -> int:

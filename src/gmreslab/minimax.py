@@ -17,7 +17,9 @@ line-search trial costs one eigendecomposition; gradient and Hessian are
 built only at accepted points, and halving starts below a duality cap
 (``F_mu >= ||p(B)||^2 >= lower^2``, so no step whose Armijo target lies
 below ``lower^2`` can pass).  The upper bound is the norm of the returned
-feasible polynomial; the lower bound is a norm-duality certificate,
+feasible polynomial and the witness its top right singular vector, both
+read off the solver's eigendecomposition at that polynomial; the lower
+bound is a norm-duality certificate,
 
     ideal(A, k) = max |tr Y| / ||Y||_*  over Y != 0 with <A^j, Y> = 0, j = 1..k,
 
@@ -141,11 +143,10 @@ def _matrix_powers(mat: np.ndarray, k: int) -> np.ndarray:
 
 
 def _normalized_powers(mat: np.ndarray, k: int):
-    """``B = A / ||A||``, ``||A||`` and ``[B, .., B^k]``: in B the optimal
-    coefficients are O(1)."""
+    """``||A||`` and ``[B, .., B^k]`` for ``B = A / ||A||``: in B the
+    optimal coefficients are O(1)."""
     scale = dense_core.spectral_norm(mat) or 1.0
-    b = mat / scale
-    return b, scale, _matrix_powers(b, k)
+    return scale, _matrix_powers(mat / scale, k)
 
 
 def _spectrum(powers: np.ndarray, x: np.ndarray, mu: float):
@@ -155,7 +156,11 @@ def _spectrum(powers: np.ndarray, x: np.ndarray, mu: float):
     k, n = powers.shape[:2]
     p = ((x[:k] + 1j * x[k:]) @ powers.reshape(k, -1)).reshape(n, n)
     p.flat[:: n + 1] += 1.0
-    lam, vecs = np.linalg.eigh(p.conj().T @ p)
+    return _weighted(p, *np.linalg.eigh(p.conj().T @ p), mu)
+
+
+def _weighted(p: np.ndarray, lam: np.ndarray, vecs: np.ndarray, mu: float):
+    """:func:`_spectrum`'s tuple from ``P`` and ``P^H P = V diag(lambda) V^H``."""
     z = np.exp((lam - lam[-1]) / mu)
     return lam[-1] + mu * np.log(z.sum()), p, lam, vecs, z / z.sum()
 
@@ -187,7 +192,7 @@ def _derivatives(powers: np.ndarray, spec, mu: float):
     return grad, hess
 
 
-def _minimize_norm(powers: np.ndarray) -> tuple[np.ndarray, float]:
+def _minimize_norm(powers: np.ndarray):
     """Minimize ``||P(d)||``, ``P(d) = I + d_1 B + ... + d_k B^k``, from d = 0.
 
     Damped Newton with the exact Hessian of :func:`_derivatives` minimizes
@@ -205,16 +210,23 @@ def _minimize_norm(powers: np.ndarray) -> tuple[np.ndarray, float]:
     not: full steps go on while each shrinks the Newton decrement, which
     sharpens the dual matrix Y, and the stage ends at the first that does
     not.  ``mu`` starts at ``0.1 = 0.1 ||P(0)||^2`` and shrinks tenfold per
-    stage, each stage warm-started at the last, until the norm and the dual
-    bound of :func:`_dual_lower_bound` meet within ``_GAP_TARGET`` or
-    ``mu`` reaches rounding level.  Returns the best coefficients seen,
-    whose norm never exceeds 1, and the best dual lower bound.
+    stage, each stage warm-started at the last with its eigendecomposition
+    reweighted, until the norm and the dual bound of
+    :func:`_dual_lower_bound` meet within ``_GAP_TARGET`` or ``mu`` reaches
+    rounding level.
+
+    Returns ``(d, norm, witness, lower)``: the best coefficients seen;
+    ``norm = ||P(d)|| = sqrt(lambda_max) <= 1`` and a unit top eigenvector
+    of ``P(d)^H P(d)``, both from its kept eigendecomposition; and the best
+    dual lower bound, at most ``norm``.
     """
     k = powers.shape[0]
-    x = best_x = np.zeros(2 * k)
+    x = np.zeros(2 * k)
     upper, lower, mu = 1.0, 0.0, 0.1
+    state = _spectrum(powers, x, mu)
+    best = x, state
     while upper - lower > _GAP_TARGET and mu >= 1e-14 * upper**2:
-        state, undo = _spectrum(powers, x, mu), None
+        undo = None
         for _ in range(_NEWTON_STEPS):
             grad, hess = _derivatives(powers, state, mu)
             step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
@@ -237,11 +249,13 @@ def _minimize_norm(powers: np.ndarray) -> tuple[np.ndarray, float]:
         _, p, lam, vecs, w = state
         value = float(np.sqrt(max(lam[-1], 0.0)))
         if value < upper:
-            best_x, upper = x, value
+            best, upper = (x, state), value
         y = p @ (vecs * w) @ vecs.conj().T
         lower = max(lower, _dual_lower_bound(powers, y, x[:k] + 1j * x[k:]))
         mu *= 0.1
-    return best_x[:k] + 1j * best_x[k:], min(lower, upper)
+        state = _weighted(p, lam, vecs, mu)
+    x, state = best
+    return x[:k] + 1j * x[k:], upper, state[3][:, -1], min(lower, upper)
 
 
 def _dual_lower_bound(powers: np.ndarray, y: np.ndarray, d: np.ndarray) -> float:
@@ -276,26 +290,22 @@ def ideal_gmres(a, k: int) -> MinimaxResult:
     one-step polynomial, so ``ideal(k) <= one_step_ideal(A).value ** k`` is
     a property of the converged solve (and a tested one), not of the start.
     The value is the spectral norm of the returned polynomial (an upper
-    bound on the true minimum) and the lower bound is a norm-duality
-    certificate; value, witness and bracket are computed from the
-    polynomial in ``B = A / ||A||``, so they do not depend on the scale of
-    A.  When the gap exceeds 1e-4 the result is flagged non-certified but
+    bound on the true minimum), the witness a unit vector that attains it
+    and the lower bound a norm-duality certificate; all three come from
+    the solver's last eigendecomposition of the polynomial in ``B = A /
+    ||A||``, so they do not depend on the scale of A.  When the gap exceeds 1e-4 the result is flagged non-certified but
     is still returned; both bounds remain sound.  The solve has no starts
     and no randomness.
     """
     mat = as_matrix(a)
     k = _check_depth(k)
-    b, scale, powers = _normalized_powers(mat, k)
-    d, lower = _minimize_norm(powers)
-    upper, _, witness = dense_core.top_singular_triple(
-        dense_core.evaluate_residual_polynomial(b, d)
-    )
+    scale, powers = _normalized_powers(mat, k)
+    d, upper, witness, lower = _minimize_norm(powers)
     try:
         with np.errstate(over="raise", under="raise"):
             coeffs = d / scale ** np.arange(1, k + 1)
     except FloatingPointError:
         coeffs = None
-    lower = float(min(lower, upper))
     return MinimaxResult(
         value=upper,
         coefficients=coeffs,
@@ -379,7 +389,7 @@ def worst_case_gmres(
         if w.shape[0] == n and nw > 0.0:
             seeds.append(w / nw)
 
-    seeds.append(dense_core.top_singular_triple(mat)[2])
+    seeds.append(dense_core.top_right_singular_vector(mat))
 
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     while len(seeds) < _ASCENT_STARTS:
@@ -413,11 +423,9 @@ def worst_case_gmres(
 
 def one_step_ideal(a) -> OneStepIdealResult:
     """Minimize ``||I - alpha A||`` over complex alpha."""
-    mat = as_matrix(a)
-    b, scale, powers = _normalized_powers(mat, 1)
-    d = complex(_minimize_norm(powers)[0][0])
-    step_matrix = np.eye(mat.shape[0], dtype=np.complex128) + d * b
-    return OneStepIdealResult(dense_core.spectral_norm(step_matrix), -d / scale)
+    scale, powers = _normalized_powers(as_matrix(a), 1)
+    d, value, _, _ = _minimize_norm(powers)
+    return OneStepIdealResult(value, -complex(d[0]) / scale)
 
 
 # ---------------------------------------------------------------------------

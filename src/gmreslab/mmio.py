@@ -4,7 +4,8 @@ Reads both ``coordinate`` and ``array`` formats with ``real`` or
 ``complex`` fields and expands ``symmetric``, ``hermitian``, and
 ``skew-symmetric`` storage to dense general form.  ``integer`` and
 ``pattern`` fields are recognized and rejected with
-:class:`~gmreslab.errors.UnsupportedFormat`; malformed content raises
+:class:`~gmreslab.errors.UnsupportedFormat`; malformed content, a
+``nan`` or ``inf`` entry included, raises
 :class:`~gmreslab.errors.ParseError` carrying the offending line number.
 
 The writer emits shortest round-trip decimal literals (Python ``repr``),
@@ -13,6 +14,7 @@ so write-then-read reproduces every entry exactly.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +31,16 @@ _SYMMETRIES = ("general", "symmetric", "hermitian", "skew-symmetric")
 
 def _parse_number(token: str, lineno: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         # Fortran-style exponents occur in the wild.
         try:
-            return float(token.replace("D", "E").replace("d", "e"))
+            value = float(token.replace("D", "E").replace("d", "e"))
         except ValueError:
             raise ParseError(f"not a number: {token!r}", lineno) from None
+    if not math.isfinite(value):
+        raise ParseError(f"entry must be finite, got {token!r}", lineno)
+    return value
 
 
 def _parse_value(tokens, field: str, lineno: int) -> complex:

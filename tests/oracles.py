@@ -8,9 +8,10 @@ instead of the batched Gram-Schmidt residual kernel, a generalized
 Hermitian eigenproblem instead of an explicit inverse, an angular scan
 with golden-section refinement instead of Newton steps on the support
 function, the ideal solver's Newton stages with plain Armijo halving
-instead of halving below a duality cap.  Two small helpers that the
-package no longer needs live here as well: the Rayleigh quotient and
-``nu(F(A^{-1}))`` on its own.
+instead of halving below a duality cap, Horner's rule for a residual
+polynomial instead of the ideal solver's own eigendecomposition.  Two
+small helpers that the package no longer needs live here as well: the
+Rayleigh quotient and ``nu(F(A^{-1}))`` on its own.
 """
 
 from typing import NamedTuple, Optional
@@ -22,6 +23,17 @@ from scipy.spatial import ConvexHull, QhullError
 from gmreslab import fov, minimax
 from gmreslab.dense_core import as_matrix
 from gmreslab.errors import ZeroVector
+
+
+def residual_polynomial(a, coefficients) -> np.ndarray:
+    """``p(A) = I + c_1 A + ... + c_k A^k`` by Horner's rule, for
+    ``coefficients = c_1 .. c_k``; an empty list gives the identity."""
+    m = as_matrix(a)
+    eye = np.eye(m.shape[0], dtype=np.complex128)
+    q = np.zeros_like(eye)
+    for c in np.asarray(coefficients, dtype=np.complex128).ravel()[::-1]:
+        q = c * eye + m @ q
+    return eye + m @ q
 
 
 def point_segment_distance(p, a, b):

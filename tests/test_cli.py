@@ -243,6 +243,108 @@ def test_solver_failure_exits_four(tmp_path, monkeypatch, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "ideal"])
+@pytest.mark.parametrize(
+    "routine,message",
+    [
+        ("eigh", "Eigenvalues did not converge"),
+        ("lstsq", "SVD did not converge in Linear Least Squares"),
+    ],
+    ids=["eigh", "lstsq"],
+)
+def test_lapack_failure_exits_four(
+    tmp_path, monkeypatch, capsys, diag_mtx, command, routine, message
+):
+    """A LAPACK failure is a solver failure: exit 4 with an error line, not
+    a traceback, and no report."""
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError(message)
+
+    monkeypatch.setattr(np.linalg, routine, failing)
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "matrix": {"family": "jordan", "n": 2, "lam": 1.0},
+                "depths": [1],
+                "out_dir": str(out),
+            }
+        )
+    )
+    argv = {
+        "run": ["run", str(cfg)],
+        "ideal": ["ideal", "--matrix", diag_mtx, "-k", "1"],
+    }[command]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert "wrote" not in captured.out
+    assert not (out / "report.json").exists()
+
+
+NON_FINITE_MTX = {
+    "array_nan": "%%MatrixMarket matrix array real general\n2 2\n1.0\nnan\n0.0\n2.0\n",
+    "coordinate_inf": (
+        "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 inf\n2 2 2.0\n"
+    ),
+    "complex_minus_inf": (
+        "%%MatrixMarket matrix coordinate complex general\n"
+        "2 2 2\n1 1 1.0 -inf\n2 2 2.0 0.0\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "bounds", "ideal", "fov"])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_MTX))
+def test_non_finite_matrix_entry_exits_two(tmp_path, capsys, command, name):
+    path = tmp_path / "bad.mtx"
+    path.write_text(NON_FINITE_MTX[name])
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "matrix": {"family": "file", "path": str(path)},
+                "depths": [1],
+                "out_dir": str(out),
+            }
+        )
+    )
+    argv = {
+        "run": ["run", str(cfg)],
+        "bounds": ["bounds", "--matrix", str(path), "--depths", "1", "--out-dir", str(out)],
+        "ideal": ["ideal", "--matrix", str(path), "-k", "1"],
+        "fov": ["fov", "--matrix", str(path), "--out", str(out / "fov.csv")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: line" in err and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        '{"family": "jordan", "n": 2, "lam": 1e400}',
+        '{"family": "random_pd_part", "n": 2, "shift": 1e400}',
+        '{"family": "diagonal", "entries": [1e400]}',
+        '{"family": "diagonal", "entries": [true]}',
+    ],
+    ids=["lam", "shift", "entries", "entries_true"],
+)
+def test_non_finite_config_scalar_exits_two(tmp_path, capsys, matrix):
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        f'{{"matrix": {matrix}, "depths": [1], "out_dir": {json.dumps(str(out))}}}'
+    )
+    assert main(["run", str(cfg)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("s", [1e-200, 1e160])
 def test_run_at_extreme_scales(tmp_path, capsys, s):
     """A valid file with entries near the ends of the float range runs to

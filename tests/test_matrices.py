@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, seed
@@ -120,3 +122,29 @@ def test_spec_from_dict_rejects_malformed(data):
 def test_generate_rejects_bad_parameters(spec):
     with pytest.raises(InvalidSpec):
         generate_matrix(spec)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"family": "diagonal", "entries": [1e400]}',
+        '{"family": "diagonal", "entries": [[1.0, -1e400]]}',
+        '{"family": "diagonal", "entries": [NaN]}',
+        '{"family": "diagonal", "entries": [true]}',
+        '{"family": "diagonal", "entries": [[false, 1.0]]}',
+        '{"family": "jordan", "n": 2, "lam": 1e400}',
+        '{"family": "jordan", "n": 2, "lam": 1%s}' % ("0" * 400),
+        '{"family": "bidiagonal", "diag": [1.0], "superdiag": -Infinity}',
+        '{"family": "random_pd_part", "n": 2, "shift": 1e400}',
+        '{"family": "random_pd_part", "n": 2, "spread": true}',
+    ],
+    ids=[
+        "entry_inf", "entry_pair_inf", "entry_nan", "entry_true",
+        "entry_pair_false", "lam_inf", "lam_huge_int", "superdiag_inf",
+        "shift_inf", "spread_true",
+    ],
+)
+def test_generate_rejects_non_finite_and_boolean_scalars(text):
+    """JSON reads 1e400 as inf and true as a bool; neither is a scalar."""
+    with pytest.raises(InvalidSpec):
+        generate_matrix(MatrixSpec.from_dict(json.loads(text)))

@@ -141,6 +141,25 @@ def test_parse_errors_carry_line_numbers(tmp_path, text, lineno):
     assert f"line {lineno}" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize(
+    "header,entry",
+    [
+        ("array real", "{}"),
+        ("coordinate real", "1 1 {}"),
+        ("coordinate complex", "1 1 1.0 {}"),
+    ],
+    ids=["array", "coordinate", "complex"],
+)
+def test_non_finite_entry_is_a_parse_error(tmp_path, header, entry, token):
+    size = "1 1" if header.startswith("array") else "1 1 1"
+    text = f"%%MatrixMarket matrix {header} general\n{size}\n{entry.format(token)}\n"
+    with pytest.raises(ParseError) as excinfo:
+        read_matrix_market(write(tmp_path, text))
+    assert excinfo.value.lineno == 3
+    assert "finite" in str(excinfo.value)
+
+
 def test_missing_file_raises_file_error():
     with pytest.raises(FileError):
         read_matrix_market("/nonexistent/nowhere.mtx")
