@@ -17,6 +17,7 @@ value is compared, 1e-8 where only bounds are.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -86,30 +87,9 @@ class BoundsReport:
         }
 
     def to_dict(self) -> dict:
-        stats = self.gmres_stats()
-        return {
-            "k": self.k,
-            "gmres": {
-                "ratios": [float(r) for r in self.gmres_ratios],
-                "min": stats["min"],
-                "median": stats["median"],
-                "max": stats["max"],
-            },
-            "worst_case": self.worst_case,
-            "ideal": self.ideal,
-            "ideal_lower": self.ideal_lower,
-            "ideal_certified": self.ideal_certified,
-            "starke_rhs": self.starke_rhs,
-            "elman_rhs": self.elman_rhs,
-            "nu_a": self.nu_a,
-            "nu_ainv": self.nu_ainv,
-            "lambda_min_m": self.lambda_min_m,
-            "lambda_max_aha": self.lambda_max_aha,
-            "verdicts": {
-                name: {"passed": v.passed, "margin": v.margin}
-                for name, v in self.verdicts.items()
-            },
-        }
+        fields = dataclasses.asdict(self)
+        gmres = {"ratios": fields.pop("gmres_ratios"), **self.gmres_stats()}
+        return {"k": fields.pop("k"), "gmres": gmres, **fields}
 
 
 def elman_bound(a, k: int) -> Optional[float]:

@@ -21,10 +21,8 @@ import argparse
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 from . import experiment, fov, mmio
-from .errors import FileError, InvalidSpec, LabError, ParseError, UnsupportedFormat
+from .errors import FileError, InvalidSpec
 from .experiment import EXIT_IO, EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_SOLVER_FAILED
 from .minimax import MAX_DEPTH, ideal_gmres
 from .reporting import format_real
@@ -114,32 +112,29 @@ def _overrides_from(args: argparse.Namespace) -> dict:
     return overrides
 
 
-def _summarize(cfg: experiment.ExperimentConfig, code: int) -> None:
-    where = cfg.out_dir
-    print(f"wrote report.json, curves.csv{', plot.svg' if cfg.plot else ''} to {where}")
+def _run_and_summarize(cfg: experiment.ExperimentConfig) -> int:
+    code = experiment.run_experiment(cfg)
+    if code in (EXIT_IO, EXIT_SOLVER_FAILED):
+        return code
+    plot = ", plot.svg" if cfg.plot else ""
+    print(f"wrote report.json, curves.csv{plot} to {cfg.out_dir}")
     if code == EXIT_OK:
         print("all checks passed")
     elif code == experiment.EXIT_BOUND_FAILED:
         print("FAILED: an inequality exceeded its slack (see report.json)")
     elif code == EXIT_NOT_CERTIFIED:
         print("non-certified minimization under --strict (see report.json)")
+    return code
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = experiment.load_config(args.config, overrides=_overrides_from(args))
-    code = experiment.run_experiment(cfg)
-    if code not in (EXIT_IO, EXIT_SOLVER_FAILED):
-        _summarize(cfg, code)
-    return code
+    return _run_and_summarize(cfg)
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     raw = {k: v for k, v in _overrides_from(args).items() if v is not None}
-    cfg = experiment.ExperimentConfig.from_dict(raw)
-    code = experiment.run_experiment(cfg)
-    if code not in (EXIT_IO, EXIT_SOLVER_FAILED):
-        _summarize(cfg, code)
-    return code
+    return _run_and_summarize(experiment.ExperimentConfig.from_dict(raw))
 
 
 def _cmd_fov(args: argparse.Namespace) -> int:
@@ -203,16 +198,8 @@ def _cmd_ideal(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ParseError, UnsupportedFormat, FileError, InvalidSpec) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (LabError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_FAILED
+    args = _build_parser().parse_args(argv)
+    return experiment.guarded(args.func, args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -37,10 +37,11 @@ def hermitian_part(a) -> np.ndarray:
 
     The result is exactly Hermitian in storage (``H[j, i]`` is the
     conjugate of ``H[i, j]`` bit for bit, the diagonal is real), which is
-    what ``np.linalg.eigh`` assumes of its input.
+    what ``np.linalg.eigh`` assumes of its input.  Each half is taken
+    before the sum, so finite entries near the float maximum stay finite.
     """
     m = as_matrix(a)
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * m + 0.5 * m.conj().T
 
 
 def binary_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:

@@ -16,7 +16,8 @@ The top-level ``seed`` feeds every sampling and solver stream, and depths
 run in ascending order, so a config fully determines the bytes of
 ``report.json`` and ``curves.csv``.
 
-Exit codes returned by :func:`run_experiment`:
+Exit codes returned by :func:`run_experiment` (codes 2 and 4 come from
+:func:`guarded`, which the command line shares):
 
 0
     every recorded inequality verdict passed.
@@ -167,13 +168,22 @@ def _run_validated(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def run_experiment(cfg: ExperimentConfig) -> int:
-    """Execute the experiment, write outputs, return a process exit code."""
+def guarded(action, *args) -> int:
+    """``action(*args)``, or the exit code of the error it raised.
+
+    The one place that maps errors to exit codes: input trouble exits 2,
+    any other :class:`LabError` or a LAPACK failure exits 4, each after an
+    ``error:`` line on stderr.
+    """
     try:
-        return _run_validated(cfg)
-    except (FileError, ParseError, UnsupportedFormat, InvalidSpec) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return action(*args)
     except (LabError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, (FileError, InvalidSpec, ParseError, UnsupportedFormat)):
+            return EXIT_IO
         return EXIT_SOLVER_FAILED
+
+
+def run_experiment(cfg: ExperimentConfig) -> int:
+    """Execute the experiment, write outputs, return a process exit code."""
+    return guarded(_run_validated, cfg)

@@ -88,7 +88,6 @@ class FovSummary:
     nu_a: float
     nu_ainv: float
     lambda_min_m: float
-    argmin_angle: float
     witness_vector: Optional[np.ndarray]
 
 
@@ -310,6 +309,5 @@ def fov_summary(a) -> FovSummary:
         nu_a=nu_a.value,
         nu_ainv=_nu_inverse(mat, nu_a.value),
         lambda_min_m=lambda_min_m,
-        argmin_angle=nu_a.angle,
         witness_vector=nu_a.witness,
     )

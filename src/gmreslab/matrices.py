@@ -20,17 +20,6 @@ from .errors import InvalidSpec, is_int
 
 __all__ = ["MatrixSpec", "generate_matrix", "FAMILIES"]
 
-FAMILIES = (
-    "identity",
-    "diagonal",
-    "jordan",
-    "bidiagonal",
-    "random_pd_part",
-    "normal_random",
-    "file",
-)
-
-
 @dataclass(frozen=True)
 class MatrixSpec:
     """Family name plus family-specific parameters."""
@@ -127,7 +116,10 @@ def _random_pd_part(params: dict) -> np.ndarray:
         g = (
             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         ) / np.sqrt(2.0 * n)
-        a = shift * eye + spread * g
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = shift * eye + spread * g
+        if not np.isfinite(a).all():
+            raise InvalidSpec("random_pd_part draw overflows; decrease shift or spread")
         m_part = dense_core.hermitian_part(a)
         if float(np.linalg.eigvalsh(m_part)[0]) > 0.0:
             return a
@@ -166,6 +158,7 @@ _BUILDERS = {
     "normal_random": _normal_random,
     "file": _from_file,
 }
+FAMILIES = tuple(_BUILDERS)
 
 
 def generate_matrix(spec: MatrixSpec) -> np.ndarray:

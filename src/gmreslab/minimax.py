@@ -433,9 +433,9 @@ def one_step_ideal(a) -> OneStepIdealResult:
 #
 # For a normal matrix with spectrum {lambda_i} this equals the ideal value,
 # which makes the oracle an independent cross-check of ideal_gmres on
-# diagonal inputs.  It never touches matrix norms: a coarse coefficient grid
-# seeds golden-section coordinate descent plus random-direction line
-# searches, all on the scalar max-modulus objective.
+# diagonal inputs.  It never touches matrix norms: two HiGHS linear
+# programs on a discretized phase grid, the second refined around the
+# phases of the first solution, all on the scalar max-modulus objective.
 # ---------------------------------------------------------------------------
 
 _ORACLE_COARSE_ANGLES = 720

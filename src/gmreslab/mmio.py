@@ -98,6 +98,32 @@ def _mirror(matrix: np.ndarray, i: int, j: int, value: complex, symmetry: str):
         matrix[j, i] = -value
 
 
+def _coordinate_slot(tokens, n: int, symmetry: str, seen: set, lineno: int):
+    """0-based (i, j) of a coordinate entry: indices in range, in the stored
+    triangle, not seen before."""
+    if len(tokens) < 2:
+        raise ParseError("coordinate entry needs row and column indices", lineno)
+    try:
+        i, j = int(tokens[0]), int(tokens[1])
+    except ValueError:
+        raise ParseError("indices must be integers", lineno) from None
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ParseError(f"index ({i}, {j}) outside 1..{n}", lineno)
+    if symmetry in ("symmetric", "hermitian") and i < j:
+        raise ParseError(
+            f"{symmetry} storage must keep entries on or below the diagonal", lineno
+        )
+    if symmetry == "skew-symmetric" and i <= j:
+        raise ParseError(
+            "skew-symmetric storage must keep entries strictly below the diagonal",
+            lineno,
+        )
+    if (i, j) in seen:
+        raise ParseError(f"duplicate entry for ({i}, {j})", lineno)
+    seen.add((i, j))
+    return i - 1, j - 1
+
+
 def read_matrix_market(path) -> np.ndarray:
     """Read a square dense matrix from a Matrix Market file."""
     try:
@@ -133,69 +159,34 @@ def read_matrix_market(path) -> np.ndarray:
     matrix = np.zeros((n, n), dtype=np.complex128)
 
     if fmt == "coordinate":
-        nnz = dims[2]
-        if nnz < 0:
+        total = dims[2]
+        if total < 0:
             raise ParseError("entry count must be non-negative", size_lineno)
         seen = set()
-        count = 0
-        for lineno, tokens in stream:
-            if count >= nnz:
-                raise ParseError("unexpected data after the declared entries", lineno)
-            if len(tokens) < 2:
-                raise ParseError("coordinate entry needs row and column indices", lineno)
-            try:
-                i, j = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise ParseError("indices must be integers", lineno) from None
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise ParseError(f"index ({i}, {j}) outside 1..{n}", lineno)
-            value = _parse_value(tokens[2:], field, lineno)
-            if symmetry in ("symmetric", "hermitian") and i < j:
-                raise ParseError(
-                    f"{symmetry} storage must keep entries on or below the diagonal",
-                    lineno,
-                )
-            if symmetry == "skew-symmetric":
-                if i <= j:
-                    raise ParseError(
-                        "skew-symmetric storage must keep entries strictly below "
-                        "the diagonal",
-                        lineno,
-                    )
-            if symmetry == "hermitian" and i == j and value.imag != 0.0:
-                raise ParseError("hermitian diagonal entries must be real", lineno)
-            if (i, j) in seen:
-                raise ParseError(f"duplicate entry for ({i}, {j})", lineno)
-            seen.add((i, j))
-            _mirror(matrix, i - 1, j - 1, value, symmetry)
-            count += 1
-        if count != nnz:
-            raise ParseError(
-                f"expected {nnz} entries, found {count}", len(lines) + 1
-            )
-        return matrix
-
-    # array format: column-major dense values, one entry per line
-    if symmetry == "general":
-        slots = [(i, j) for j in range(n) for i in range(n)]
-    elif symmetry in ("symmetric", "hermitian"):
-        slots = [(i, j) for j in range(n) for i in range(j, n)]
-    else:  # skew-symmetric: strictly lower triangle, zero diagonal implied
-        slots = [(i, j) for j in range(n) for i in range(j + 1, n)]
-    filled = 0
+    else:  # array format: column-major dense values, one entry per line
+        if symmetry == "general":
+            slots = [(i, j) for j in range(n) for i in range(n)]
+        elif symmetry in ("symmetric", "hermitian"):
+            slots = [(i, j) for j in range(n) for i in range(j, n)]
+        else:  # skew-symmetric: strictly lower triangle, zero diagonal implied
+            slots = [(i, j) for j in range(n) for i in range(j + 1, n)]
+        total = len(slots)
+    count = 0
     for lineno, tokens in stream:
-        if filled >= len(slots):
+        if count >= total:
             raise ParseError("unexpected data after the declared entries", lineno)
+        if fmt == "coordinate":
+            i, j = _coordinate_slot(tokens, n, symmetry, seen, lineno)
+            tokens = tokens[2:]
+        else:
+            i, j = slots[count]
         value = _parse_value(tokens, field, lineno)
-        i, j = slots[filled]
         if symmetry == "hermitian" and i == j and value.imag != 0.0:
             raise ParseError("hermitian diagonal entries must be real", lineno)
         _mirror(matrix, i, j, value, symmetry)
-        filled += 1
-    if filled != len(slots):
-        raise ParseError(
-            f"expected {len(slots)} entries, found {filled}", len(lines) + 1
-        )
+        count += 1
+    if count != total:
+        raise ParseError(f"expected {total} entries, found {count}", len(lines) + 1)
     return matrix
 
 

@@ -1,17 +1,20 @@
 """Deterministic serialization of experiment outputs.
 
-Three artifacts: ``report.json`` (full data, reals printed with 17
-significant digits so parsing them back is lossless), ``curves.csv``
-(fixed column order for plotting elsewhere), and ``plot.svg`` (a minimal
-self-contained log-scale chart, no plotting dependency).  All emitters
-build plain strings, so identical inputs give byte-identical files.
+Three artifacts: ``report.json`` (full data through the stdlib JSON
+encoder: every real in the shortest form that parses back to the same
+double, so ``0.1`` and ``0.0``, and a NaN or infinity is refused),
+``curves.csv`` (one row per depth, the plotted series as columns, reals
+with 17 significant digits), and ``plot.svg`` (a minimal self-contained
+log-scale chart, no plotting dependency).  All emitters build plain
+strings, so identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .bounds import BoundsReport
 from .errors import FileError
@@ -25,54 +28,15 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-CSV_COLUMNS = (
-    "k",
-    "gmres_min",
-    "gmres_median",
-    "gmres_max",
-    "worst_case",
-    "ideal",
-    "starke_rhs",
-    "elman_rhs",
-)
-
 
 def format_real(x: float) -> str:
     """17 significant digits: enough to reproduce any double exactly."""
     return format(float(x), ".17g")
 
 
-def _dump(obj, indent: int) -> str:
-    pad = "  " * indent
-    child = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_real(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{child}{json.dumps(str(key))}: {_dump(value, indent + 1)}"
-            for key, value in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        items = [f"{child}{_dump(value, indent + 1)}" for value in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def dumps_document(doc: dict) -> str:
-    return _dump(doc, 0) + "\n"
+    """Stdlib JSON, two-space indent; a NaN or infinity raises ValueError."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _write_text(path, text: str) -> None:
@@ -90,30 +54,8 @@ def write_report_json(path, matrix_echo: dict, reports: Sequence[BoundsReport]) 
     _write_text(path, dumps_document(doc))
 
 
-def _csv_row(report: BoundsReport) -> List[str]:
-    stats = report.gmres_stats()
-    cells = [
-        str(report.k),
-        format_real(stats["min"]),
-        format_real(stats["median"]),
-        format_real(stats["max"]),
-        format_real(report.worst_case),
-        format_real(report.ideal),
-        format_real(report.starke_rhs),
-        format_real(report.elman_rhs) if report.elman_rhs is not None else "",
-    ]
-    return cells
-
-
-def write_curves_csv(path, reports: Sequence[BoundsReport]) -> None:
-    lines = [",".join(CSV_COLUMNS)]
-    for report in reports:
-        lines.append(",".join(_csv_row(report)))
-    _write_text(path, "\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
-# SVG chart
+# Curves: the columns of curves.csv and the lines of plot.svg
 # ---------------------------------------------------------------------------
 
 _SERIES = (
@@ -126,8 +68,7 @@ _SERIES = (
     ("elman_rhs", "#9467bd"),
 )
 
-_WIDTH, _HEIGHT = 760, 480
-_LEFT, _RIGHT, _TOP, _BOTTOM = 80, 180, 36, 56
+CSV_COLUMNS = ("k", *(name for name, _ in _SERIES))
 
 
 def _series_values(report: BoundsReport, name: str) -> Optional[float]:
@@ -135,6 +76,22 @@ def _series_values(report: BoundsReport, name: str) -> Optional[float]:
         return report.gmres_stats()[name.split("_", 1)[1]]
     return getattr(report, name)
 
+
+def write_curves_csv(path, reports: Sequence[BoundsReport]) -> None:
+    lines = [",".join(CSV_COLUMNS)]
+    for report in reports:
+        values = (_series_values(report, name) for name, _ in _SERIES)
+        cells = ["" if value is None else format_real(value) for value in values]
+        lines.append(",".join([str(report.k), *cells]))
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# SVG chart
+# ---------------------------------------------------------------------------
+
+_WIDTH, _HEIGHT = 760, 480
+_LEFT, _RIGHT, _TOP, _BOTTOM = 80, 180, 36, 56
 
 def write_plot_svg(path, reports: Sequence[BoundsReport], title: str = "") -> None:
     """Log-scale chart of every curve column against the depth k."""
@@ -150,8 +107,6 @@ def write_plot_svg(path, reports: Sequence[BoundsReport], title: str = "") -> No
         for name, _ in _SERIES
         if (value := _series_values(report, name)) is not None and value > 0.0
     ]
-    import math
-
     floor = max(min(positive) / 10.0 if positive else 1e-16, 1e-16)
     log_floor = math.floor(math.log10(floor))
     log_top = 0.0  # every plotted quantity lies in [0, 1]

@@ -331,8 +331,9 @@ def test_non_finite_matrix_entry_exits_two(tmp_path, capsys, command, name):
         '{"family": "random_pd_part", "n": 2, "shift": 1e400}',
         '{"family": "diagonal", "entries": [1e400]}',
         '{"family": "diagonal", "entries": [true]}',
+        '{"family": "random_pd_part", "n": 4, "shift": 1.7e308, "spread": 1e308}',
     ],
-    ids=["lam", "shift", "entries", "entries_true"],
+    ids=["lam", "shift", "entries", "entries_true", "overflowing_draw"],
 )
 def test_non_finite_config_scalar_exits_two(tmp_path, capsys, matrix):
     out = tmp_path / "out"
@@ -343,6 +344,19 @@ def test_non_finite_config_scalar_exits_two(tmp_path, capsys, matrix):
     assert main(["run", str(cfg)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_near_float_max_draw_runs(tmp_path, capsys):
+    """Entries near 1e308 keep a finite Hermitian part, so the run reports."""
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    matrix = {"family": "random_pd_part", "n": 4, "shift": 1e308, "spread": 1e308}
+    cfg.write_text(
+        json.dumps({"matrix": matrix, "depths": [1, 2], "out_dir": str(out)})
+    )
+    assert main(["run", str(cfg)]) == 0
+    assert (out / "report.json").is_file()
+    assert "all checks passed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("s", [1e-200, 1e160])

@@ -72,6 +72,21 @@ def test_dumps_document_rejects_unknown_types():
         dumps_document({"x": object()})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_dumps_document_rejects_non_finite_reals(value):
+    with pytest.raises(ValueError):
+        dumps_document({"x": [value]})
+
+
+def test_report_json_zero_margin_reads_back_as_float(tmp_path):
+    path = tmp_path / "report.json"
+    report = make_report()
+    report.verdicts["ideal_le_starke"] = Verdict(True, 0.0)
+    write_report_json(str(path), {"family": "identity", "n": 2}, [report])
+    margin = json.loads(path.read_text())["reports"][0]["verdicts"]["ideal_le_starke"]
+    assert type(margin["margin"]) is float and margin["margin"] == 0.0
+
+
 def test_curves_csv_layout(tmp_path):
     path = tmp_path / "curves.csv"
     write_curves_csv(str(path), [make_report(k=1), make_report(k=2, elman=None)])
