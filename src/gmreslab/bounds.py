@@ -25,9 +25,9 @@ import numpy as np
 
 from . import dense_core, fov
 from .dense_core import as_matrix
-from .errors import check_seed
+from .errors import check_seed, is_int
 from .krylov import gmres_residuals
-from .minimax import ideal_gmres, worst_case_gmres
+from .minimax import _check_depth, ideal_gmres, worst_case_gmres
 
 __all__ = [
     "Verdict",
@@ -97,6 +97,7 @@ def elman_bound(a, k: int) -> Optional[float]:
     positive definite (gated at ``lambda_min(M) > 1e-12 ||M||``).  A is
     scaled by a power of two first, which leaves ``lambda_min(M) / ||A||``
     unchanged and keeps the eigensolve in range."""
+    k = _check_depth(k)
     mat = dense_core.binary_scaled(as_matrix(a))[0]
     lam = np.linalg.eigh(dense_core.hermitian_part(mat))[0]
     lam_min = float(lam[0])
@@ -114,11 +115,12 @@ def starke_bound(a, k: int, fov_data: Optional[fov.FovSummary] = None) -> float:
     singular A included.  It takes the lower ends of the nu brackets
     (``NuResult.value``), so it is an upper bound up to eigensolver
     rounding."""
+    k = _check_depth(k)
     if fov_data is None:
         fov_data = fov.fov_summary(as_matrix(a))
     prod = fov_data.nu_a * fov_data.nu_ainv
     prod = min(max(prod, 0.0), 1.0)
-    return float((1.0 - prod) ** (0.5 * int(k)))
+    return float((1.0 - prod) ** (0.5 * k))
 
 
 def _derived_seed(seed: int, *path: int) -> int:
@@ -148,11 +150,9 @@ def verify_chain(
     streams.
     """
     mat = as_matrix(a)
-    k = int(k)
-    if k < 1:
-        raise ValueError("depth must be at least 1")
-    if trials < 1:
-        raise ValueError("need at least one trial residual")
+    k = _check_depth(k)
+    if not is_int(trials) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     check_seed(seed)
     n = mat.shape[0]
 

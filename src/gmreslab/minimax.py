@@ -12,14 +12,14 @@ because p = 1 is admissible.  At depth 1 the two coincide.
 ``ideal_gmres`` and ``one_step_ideal`` share one convex solver, run once
 per depth from p = 1 in the basis of ``B = A / ||A||``: damped Newton with
 the exact Hessian on a smoothed top eigenvalue F_mu of ``p(B)^H p(B)``,
-one Newton run per smoothing stage, continued to vanishing smoothing.  A
-line-search trial costs one eigendecomposition; gradient and Hessian are
-built only at accepted points, and halving starts below a duality cap
-(``F_mu >= ||p(B)||^2 >= lower^2``, so no step whose Armijo target lies
-below ``lower^2`` can pass).  The upper bound is the norm of the returned
-feasible polynomial and the witness its top right singular vector, both
-read off the solver's eigendecomposition at that polynomial; the lower
-bound is a norm-duality certificate,
+one Newton run per smoothing stage.  A stage ends at the rounding level,
+and the next starts at the Richardson extrapolant of the stage ends to
+zero smoothing.  A line-search trial costs one eigendecomposition, and
+halving starts below a duality cap (``F_mu >= ||p(B)||^2 >= lower^2``).
+The upper bound is the norm of the returned feasible polynomial, a stage
+end or an extrapolant, and the witness its top right singular vector,
+both read off the solver's eigendecomposition at that polynomial; the
+lower bound is a norm-duality certificate,
 
     ideal(A, k) = max |tr Y| / ||Y||_*  over Y != 0 with <A^j, Y> = 0, j = 1..k,
 
@@ -56,7 +56,7 @@ from scipy import optimize
 
 from . import dense_core
 from .dense_core import as_matrix
-from .errors import BudgetExceeded, NoConvergence, check_seed
+from .errors import BudgetExceeded, NoConvergence, check_seed, is_int
 from .krylov import min_residual_gradients, min_residual_values
 
 __all__ = [
@@ -126,11 +126,10 @@ class OneStepIdealResult(NamedTuple):
     alpha: complex
 
 
-def _check_depth(k: int) -> int:
-    k = int(k)
-    if not 1 <= k <= MAX_DEPTH:
-        raise ValueError(f"depth must satisfy 1 <= k <= {MAX_DEPTH}, got {k}")
-    return k
+def _check_depth(k) -> int:
+    if not is_int(k) or not 1 <= k <= MAX_DEPTH:
+        raise ValueError(f"depth must be an integer in 1..{MAX_DEPTH}, got {k!r}")
+    return int(k)
 
 
 def _matrix_powers(mat: np.ndarray, k: int) -> np.ndarray:
@@ -202,18 +201,22 @@ def _minimize_norm(powers: np.ndarray):
 
     which is convex in d.  Armijo backtracking runs while the predicted
     decrease exceeds ``4 eps |F_mu|``; a trial evaluates only
-    :func:`_spectrum`, and the derivatives are built once per accepted
-    point.  Halving starts below the duality cap: ``F_mu >= ||P||^2 >=
-    lower^2`` at every point, so no step ``t`` with ``-t slope > 4 (F_mu -
-    lower^2 + 4 eps |F_mu|)`` can pass Armijo, and those are skipped
-    unevaluated.  Below the rounding level F_mu is flat but its gradient is
-    not: full steps go on while each shrinks the Newton decrement, which
-    sharpens the dual matrix Y, and the stage ends at the first that does
-    not.  ``mu`` starts at ``0.1 = 0.1 ||P(0)||^2`` and shrinks tenfold per
-    stage, each stage warm-started at the last with its eigendecomposition
-    reweighted, until the norm and the dual bound of
-    :func:`_dual_lower_bound` meet within ``_GAP_TARGET`` or ``mu`` reaches
-    rounding level.
+    :func:`_spectrum`, and the derivatives are built once per point.
+    Halving starts below the duality cap: ``F_mu >= ||P||^2 >= lower^2`` at
+    every point, so no step ``t`` with ``-t slope > 4 (F_mu - lower^2 + 4
+    eps |F_mu|)`` can pass Armijo, and those are skipped unevaluated.
+    ``mu`` starts at ``0.1 = 0.1 ||P(0)||^2`` and shrinks tenfold per stage
+    until the norm and the dual bound of :func:`_dual_lower_bound` meet
+    within ``_GAP_TARGET`` or ``mu`` reaches rounding level.  A stage ends
+    at its first point whose predicted decrease is at the rounding level,
+    where its dual bound is taken.  If the gap is still open and the stage
+    looks stalled (its first step was already at that level, the gap fell
+    less than tenfold, or the next ``mu`` passes the floor), full steps go
+    on while each shrinks the Newton decrement, which sharpens the dual
+    matrix Y, and the bound is taken again.  The stage ends lie O(mu) from
+    the optimum when the top singular value is multiple, so the next stage
+    starts at their Richardson extrapolant to mu = 0 if F_mu is no higher
+    there than at the reweighted stage end; its norm is an upper bound too.
 
     Returns ``(d, norm, witness, lower)``: the best coefficients seen;
     ``norm = ||P(d)|| = sqrt(lambda_max) <= 1`` and a unit top eigenvector
@@ -221,39 +224,59 @@ def _minimize_norm(powers: np.ndarray):
     dual lower bound, at most ``norm``.
     """
     k = powers.shape[0]
-    x = np.zeros(2 * k)
+    x, ends = np.zeros(2 * k), []
     upper, lower, mu = 1.0, 0.0, 0.1
     state = _spectrum(powers, x, mu)
     best = x, state
     while upper - lower > _GAP_TARGET and mu >= 1e-14 * upper**2:
-        undo = None
-        for _ in range(_NEWTON_STEPS):
-            grad, hess = _derivatives(powers, state, mu)
-            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-            slope = float(grad @ step)
-            if undo is not None and slope <= undo[2]:
-                x, state = undo[:2]  # the full step did not shrink the decrement
-                break
-            t, level = 1.0, 4.0 * np.finfo(float).eps * abs(state[0])
-            while -t * slope > max(level, 4.0 * (state[0] - lower**2 + level)):
-                t *= 0.5  # beyond the duality cap: Armijo fails
-            trial = _spectrum(powers, x + t * step, mu)
-            while trial[0] > state[0] + 0.25 * t * slope and -t * slope > level:
-                t *= 0.5
+        gap, start, direction, undo = upper - lower, x, None, None
+        for polish in (False, True):
+            for _ in range(_NEWTON_STEPS):
+                if direction is None:
+                    grad, hess = _derivatives(powers, state, mu)
+                    direction = grad, np.linalg.lstsq(hess, -grad, rcond=None)[0]
+                grad, step = direction
+                slope = float(grad @ step)
+                if undo is not None and slope <= undo[2]:
+                    x, state = undo[:2]  # the full step did not shrink the decrement
+                    break
+                t, level = 1.0, 4.0 * np.finfo(float).eps * abs(state[0])
+                if -slope <= level and not polish:
+                    break
+                while -t * slope > max(level, 4.0 * (state[0] - lower**2 + level)):
+                    t *= 0.5  # beyond the duality cap: Armijo fails
                 trial = _spectrum(powers, x + t * step, mu)
-            undo = None
-            if trial[0] > state[0] + 0.25 * t * slope or -slope <= level:
-                full = trial if t == 1.0 else _spectrum(powers, x + step, mu)
-                undo, trial, t = (x, state, slope), full, 1.0
-            x, state = x + t * step, trial
-        _, p, lam, vecs, w = state
-        value = float(np.sqrt(max(lam[-1], 0.0)))
-        if value < upper:
-            best, upper = (x, state), value
-        y = p @ (vecs * w) @ vecs.conj().T
-        lower = max(lower, _dual_lower_bound(powers, y, x[:k] + 1j * x[k:]))
+                while trial[0] > state[0] + 0.25 * t * slope and -t * slope > level:
+                    t *= 0.5
+                    trial = _spectrum(powers, x + t * step, mu)
+                undo = None
+                if trial[0] > state[0] + 0.25 * t * slope or -slope <= level:
+                    if not polish:
+                        break
+                    full = trial if t == 1.0 else _spectrum(powers, x + step, mu)
+                    undo, trial, t = (x, state, slope), full, 1.0
+                x, state, direction = x + t * step, trial, None
+            _, p, lam, vecs, w = state
+            value = float(np.sqrt(max(lam[-1], 0.0)))
+            if value < upper:
+                best, upper = (x, state), value
+            y = p @ (vecs * w) @ vecs.conj().T
+            lower = max(lower, _dual_lower_bound(powers, y, x[:k] + 1j * x[k:]))
+            stalled = x is start or upper - lower > 0.1 * gap or mu < 1e-13 * upper**2
+            if upper - lower <= _GAP_TARGET or not stalled:
+                break
         mu *= 0.1
         state = _weighted(p, lam, vecs, mu)
+        ends = (ends + [x])[-3:]
+        if ends[1:]:  # Richardson extrapolation of the stage ends to mu = 0
+            xe = (np.dot([10 / 8910, -100 / 810, 1000 / 891], ends) if ends[2:]
+                  else x + (x - ends[0]) / 9)
+            spec = _spectrum(powers, xe, mu)
+            value = float(np.sqrt(max(spec[2][-1], 0.0)))
+            if value < upper:
+                best, upper = (xe, spec), value
+            if spec[0] <= state[0]:
+                x, state = xe, spec
     x, state = best
     return x[:k] + 1j * x[k:], upper, state[3][:, -1], min(lower, upper)
 
@@ -290,12 +313,12 @@ def ideal_gmres(a, k: int) -> MinimaxResult:
     one-step polynomial, so ``ideal(k) <= one_step_ideal(A).value ** k`` is
     a property of the converged solve (and a tested one), not of the start.
     The value is the spectral norm of the returned polynomial (an upper
-    bound on the true minimum), the witness a unit vector that attains it
-    and the lower bound a norm-duality certificate; all three come from
-    the solver's last eigendecomposition of the polynomial in ``B = A /
-    ||A||``, so they do not depend on the scale of A.  When the gap exceeds 1e-4 the result is flagged non-certified but
-    is still returned; both bounds remain sound.  The solve has no starts
-    and no randomness.
+    bound on the true minimum: a stage end of the solver or an extrapolant
+    of its stage ends), the witness a unit vector that attains it and the
+    lower bound a norm-duality certificate, all from the solver's own
+    eigendecompositions in ``B = A / ||A||``, so none depends on the scale
+    of A.  A gap above 1e-4 flags the result non-certified, but both bounds
+    remain sound.  The solve has no starts and no randomness.
     """
     mat = as_matrix(a)
     k = _check_depth(k)

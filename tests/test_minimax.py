@@ -22,6 +22,9 @@ PINNED_TOL = 1e-6
 EQUALITY_TOL = 1e-5
 SANDWICH_SLACK = 1e-6
 CEILING_SLACK = 1e-12
+# scalar_minimax_oracle overestimates by less than 1e-7; the benchmark's
+# reference check allows ten times that.
+ORACLE_TOL = 1e-6
 
 
 def toh(eps):
@@ -167,6 +170,72 @@ def test_derivatives_once_per_newton_step(monkeypatch):
         minimax._minimize_norm(powers)
     assert counts["dual"] > 0
     assert counts["derivatives"] == counts["lstsq"] - counts["dual"] > 0
+
+
+def _multiple_top_spectrum():
+    """Spectrum of the first diagonal matrix of the benchmark's
+    ``ideal_sweep`` at seed 0, drawn as in ``perfbench/workloads.py``.  The
+    optimal p(A) has a multiple top singular value at k = 1..3
+    (sigma^2 = 0.38198772 twice at k = 1, four times equal at k = 2, 3)."""
+    rng = np.random.default_rng(13000)
+    m = int(rng.integers(2, 9))
+    return rng.uniform(0.5, 3.0, size=m) + 1j * rng.uniform(-1.0, 1.0, size=m)
+
+
+MULTIPLE_TOP = _multiple_top_spectrum()
+
+
+def test_ideal_solver_work_counts(monkeypatch):
+    """Eigendecompositions (``_spectrum`` calls) and Newton steps
+    (``_derivatives`` calls) of ``_minimize_norm`` over the line-search
+    cases and the multiple-top-singular-value matrix at k = 1..3.  Counts
+    do not depend on the machine's speed, so timing noise cannot hide a
+    regression.  The ceilings sit about 10% above the 679 and 488 of the
+    solver with rounding-level stage ends and extrapolated starts; the
+    solver that polished every stage and started each at the last stage
+    end made 1,105 and 784."""
+    counts = {"_spectrum": 0, "_derivatives": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            counts[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(minimax, name, counted(name, getattr(minimax, name)))
+    diagonal = np.diag(MULTIPLE_TOP)
+    for k in (1, 2, 3):
+        minimax._minimize_norm(minimax._normalized_powers(diagonal, k)[1])
+    for powers in LINE_SEARCH_CASES:
+        minimax._minimize_norm(powers)
+    assert counts["_spectrum"] <= 750
+    assert counts["_derivatives"] <= 540
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_multiple_top_singular_value_closes_in_few_stages(k, monkeypatch):
+    """With a multiple top singular value the stage ends lie O(mu) from
+    the optimum, and the extrapolated starts close the gap within 7 stages
+    (10-11 when each stage started at the last stage end).  A stage is one
+    value of mu among the Newton steps.  The returned polynomial may be an
+    extrapolant, so its norm is recomputed from its coefficients."""
+    mus = []
+    derivatives = minimax._derivatives
+
+    def counted(powers, spec, mu):
+        mus.append(mu)
+        return derivatives(powers, spec, mu)
+
+    monkeypatch.setattr(minimax, "_derivatives", counted)
+    a = np.diag(MULTIPLE_TOP)
+    res = ideal_gmres(a, k)
+    assert res.upper_bound - res.lower_bound <= 1e-10
+    assert abs(res.value - scalar_minimax_oracle(MULTIPLE_TOP, k)) <= ORACLE_TOL
+    assert len(set(mus)) <= 7
+    p = oracles.residual_polynomial(a, res.coefficients)
+    assert abs(spectral_norm(p) - res.value) <= 1e-10
 
 
 def test_ideal_sixteen_by_sixteen_depth_eight_certifies():
@@ -482,6 +551,36 @@ def test_diagonal_ideal_matches_scalar_oracle(n, k, key):
     want = scalar_minimax_oracle(lam, k)
     assert abs(res.value - want) <= 1e-4
     assert res.lower_bound <= want + 1e-6
+
+
+DEPTH_CALLS = {
+    "ideal_gmres": ideal_gmres,
+    "worst_case_gmres": worst_case_gmres,
+    "verify_chain": lambda a, k: verify_chain(a, k, 3),
+    "elman_bound": bounds.elman_bound,
+    "starke_bound": bounds.starke_bound,
+}
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, True, "2", 0, minimax.MAX_DEPTH + 1])
+@pytest.mark.parametrize("name", list(DEPTH_CALLS))
+def test_depth_must_be_an_integer_in_range(name, bad):
+    """A fractional, boolean or string depth is refused, not truncated or
+    raised to a fractional power."""
+    with pytest.raises(ValueError):
+        DEPTH_CALLS[name](np.diag([1.0, 2.0, 3.0]), bad)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "3", 0])
+def test_verify_chain_trials_must_be_a_positive_integer(bad):
+    with pytest.raises(ValueError):
+        verify_chain(np.diag([1.0, 2.0, 3.0]), 2, bad)
+
+
+def test_numpy_integer_depth_is_accepted():
+    a = np.diag([1.0, 2.0, 3.0])
+    assert ideal_gmres(a, np.int64(2)).value == ideal_gmres(a, 2).value
+    assert bounds.starke_bound(a, np.int32(2)) == bounds.starke_bound(a, 2)
 
 
 def test_seed_validation():
