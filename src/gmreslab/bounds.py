@@ -25,7 +25,7 @@ import numpy as np
 
 from . import dense_core, fov
 from .dense_core import as_matrix
-from .errors import check_seed, is_int
+from .errors import check_int
 from .krylov import gmres_residuals
 from .minimax import _check_depth, ideal_gmres, worst_case_gmres
 
@@ -151,9 +151,8 @@ def verify_chain(
     """
     mat = as_matrix(a)
     k = _check_depth(k)
-    if not is_int(trials) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    check_seed(seed)
+    check_int(trials, "trials", 1)
+    check_int(seed, "seed", 0)
     n = mat.shape[0]
 
     if fov_data is None:

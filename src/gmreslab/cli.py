@@ -39,13 +39,13 @@ def parse_depths(text: str) -> List[int]:
             if ".." in token:
                 lo_text, hi_text = token.split("..", 1)
                 lo, hi = int(lo_text), int(hi_text)
-                if hi < lo:
-                    raise InvalidSpec(f"empty depth range {token!r}")
-                depths.extend(range(lo, hi + 1))
             else:
-                depths.append(int(token))
+                lo = hi = int(token)
         except ValueError:
             raise InvalidSpec(f"cannot parse depth token {token!r}") from None
+        if hi < lo:
+            raise InvalidSpec(f"empty depth range {token!r}")
+        depths.extend(range(lo, hi + 1))
     if not depths:
         raise InvalidSpec("no depths given")
     return sorted(set(depths))

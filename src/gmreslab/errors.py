@@ -3,8 +3,7 @@
 from numbers import Integral
 
 __all__ = [
-    "is_int",
-    "check_seed",
+    "check_int",
     "LabError",
     "ZeroVector",
     "NoConvergence",
@@ -32,8 +31,8 @@ class BudgetExceeded(LabError):
     """A solver or oracle was asked for more than its design budget covers."""
 
 
-class InvalidSpec(LabError):
-    """A matrix or experiment description failed validation."""
+class InvalidSpec(LabError, ValueError):
+    """A matrix or experiment description, or an argument, failed validation."""
 
 
 class ParseError(LabError):
@@ -54,16 +53,12 @@ class FileError(LabError):
     """File system level failure while reading or writing artifacts."""
 
 
-def is_int(value) -> bool:
-    """True for integers, False for bools, floats, strings and the rest.
-
-    Every integer field of a config goes through this check, so ``true``,
-    ``1.5`` and ``"3"`` are rejected alike.
-    """
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
-def check_seed(seed) -> None:
-    """Raise ValueError unless ``seed`` is a non-negative integer."""
-    if not is_int(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+def check_int(value, what: str, lo: int, hi=None) -> int:
+    """``value`` as an int if it is an integer in ``lo..hi`` (``hi`` None:
+    no upper end), else :class:`InvalidSpec`; ``true``, ``1.5`` and ``"3"``
+    are refused alike.  Every depth, seed, trial count and size goes here."""
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        if lo <= value and (hi is None or value <= hi):
+            return int(value)
+    need = f"in {lo}..{hi}" if hi is not None else f">= {lo}"
+    raise InvalidSpec(f"invalid {what} {value!r}: need an integer {need}")

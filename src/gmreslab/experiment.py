@@ -51,10 +51,10 @@ from .errors import (
     LabError,
     ParseError,
     UnsupportedFormat,
-    is_int,
+    check_int,
 )
 from .matrices import MatrixSpec
-from .minimax import MAX_DEPTH
+from .minimax import _check_depth
 
 __all__ = [
     "ExperimentConfig",
@@ -85,14 +85,9 @@ class ExperimentConfig:
         if not self.depths:
             raise InvalidSpec("depths must be a non-empty list")
         for k in self.depths:
-            if not is_int(k) or not 1 <= k <= MAX_DEPTH:
-                raise InvalidSpec(
-                    f"invalid depth {k!r}: need integer in 1..{MAX_DEPTH}"
-                )
-        if not is_int(self.trials) or self.trials < 1:
-            raise InvalidSpec(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not is_int(self.seed) or self.seed < 0:
-            raise InvalidSpec(f"seed must be an integer >= 0, got {self.seed!r}")
+            _check_depth(k)
+        check_int(self.trials, "trials", 1)
+        check_int(self.seed, "seed", 0)
         if not isinstance(self.out_dir, str):
             raise InvalidSpec(f"out_dir must be a string, got {self.out_dir!r}")
         for name in ("plot", "strict"):

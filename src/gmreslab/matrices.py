@@ -16,7 +16,7 @@ from typing import Any, Dict
 import numpy as np
 
 from . import dense_core, mmio
-from .errors import InvalidSpec, is_int
+from .errors import InvalidSpec, check_int
 
 __all__ = ["MatrixSpec", "generate_matrix", "FAMILIES"]
 
@@ -61,17 +61,11 @@ def _as_scalar(value, what: str) -> complex:
 def _as_size(params: dict, key: str = "n") -> int:
     if key not in params:
         raise InvalidSpec(f"missing size parameter {key!r}")
-    n = params[key]
-    if not is_int(n) or n < 1:
-        raise InvalidSpec(f"size {key!r} must be a positive integer, got {n!r}")
-    return n
+    return check_int(params[key], f"size {key!r}", 1)
 
 
 def _as_seed(params: dict) -> int:
-    seed = params.get("seed", 0)
-    if not is_int(seed) or seed < 0:
-        raise InvalidSpec(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
+    return check_int(params.get("seed", 0), "seed", 0)
 
 
 def _identity(params: dict) -> np.ndarray:

@@ -10,16 +10,17 @@ The worst case never exceeds the ideal value, and both lie in [0, 1]
 because p = 1 is admissible.  At depth 1 the two coincide.
 
 ``ideal_gmres`` and ``one_step_ideal`` share one convex solver, run once
-per depth from p = 1 in the basis of ``B = A / ||A||``: damped Newton with
-the exact Hessian on a smoothed top eigenvalue F_mu of ``p(B)^H p(B)``,
+per depth from p = 1.  It writes ``p(A) = I + d_1 Q_1 + ... + d_k Q_k`` in
+a Frobenius-orthonormal basis of ``span{A, .., A^k}``, built by Arnoldi in
+matrix space (Toh & Trefethen, SIMAX 1998), and runs damped Newton with
+the exact Hessian on a smoothed top eigenvalue F_mu of ``p(A)^H p(A)``,
 one Newton run per smoothing stage.  A stage ends at the rounding level,
 and the next starts at the Richardson extrapolant of the stage ends to
-zero smoothing.  A line-search trial costs one eigendecomposition, and
-halving starts below a duality cap (``F_mu >= ||p(B)||^2 >= lower^2``).
-The upper bound is the norm of the returned feasible polynomial, a stage
-end or an extrapolant, and the witness its top right singular vector,
-both read off the solver's eigendecomposition at that polynomial; the
-lower bound is a norm-duality certificate,
+zero smoothing.  A line-search trial costs one eigendecomposition.  The
+upper bound is the norm of the returned feasible polynomial, a stage end
+or an extrapolant, and the witness its top right singular vector, both
+read off the solver's eigendecomposition at that polynomial; the lower
+bound is a norm-duality certificate,
 
     ideal(A, k) = max |tr Y| / ||Y||_*  over Y != 0 with <A^j, Y> = 0, j = 1..k,
 
@@ -56,7 +57,7 @@ from scipy import optimize
 
 from . import dense_core
 from .dense_core import as_matrix
-from .errors import BudgetExceeded, NoConvergence, check_seed, is_int
+from .errors import BudgetExceeded, NoConvergence, check_int
 from .krylov import min_residual_gradients, min_residual_values
 
 __all__ = [
@@ -69,8 +70,8 @@ __all__ = [
     "scalar_minimax_oracle",
 ]
 
-# The monomial-coefficient parametrization is well conditioned only for
-# small degrees; everything in this package stays at or below this depth.
+# The worst-case kernel, krylov._residual_curves, works in the power directions
+# A v, .., A^k v, well conditioned only for small degrees: no solve goes deeper.
 MAX_DEPTH = 8
 # _minimize_norm stops once the norm and its dual bound are this close.
 _GAP_TARGET = 1e-10
@@ -104,11 +105,12 @@ class MinimaxResult:
     ideal value under ``verify_chain``, else the trivial bound 1.
 
     ``coefficients`` holds ``c_1 .. c_k`` of ``p(A) = I + c_1 A + ... +
-    c_k A^k``, obtained as ``d_j / ||A||^j`` from the coefficients d of the
-    solve in ``B = A / ||A||``.  When some ``||A||^j`` or ``c_j`` leaves the
-    normal float range (``||A||^k`` beyond about 1e308 or below 1e-308) it
-    is None; value, witness and bracket come from the polynomial in B and
-    are unaffected.  For ``worst_case_gmres`` it is None.
+    c_k A^k``, obtained as ``c_j = (T d)_j / 2^(e j)`` from the coefficients
+    d of the solve in the orthonormal basis ``Q_j = sum_i T_ij S^i``, ``S =
+    A / 2^e``.  When some ``2^(e j)`` or ``c_j`` leaves the normal float
+    range (``||A||^k`` beyond about 1e308 or below 1e-308) it is None;
+    value, witness and bracket come from the polynomial in Q and are
+    unaffected.  For ``worst_case_gmres`` it is None.
     """
 
     value: float
@@ -127,33 +129,45 @@ class OneStepIdealResult(NamedTuple):
 
 
 def _check_depth(k) -> int:
-    if not is_int(k) or not 1 <= k <= MAX_DEPTH:
-        raise ValueError(f"depth must be an integer in 1..{MAX_DEPTH}, got {k!r}")
-    return int(k)
+    return check_int(k, "depth", 1, MAX_DEPTH)
 
 
-def _matrix_powers(mat: np.ndarray, k: int) -> np.ndarray:
-    n = mat.shape[0]
-    powers = np.empty((k, n, n), dtype=np.complex128)
-    powers[0] = mat
-    for j in range(1, k):
-        powers[j] = mat @ powers[j - 1]
-    return powers
+def _orthonormal_basis(mat: np.ndarray, k: int):
+    """``(Q, T, e)``: Frobenius-orthonormal ``Q_1 .. Q_k`` spanning
+    ``{S, .., S^k}`` for ``(S, e) = binary_scaled(A)``, and the upper
+    triangular ``T`` with ``Q_j = sum_i T_ij S^i``.
+
+    Arnoldi in matrix space (Toh & Trefethen, SIMAX 1998): ``Q_j`` comes
+    from ``S Q_{j-1}`` by two Gram-Schmidt passes.  A direction that falls
+    below 1e-14 of ``S Q_{j-1}`` lies in the span already, and it and every
+    later ``Q_j`` stay zero.  The basis stays well conditioned when A is
+    close to a multiple of I, where the powers of A are nearly parallel.
+    """
+    s, e = dense_core.binary_scaled(mat)
+    n = s.shape[0]
+    q = np.zeros((k, n, n), dtype=np.complex128)
+    t = np.zeros((k, k), dtype=np.complex128)
+    w, u = s, np.eye(k, dtype=np.complex128)[:, 0]  # w = sum_i u_i S^i
+    for j in range(k):
+        ref = np.linalg.norm(w)
+        for _ in range(2):
+            h = q[:j].reshape(j, n * n).conj() @ w.ravel()
+            w, u = w - np.tensordot(h, q[:j], axes=1), u - t[:, :j] @ h
+        norm = np.linalg.norm(w)
+        if norm <= 1e-14 * ref:
+            break
+        q[j], t[:, j] = w / norm, u / norm
+        # T is upper triangular: rolling column j multiplies it by S.
+        w, u = s @ q[j], np.roll(t[:, j], 1)
+    return q, t, e
 
 
-def _normalized_powers(mat: np.ndarray, k: int):
-    """``||A||`` and ``[B, .., B^k]`` for ``B = A / ||A||``: in B the
-    optimal coefficients are O(1)."""
-    scale = dense_core.spectral_norm(mat) or 1.0
-    return scale, _matrix_powers(mat / scale, k)
-
-
-def _spectrum(powers: np.ndarray, x: np.ndarray, mu: float):
+def _spectrum(basis: np.ndarray, x: np.ndarray, mu: float):
     """F_mu at ``d = x[:k] + i x[k:]`` from one eigendecomposition:
     ``(F_mu, P, lambda, V, w)`` with ``P = P(d)``, ``P^H P = V diag(lambda)
     V^H`` (lambda ascending) and ``w = softmax(lambda / mu)``."""
-    k, n = powers.shape[:2]
-    p = ((x[:k] + 1j * x[k:]) @ powers.reshape(k, -1)).reshape(n, n)
+    k, n = basis.shape[:2]
+    p = ((x[:k] + 1j * x[k:]) @ basis.reshape(k, -1)).reshape(n, n)
     p.flat[:: n + 1] += 1.0
     return _weighted(p, *np.linalg.eigh(p.conj().T @ p), mu)
 
@@ -164,18 +178,18 @@ def _weighted(p: np.ndarray, lam: np.ndarray, vecs: np.ndarray, mu: float):
     return lam[-1] + mu * np.log(z.sum()), p, lam, vecs, z / z.sum()
 
 
-def _derivatives(powers: np.ndarray, spec, mu: float):
+def _derivatives(basis: np.ndarray, spec, mu: float):
     """Gradient and Hessian in x of F_mu from its :func:`_spectrum`.
 
-    With ``X_a = V^H (E_a^H P + P^H E_a) V`` for ``E_a = B^j`` or ``i B^j``,
+    With ``X_a = V^H (E_a^H P + P^H E_a) V`` for ``E_a = Q_j`` or ``i Q_j``,
     ``g_a = sum_i w_i X_a,ii`` and (Lewis & Sendov, SIMAX 2001)
     ``H_ab = sum_il Gamma_il Re(X_a,il X_b,li) - g_a g_b / mu
     + 2 Re tr(E_a^H E_b W)``, ``Gamma_il = (w_i - w_l) / (lambda_i -
     lambda_l)``, or ``w_i / mu`` where the two coincide.
     """
-    k, n = powers.shape[:2]
+    k, n = basis.shape[:2]
     _, p, lam, vecs, w = spec
-    bv = powers @ vecs
+    bv = basis @ vecs
     gj = (p @ vecs).conj().T @ bv
     gjh = gj.conj().swapaxes(1, 2)
     xa = np.concatenate([gj + gjh, 1j * (gj - gjh)]).reshape(2 * k, -1)
@@ -191,77 +205,74 @@ def _derivatives(powers: np.ndarray, spec, mu: float):
     return grad, hess
 
 
-def _minimize_norm(powers: np.ndarray):
-    """Minimize ``||P(d)||``, ``P(d) = I + d_1 B + ... + d_k B^k``, from d = 0.
+def _minimize_norm(basis: np.ndarray):
+    """Minimize ``||P(d)||``, ``P(d) = I + d_1 Q_1 + ... + d_k Q_k``, from d = 0.
 
     Damped Newton with the exact Hessian of :func:`_derivatives` minimizes
     the smoothed top eigenvalue of ``X = P^H P``,
 
         F_mu(d) = lambda_max + mu log sum_i exp((lambda_i - lambda_max) / mu),
 
-    which is convex in d.  Armijo backtracking runs while the predicted
-    decrease exceeds ``4 eps |F_mu|``; a trial evaluates only
-    :func:`_spectrum`, and the derivatives are built once per point.
-    Halving starts below the duality cap: ``F_mu >= ||P||^2 >= lower^2`` at
-    every point, so no step ``t`` with ``-t slope > 4 (F_mu - lower^2 + 4
-    eps |F_mu|)`` can pass Armijo, and those are skipped unevaluated.
-    ``mu`` starts at ``0.1 = 0.1 ||P(0)||^2`` and shrinks tenfold per stage
-    until the norm and the dual bound of :func:`_dual_lower_bound` meet
-    within ``_GAP_TARGET`` or ``mu`` reaches rounding level.  A stage ends
-    at its first point whose predicted decrease is at the rounding level,
-    where its dual bound is taken.  If the gap is still open and the stage
-    looks stalled (its first step was already at that level, the gap fell
-    less than tenfold, or the next ``mu`` passes the floor), full steps go
-    on while each shrinks the Newton decrement, which sharpens the dual
-    matrix Y, and the bound is taken again.  The stage ends lie O(mu) from
-    the optimum when the top singular value is multiple, so the next stage
-    starts at their Richardson extrapolant to mu = 0 if F_mu is no higher
-    there than at the reweighted stage end; its norm is an upper bound too.
+    which is convex in d.  Armijo backtracking from the full step runs
+    while the predicted decrease exceeds ``4 eps |F_mu|``; a trial
+    evaluates only :func:`_spectrum`, and the derivatives are built once
+    per accepted point.  ``mu`` starts at ``0.1 = 0.1 ||P(0)||^2`` and
+    shrinks tenfold per stage until the norm and the dual bound of
+    :func:`_dual_lower_bound` meet within ``_GAP_TARGET`` or ``mu`` reaches
+    rounding level.  A stage ends at its first point whose predicted
+    decrease is at the rounding level, where its dual bound is taken.  If
+    the gap is still open and the stage looks stalled (its first step was
+    already at that level, the gap fell less than tenfold, or the next
+    ``mu`` passes the floor), a polish of full Newton steps runs: each is
+    kept while it shrinks the Newton decrement, which sharpens the dual
+    matrix Y, the first that does not is undone, and the bound is taken
+    again.  The stage ends lie O(mu) from the optimum when the top singular
+    value is multiple, so the next stage starts at their Richardson
+    extrapolant to mu = 0 if F_mu is no higher there than at the reweighted
+    stage end; its norm is an upper bound too.
 
     Returns ``(d, norm, witness, lower)``: the best coefficients seen;
     ``norm = ||P(d)|| = sqrt(lambda_max) <= 1`` and a unit top eigenvector
     of ``P(d)^H P(d)``, both from its kept eigendecomposition; and the best
     dual lower bound, at most ``norm``.
     """
-    k = powers.shape[0]
+    k = basis.shape[0]
     x, ends = np.zeros(2 * k), []
     upper, lower, mu = 1.0, 0.0, 0.1
-    state = _spectrum(powers, x, mu)
+    state = _spectrum(basis, x, mu)
     best = x, state
     while upper - lower > _GAP_TARGET and mu >= 1e-14 * upper**2:
         gap, start, direction, undo = upper - lower, x, None, None
         for polish in (False, True):
             for _ in range(_NEWTON_STEPS):
                 if direction is None:
-                    grad, hess = _derivatives(powers, state, mu)
+                    grad, hess = _derivatives(basis, state, mu)
                     direction = grad, np.linalg.lstsq(hess, -grad, rcond=None)[0]
                 grad, step = direction
-                slope = float(grad @ step)
-                if undo is not None and slope <= undo[2]:
-                    x, state = undo[:2]  # the full step did not shrink the decrement
-                    break
-                t, level = 1.0, 4.0 * np.finfo(float).eps * abs(state[0])
-                if -slope <= level and not polish:
-                    break
-                while -t * slope > max(level, 4.0 * (state[0] - lower**2 + level)):
-                    t *= 0.5  # beyond the duality cap: Armijo fails
-                trial = _spectrum(powers, x + t * step, mu)
-                while trial[0] > state[0] + 0.25 * t * slope and -t * slope > level:
-                    t *= 0.5
-                    trial = _spectrum(powers, x + t * step, mu)
-                undo = None
-                if trial[0] > state[0] + 0.25 * t * slope or -slope <= level:
-                    if not polish:
+                slope, t = float(grad @ step), 1.0
+                if polish:
+                    if undo is not None and slope <= undo[2]:
+                        x, state = undo[:2]  # the step did not shrink the decrement
                         break
-                    full = trial if t == 1.0 else _spectrum(powers, x + step, mu)
-                    undo, trial, t = (x, state, slope), full, 1.0
+                    undo, trial = (x, state, slope), _spectrum(basis, x + step, mu)
+                else:
+                    level = 4.0 * np.finfo(float).eps * abs(state[0])
+                    if -slope <= level:
+                        break
+                    trial = _spectrum(basis, x + step, mu)
+                    while (trial[0] > state[0] + 0.25 * t * slope
+                           and -t * slope > level):
+                        t *= 0.5
+                        trial = _spectrum(basis, x + t * step, mu)
+                    if trial[0] > state[0] + 0.25 * t * slope:
+                        break
                 x, state, direction = x + t * step, trial, None
             _, p, lam, vecs, w = state
             value = float(np.sqrt(max(lam[-1], 0.0)))
             if value < upper:
                 best, upper = (x, state), value
             y = p @ (vecs * w) @ vecs.conj().T
-            lower = max(lower, _dual_lower_bound(powers, y, x[:k] + 1j * x[k:]))
+            lower = max(lower, _dual_lower_bound(basis, y, x[:k] + 1j * x[k:]))
             stalled = x is start or upper - lower > 0.1 * gap or mu < 1e-13 * upper**2
             if upper - lower <= _GAP_TARGET or not stalled:
                 break
@@ -271,7 +282,7 @@ def _minimize_norm(powers: np.ndarray):
         if ends[1:]:  # Richardson extrapolation of the stage ends to mu = 0
             xe = (np.dot([10 / 8910, -100 / 810, 1000 / 891], ends) if ends[2:]
                   else x + (x - ends[0]) / 9)
-            spec = _spectrum(powers, xe, mu)
+            spec = _spectrum(basis, xe, mu)
             value = float(np.sqrt(max(spec[2][-1], 0.0)))
             if value < upper:
                 best, upper = (xe, spec), value
@@ -281,26 +292,25 @@ def _minimize_norm(powers: np.ndarray):
     return x[:k] + 1j * x[k:], upper, state[3][:, -1], min(lower, upper)
 
 
-def _dual_lower_bound(powers: np.ndarray, y: np.ndarray, d: np.ndarray) -> float:
-    """Norm-duality lower bound on ``min over c of ||I + sum_j c_j B^j||``.
+def _dual_lower_bound(basis: np.ndarray, y: np.ndarray, d: np.ndarray) -> float:
+    """Norm-duality lower bound on ``min over c of ||I + sum_j c_j Q_j||``.
 
-    Every Y orthogonal to all ``B^j`` in the Frobenius inner product gives
+    Every Y orthogonal to all ``Q_j`` in the Frobenius inner product gives
     ``|tr Y| = |<P(c), Y>| <= ||P(c)|| ||Y||_*`` for every c, so
     ``|tr Y| / ||Y||_*`` is a lower bound.  ``y`` is projected off
-    ``span{B^j}``; the rounding allowance covers the projection's leftover
-    inner products weighted by the incumbent coefficients ``d``.  A
-    projection that removes nearly all of ``y`` leaves rounding noise and
-    certifies nothing.
+    ``span{Q_j}`` by ``Q^H y``, the basis being orthonormal; the rounding
+    allowance covers the projection's leftover inner products weighted by
+    the incumbent coefficients ``d``.  A projection that removes nearly all
+    of ``y`` leaves rounding noise and certifies nothing.
     """
-    k, n = powers.shape[0], y.shape[0]
-    flat = powers.reshape(k, -1)
-    beta = np.linalg.lstsq(flat.T, y.ravel(), rcond=None)[0]
-    yp = y - np.tensordot(beta, powers, axes=1)
+    k, n = basis.shape[0], y.shape[0]
+    qh = basis.reshape(k, -1).conj()
+    yp = y - np.tensordot(qh @ y.ravel(), basis, axes=1)
     nuclear = float(np.linalg.svd(yp, compute_uv=False).sum())
     eps = np.finfo(float).eps
     if nuclear <= np.sqrt(eps) * float(np.linalg.svd(y, compute_uv=False).sum()):
         return 0.0
-    leftover = float(np.abs(flat.conj() @ yp.ravel()) @ np.abs(d))
+    leftover = float(np.abs(qh @ yp.ravel()) @ np.abs(d))
     allowance = leftover / nuclear + n * eps * (1.0 + float(np.abs(d).sum()))
     return max(abs(complex(np.trace(yp))) / nuclear - allowance, 0.0)
 
@@ -316,17 +326,18 @@ def ideal_gmres(a, k: int) -> MinimaxResult:
     bound on the true minimum: a stage end of the solver or an extrapolant
     of its stage ends), the witness a unit vector that attains it and the
     lower bound a norm-duality certificate, all from the solver's own
-    eigendecompositions in ``B = A / ||A||``, so none depends on the scale
-    of A.  A gap above 1e-4 flags the result non-certified, but both bounds
-    remain sound.  The solve has no starts and no randomness.
+    eigendecompositions in an orthonormal basis of ``span{A, .., A^k}``, so
+    none depends on the scale of A.  A gap above 1e-4 flags the result
+    non-certified, but both bounds remain sound.  The solve has no starts
+    and no randomness.
     """
     mat = as_matrix(a)
     k = _check_depth(k)
-    scale, powers = _normalized_powers(mat, k)
-    d, upper, witness, lower = _minimize_norm(powers)
+    q, t, e = _orthonormal_basis(mat, k)
+    d, upper, witness, lower = _minimize_norm(q)
     try:
         with np.errstate(over="raise", under="raise"):
-            coeffs = d / scale ** np.arange(1, k + 1)
+            coeffs = (t @ d) / 2.0 ** (e * np.arange(1, k + 1))
     except FloatingPointError:
         coeffs = None
     return MinimaxResult(
@@ -402,7 +413,7 @@ def worst_case_gmres(
     """
     mat = as_matrix(a)
     k = _check_depth(k)
-    check_seed(seed)
+    check_int(seed, "seed", 0)
     n = mat.shape[0]
 
     seeds: list[np.ndarray] = []
@@ -446,9 +457,12 @@ def worst_case_gmres(
 
 def one_step_ideal(a) -> OneStepIdealResult:
     """Minimize ``||I - alpha A||`` over complex alpha."""
-    scale, powers = _normalized_powers(as_matrix(a), 1)
-    d, value, _, _ = _minimize_norm(powers)
-    return OneStepIdealResult(value, -complex(d[0]) / scale)
+    q, t, e = _orthonormal_basis(as_matrix(a), 1)
+    d, value, _, _ = _minimize_norm(q)
+    alpha = -t[0, 0] * d[0]  # over 2^e, taken exactly
+    return OneStepIdealResult(
+        value, complex(np.ldexp(alpha.real, -e), np.ldexp(alpha.imag, -e))
+    )
 
 
 # ---------------------------------------------------------------------------

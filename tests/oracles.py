@@ -7,9 +7,8 @@ Givens rotations, dense least squares and a closed-form one-step damping
 instead of the batched Gram-Schmidt residual kernel, a generalized
 Hermitian eigenproblem instead of an explicit inverse, an angular scan
 with golden-section refinement instead of Newton steps on the support
-function, the ideal solver's Newton stages with plain Armijo halving
-instead of halving below a duality cap, Horner's rule for a residual
-polynomial instead of the ideal solver's own eigendecomposition.  Two
+function, Horner's rule for a residual polynomial instead of the ideal
+solver's own eigendecomposition.  Two
 small helpers that the package no longer needs live here as well: the
 Rayleigh quotient and ``nu(F(A^{-1}))`` on its own.
 """
@@ -20,7 +19,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.spatial import ConvexHull, QhullError
 
-from gmreslab import fov, minimax
+from gmreslab import fov
 from gmreslab.dense_core import as_matrix
 from gmreslab.errors import ZeroVector
 
@@ -332,81 +331,3 @@ def nu_inverse_pencil(a, angles=720, fine=401):
     center = step * int(np.argmax(coarse))
     best = max(lam_min(t) for t in center + np.linspace(-step, step, fine))
     return max(best, max(coarse), 0.0)
-
-
-def plain_halving_minimize_norm(powers, skipped=None):
-    """``minimax._minimize_norm`` with the line search of its first version.
-
-    Each Newton step evaluates F_mu, its derivatives and the dual matrix at
-    every trial, from ``t = 1`` halving while Armijo fails, with no duality
-    cap.  Stage ends, polish and extrapolated starts are those of
-    ``_minimize_norm``.  When ``skipped`` is a list, every evaluated trial
-    that the cap ``-t slope > max(level, 4 (F_mu - lower^2 + level))`` rules
-    out is appended to it as whether it passed Armijo.
-    """
-
-    def evaluate(x, mu):
-        spec = minimax._spectrum(powers, x, mu)
-        _, p, lam, vecs, w = spec
-        y = p @ (vecs * w) @ vecs.conj().T
-        return (spec[0], *minimax._derivatives(powers, spec, mu), y, lam[-1])
-
-    def newton(x, state, mu, lower, polish):
-        undo = None
-        for _ in range(minimax._NEWTON_STEPS):
-            step = np.linalg.lstsq(state[2], -state[1], rcond=None)[0]
-            slope = float(state[1] @ step)
-            if undo is not None and slope <= undo[2]:
-                return undo[:2]
-            level = 4.0 * np.finfo(float).eps * abs(state[0])
-            if -slope <= level and not polish:
-                return x, state
-            trial = full = evaluate(x + step, mu)
-            t, cap = 1.0, max(level, 4.0 * (state[0] - lower**2 + level))
-            while True:
-                failed = trial[0] > state[0] + 0.25 * t * slope
-                if skipped is not None and -t * slope > cap:
-                    skipped.append(not failed)
-                if not (failed and -t * slope > level):
-                    break
-                t *= 0.5
-                trial = evaluate(x + t * step, mu)
-            undo = None
-            if trial[0] > state[0] + 0.25 * t * slope or -slope <= level:
-                if not polish:
-                    return x, state
-                undo, trial, t = (x, state, slope), full, 1.0
-            x, state = x + t * step, trial
-        return x, state
-
-    k = powers.shape[0]
-    x = best_x = np.zeros(2 * k)
-    upper, lower, mu, ends = 1.0, 0.0, 0.1, []
-    state = evaluate(x, mu)
-    while upper - lower > minimax._GAP_TARGET and mu >= 1e-14 * upper**2:
-        gap, start = upper - lower, x
-        for polish in (False, True):
-            x, state = newton(x, state, mu, lower, polish)
-            value = float(np.sqrt(max(state[4], 0.0)))
-            if value < upper:
-                best_x, upper = x, value
-            d = x[:k] + 1j * x[k:]
-            lower = max(lower, minimax._dual_lower_bound(powers, state[3], d))
-            stalled = x is start or upper - lower > 0.1 * gap or mu < 1e-13 * upper**2
-            if upper - lower <= minimax._GAP_TARGET or not stalled:
-                break
-        mu *= 0.1
-        state = evaluate(x, mu)
-        ends = (ends + [x])[-3:]
-        if len(ends) > 1:
-            if len(ends) == 3:
-                xe = np.dot([10 / 8910, -100 / 810, 1000 / 891], ends)
-            else:
-                xe = x + (x - ends[0]) / 9
-            ext = evaluate(xe, mu)
-            value = float(np.sqrt(max(ext[4], 0.0)))
-            if value < upper:
-                best_x, upper = xe, value
-            if ext[0] <= state[0]:
-                x, state = xe, ext
-    return best_x[:k] + 1j * best_x[k:], min(lower, upper)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, seed
@@ -5,10 +7,12 @@ from hypothesis import strategies as st
 
 from gmreslab import (
     BudgetExceeded,
+    ExperimentConfig,
     MatrixSpec,
     generate_matrix,
     ideal_gmres,
     one_step_ideal,
+    run_experiment,
     scalar_minimax_oracle,
     spectral_norm,
     verify_chain,
@@ -90,19 +94,19 @@ def test_smoothed_derivatives_match_central_differences(rel_mu):
     solver against central differences, on a random complex 5x5 at k = 3."""
     rng = np.random.default_rng(41)
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    _, powers = minimax._normalized_powers(a, 3)
+    basis = minimax._orthonormal_basis(a, 3)[0]
     x = 0.3 * rng.standard_normal(6)
-    p = oracles.residual_polynomial(powers[0], x[:3] + 1j * x[3:])
+    p = np.eye(5) + np.tensordot(x[:3] + 1j * x[3:], basis, axes=1)
     mu = rel_mu * spectral_norm(p) ** 2
-    grad, hess = minimax._derivatives(powers, minimax._spectrum(powers, x, mu), mu)
+    grad, hess = minimax._derivatives(basis, minimax._spectrum(basis, x, mu), mu)
     h = 1e-5
     fd_grad, fd_hess = [], []
     for e in np.eye(6):
-        plus, minus = (minimax._spectrum(powers, x + s * h * e, mu) for s in (1, -1))
+        plus, minus = (minimax._spectrum(basis, x + s * h * e, mu) for s in (1, -1))
         fd_grad.append((plus[0] - minus[0]) / (2 * h))
         fd_hess.append(
-            (minimax._derivatives(powers, plus, mu)[0]
-             - minimax._derivatives(powers, minus, mu)[0]) / (2 * h)
+            (minimax._derivatives(basis, plus, mu)[0]
+             - minimax._derivatives(basis, minus, mu)[0]) / (2 * h)
         )
     assert np.abs(np.array(fd_grad) - grad).max() <= 1e-7 * np.abs(grad).max()
     assert np.abs(np.array(fd_hess) - hess).max() <= 1e-6 * np.abs(hess).max()
@@ -110,9 +114,9 @@ def test_smoothed_derivatives_match_central_differences(rel_mu):
 
 
 def _line_search_cases():
-    """``[B, .., B^k]`` of the line-search tests' inputs: 12 random real
-    and complex matrices (n = 3..10, k = 1..4), Toh's matrix with eps = 0.1
-    at k = 3 and the 16x16 case at k = 8."""
+    """Bases ``Q_1 .. Q_k`` of the solver tests' inputs: 12 random real and
+    complex matrices (n = 3..10, k = 1..4), Toh's matrix with eps = 0.1 at
+    k = 3 and the 16x16 case at k = 8."""
     rng = np.random.default_rng(89)
     cases = []
     for i in range(12):
@@ -123,34 +127,15 @@ def _line_search_cases():
     cases.append(
         (np.random.default_rng(3).standard_normal((16, 16)) / 4 + 1.5 * np.eye(16), 8)
     )
-    return [minimax._normalized_powers(a, k)[1] for a, k in cases]
+    return [minimax._orthonormal_basis(a, k)[0] for a, k in cases]
 
 
 LINE_SEARCH_CASES = _line_search_cases()
 
 
-def test_capped_line_search_matches_plain_halving_to_the_bit():
-    """Halving below the duality cap and evaluating only the spectrum at a
-    trial skip only trials that fail Armijo: same coefficients and lower
-    bound, bit for bit, as evaluating everything from t = 1."""
-    for powers in LINE_SEARCH_CASES:
-        d, _, _, lower = minimax._minimize_norm(powers)
-        want_d, want_lower = oracles.plain_halving_minimize_norm(powers)
-        assert np.array_equal(d, want_d)
-        assert lower == want_lower
-
-
-def test_every_trial_beyond_the_cap_fails_armijo():
-    skipped = []
-    for powers in LINE_SEARCH_CASES:
-        oracles.plain_halving_minimize_norm(powers, skipped)
-    assert len(skipped) > 0
-    assert not any(skipped)
-
-
 def test_derivatives_once_per_newton_step(monkeypatch):
-    """One gradient and Hessian per Newton step (one ``lstsq`` each; the
-    rest of the ``lstsq`` calls are the dual bound's, one per stage)."""
+    """One gradient and Hessian per Newton step, and one ``lstsq`` each: the
+    dual bound projects with the orthonormal basis and solves nothing."""
     counts = {"derivatives": 0, "lstsq": 0, "dual": 0}
 
     def counted(name, function):
@@ -166,10 +151,10 @@ def test_derivatives_once_per_newton_step(monkeypatch):
         (minimax, "_dual_lower_bound", "dual"),
     ]:
         monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
-    for powers in LINE_SEARCH_CASES:
-        minimax._minimize_norm(powers)
+    for basis in LINE_SEARCH_CASES:
+        minimax._minimize_norm(basis)
     assert counts["dual"] > 0
-    assert counts["derivatives"] == counts["lstsq"] - counts["dual"] > 0
+    assert counts["derivatives"] == counts["lstsq"] > 0
 
 
 def _multiple_top_spectrum():
@@ -190,10 +175,11 @@ def test_ideal_solver_work_counts(monkeypatch):
     (``_derivatives`` calls) of ``_minimize_norm`` over the line-search
     cases and the multiple-top-singular-value matrix at k = 1..3.  Counts
     do not depend on the machine's speed, so timing noise cannot hide a
-    regression.  The ceilings sit about 10% above the 679 and 488 of the
-    solver with rounding-level stage ends and extrapolated starts; the
-    solver that polished every stage and started each at the last stage
-    end made 1,105 and 784."""
+    regression.  The ceilings sit about 10% above the 479 and 429 of the
+    solver in the orthonormal basis with a plain full-step polish; in the
+    monomial basis, with a duality cap and an Armijo polish, it made 679
+    and 488, and before stage ends at the rounding level and extrapolated
+    starts 1,105 and 784."""
     counts = {"_spectrum": 0, "_derivatives": 0}
 
     def counted(name, function):
@@ -207,11 +193,11 @@ def test_ideal_solver_work_counts(monkeypatch):
         monkeypatch.setattr(minimax, name, counted(name, getattr(minimax, name)))
     diagonal = np.diag(MULTIPLE_TOP)
     for k in (1, 2, 3):
-        minimax._minimize_norm(minimax._normalized_powers(diagonal, k)[1])
-    for powers in LINE_SEARCH_CASES:
-        minimax._minimize_norm(powers)
-    assert counts["_spectrum"] <= 750
-    assert counts["_derivatives"] <= 540
+        minimax._minimize_norm(minimax._orthonormal_basis(diagonal, k)[0])
+    for basis in LINE_SEARCH_CASES:
+        minimax._minimize_norm(basis)
+    assert counts["_spectrum"] <= 530
+    assert counts["_derivatives"] <= 470
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -287,14 +273,55 @@ def test_ideal_depth_monotonicity():
     assert values[2] <= values[1] + SANDWICH_SLACK
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="near-scalar floor: the depth-2 solve stops at 7.5e-10, above the "
-    "depth-1 value 5.0e-10, although the true value is 0 (k = n)",
-)
 def test_ideal_depth_monotone_near_scalar():
     a = np.diag([1.0, 1.0 + 1e-9])
     assert ideal_gmres(a, 2).value <= ideal_gmres(a, 1).value + 1e-12
+
+
+@pytest.mark.parametrize(
+    "shift, spread, depths",
+    [(1.0, 1e-12, [3]), (1.5e308, 1e300, [1, 2, 3])],
+    ids=["unit_shift", "near_float_max"],
+)
+def test_near_scalar_ideal_meets_starke_without_slack(tmp_path, shift, spread, depths):
+    """For A close to a multiple of I the ideal value drops to rounding
+    level, below the tiny Starke bound.  The monomial basis stopped about
+    1e-9 above the true value here: margins of -2.5e-12 on the first input
+    and -1.07e-8 (exit 1) on the second."""
+    matrix = {"family": "random_pd_part", "n": 4, "shift": shift, "spread": spread}
+    cfg = ExperimentConfig.from_dict(
+        {"matrix": matrix, "depths": depths, "trials": 3, "out_dir": str(tmp_path)}
+    )
+    assert run_experiment(cfg) == 0
+    reports = json.loads((tmp_path / "report.json").read_text())["reports"]
+    assert [report["k"] for report in reports] == depths
+    for report in reports:
+        assert report["verdicts"]["ideal_le_starke"]["margin"] >= -1e-14
+
+
+def test_orthonormal_basis_and_its_change_of_basis():
+    """``Q_1 .. Q_k`` are Frobenius-orthonormal and ``sum_i T_ij S^i``
+    rebuilds each ``Q_j``, for ``(S, e) = binary_scaled(A)``."""
+    rng = np.random.default_rng(53)
+    a = random_complex(rng, 6)
+    q, t, e = minimax._orthonormal_basis(a, 4)
+    flat = q.reshape(4, -1)
+    assert np.abs(flat.conj() @ flat.T - np.eye(4)).max() <= 1e-13
+    s = a / 2.0**e
+    powers = [np.linalg.matrix_power(s, i) for i in range(1, 5)]
+    for j in range(4):
+        rebuilt = sum(t[i, j] * powers[i] for i in range(4))
+        assert np.abs(rebuilt - q[j]).max() <= 1e-13
+
+
+def test_dependent_direction_stays_zero():
+    """diag(1, 2) spans only {A, A^2}: Q_3 is zero, the ideal value at k = 3
+    is rounding and p(z) = 1 - 1.5 z + 0.5 z^2 vanishes on the spectrum."""
+    a = np.diag([1.0, 2.0])
+    assert not minimax._orthonormal_basis(a, 3)[0][2].any()
+    res = ideal_gmres(a, 3)
+    assert res.value <= 1e-14
+    assert np.allclose(res.coefficients, [-1.5, 0.5, 0.0], atol=1e-12)
 
 
 def test_ideal_deterministic_given_seed():
