@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from gmreslab import ExperimentConfig, run_experiment
+from gmreslab.experiment import EXIT_IO, EXIT_SOLVER_FAILED, guarded
 
 
 def main(argv=None) -> int:
@@ -34,17 +35,15 @@ def main(argv=None) -> int:
     else:
         matrix = {"family": "random_pd_part", "n": args.n, "seed": args.seed}
 
-    cfg = ExperimentConfig.from_dict(
-        {
-            "matrix": matrix,
-            "depths": list(range(1, args.max_depth + 1)),
-            "trials": args.trials,
-            "seed": args.seed,
-            "out_dir": args.out_dir,
-        }
-    )
-    code = run_experiment(cfg)
-    if code == 2:
+    raw = {
+        "matrix": matrix,
+        "depths": list(range(1, args.max_depth + 1)),
+        "trials": args.trials,
+        "seed": args.seed,
+        "out_dir": args.out_dir,
+    }
+    code = guarded(lambda: run_experiment(ExperimentConfig.from_dict(raw)))
+    if code in (EXIT_IO, EXIT_SOLVER_FAILED):  # no report was written
         return code
 
     doc = json.loads((Path(args.out_dir) / "report.json").read_text())

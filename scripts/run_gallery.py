@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from gmreslab import ExperimentConfig, run_experiment
+from gmreslab.experiment import EXIT_IO, EXIT_SOLVER_FAILED, guarded
 
 GALLERY = {
     "diag_real": {"family": "diagonal", "entries": [1.0, 2.0, 3.0, 4.0]},
@@ -46,16 +47,16 @@ def main(argv=None) -> int:
     worst_code = 0
     for name, matrix in GALLERY.items():
         out = Path(args.out_dir) / name
-        cfg = ExperimentConfig.from_dict(
-            {
-                "matrix": matrix,
-                "depths": args.depths,
-                "trials": args.trials,
-                "seed": args.seed,
-                "out_dir": str(out),
-            }
-        )
-        code = run_experiment(cfg)
+        raw = {
+            "matrix": matrix,
+            "depths": args.depths,
+            "trials": args.trials,
+            "seed": args.seed,
+            "out_dir": str(out),
+        }
+        code = guarded(lambda: run_experiment(ExperimentConfig.from_dict(raw)))
+        if code in (EXIT_IO, EXIT_SOLVER_FAILED):  # no report was written
+            return code
         worst_code = max(worst_code, code)
         doc = json.loads((out / "report.json").read_text())
         print(f"\n=== {name} (exit {code}) ===")

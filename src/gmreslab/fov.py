@@ -27,7 +27,7 @@ from scipy.linalg import blas, lapack
 
 from . import dense_core
 from .dense_core import as_matrix
-from .errors import NoConvergence
+from .errors import InvalidSpec, NoConvergence
 
 __all__ = [
     "FovBoundary",
@@ -147,7 +147,7 @@ def fov_boundary(a, m: int) -> FovBoundary:
     """
     mat = as_matrix(a)
     if m < 8:
-        raise ValueError("boundary sampling needs at least 8 angles")
+        raise InvalidSpec(f"boundary sampling needs at least 8 angles, got {m}")
     n = mat.shape[0]
     # an exact power-of-two scale keeps the inverse iteration in range
     mat, e = dense_core.binary_scaled(mat)

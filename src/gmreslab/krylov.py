@@ -5,9 +5,10 @@ The quantity of interest is the GMRES residual ratio
     ||r_k|| / ||r_0|| = min over p in pi_k of ||p(A) r_0|| / ||r_0||,
 
 where pi_k is the set of polynomials of degree at most k with p(0) = 1.
-One kernel computes it for a whole block of vectors at once: the Krylov
-directions are orthonormalized by batched modified Gram-Schmidt and
-projected out of the residual, so normal equations are never formed.
+One kernel computes it for a whole block of vectors at once: Arnoldi
+builds orthonormal Krylov directions for every column, and they are
+projected out of the residual, so normal equations are never formed.  The
+same Arnoldi function builds the ideal solver's matrix-space basis.
 :func:`gmres_residuals` returns the ratio at every depth up to ``kmax``,
 :func:`min_residual_values` the ratio at one depth, and
 :func:`min_residual_gradients` adds its exact gradient in v.  Arnoldi with
@@ -29,49 +30,60 @@ __all__ = [
 ]
 
 
+def _arnoldi(apply, start: np.ndarray, k: int):
+    """Arnoldi on each column x of ``start``: ``(Q, T)`` with ``Q[j - 1]``
+    the j-th orthonormal direction of ``span{M x, .., M^k x}``, M the map
+    ``apply``, and ``Q_j = sum_i T[i - 1, j - 1] M^i x``, T upper triangular;
+    the last axis runs over the columns x.  ``Q_j`` comes from ``M Q_(j-1)``
+    (``M x`` for j = 1) by two classical Gram-Schmidt passes in the column
+    inner product.  A direction below 1e-14 of ``M Q_(j-1)`` lies in the
+    span already: it and every later direction of that column stay zero.
+    """
+    size, cols = start.shape
+    # rows 0..size-1 of basis[j] hold Q[j], the k rows below T[j]
+    basis = np.zeros((k, size + k, cols), dtype=np.complex128)
+    basis[0, :size], basis[0, size] = apply(start), 1.0
+    for j in range(k):
+        w = basis[j]
+        ref = np.linalg.norm(w[:size], axis=0)
+        for _ in range(2 if j else 0):
+            h = np.einsum("jnb,nb->jb", basis[:j, :size].conj(), w[:size])
+            w -= np.einsum("jnb,jb->nb", basis[:j], h)
+        norm = np.linalg.norm(w[:size], axis=0)
+        w /= np.where(norm > 1e-14 * ref, norm, np.inf)
+        if j + 1 < k:
+            # T is upper triangular: M Q[j] has the coordinates of Q[j] shifted
+            basis[j + 1, :size], basis[j + 1, size + 1 :] = apply(w[:size]), w[size:-1]
+    return basis[:, :size], basis[:, size:].swapaxes(0, 1)
+
+
 def _residual_curves(mat: np.ndarray, batch: np.ndarray, k: int):
     """Residual ratios at depths 0..k for each column of ``batch``.
 
-    Row j holds ``min over p in pi_j of ||p(A) v|| / ||v||``: the unit-scaled
-    Krylov directions ``A v, .., A^k v`` are orthonormalized by batched
-    modified Gram-Schmidt with one reorthogonalization pass, and each new
-    direction is projected out of the running residual.  Dependent
-    directions are dropped, which leaves the spanned space and hence the
-    minimum unchanged.  Each vector carries its coordinates in the basis
-    ``A v, .., A^k v`` as k extra rows, so the depth-k residual ``p(A) v``
-    is returned with the coefficients ``c_1 .. c_k`` of its polynomial.
+    Row j holds ``min over p in pi_j of ||p(A) v|| / ||v||``: the Arnoldi
+    directions ``Q_1 .. Q_k`` of :func:`_arnoldi` span ``{A v, .., A^k v}``
+    and are projected out of the running residual one at a time.  A
+    dependent direction stays zero, which leaves the spanned space and hence
+    the minimum unchanged.  The projection coefficients h give, through the
+    coordinates T of the directions in the powers ``A^i v``, the
+    coefficients ``c = -T h`` of the depth-k residual polynomial, ``p(A) v =
+    v + c_1 A v + .. + c_k A^k v``, returned with the residual.
 
     Callers pass ``dense_core.binary_scaled(A)``: the ratios do not depend
-    on the scale of A, and on the raw A the powers ``A^j v`` underflow or
-    overflow when ``||A||`` is far from 1.  The coefficients are then those
-    of the polynomial in the scaled matrix.
+    on the scale of A, and the coordinates T, of size ``1 / ||A^i v||``,
+    leave the float range on the raw A when ``||A||`` is far from 1.  The
+    coefficients are then those of the polynomial in the scaled matrix.
     """
-    n = mat.shape[0]
-    norms = np.linalg.norm(batch, axis=0)
-    safe_norms = np.where(norms > 0.0, norms, 1.0)
-    curves = np.empty((k + 1, batch.shape[1]))
-    curves[0] = norms / safe_norms
-
-    ortho = []
-    residual = np.vstack([batch, np.zeros((k, batch.shape[1]), batch.dtype)])
-    w = batch
-    for j in range(1, k + 1):
-        w = mat @ w
-        scale = np.linalg.norm(w, axis=0)
-        scale = np.where(scale > 0.0, scale, 1.0)
-        q = np.zeros_like(residual)
-        q[:n] = w / scale
-        q[n + j - 1] = 1.0 / scale
-        for _ in range(2):
-            for qi in ortho:
-                q = q - qi * np.sum(np.conj(qi[:n]) * q[:n], axis=0)
-        nq = np.linalg.norm(q[:n], axis=0)
-        keep = nq > 1e-12
-        q = np.where(keep[None, :], q / np.where(keep, nq, 1.0)[None, :], 0.0)
-        ortho.append(q)
-        residual = residual - q * np.sum(np.conj(q[:n]) * residual[:n], axis=0)
-        curves[j] = np.linalg.norm(residual[:n], axis=0) / safe_norms
-    return curves, residual[:n], residual[n:]
+    q, t = _arnoldi(lambda w: mat @ w, batch, k)
+    h = np.empty((k, batch.shape[1]), dtype=np.complex128)
+    residuals = np.empty((k + 1,) + batch.shape, dtype=np.complex128)
+    residuals[0] = batch
+    for j in range(k):
+        h[j] = np.einsum("nb,nb->b", q[j].conj(), residuals[j])
+        residuals[j + 1] = residuals[j] - q[j] * h[j]
+    norms = np.linalg.norm(residuals, axis=1)
+    curves = norms / np.where(norms[0] > 0.0, norms[0], 1.0)
+    return curves, residuals[k], -np.einsum("ijb,jb->ib", t, h)
 
 
 def gmres_residuals(a, r0s, kmax: int) -> np.ndarray:

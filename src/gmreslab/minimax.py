@@ -11,10 +11,10 @@ because p = 1 is admissible.  At depth 1 the two coincide.
 
 ``ideal_gmres`` and ``one_step_ideal`` share one convex solver, run once
 per depth from p = 1.  It writes ``p(A) = I + d_1 Q_1 + ... + d_k Q_k`` in
-a Frobenius-orthonormal basis of ``span{A, .., A^k}``, built by Arnoldi in
-matrix space (Toh & Trefethen, SIMAX 1998), and runs damped Newton with
-the exact Hessian on a smoothed top eigenvalue F_mu of ``p(A)^H p(A)``,
-one Newton run per smoothing stage.  A stage ends at the rounding level,
+a Frobenius-orthonormal basis of ``span{A, .., A^k}``, built by the residual
+kernel's Arnoldi in matrix space (Toh & Trefethen, SIMAX 1998), and runs
+damped Newton with the exact Hessian on a smoothed top eigenvalue F_mu of
+``p(A)^H p(A)``, one Newton run per smoothing stage.  A stage ends at the rounding level,
 and the next starts at the Richardson extrapolant of the stage ends to
 zero smoothing.  A line-search trial costs one eigendecomposition.  The
 upper bound is the norm of the returned feasible polynomial, a stage end
@@ -32,8 +32,9 @@ ratio, over the real and imaginary parts of v: the best starts climb as one
 block, then the best of them alone.  One kernel pass per evaluation solves
 the inner polynomial problem exactly for every candidate and returns its
 exact gradient, by the envelope theorem ``(p_v(A)^H p_v(A) v - phi^2 v) /
-||v||^2`` with p_v the minimizing polynomial of v.  phi is scale-invariant,
-so no sphere constraint is needed.  Every evaluated candidate is a
+||v||^2`` with p_v the minimizing polynomial of v; its Arnoldi directions
+keep phi exact to rounding at every depth.  phi is scale-invariant, so no
+sphere constraint is needed.  Every evaluated candidate is a
 certified lower bound on the true worst case, so under-convergence is safe
 for the inequality checks downstream.  The caller may pass a known upper
 bound on the worst case, the ceiling (``verify_chain`` passes the ideal
@@ -58,7 +59,7 @@ from scipy import optimize
 from . import dense_core
 from .dense_core import as_matrix
 from .errors import BudgetExceeded, NoConvergence, check_int
-from .krylov import min_residual_gradients, min_residual_values
+from .krylov import _arnoldi, min_residual_gradients, min_residual_values
 
 __all__ = [
     "MAX_DEPTH",
@@ -70,9 +71,9 @@ __all__ = [
     "scalar_minimax_oracle",
 ]
 
-# The worst-case kernel, krylov._residual_curves, works in the power directions
-# A v, .., A^k v, well conditioned only for small degrees: no solve goes deeper.
-MAX_DEPTH = 8
+# The deepest depth measured so far, not a conditioning limit: both solvers work
+# in Arnoldi bases, whose conditioning does not grow with the depth.
+MAX_DEPTH = 16
 # _minimize_norm stops once the norm and its dual bound are this close.
 _GAP_TARGET = 1e-10
 # Newton steps per smoothing stage; rounding stops a stage long before.
@@ -108,9 +109,11 @@ class MinimaxResult:
     c_k A^k``, obtained as ``c_j = (T d)_j / 2^(e j)`` from the coefficients
     d of the solve in the orthonormal basis ``Q_j = sum_i T_ij S^i``, ``S =
     A / 2^e``.  When some ``2^(e j)`` or ``c_j`` leaves the normal float
-    range (``||A||^k`` beyond about 1e308 or below 1e-308) it is None;
-    value, witness and bracket come from the polynomial in Q and are
-    unaffected.  For ``worst_case_gmres`` it is None.
+    range (``||A||^k`` beyond about 1e308 or below 1e-308) it is None.
+    Monomial coefficients lose accuracy as k grows: on a 24 x 24 triangular
+    matrix at k = 16, ``||p(A)||`` rebuilt from them misses the value by
+    6e-9.  Value, witness and bracket come from the polynomial in Q and
+    are unaffected.  For ``worst_case_gmres`` it is None.
     """
 
     value: float
@@ -137,29 +140,17 @@ def _orthonormal_basis(mat: np.ndarray, k: int):
     ``{S, .., S^k}`` for ``(S, e) = binary_scaled(A)``, and the upper
     triangular ``T`` with ``Q_j = sum_i T_ij S^i``.
 
-    Arnoldi in matrix space (Toh & Trefethen, SIMAX 1998): ``Q_j`` comes
-    from ``S Q_{j-1}`` by two Gram-Schmidt passes.  A direction that falls
-    below 1e-14 of ``S Q_{j-1}`` lies in the span already, and it and every
-    later ``Q_j`` stay zero.  The basis stays well conditioned when A is
-    close to a multiple of I, where the powers of A are nearly parallel.
+    Arnoldi in matrix space (Toh & Trefethen, SIMAX 1998): :func:`_arnoldi`
+    on ``vec(I)`` with the map ``X -> S X``, whose column inner product is
+    the Frobenius product.  A dependent direction and every later ``Q_j``
+    stay zero.  The basis stays well conditioned when A is close to a
+    multiple of I, where the powers of A are nearly parallel.
     """
     s, e = dense_core.binary_scaled(mat)
     n = s.shape[0]
-    q = np.zeros((k, n, n), dtype=np.complex128)
-    t = np.zeros((k, k), dtype=np.complex128)
-    w, u = s, np.eye(k, dtype=np.complex128)[:, 0]  # w = sum_i u_i S^i
-    for j in range(k):
-        ref = np.linalg.norm(w)
-        for _ in range(2):
-            h = q[:j].reshape(j, n * n).conj() @ w.ravel()
-            w, u = w - np.tensordot(h, q[:j], axes=1), u - t[:, :j] @ h
-        norm = np.linalg.norm(w)
-        if norm <= 1e-14 * ref:
-            break
-        q[j], t[:, j] = w / norm, u / norm
-        # T is upper triangular: rolling column j multiplies it by S.
-        w, u = s @ q[j], np.roll(t[:, j], 1)
-    return q, t, e
+    vec_eye = np.eye(n).reshape(-1, 1)
+    q, t = _arnoldi(lambda x: (s @ x.reshape(n, n)).reshape(-1, 1), vec_eye, k)
+    return q.reshape(k, n, n), t[:, :, 0], e
 
 
 def _spectrum(basis: np.ndarray, x: np.ndarray, mu: float):

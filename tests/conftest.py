@@ -27,6 +27,17 @@ def random_nonsingular(rng, n, spread=0.8):
     raise AssertionError("could not draw a nonsingular matrix")
 
 
+def deep_matrices():
+    """Two inputs for depths up to 16, where a kernel built on the power
+    directions A v, .., A^k v drifts from Arnoldi/Givens on ``triu24``."""
+    return {
+        "triu24": np.triu(np.random.default_rng(5).standard_normal((24, 24)))
+        + 2.0 * np.eye(24),
+        "rand16": np.random.default_rng(3).standard_normal((16, 16)) / 4
+        + 1.5 * np.eye(16),
+    }
+
+
 def random_unit(rng, n):
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written against different machinery than
 the package: hull geometry instead of support-function duality, explicit
-equioscillation solves instead of numerical minimization, Arnoldi with
-Givens rotations, dense least squares and a closed-form one-step damping
-instead of the batched Gram-Schmidt residual kernel, a generalized
+equioscillation solves instead of numerical minimization, Givens rotations
+on the Arnoldi Hessenberg matrix, dense least squares and a closed-form
+one-step damping instead of the package's batched kernel, which projects
+the residual off its Arnoldi directions, a generalized
 Hermitian eigenproblem instead of an explicit inverse, an angular scan
 with golden-section refinement instead of Newton steps on the support
 function, Horner's rule for a residual polynomial instead of the ideal

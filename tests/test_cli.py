@@ -106,9 +106,9 @@ def test_bad_json_config_exits_two(tmp_path, capsys):
 
 def test_out_of_range_depth_exits_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"matrix": {"family": "identity", "n": 10}, "depths": [9]}))
+    cfg.write_text(json.dumps({"matrix": {"family": "identity", "n": 20}, "depths": [17]}))
     assert main(["run", str(cfg)]) == 2
-    assert "error: invalid depth 9" in capsys.readouterr().err
+    assert "error: invalid depth 17" in capsys.readouterr().err
 
 
 def test_solver_key_exits_two(tmp_path, capsys):
@@ -181,11 +181,11 @@ def test_ideal_subcommand(diag_mtx, capsys):
 def test_ideal_depth_out_of_range(tmp_path, diag_mtx, capsys):
     assert main(["ideal", "--matrix", diag_mtx, "-k", "5"]) == 2
     assert main(["ideal", "--matrix", diag_mtx, "-k", "0"]) == 2
-    # k <= n, but above MAX_DEPTH = 8
-    path = tmp_path / "diag10.mtx"
-    write_matrix_market(str(path), np.diag(np.arange(1.0, 11.0)))
-    assert main(["ideal", "--matrix", str(path), "-k", "9"]) == 2
-    assert "error: depth 9 outside [1, 8]" in capsys.readouterr().err
+    # k <= n, but above MAX_DEPTH = 16
+    path = tmp_path / "diag20.mtx"
+    write_matrix_market(str(path), np.diag(np.arange(1.0, 21.0)))
+    assert main(["ideal", "--matrix", str(path), "-k", "17"]) == 2
+    assert "error: invalid depth 17" in capsys.readouterr().err
 
 
 def test_strict_flag_propagates_exit_three(tmp_path, monkeypatch, capsys):

@@ -48,7 +48,7 @@ def test_from_dict_defaults():
         {"matrix": {"family": "identity", "n": 2}, "threads": 0},
         {"matrix": {"family": "identity", "n": 2}, "solver": {"warp": 9}},
         {"matrix": {"family": "identity", "n": 2}, "solver": 3},
-        {"matrix": {"family": "identity", "n": 10}, "depths": [9]},
+        {"matrix": {"family": "identity", "n": 20}, "depths": [17]},
         {"matrix": {"family": "identity", "n": 2}, "seed": -1},
         {"matrix": {"family": "identity", "n": 2}, "solver": {"starts": 0}},
         {"matrix": {"family": "identity", "n": True}},

@@ -19,7 +19,7 @@ from gmreslab import (
     worst_case_gmres,
 )
 from gmreslab import bounds, krylov, minimax
-from conftest import random_complex
+from conftest import deep_matrices, random_complex
 import oracles
 
 PINNED_TOL = 1e-6
@@ -376,6 +376,21 @@ def test_worst_case_matches_scalar_oracle_on_normal_gallery(name, k):
     a = generate_matrix(MatrixSpec.from_dict(NORMAL_GALLERY[name]))
     want = scalar_minimax_oracle(np.linalg.eigvals(a), k)
     assert abs(worst_case_gmres(a, k).value - want) <= 1e-6
+
+
+@pytest.mark.parametrize("name", sorted(deep_matrices()))
+def test_deep_ideal_closes_and_bounds_the_worst_case(name):
+    """Past the former cap of depth 8: every ideal bracket closes, and the
+    worst case stays at or below the ideal value."""
+    a = deep_matrices()[name]
+    for k in range(9, 17):
+        ideal = ideal_gmres(a, k)
+        assert ideal.upper_bound - ideal.lower_bound <= 1e-8
+        assert worst_case_gmres(a, k, ceiling=ideal.value).value <= ideal.value
+
+
+def test_verify_chain_passes_at_depth_twelve():
+    assert verify_chain(deep_matrices()["rand16"], 12, 20).all_passed
 
 
 @pytest.mark.parametrize("eps", [0.5, 0.1])
