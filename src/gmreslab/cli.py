@@ -24,7 +24,7 @@ from typing import List, Optional
 from . import experiment, fov, mmio
 from .errors import FileError, InvalidSpec
 from .experiment import EXIT_IO, EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_SOLVER_FAILED
-from .minimax import ideal_gmres
+from .minimax import _check_depth, ideal_gmres
 from .reporting import format_real
 
 __all__ = ["main", "parse_depths"]
@@ -45,6 +45,7 @@ def parse_depths(text: str) -> List[int]:
             raise InvalidSpec(f"cannot parse depth token {token!r}") from None
         if hi < lo:
             raise InvalidSpec(f"empty depth range {token!r}")
+        _check_depth(hi)
         depths.extend(range(lo, hi + 1))
     if not depths:
         raise InvalidSpec("no depths given")
@@ -176,8 +177,7 @@ def _cmd_fov(args: argparse.Namespace) -> int:
 
 def _cmd_ideal(args: argparse.Namespace) -> int:
     a = mmio.read_matrix_market(args.matrix)
-    if args.k > a.shape[0]:
-        raise InvalidSpec(f"depth {args.k} exceeds matrix dimension {a.shape[0]}")
+    _check_depth(args.k, a.shape[0])
     result = ideal_gmres(a, args.k)
     print(f"ideal(k={args.k}) = {format_real(result.value)}")
     print(f"certified lower bound = {format_real(result.lower_bound)}")

@@ -24,7 +24,7 @@ Exit codes returned by :func:`run_experiment` (codes 2 and 4 come from
 1
     some inequality failed beyond its slack.
 2
-    configuration, I/O, or parse problem.
+    configuration, I/O, or parse problem, or a matrix too large for memory.
 3
     strict mode and at least one minimization came back non-certified.
 4
@@ -86,6 +86,8 @@ class ExperimentConfig:
             raise InvalidSpec("depths must be a non-empty list")
         for k in self.depths:
             _check_depth(k)
+        if len(set(self.depths)) < len(self.depths):
+            raise InvalidSpec(f"repeated depth in {list(self.depths)}")
         check_int(self.trials, "trials", 1)
         check_int(self.seed, "seed", 0)
         if not isinstance(self.out_dir, str):
@@ -133,10 +135,7 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
 
 def _run_validated(cfg: ExperimentConfig) -> int:
     a = matrices.generate_matrix(cfg.matrix)
-    n = a.shape[0]
-    for k in cfg.depths:
-        if k > n:
-            raise InvalidSpec(f"depth {k} exceeds matrix dimension {n}")
+    _check_depth(max(cfg.depths), a.shape[0])
 
     fov_data = fov.fov_summary(a)
     reports = [
@@ -166,15 +165,18 @@ def _run_validated(cfg: ExperimentConfig) -> int:
 def guarded(action, *args) -> int:
     """``action(*args)``, or the exit code of the error it raised.
 
-    The one place that maps errors to exit codes: input trouble exits 2,
-    any other :class:`LabError` or a LAPACK failure exits 4, each after an
-    ``error:`` line on stderr.
+    The one place that maps errors to exit codes: input trouble and a
+    ``MemoryError`` (an order too large to allocate) exit 2, any other
+    :class:`LabError` or a LAPACK failure exits 4, each after an ``error:``
+    line on stderr.
     """
     try:
         return action(*args)
-    except (LabError, np.linalg.LinAlgError) as exc:
+    except (LabError, MemoryError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, (FileError, InvalidSpec, ParseError, UnsupportedFormat)):
+        if isinstance(
+            exc, (FileError, InvalidSpec, MemoryError, ParseError, UnsupportedFormat)
+        ):
             return EXIT_IO
         return EXIT_SOLVER_FAILED
 

@@ -27,7 +27,7 @@ from scipy.linalg import blas, lapack
 
 from . import dense_core
 from .dense_core import as_matrix
-from .errors import InvalidSpec, NoConvergence
+from .errors import NoConvergence, check_int
 
 __all__ = [
     "FovBoundary",
@@ -146,8 +146,7 @@ def fov_boundary(a, m: int) -> FovBoundary:
     the opposite angle; an odd ``m`` pays one more eigenvalue per angle.
     """
     mat = as_matrix(a)
-    if m < 8:
-        raise InvalidSpec(f"boundary sampling needs at least 8 angles, got {m}")
+    m = check_int(m, "samples", 8)
     n = mat.shape[0]
     # an exact power-of-two scale keeps the inverse iteration in range
     mat, e = dense_core.binary_scaled(mat)

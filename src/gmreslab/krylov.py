@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dense_core import as_matrix, binary_scaled
-from .errors import ZeroVector
+from .errors import ZeroVector, check_int
 
 __all__ = [
     "gmres_residuals",
@@ -95,8 +95,7 @@ def gmres_residuals(a, r0s, kmax: int) -> np.ndarray:
     """
     mat = binary_scaled(as_matrix(a))[0]
     n = mat.shape[0]
-    if not 1 <= kmax <= n:
-        raise ValueError(f"kmax must satisfy 1 <= kmax <= {n}, got {kmax}")
+    kmax = check_int(kmax, "kmax", 1, n)
     block = np.asarray(r0s, dtype=np.complex128)
     if block.ndim != 2 or block.shape[0] != n:
         raise ValueError("initial residual block must be n x B")

@@ -2,15 +2,19 @@
 
 A :class:`MatrixSpec` is a JSON-friendly description (family name plus
 parameters) that :func:`generate_matrix` turns into a dense complex array.
-Random families are reproducible from their seed.  Complex scalars in a
-spec are finite and written either as plain numbers or as two-element
-``[re, im]`` lists, since JSON has no complex literal.
+``_FAMILIES`` declares each family's builder and parameters; :func:`_checked`
+refuses an unknown family and an undeclared, missing or bad parameter, for
+both :meth:`MatrixSpec.from_dict` and :func:`generate_matrix`.  Random
+families are reproducible from their seed.  Complex scalars in a spec are
+finite and written either as plain numbers or as two-element ``[re, im]``
+lists, since JSON has no complex literal.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict
 
 import numpy as np
@@ -33,16 +37,10 @@ class MatrixSpec:
             raise InvalidSpec("matrix spec must be an object")
         if "family" not in data:
             raise InvalidSpec("matrix spec is missing the 'family' key")
-        family = data["family"]
-        if family not in FAMILIES:
-            raise InvalidSpec(
-                f"unknown family {family!r}; known families: {', '.join(FAMILIES)}"
-            )
         params = {key: value for key, value in data.items() if key != "family"}
-        if "n" in params:
-            _as_size(params)
-        _as_seed(params)
-        return cls(family=family, params=params)
+        spec = cls(family=data["family"], params=params)
+        _checked(spec)
+        return spec
 
     def to_dict(self) -> dict:
         return {"family": self.family, **self.params}
@@ -58,53 +56,28 @@ def _as_scalar(value, what: str) -> complex:
     return complex(*parts)
 
 
-def _as_size(params: dict, key: str = "n") -> int:
-    if key not in params:
-        raise InvalidSpec(f"missing size parameter {key!r}")
-    return check_int(params[key], f"size {key!r}", 1)
+def _as_scalars(value, what: str) -> np.ndarray:
+    if not isinstance(value, (list, tuple)) or len(value) == 0:
+        raise InvalidSpec(f"{what} must be a non-empty list, got {value!r}")
+    return np.asarray([_as_scalar(e, f"{what} entry") for e in value], np.complex128)
 
 
-def _as_seed(params: dict) -> int:
-    return check_int(params.get("seed", 0), "seed", 0)
+def _as_path(value, what: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise InvalidSpec(f"{what} must be a non-empty string, got {value!r}")
+    return value
 
 
-def _identity(params: dict) -> np.ndarray:
-    return np.eye(_as_size(params), dtype=np.complex128)
-
-
-def _diagonal(params: dict) -> np.ndarray:
-    entries = params.get("entries")
-    if not isinstance(entries, (list, tuple)) or len(entries) == 0:
-        raise InvalidSpec("diagonal family needs a non-empty 'entries' list")
-    values = [_as_scalar(e, "diagonal entry") for e in entries]
-    return np.diag(np.asarray(values, dtype=np.complex128))
-
-
-def _jordan(params: dict) -> np.ndarray:
-    n = _as_size(params)
-    lam = _as_scalar(params.get("lam", 0), "'lam'")
+def _jordan(n: int, lam: complex) -> np.ndarray:
     return lam * np.eye(n, dtype=np.complex128) + np.eye(n, k=1, dtype=np.complex128)
 
 
-def _bidiagonal(params: dict) -> np.ndarray:
-    diag = params.get("diag")
-    if not isinstance(diag, (list, tuple)) or len(diag) == 0:
-        raise InvalidSpec("bidiagonal family needs a non-empty 'diag' list")
-    values = np.asarray(
-        [_as_scalar(e, "diagonal entry") for e in diag], dtype=np.complex128
-    )
-    superdiag = _as_scalar(params.get("superdiag", 0), "'superdiag'")
-    a = np.diag(values)
-    n = len(values)
-    a += superdiag * np.eye(n, k=1, dtype=np.complex128)
-    return a
+def _bidiagonal(diag: np.ndarray, superdiag: complex) -> np.ndarray:
+    return np.diag(diag) + superdiag * np.eye(len(diag), k=1, dtype=np.complex128)
 
 
-def _random_pd_part(params: dict) -> np.ndarray:
-    n = _as_size(params)
-    shift = _as_scalar(params.get("shift", 1.0), "'shift'")
-    spread = _as_scalar(params.get("spread", 0.5), "'spread'")
-    rng = np.random.default_rng(_as_seed(params))
+def _random_pd_part(n: int, shift: complex, spread: complex, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
     eye = np.eye(n, dtype=np.complex128)
     for _ in range(100):
         g = (
@@ -122,11 +95,10 @@ def _random_pd_part(params: dict) -> np.ndarray:
     )
 
 
-def _normal_random(params: dict) -> np.ndarray:
+def _normal_random(n: int, seed: int) -> np.ndarray:
     """Random normal matrix: Haar-random unitary conjugation of a random
     complex diagonal."""
-    n = _as_size(params)
-    rng = np.random.default_rng(_as_seed(params))
+    rng = np.random.default_rng(seed)
     lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
@@ -136,23 +108,46 @@ def _normal_random(params: dict) -> np.ndarray:
     return (q * lam[None, :]) @ q.conj().T
 
 
-def _from_file(params: dict) -> np.ndarray:
-    path = params.get("path")
-    if not isinstance(path, str) or not path:
-        raise InvalidSpec("file family needs a 'path' string")
-    return mmio.read_matrix_market(path)
-
-
-_BUILDERS = {
-    "identity": _identity,
-    "diagonal": _diagonal,
-    "jordan": _jordan,
-    "bidiagonal": _bidiagonal,
-    "random_pd_part": _random_pd_part,
-    "normal_random": _normal_random,
-    "file": _from_file,
+_SIZE = (partial(check_int, lo=1), None)
+_SEED = (partial(check_int, lo=0), 0)
+# family: (builder, {parameter: (check, default)}); the builder takes the
+# checked values in declaration order, and a default of None marks a
+# required parameter.
+_FAMILIES = {
+    "identity": (partial(np.eye, dtype=np.complex128), {"n": _SIZE}),
+    "diagonal": (np.diag, {"entries": (_as_scalars, None)}),
+    "jordan": (_jordan, {"n": _SIZE, "lam": (_as_scalar, 0)}),
+    "bidiagonal": (
+        _bidiagonal, {"diag": (_as_scalars, None), "superdiag": (_as_scalar, 0)}
+    ),
+    "random_pd_part": (_random_pd_part, {
+        "n": _SIZE, "shift": (_as_scalar, 1.0), "spread": (_as_scalar, 0.5),
+        "seed": _SEED,
+    }),
+    "normal_random": (_normal_random, {"n": _SIZE, "seed": _SEED}),
+    "file": (mmio.read_matrix_market, {"path": (_as_path, None)}),
 }
-FAMILIES = tuple(_BUILDERS)
+FAMILIES = tuple(_FAMILIES)
+
+
+def _checked(spec: MatrixSpec) -> list:
+    """The checked values of ``spec``'s parameters, defaults filled in, in
+    declaration order; :class:`InvalidSpec` for an unknown family or an
+    undeclared, missing or bad parameter."""
+    if spec.family not in FAMILIES:
+        raise InvalidSpec(
+            f"unknown family {spec.family!r}; known families: {', '.join(FAMILIES)}"
+        )
+    declared = _FAMILIES[spec.family][1]
+    unknown = sorted(set(spec.params) - set(declared))
+    if unknown:
+        raise InvalidSpec(f"unknown {spec.family} parameters: {unknown}")
+    values = []
+    for name, (check, default) in declared.items():
+        if default is None and name not in spec.params:
+            raise InvalidSpec(f"{spec.family} family needs a {name!r} parameter")
+        values.append(check(spec.params.get(name, default), f"{name!r}"))
+    return values
 
 
 def generate_matrix(spec: MatrixSpec) -> np.ndarray:
@@ -161,6 +156,5 @@ def generate_matrix(spec: MatrixSpec) -> np.ndarray:
     Raises :class:`InvalidSpec` for malformed parameters and propagates
     file errors from the ``file`` family.
     """
-    if spec.family not in _BUILDERS:
-        raise InvalidSpec(f"unknown family {spec.family!r}")
-    return _BUILDERS[spec.family](dict(spec.params))
+    values = _checked(spec)
+    return _FAMILIES[spec.family][0](*values)

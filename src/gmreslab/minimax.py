@@ -131,8 +131,8 @@ class OneStepIdealResult(NamedTuple):
     alpha: complex
 
 
-def _check_depth(k) -> int:
-    return check_int(k, "depth", 1, MAX_DEPTH)
+def _check_depth(k, n: int = MAX_DEPTH) -> int:
+    return check_int(k, "depth", 1, min(n, MAX_DEPTH))
 
 
 def _orthonormal_basis(mat: np.ndarray, k: int):

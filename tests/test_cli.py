@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import gmreslab
 from gmreslab import write_matrix_market
 from gmreslab.cli import main, parse_depths
 from gmreslab.errors import InvalidSpec, NoConvergence
@@ -24,7 +29,7 @@ def test_parse_depths_forms():
     assert parse_depths("2..3,1,2") == [1, 2, 3]
 
 
-@pytest.mark.parametrize("text", ["", "x", "3..1", "1..", "1,,2"])
+@pytest.mark.parametrize("text", ["", "x", "3..1", "1..", "1,,2", "1..10000000000"])
 def test_parse_depths_rejects_garbage(text):
     with pytest.raises(InvalidSpec):
         parse_depths(text)
@@ -109,6 +114,45 @@ def test_out_of_range_depth_exits_two(tmp_path, capsys):
     cfg.write_text(json.dumps({"matrix": {"family": "identity", "n": 20}, "depths": [17]}))
     assert main(["run", str(cfg)]) == 2
     assert "error: invalid depth 17" in capsys.readouterr().err
+
+
+def test_undeclared_matrix_parameter_exits_two(tmp_path, capsys):
+    """A misspelt parameter is refused, not dropped: ``lamda`` would run the
+    nilpotent block and pass."""
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    matrix = {"family": "jordan", "n": 4, "lamda": 2.0}
+    cfg.write_text(json.dumps({"matrix": matrix, "out_dir": str(out)}))
+    assert main(["run", str(cfg)]) == 2
+    assert "unknown jordan parameters: ['lamda']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ideal", "run"])
+def test_order_too_large_for_memory_exits_two(tmp_path, command):
+    """An order of 3e6 asks numpy for 131 TiB, which it refuses at once;
+    the process exits 2 with an error line, not a traceback."""
+    if command == "ideal":
+        path = tmp_path / "huge.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n3000000 3000000 1\n"
+            "1 1 1.0\n"
+        )
+        argv = ["ideal", "--matrix", str(path), "-k", "1"]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"matrix": {"family": "identity", "n": 3000000}}))
+        argv = ["run", str(path)]
+    package_root = str(Path(gmreslab.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gmreslab", *argv],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=package_root),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_solver_key_exits_two(tmp_path, capsys):

@@ -68,6 +68,7 @@ def test_from_dict_defaults():
         {"matrix": {"family": "identity", "n": 2}, "solver": {"max_halvings": 25}},
         {"matrix": {"family": "identity", "n": 2}, "solver": {}},
         {"matrix": {"family": "identity", "n": 2}, "seed": True},
+        {"matrix": {"family": "identity", "n": 2}, "depths": [2, 1, 2]},
     ],
 )
 def test_from_dict_rejects_malformed(raw):

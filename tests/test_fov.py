@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 from gmreslab import (
+    InvalidSpec,
     ZeroVector,
     fov_boundary,
     fov_summary,
@@ -204,6 +205,13 @@ def test_boundary_below_the_warm_order_matches_per_angle_eigvalsh(kind):
 def test_boundary_rejects_tiny_sample_counts(jordan_block):
     with pytest.raises(ValueError):
         fov_boundary(jordan_block, 4)
+
+
+@pytest.mark.parametrize("m", [720.0, 9.5])
+def test_boundary_rejects_non_integer_sample_counts(jordan_block, m):
+    """A float count is refused as input, not passed on to numpy."""
+    with pytest.raises(InvalidSpec, match="samples"):
+        fov_boundary(jordan_block, m)
 
 
 def test_nu_identity():

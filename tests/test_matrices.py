@@ -13,6 +13,7 @@ from gmreslab import (
     hermitian_part,
     write_matrix_market,
 )
+from gmreslab.matrices import FAMILIES
 
 NORMALITY_TOL = 1e-12
 
@@ -148,3 +149,49 @@ def test_generate_rejects_non_finite_and_boolean_scalars(text):
     """JSON reads 1e400 as inf and true as a bool; neither is a scalar."""
     with pytest.raises(InvalidSpec):
         generate_matrix(MatrixSpec.from_dict(json.loads(text)))
+
+
+def _valid_params(family, tmp_path):
+    """Parameters that ``family`` accepts, one per family in FAMILIES."""
+    path = tmp_path / "m.mtx"
+    write_matrix_market(str(path), np.diag([1.0, 2.0]))
+    return {
+        "identity": {"n": 2},
+        "diagonal": {"entries": [1.0, 2.0]},
+        "jordan": {"n": 2, "lam": 1.0},
+        "bidiagonal": {"diag": [1.0, 2.0], "superdiag": 0.5},
+        "random_pd_part": {"n": 2, "shift": 1.0, "spread": 0.5, "seed": 1},
+        "normal_random": {"n": 2, "seed": 1},
+        "file": {"path": str(path)},
+    }[family]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_undeclared_parameter_is_refused(family, tmp_path):
+    """A key the family does not declare is refused, not silently dropped,
+    at config load and at generation alike."""
+    params = _valid_params(family, tmp_path)
+    assert generate_matrix(MatrixSpec.from_dict({"family": family, **params})).shape
+    params["mystery"] = 1
+    message = rf"unknown {family} parameters: \['mystery'\]"
+    with pytest.raises(InvalidSpec, match=message):
+        MatrixSpec.from_dict({"family": family, **params})
+    with pytest.raises(InvalidSpec, match=message):
+        generate_matrix(MatrixSpec(family, params))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"family": "jordan", "n": 4, "lamda": 2.0},
+        {"family": "identity", "n": 3, "seed": 1},
+    ],
+    ids=["jordan_lamda", "identity_seed"],
+)
+def test_typo_parameters_are_refused(data):
+    typo = list(data)[-1]
+    params = {key: value for key, value in data.items() if key != "family"}
+    with pytest.raises(InvalidSpec, match=typo):
+        MatrixSpec.from_dict(data)
+    with pytest.raises(InvalidSpec, match=typo):
+        generate_matrix(MatrixSpec(data["family"], params))

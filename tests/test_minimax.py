@@ -601,6 +601,7 @@ DEPTH_CALLS = {
     "verify_chain": lambda a, k: verify_chain(a, k, 3),
     "elman_bound": bounds.elman_bound,
     "starke_bound": bounds.starke_bound,
+    "gmres_residuals": lambda a, k: krylov.gmres_residuals(a, np.ones((3, 1)), k),
 }
 
 
