@@ -99,9 +99,8 @@ def elman_bound(a, k: int) -> Optional[float]:
     unchanged and keeps the eigensolve in range."""
     k = _check_depth(k)
     mat = dense_core.binary_scaled(as_matrix(a))[0]
-    lam = np.linalg.eigh(dense_core.hermitian_part(mat))[0]
-    lam_min = float(lam[0])
-    scale = max(abs(lam_min), abs(float(lam[-1])))
+    lam_min, lam_max = np.linalg.eigvalsh(dense_core.hermitian_part(mat))[[0, -1]]
+    scale = max(abs(lam_min), abs(lam_max))
     if scale == 0.0 or lam_min <= _PD_FLOOR * scale:
         return None
     norm_a = dense_core.spectral_norm(mat)

@@ -5,8 +5,9 @@ where dense O(n^3) work is instantaneous (n up to a few hundred).  Real
 input is accepted everywhere and is promoted to complex storage; there is
 no separate real code path.  The inner product convention is
 ``<x, y> = y^H x`` (conjugate-linear in the second argument) throughout
-the package.  Hermitian eigenproblems go straight to ``np.linalg.eigh``;
-its ``LinAlgError`` reaches ``run_experiment`` and ``cli.main``, which exit 4.
+the package.  Hermitian eigenproblems go straight to ``np.linalg.eigh``
+(``eigvalsh`` where only the eigenvalues are read); their ``LinAlgError``
+reaches ``run_experiment`` and ``cli.main``, which exit 4.
 """
 
 from __future__ import annotations
@@ -52,21 +53,17 @@ def binary_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(m.real, -e) + 1j * np.ldexp(m.imag, -e), e
 
 
-def _gram_spectrum(a):
-    """``(e, lambda, V)`` with ``S^H S = V diag(lambda) V^H``, lambda
-    ascending, for ``(S, e) = binary_scaled(A)``."""
-    scaled, e = binary_scaled(as_matrix(a))
-    return (e, *np.linalg.eigh(hermitian_part(scaled.conj().T @ scaled)))
-
-
 def spectral_norm(a) -> float:
-    """Spectral norm ``||A||_2 = sqrt(lambda_max(A^H A))``."""
-    e, lam, _ = _gram_spectrum(a)
-    return float(np.ldexp(np.sqrt(max(float(lam[-1]), 0.0)), e))
+    """Spectral norm ``||A||_2 = sqrt(lambda_max(A^H A))``, from the Gram
+    matrix of ``(S, e) = binary_scaled(A)``."""
+    scaled, e = binary_scaled(as_matrix(a))
+    lam = np.linalg.eigvalsh(hermitian_part(scaled.conj().T @ scaled))[-1]
+    return float(np.ldexp(np.sqrt(max(lam, 0.0)), e))
 
 
 def top_right_singular_vector(a) -> np.ndarray:
     """Unit right singular vector w of the largest singular value,
-    ``||A w|| = ||A||_2``, from the same eigendecomposition of ``A^H A`` as
+    ``||A w|| = ||A||_2``: the top eigenvector of the Gram matrix of
     :func:`spectral_norm`."""
-    return _gram_spectrum(a)[2][:, -1]
+    scaled = binary_scaled(as_matrix(a))[0]
+    return np.linalg.eigh(hermitian_part(scaled.conj().T @ scaled))[1][:, -1]

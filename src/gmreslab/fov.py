@@ -4,11 +4,12 @@ The field of values of A is the set of Rayleigh quotients
 ``F(A) = { <Av, v> / <v, v> : v != 0 }``, a convex compact subset of the
 complex plane.  With ``A = H + iS`` (H, S Hermitian), the top eigenvalue
 of ``H(theta) = cos(theta) H + sin(theta) S`` is the support function of
-F(A) in direction ``theta``.  ``fov_boundary`` walks the angles in order
-and predicts each top eigenpair from the last ones by Rayleigh-Ritz; one
-Cholesky factorization certifies the prediction to ``_zero_tol`` and
-refines it, and only where it fails does a full eigensolve run.  For real
-A the angles past pi mirror those below it.  The distance from the origin,
+F(A) in direction ``theta``.  ``fov_boundary`` writes each ``-H(theta)``
+in place into one buffer and predicts its top eigenvector by Rayleigh-Ritz
+on the last ones; one Cholesky factorization certifies it to ``_zero_tol``,
+and a full eigensolve runs only where that fails (and, for an odd count of
+angles, once more per angle).  The support value is read off the boundary
+point; real A mirrors the angles past pi.  The distance from the origin,
 ``nu(F(A)) = max(0, max_theta lambda_min(H(theta)))``, is the Crawford
 number of the pair (H, S); ``nu_fov`` finds it by safeguarded Newton steps
 on the concave part and brackets it by the hull of the Rayleigh quotients
@@ -99,51 +100,48 @@ def _one_eigenpair(h: np.ndarray, index: int, vectors: bool):
     return float(w[0]), (z[:, 0] if vectors else None)
 
 
-def _warm_top_pair(h: np.ndarray, history: np.ndarray, tol: float):
-    """Top eigenpair of ``h`` from the span of ``history``, or None.
+def _warm_top_vector(neg: np.ndarray, history: np.ndarray, tol: float):
+    """Top eigenvector of ``h = -neg`` from the span of ``history``, or None.
 
     Rayleigh-Ritz on the span gives a Ritz value ``ritz <= lambda_max(h)``.
-    A Cholesky factor of ``(ritz + tol) I - h`` proves ``lambda_max < ritz +
-    tol``, and one inverse-iteration step with it refines the Ritz vector,
-    whose Rayleigh quotient can only rise.  Returns that quotient and the
-    unit vector, or None when the factorization fails.
+    A Cholesky factor of ``(ritz + tol) I - h``, formed in ``neg``, proves
+    ``lambda_max < ritz + tol``, and one inverse-iteration step with it
+    refines the Ritz vector, whose Rayleigh quotient can only rise.  Returns
+    that unit vector, or None when the factorization fails.
     """
     q = lapack.zungqr(*lapack.zgeqrf(history)[:2], overwrite_a=1)[0]
     k = q.shape[1]
-    ritz = blas.zgemm(1.0, q, h @ q, trans_a=2)
+    ritz = blas.zgemm(-1.0, q, neg @ q, trans_a=2)
     w, z, _, _, info = lapack.zheevx(ritz, 1, "I", il=k, iu=k, overwrite_a=1)
     if info != 0:
         return None
-    shifted = -h
-    shifted.flat[:: h.shape[0] + 1] += w[0] + tol
-    factor, info = lapack.zpotrf(shifted, clean=0, overwrite_a=1)
+    neg.flat[:: neg.shape[0] + 1] += w[0] + tol
+    factor, info = lapack.zpotrf(neg, clean=0, overwrite_a=1)
     if info != 0:
         return None
     x = lapack.zpotrs(factor, q @ z, overwrite_b=1)[0][:, 0]
-    x /= np.sqrt(np.vdot(x, x).real)
-    return float(np.vdot(x, h @ x).real), x
+    return x / np.sqrt(np.vdot(x, x).real)
 
 
 def fov_boundary(a, m: int) -> FovBoundary:
     """Sample the boundary of F(A) at ``m >= 8`` equispaced directions.
 
-    Each angle needs the top eigenpair of ``H(theta)``; the Rayleigh
-    quotient of its eigenvector is the boundary point.  The angles are
-    walked in order.  Rayleigh-Ritz on the span of the last 8 top
-    eigenvectors gives ``ritz <= lambda_max``, one Cholesky factorization
-    of ``(ritz + tau) I - H(theta)``, ``tau = _zero_tol``, certifies
-    ``lambda_max < ritz + tau``, and one inverse-iteration step with that
-    factor gives the vector.  Its Rayleigh quotients are the point and
-    ``support_max``, which therefore lies within ``tau`` below
-    ``lambda_max``.  Where the factorization fails (too little history, a
-    crossing of the top branch, a nearly double top eigenvalue), and at
-    every angle when ``n <= 28`` (where that is the cheaper path), the top
-    eigenpair comes from one ``heevr`` call.
+    Each angle needs the top eigenvector v of ``H(theta)``: ``p = v^H A v``
+    is the boundary point and ``support_max = Re(e^{-i theta} p)``.  The
+    angles are walked in order, each writing ``-H(theta)`` in place into one
+    buffer.  Rayleigh-Ritz on the span of the last 8 top eigenvectors gives
+    ``ritz <= lambda_max``, a Cholesky factorization of ``(ritz + tau) I -
+    H(theta)`` in the buffer, ``tau = _zero_tol``, certifies ``lambda_max <
+    ritz + tau``, and one inverse-iteration step with it gives v, whose
+    ``support_max`` is at least ``ritz``.  Where it fails (too little
+    history, a crossing of the top branch, a nearly double top eigenvalue)
+    and at every angle when ``n <= 28`` (the cheaper path there), the buffer
+    is formed again and one ``heevr`` call gives its lowest eigenvector.
 
     For real A, ``H(2 pi - theta) = conj(H(theta))``: only the angles up to
-    pi are solved, and the rest are mirrored (the point conjugated).  As
-    ``H(theta + pi) = -H(theta)``, an even ``m`` reads ``support_min`` off
-    the opposite angle; an odd ``m`` pays one more eigenvalue per angle.
+    pi are solved, the rest mirrored (the point conjugated).  As ``H(theta +
+    pi) = -H(theta)``, an even ``m`` reads ``support_min`` off the opposite
+    angle; an odd ``m`` solves for it in the buffer before the factorization.
     """
     mat = as_matrix(a)
     m = check_int(m, "samples", 8)
@@ -156,24 +154,30 @@ def fov_boundary(a, m: int) -> FovBoundary:
     angles = _TWO_PI * np.arange(m) / m
     cosines, sines = np.cos(angles), np.sin(angles)
     solved = m // 2 + 1 if not mat.imag.any() else m
-    points = np.empty(m, dtype=np.complex128)
-    support_max, support_min = np.empty(m), np.empty(m)
+    points, support_min = np.empty(m, dtype=np.complex128), np.empty(m)
     warm = n > _WARM_ORDER
     history = np.empty((n, _HISTORY), dtype=np.complex128, order="F")
+    neg, term = (np.empty((n, n), dtype=np.complex128, order="F") for _ in range(2))
+
+    def negated(j: int) -> np.ndarray:  # -H(theta_j), written into neg
+        np.multiply(herm, -cosines[j], out=neg)
+        return np.subtract(neg, np.multiply(skew, sines[j], out=term), out=neg)
+
     for j in range(solved):
-        h = cosines[j] * herm + sines[j] * skew
-        pair = None
+        negated(j)
+        if m % 2:
+            support_min[j] = -_one_eigenpair(neg, n, False)[0]
+        v = None
         if warm and j:
-            pair = _warm_top_pair(h, history[:, : min(j, _HISTORY)], tol)
-        support_max[j], v = pair or _one_eigenpair(h, n, True)
+            v = _warm_top_vector(neg, history[:, : min(j, _HISTORY)], tol)
+        if v is None:  # after a failed factorization, form the buffer again
+            v = _one_eigenpair(negated(j) if warm and j else neg, 1, True)[1]
         points[j] = np.vdot(v, mat @ v)
         # Rayleigh-Ritz needs the span of the history, not its order
         history[:, j % _HISTORY] = v
-        if m % 2:
-            support_min[j] = _one_eigenpair(h, 1, False)[0]
     mirror = slice(m - solved, 0, -1)
-    support_max[solved:] = support_max[mirror]
     points[solved:] = np.conj(points[mirror])
+    support_max = cosines * points.real + sines * points.imag
     if m % 2:
         support_min[solved:] = support_min[mirror]
     else:

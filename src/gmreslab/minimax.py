@@ -262,8 +262,7 @@ def _minimize_norm(basis: np.ndarray):
             value = float(np.sqrt(max(lam[-1], 0.0)))
             if value < upper:
                 best, upper = (x, state), value
-            y = p @ (vecs * w) @ vecs.conj().T
-            lower = max(lower, _dual_lower_bound(basis, y, x[:k] + 1j * x[k:]))
+            lower = max(lower, _dual_lower_bound(basis, *state[1:], x[:k] + 1j * x[k:]))
             stalled = x is start or upper - lower > 0.1 * gap or mu < 1e-13 * upper**2
             if upper - lower <= _GAP_TARGET or not stalled:
                 break
@@ -283,23 +282,24 @@ def _minimize_norm(basis: np.ndarray):
     return x[:k] + 1j * x[k:], upper, state[3][:, -1], min(lower, upper)
 
 
-def _dual_lower_bound(basis: np.ndarray, y: np.ndarray, d: np.ndarray) -> float:
+def _dual_lower_bound(basis: np.ndarray, p, lam, vecs, w, d: np.ndarray) -> float:
     """Norm-duality lower bound on ``min over c of ||I + sum_j c_j Q_j||``.
 
     Every Y orthogonal to all ``Q_j`` in the Frobenius inner product gives
     ``|tr Y| = |<P(c), Y>| <= ||P(c)|| ||Y||_*`` for every c, so
-    ``|tr Y| / ||Y||_*`` is a lower bound.  ``y`` is projected off
-    ``span{Q_j}`` by ``Q^H y``, the basis being orthonormal; the rounding
-    allowance covers the projection's leftover inner products weighted by
-    the incumbent coefficients ``d``.  A projection that removes nearly all
-    of ``y`` leaves rounding noise and certifies nothing.
+    ``|tr Y| / ||Y||_*`` is a lower bound.  ``Y = P V W V^H`` from the
+    ``_spectrum`` values (``||Y||_* = sum_i w_i sqrt(lambda_i)``) is projected
+    off the orthonormal ``Q_j`` by ``Q^H Y``; the rounding allowance covers
+    the leftover inner products weighted by the incumbent coefficients
+    ``d``.  A projection that removes nearly all of Y certifies nothing.
     """
+    y = p @ (vecs * w) @ vecs.conj().T
     k, n = basis.shape[0], y.shape[0]
     qh = basis.reshape(k, -1).conj()
     yp = y - np.tensordot(qh @ y.ravel(), basis, axes=1)
     nuclear = float(np.linalg.svd(yp, compute_uv=False).sum())
     eps = np.finfo(float).eps
-    if nuclear <= np.sqrt(eps) * float(np.linalg.svd(y, compute_uv=False).sum()):
+    if nuclear <= np.sqrt(eps) * float(w @ np.sqrt(np.maximum(lam, 0.0))):
         return 0.0
     leftover = float(np.abs(qh @ yp.ravel()) @ np.abs(d))
     allowance = leftover / nuclear + n * eps * (1.0 + float(np.abs(d).sum()))

@@ -35,6 +35,22 @@ def test_elman_none_without_definite_hermitian_part():
     assert elman_bound(indefinite, 1) is None
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [2, 3, 7, 16, 33, 64, 128])
+def test_elman_matches_an_eigvalsh_reference(n, kind):
+    """Elman's bound from lambda_min of the Hermitian part by eigvalsh and
+    ||A|| by the SVD, at every depth."""
+    a = random_complex(np.random.default_rng(2000 + n), n)
+    if kind == "real":
+        a = a.real
+    lam_min = np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0]
+    assert lam_min > 0.1
+    ratio = lam_min / np.linalg.norm(a, 2)
+    for k in (1, 2, 3):
+        expected = (1.0 - ratio**2) ** (0.5 * k)
+        assert elman_bound(a, k) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
 def test_starke_identity():
     assert starke_bound(np.eye(2), 1) == pytest.approx(0.0, abs=1e-14)
 

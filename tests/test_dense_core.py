@@ -78,6 +78,16 @@ def test_spectral_norm_extreme_magnitudes(c):
     assert np.linalg.norm(a @ w / c) == pytest.approx(2.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [2, 3, 7, 16, 33, 64, 128])
+def test_spectral_norm_matches_the_svd(n, kind):
+    """The eigenvalues-only Gram eigensolve agrees with LAPACK's SVD."""
+    a = random_complex(np.random.default_rng(1000 + n), n)
+    if kind == "real":
+        a = a.real
+    assert spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-13, abs=0.0)
+
+
 def test_spectral_norm_dominates_sampled_vectors():
     rng = np.random.default_rng(3)
     a = random_complex(rng, 6)

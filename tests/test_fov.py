@@ -175,16 +175,48 @@ def test_boundary_needs_few_full_eigensolves(kind, monkeypatch):
     _assert_matches_eigensolves(a, b)
 
 
-def test_boundary_falls_back_when_the_certificate_fails(monkeypatch):
+def _fail_factorizations(monkeypatch):
+    """Every Cholesky factorization fails after scribbling over its input,
+    as one that breaks down part way leaves the matrix overwritten."""
+
     def failing(a, **kwargs):
+        a.fill(np.nan)
         return a, 1
 
     monkeypatch.setattr(lapack, "zpotrf", failing)
+
+
+def test_boundary_falls_back_when_the_certificate_fails(monkeypatch):
+    _fail_factorizations(monkeypatch)
     calls = _count_calls(monkeypatch, "zheevr")
     a = random_complex(np.random.default_rng(79), 32)
     b = fov_boundary(a, 720)
     assert len(calls) == 720
     _assert_matches_eigensolves(a, b)
+
+
+@pytest.mark.parametrize("kind, solved", [("complex", 721), ("real", 361)])
+def test_boundary_falls_back_with_an_odd_sample_count(kind, solved, monkeypatch):
+    """An odd count reads support_min off the buffer first; after the failed
+    factorization the buffer is formed again for the top eigenvector."""
+    _fail_factorizations(monkeypatch)
+    calls = _count_calls(monkeypatch, "zheevr")
+    a = random_complex(np.random.default_rng(79), 32)
+    if kind == "real":
+        a = a.real
+    b = fov_boundary(a, 721)
+    assert len(calls) == 2 * solved
+    _assert_matches_eigensolves(a, b)
+
+
+def _assert_matches_per_angle_eigvalsh(a, b):
+    """Support values within the zero tolerance of a per-angle eigvalsh of
+    H(theta)."""
+    herm, skew = hermitian_part(a), hermitian_part(-1j * a)
+    for theta, top, bottom in zip(b.angles, b.support_max, b.support_min):
+        values = np.linalg.eigvalsh(np.cos(theta) * herm + np.sin(theta) * skew)
+        assert abs(top - values[-1]) <= _zero_tol(a)
+        assert abs(bottom - values[0]) <= _zero_tol(a)
 
 
 @pytest.mark.parametrize("kind", ["complex", "real"])
@@ -194,12 +226,18 @@ def test_boundary_below_the_warm_order_matches_per_angle_eigvalsh(kind):
     a = random_complex(np.random.default_rng(83), 20)
     if kind == "real":
         a = a.real
-    b = fov_boundary(a, 720)
-    herm, skew = hermitian_part(a), hermitian_part(-1j * a)
-    for theta, top, bottom in zip(b.angles, b.support_max, b.support_min):
-        values = np.linalg.eigvalsh(np.cos(theta) * herm + np.sin(theta) * skew)
-        assert abs(top - values[-1]) <= _zero_tol(a)
-        assert abs(bottom - values[0]) <= _zero_tol(a)
+    _assert_matches_per_angle_eigvalsh(a, fov_boundary(a, 720))
+
+
+@pytest.mark.parametrize("m", [9, 721])
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_boundary_warm_odd_count_matches_per_angle_eigvalsh(kind, m):
+    """At n = 40 the angles take the warm start, and an odd count solves
+    for support_min at every angle."""
+    a = random_complex(np.random.default_rng(89), 40)
+    if kind == "real":
+        a = a.real
+    _assert_matches_per_angle_eigvalsh(a, fov_boundary(a, m))
 
 
 def test_boundary_rejects_tiny_sample_counts(jordan_block):
@@ -277,8 +315,18 @@ def test_nu_bracket_matches_scan_and_hull(n, key, normal):
         np.exp(2.0j) * np.array([[1.0, 1.0], [0.0, 1.0]]),
         np.diag([1 + 0.5j, 2 - 0.5j, 3 + 0.25j]),  # the gallery's diag_complex
         random_complex(np.random.default_rng(61), 128),
+    ]
+    # 0 on a curved part of the boundary, away from the start angles: the
+    # hull steps converge linearly there (29 to 30 eigensolves)
+    + [
+        pytest.param(
+            np.exp(1j * phi) * np.array([[1.0, 2.0], [0.0, 1.0]]),
+            marks=pytest.mark.xfail(strict=True, reason="hull steps converge linearly"),
+        )
+        for phi in (0.3, 1.0, 2.2)
     ],
-    ids=["disk_rim", "normal_kink", "rotated_jordan", "diag_complex", "random128"],
+    ids=["disk_rim", "normal_kink", "rotated_jordan", "diag_complex", "random128"]
+    + [f"disk_rim_rotated_{phi}" for phi in (0.3, 1.0, 2.2)],
 )
 def test_nu_eigensolve_count(a, monkeypatch):
     calls = []
