@@ -10,24 +10,27 @@ Two classical convergence bounds for GMRES are evaluated:
 
 ``verify_chain`` checks both bounds, at the requested depth, not just
 against sampled GMRES residual ratios but against the computed worst-case
-and ideal GMRES values, and records a signed margin per inequality.  The
-slacks of the verdicts are constants of the method: 1e-6 where a solver
-value is compared, 1e-8 where only bounds are.
+and ideal GMRES values.  The chain is one table of links ``(name, lhs,
+rhs, slack)``, each the verdict ``lhs <= rhs + slack`` with margin ``rhs -
+lhs``; an undefined Elman bound drops its links.  The slacks are constants
+of the method: 1e-6 where a solver value is compared, 1e-8 where only
+bounds are.  One Gram eigensolve per depth gives ``||A||`` to both the
+Elman bound and the reported ``lambda_max(A^H A)``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from . import dense_core, fov
 from .dense_core import as_matrix
-from .errors import check_int
+from .errors import check_depth, check_int
 from .krylov import gmres_residuals
-from .minimax import _check_depth, ideal_gmres, worst_case_gmres
+from .minimax import ideal_gmres, worst_case_gmres
 
 __all__ = [
     "Verdict",
@@ -58,7 +61,8 @@ class Verdict:
 
 @dataclass
 class BoundsReport:
-    """Everything computed for one matrix at one depth."""
+    """Everything computed for one matrix at one depth; the statistics of
+    the sampled ratios are set from them on construction."""
 
     k: int
     gmres_ratios: List[float]
@@ -73,40 +77,50 @@ class BoundsReport:
     lambda_min_m: float
     lambda_max_aha: Optional[float]  # ||A||^2; None where it leaves the float range
     verdicts: Dict[str, Verdict]
+    gmres_min: float = field(init=False)
+    gmres_median: float = field(init=False)
+    gmres_max: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        arr = np.asarray(self.gmres_ratios, dtype=float)
+        self.gmres_min, self.gmres_max = float(arr.min()), float(arr.max())
+        self.gmres_median = float(np.median(arr))
 
     @property
     def all_passed(self) -> bool:
         return all(v.passed for v in self.verdicts.values())
 
-    def gmres_stats(self) -> Dict[str, float]:
-        arr = np.asarray(self.gmres_ratios, dtype=float)
-        return {
-            "min": float(arr.min()),
-            "median": float(np.median(arr)),
-            "max": float(arr.max()),
-        }
-
     def to_dict(self) -> dict:
         fields = dataclasses.asdict(self)
-        gmres = {"ratios": fields.pop("gmres_ratios"), **self.gmres_stats()}
+        stats = ("ratios", "min", "median", "max")
+        gmres = {stat: fields.pop(f"gmres_{stat}") for stat in stats}
         return {"k": fields.pop("k"), "gmres": gmres, **fields}
+
+
+def _decay(x: float, k: int) -> float:
+    """``(1 - x)^(k/2)`` with x clamped to [0, 1]: the form of both bounds."""
+    return float((1.0 - min(max(x, 0.0), 1.0)) ** (0.5 * k))
+
+
+def _elman(scaled: np.ndarray, k: int, norm: Optional[float] = None) -> Optional[float]:
+    """:func:`elman_bound` of a binary-scaled A, whose norm ``norm`` is
+    solved here, if not given, only when M passes the gate."""
+    lam_min, lam_max = np.linalg.eigvalsh(dense_core.hermitian_part(scaled))[[0, -1]]
+    scale = max(abs(lam_min), abs(lam_max))
+    if scale == 0.0 or lam_min <= _PD_FLOOR * scale:
+        return None
+    if norm is None:
+        norm = dense_core.spectral_norm(scaled)
+    return _decay((lam_min / norm) ** 2, k)
 
 
 def elman_bound(a, k: int) -> Optional[float]:
     """Elman bound at depth k, or None when the Hermitian part is not
     positive definite (gated at ``lambda_min(M) > 1e-12 ||M||``).  A is
     scaled by a power of two first, which leaves ``lambda_min(M) / ||A||``
-    unchanged and keeps the eigensolve in range."""
-    k = _check_depth(k)
-    mat = dense_core.binary_scaled(as_matrix(a))[0]
-    lam_min, lam_max = np.linalg.eigvalsh(dense_core.hermitian_part(mat))[[0, -1]]
-    scale = max(abs(lam_min), abs(lam_max))
-    if scale == 0.0 or lam_min <= _PD_FLOOR * scale:
-        return None
-    norm_a = dense_core.spectral_norm(mat)
-    arg = 1.0 - (lam_min / norm_a) ** 2
-    arg = min(max(arg, 0.0), 1.0)
-    return float(arg ** (0.5 * k))
+    unchanged and keeps the eigensolves in range."""
+    k = check_depth(k)
+    return _elman(dense_core.binary_scaled(as_matrix(a))[0], k)
 
 
 def starke_bound(a, k: int, fov_data: Optional[fov.FovSummary] = None) -> float:
@@ -114,12 +128,10 @@ def starke_bound(a, k: int, fov_data: Optional[fov.FovSummary] = None) -> float:
     singular A included.  It takes the lower ends of the nu brackets
     (``NuResult.value``), so it is an upper bound up to eigensolver
     rounding."""
-    k = _check_depth(k)
+    k = check_depth(k)
     if fov_data is None:
         fov_data = fov.fov_summary(as_matrix(a))
-    prod = fov_data.nu_a * fov_data.nu_ainv
-    prod = min(max(prod, 0.0), 1.0)
-    return float((1.0 - prod) ** (0.5 * k))
+    return _decay(fov_data.nu_a * fov_data.nu_ainv, k)
 
 
 def _derived_seed(seed: int, *path: int) -> int:
@@ -137,9 +149,11 @@ def verify_chain(
 
     Samples ``trials`` random initial residuals as one block, computes
     their GMRES ratios in a single kernel call, the worst-case and ideal
-    values, and both bounds, then records one verdict per inequality:
+    values, and both bounds, then records one verdict per link of the chain
 
-        gmres <= worst_case <= ideal <= starke_rhs (<= elman_rhs).
+        gmres <= worst_case <= ideal <= starke_rhs (<= elman_rhs),
+
+    the Elman links only where that bound is defined.
 
     The sampled residuals are fed to the worst-case solver as extra starts,
     so the first verdict cannot fail merely because the ascent missed the
@@ -149,18 +163,19 @@ def verify_chain(
     streams.
     """
     mat = as_matrix(a)
-    k = _check_depth(k)
+    k = check_depth(k)
     check_int(trials, "trials", 1)
     check_int(seed, "seed", 0)
     n = mat.shape[0]
 
     if fov_data is None:
         fov_data = fov.fov_summary(mat)
-    elman = elman_bound(mat, k)
     starke = starke_bound(mat, k, fov_data)
-    norm_a = dense_core.spectral_norm(mat)
-    aha = norm_a * norm_a  # a Python float: inf or subnormal, not an error
-    in_range = norm_a == 0.0 or np.finfo(float).tiny <= aha < np.inf
+    scaled, e = dense_core.binary_scaled(mat)
+    norm = dense_core.spectral_norm(scaled)
+    elman = _elman(scaled, k, norm)
+    aha = float(dense_core.scaled_back(norm * norm, 2 * e))  # ||A||^2
+    in_range = norm == 0.0 or np.finfo(float).tiny <= aha < np.inf
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101, k)))
     r0_block = rng.standard_normal((n, trials)) + 1j * rng.standard_normal((n, trials))
@@ -176,30 +191,18 @@ def verify_chain(
         mat, k, _derived_seed(seed, 202, k), extra_starts=extra, ceiling=ideal.value
     )
 
-    gmres_max = max(ratios)
+    links = (
+        ("gmres_le_worst_case", max(ratios), worst.value, _SOLVER_SLACK),
+        ("worst_case_le_ideal", worst.value, ideal.value, _SOLVER_SLACK),
+        ("ideal_le_starke", ideal.value, starke, _BOUND_SLACK),
+        ("ideal_le_elman", ideal.value, elman, _BOUND_SLACK),
+        ("starke_le_elman", starke, elman, _BOUND_SLACK),
+    )
     verdicts = {
-        "gmres_le_worst_case": Verdict(
-            gmres_max <= worst.value + _SOLVER_SLACK,
-            worst.value - gmres_max,
-        ),
-        "worst_case_le_ideal": Verdict(
-            worst.value <= ideal.value + _SOLVER_SLACK,
-            ideal.value - worst.value,
-        ),
-        "ideal_le_starke": Verdict(
-            ideal.value <= starke + _BOUND_SLACK,
-            starke - ideal.value,
-        ),
+        name: Verdict(lhs <= rhs + slack, rhs - lhs)
+        for name, lhs, rhs, slack in links
+        if rhs is not None
     }
-    if elman is not None:
-        verdicts["ideal_le_elman"] = Verdict(
-            ideal.value <= elman + _BOUND_SLACK,
-            elman - ideal.value,
-        )
-        verdicts["starke_le_elman"] = Verdict(
-            starke <= elman + _BOUND_SLACK,
-            elman - starke,
-        )
 
     return BoundsReport(
         k=k,

@@ -22,9 +22,9 @@ import sys
 from typing import List, Optional
 
 from . import experiment, fov, mmio
-from .errors import FileError, InvalidSpec
+from .errors import FileError, InvalidSpec, check_depth
 from .experiment import EXIT_IO, EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_SOLVER_FAILED
-from .minimax import _check_depth, ideal_gmres
+from .minimax import ideal_gmres
 from .reporting import format_real
 
 __all__ = ["main", "parse_depths"]
@@ -45,7 +45,7 @@ def parse_depths(text: str) -> List[int]:
             raise InvalidSpec(f"cannot parse depth token {token!r}") from None
         if hi < lo:
             raise InvalidSpec(f"empty depth range {token!r}")
-        _check_depth(hi)
+        check_depth(hi)
         depths.extend(range(lo, hi + 1))
     if not depths:
         raise InvalidSpec("no depths given")
@@ -140,20 +140,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_fov(args: argparse.Namespace) -> int:
     a = mmio.read_matrix_market(args.matrix)
-    boundary = fov.fov_boundary(a, args.samples)
+    b = fov.fov_boundary(a, args.samples)
+    rows = zip(b.angles, b.points.real, b.points.imag, b.support_min, b.support_max)
     lines = ["theta,point_re,point_im,support_min,support_max"]
-    for i in range(len(boundary.angles)):
-        lines.append(
-            ",".join(
-                [
-                    format_real(boundary.angles[i]),
-                    format_real(boundary.points[i].real),
-                    format_real(boundary.points[i].imag),
-                    format_real(boundary.support_min[i]),
-                    format_real(boundary.support_max[i]),
-                ]
-            )
-        )
+    lines.extend(",".join(map(format_real, row)) for row in rows)
     text = "\n".join(lines) + "\n"
 
     data = fov.fov_summary(a)
@@ -171,13 +161,13 @@ def _cmd_fov(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise FileError(f"cannot write {args.out}: {exc}") from exc
         sys.stdout.write(summary)
-        print(f"wrote {len(boundary.angles)} boundary samples to {args.out}")
+        print(f"wrote {len(b.angles)} boundary samples to {args.out}")
     return EXIT_OK
 
 
 def _cmd_ideal(args: argparse.Namespace) -> int:
     a = mmio.read_matrix_market(args.matrix)
-    _check_depth(args.k, a.shape[0])
+    check_depth(args.k, a.shape[0])
     result = ideal_gmres(a, args.k)
     print(f"ideal(k={args.k}) = {format_real(result.value)}")
     print(f"certified lower bound = {format_real(result.lower_bound)}")

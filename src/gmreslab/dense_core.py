@@ -18,6 +18,7 @@ __all__ = [
     "as_matrix",
     "binary_scaled",
     "hermitian_part",
+    "scaled_back",
     "spectral_norm",
     "top_right_singular_vector",
 ]
@@ -53,12 +54,19 @@ def binary_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(m.real, -e) + 1j * np.ldexp(m.imag, -e), e
 
 
+def scaled_back(x, e: int):
+    """Real ``x 2^e``, undoing :func:`binary_scaled`: exact in range,
+    infinite beyond it, without a warning."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, e)
+
+
 def spectral_norm(a) -> float:
     """Spectral norm ``||A||_2 = sqrt(lambda_max(A^H A))``, from the Gram
     matrix of ``(S, e) = binary_scaled(A)``."""
     scaled, e = binary_scaled(as_matrix(a))
     lam = np.linalg.eigvalsh(hermitian_part(scaled.conj().T @ scaled))[-1]
-    return float(np.ldexp(np.sqrt(max(lam, 0.0)), e))
+    return float(scaled_back(np.sqrt(max(lam, 0.0)), e))
 
 
 def top_right_singular_vector(a) -> np.ndarray:

@@ -2,7 +2,13 @@
 
 from numbers import Integral
 
+# The deepest depth measured so far, not a conditioning limit: both solvers work
+# in Arnoldi bases, whose conditioning does not grow with the depth.
+MAX_DEPTH = 16
+
 __all__ = [
+    "MAX_DEPTH",
+    "check_depth",
     "check_int",
     "LabError",
     "ZeroVector",
@@ -62,3 +68,8 @@ def check_int(value, what: str, lo: int, hi=None) -> int:
             return int(value)
     need = f"in {lo}..{hi}" if hi is not None else f">= {lo}"
     raise InvalidSpec(f"invalid {what} {value!r}: need an integer {need}")
+
+
+def check_depth(k, n: int = MAX_DEPTH) -> int:
+    """A depth in ``1..min(n, MAX_DEPTH)``, as :func:`check_int`."""
+    return check_int(k, "depth", 1, min(n, MAX_DEPTH))

@@ -51,10 +51,10 @@ from .errors import (
     LabError,
     ParseError,
     UnsupportedFormat,
+    check_depth,
     check_int,
 )
 from .matrices import MatrixSpec
-from .minimax import _check_depth
 
 __all__ = [
     "ExperimentConfig",
@@ -85,7 +85,7 @@ class ExperimentConfig:
         if not self.depths:
             raise InvalidSpec("depths must be a non-empty list")
         for k in self.depths:
-            _check_depth(k)
+            check_depth(k)
         if len(set(self.depths)) < len(self.depths):
             raise InvalidSpec(f"repeated depth in {list(self.depths)}")
         check_int(self.trials, "trials", 1)
@@ -125,17 +125,14 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc.msg}", lineno=exc.lineno)
-    if overrides:
-        raw = dict(raw) if isinstance(raw, dict) else raw
-        for key, value in overrides.items():
-            if value is not None:
-                raw[key] = value
+    if isinstance(raw, dict):  # from_dict refuses anything else, flags or not
+        raw.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     return ExperimentConfig.from_dict(raw)
 
 
 def _run_validated(cfg: ExperimentConfig) -> int:
     a = matrices.generate_matrix(cfg.matrix)
-    _check_depth(max(cfg.depths), a.shape[0])
+    check_depth(max(cfg.depths), a.shape[0])
 
     fov_data = fov.fov_summary(a)
     reports = [

@@ -13,14 +13,13 @@ point; real A mirrors the angles past pi.  The distance from the origin,
 ``nu(F(A)) = max(0, max_theta lambda_min(H(theta)))``, is the Crawford
 number of the pair (H, S); ``nu_fov`` finds it by safeguarded Newton steps
 on the concave part and brackets it by the hull of the Rayleigh quotients
-it has seen.  ``nu(F(A^{-1}))`` is the same on the inverse, formed only
-where ``nu(F(A)) > 0`` guarantees ``||A^{-1}|| <= 1 / nu(F(A))``.
+it has seen.  ``nu(F(A^{-1}))`` is the same on the inverse of ``A / 2^e``,
+formed only where ``nu(F(A)) > 0`` keeps it in range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ldexp
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -28,7 +27,7 @@ from scipy.linalg import blas, lapack
 
 from . import dense_core
 from .dense_core import as_matrix
-from .errors import NoConvergence, check_int
+from .errors import InvalidSpec, NoConvergence, check_int
 
 __all__ = [
     "FovBoundary",
@@ -142,6 +141,7 @@ def fov_boundary(a, m: int) -> FovBoundary:
     pi are solved, the rest mirrored (the point conjugated).  As ``H(theta +
     pi) = -H(theta)``, an even ``m`` reads ``support_min`` off the opposite
     angle; an odd ``m`` solves for it in the buffer before the factorization.
+    A value beyond the float range reads infinite.
     """
     mat = as_matrix(a)
     m = check_int(m, "samples", 8)
@@ -182,8 +182,9 @@ def fov_boundary(a, m: int) -> FovBoundary:
         support_min[solved:] = support_min[mirror]
     else:
         support_min = -np.roll(support_max, -(m // 2))
-    points = np.ldexp(points.real, e) + 1j * np.ldexp(points.imag, e)
-    support_max, support_min = np.ldexp(support_max, e), np.ldexp(support_min, e)
+    back = dense_core.scaled_back
+    points = back(points.real, e) + 1j * back(points.imag, e)
+    support_max, support_min = back(support_max, e), back(support_min, e)
     return FovBoundary(angles, points, support_max, support_min)
 
 
@@ -224,20 +225,21 @@ def nu_fov(a) -> NuResult:
     arc that the evaluated angles leave around the maximum; a Newton point
     outside it gives way to the hull direction (exact at the kinks of normal
     matrices), that to bisection.  The loop stops once ``upper - value <=
-    _zero_tol``.  The witness is the best angle's eigenvector.
+    _zero_tol``.  The witness is the best angle's eigenvector.  A value
+    beyond the float range reads infinite.
     """
-    return _nu_fov(as_matrix(a))[0]
+    scaled, e = dense_core.binary_scaled(as_matrix(a))
+    nu = _nu_fov(scaled)[0]
+    back = dense_core.scaled_back
+    return nu._replace(value=float(back(nu.value, e)), upper=float(back(nu.upper, e)))
 
 
 def _nu_fov(mat: np.ndarray):
     """``nu_fov`` and ``lambda_min`` of the Hermitian part, its first
-    evaluation (``theta = 0``, where ``H(0)`` is the Hermitian part).
-
-    The work runs on A scaled by a power of two, as in ``fov_boundary``, so
-    that the norm in ``_zero_tol`` and the squared distances of
-    ``_hull_nearest`` stay in range; the values are scaled back.
+    evaluation (``theta = 0``), of a matrix scaled by ``binary_scaled``,
+    where the norm in ``_zero_tol`` and the squared distances of
+    ``_hull_nearest`` stay in range.  The caller scales back.
     """
-    mat, e = dense_core.binary_scaled(mat)
     herm = dense_core.hermitian_part(mat)
     skew = dense_core.hermitian_part(-1j * mat)
     tol = _zero_tol(mat)
@@ -266,8 +268,7 @@ def _nu_fov(mat: np.ndarray):
         near = _hull_nearest(np.asarray(points))
         upper, theta_b = abs(near), best[4]
         if upper <= tol:
-            nu = NuResult(0.0, theta_b % _TWO_PI, None, ldexp(upper, e))
-            return nu, ldexp(lambda_min_h, e)
+            return NuResult(0.0, theta_b % _TWO_PI, None, upper), lambda_min_h
         if best[0] > 0.0 and upper - best[0] <= tol or len(angles) >= _MAX_EVALS:
             break
         if best[0] <= 0.0:
@@ -285,32 +286,32 @@ def _nu_fov(mat: np.ndarray):
     value = max(float(best[0]), 0.0)
     witness = best[3] if value > 0.0 else None
     upper = max(upper, value)
-    nu = NuResult(ldexp(value, e), theta_b % _TWO_PI, witness, ldexp(upper, e))
-    return nu, ldexp(lambda_min_h, e)
+    return NuResult(value, theta_b % _TWO_PI, witness, upper), lambda_min_h
 
 
-def _nu_inverse(mat: np.ndarray, nu_a: float) -> float:
-    """``nu(F(A^{-1}))`` given ``nu_a = nu(F(A))``.
+def _nu_inverse(scaled: np.ndarray, nu_s: float) -> float:
+    """``nu(F(S^{-1}))`` given ``nu_s = nu(F(S))``, S a binary-scaled A.
 
-    With ``w = A v``, ``w^H A^{-1} w = conj(v^H A v)``, so the origin lies in
-    F(A^{-1}) exactly when it lies in F(A), and the value is 0.  A singular
-    A has 0 in F(A) as well.  A ``nu_a`` within ``_zero_tol``, as in
-    ``nu_fov``, counts as 0; above it ``||A^{-1}|| <= 1 / nu_a``.  The test
-    runs on A scaled by a power of two, where the norm cannot overflow.
+    With ``w = S v``, ``w^H S^{-1} w = conj(v^H S v)``, so the origin lies in
+    F(S^{-1}) exactly when it lies in F(S), and the value is 0.  A singular
+    S has 0 in F(S) as well.  A ``nu_s`` within ``_zero_tol``, as in
+    ``nu_fov``, counts as 0; above it ``||S^{-1}|| <= 1 / nu_s``, so the
+    inverse of S stays in range where that of A may not.
     """
-    scaled, e = dense_core.binary_scaled(mat)
-    if ldexp(nu_a, -e) <= _zero_tol(scaled):
+    if nu_s <= _zero_tol(scaled):
         return 0.0
-    return nu_fov(np.linalg.inv(mat)).value
+    return nu_fov(np.linalg.inv(scaled)).value
 
 
 def fov_summary(a) -> FovSummary:
-    """Bundle the field-of-values quantities used by the bound evaluations."""
-    mat = as_matrix(a)
-    nu_a, lambda_min_m = _nu_fov(mat)
-    return FovSummary(
-        nu_a=nu_a.value,
-        nu_ainv=_nu_inverse(mat, nu_a.value),
-        lambda_min_m=lambda_min_m,
-        witness_vector=nu_a.witness,
+    """Bundle the field-of-values quantities used by the bound evaluations;
+    :class:`InvalidSpec` where one of them leaves the float range."""
+    scaled, e = dense_core.binary_scaled(as_matrix(a))
+    nu, lambda_min_h = _nu_fov(scaled)
+    # (S, e) = binary_scaled(A): F(A) = 2^e F(S) and F(A^{-1}) = 2^-e F(S^{-1})
+    values = dense_core.scaled_back(
+        [nu.value, _nu_inverse(scaled, nu.value), lambda_min_h], [e, -e, e]
     )
+    if not np.isfinite(values).all():
+        raise InvalidSpec("a field-of-values value of A or A^-1 leaves the float range")
+    return FovSummary(*values.tolist(), witness_vector=nu.witness)

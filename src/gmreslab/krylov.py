@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dense_core import as_matrix, binary_scaled
-from .errors import ZeroVector, check_int
+from .errors import ZeroVector, check_depth, check_int
 
 __all__ = [
     "gmres_residuals",
@@ -104,14 +104,14 @@ def gmres_residuals(a, r0s, kmax: int) -> np.ndarray:
     return _residual_curves(mat, block, kmax)[0]
 
 
-def _candidate_block(a, vs) -> tuple[np.ndarray, np.ndarray]:
-    """A scaled by a power of two (see :func:`_residual_curves`) and the
-    candidate block."""
+def _candidate_block(a, vs, k) -> tuple[np.ndarray, np.ndarray, int]:
+    """A scaled by a power of two (see :func:`_residual_curves`), the
+    candidate block and the checked depth."""
     mat = binary_scaled(as_matrix(a))[0]
     batch = np.asarray(vs, dtype=np.complex128)
     if batch.ndim != 2 or batch.shape[0] != mat.shape[0]:
         raise ValueError("candidate block must be n x B")
-    return mat, batch
+    return mat, batch, check_depth(k)
 
 
 def min_residual_values(a, vs: np.ndarray, k: int) -> np.ndarray:
@@ -121,7 +121,7 @@ def min_residual_values(a, vs: np.ndarray, k: int) -> np.ndarray:
     residual ratio per column.  Zero columns yield ratio 0; callers that
     care should not pass them.
     """
-    mat, batch = _candidate_block(a, vs)
+    mat, batch, k = _candidate_block(a, vs, k)
     return _residual_curves(mat, batch, k)[0][k]
 
 
@@ -135,7 +135,7 @@ def min_residual_gradients(a, vs: np.ndarray, k: int):
     of A as the kernel.  Raises :class:`ZeroVector` for a
     zero column.
     """
-    mat, batch = _candidate_block(a, vs)
+    mat, batch, k = _candidate_block(a, vs, k)
     norms_sq = np.sum(np.abs(batch) ** 2, axis=0)
     if np.any(norms_sq == 0.0):
         raise ZeroVector("gradient at the zero vector")

@@ -58,7 +58,7 @@ from scipy import optimize
 
 from . import dense_core
 from .dense_core import as_matrix
-from .errors import BudgetExceeded, NoConvergence, check_int
+from .errors import MAX_DEPTH, BudgetExceeded, NoConvergence, check_depth, check_int
 from .krylov import _arnoldi, min_residual_gradients, min_residual_values
 
 __all__ = [
@@ -71,9 +71,6 @@ __all__ = [
     "scalar_minimax_oracle",
 ]
 
-# The deepest depth measured so far, not a conditioning limit: both solvers work
-# in Arnoldi bases, whose conditioning does not grow with the depth.
-MAX_DEPTH = 16
 # _minimize_norm stops once the norm and its dual bound are this close.
 _GAP_TARGET = 1e-10
 # Newton steps per smoothing stage; rounding stops a stage long before.
@@ -129,10 +126,6 @@ class OneStepIdealResult(NamedTuple):
 
     value: float
     alpha: complex
-
-
-def _check_depth(k, n: int = MAX_DEPTH) -> int:
-    return check_int(k, "depth", 1, min(n, MAX_DEPTH))
 
 
 def _orthonormal_basis(mat: np.ndarray, k: int):
@@ -323,7 +316,7 @@ def ideal_gmres(a, k: int) -> MinimaxResult:
     and no randomness.
     """
     mat = as_matrix(a)
-    k = _check_depth(k)
+    k = check_depth(k)
     q, t, e = _orthonormal_basis(mat, k)
     d, upper, witness, lower = _minimize_norm(q)
     try:
@@ -403,7 +396,7 @@ def worst_case_gmres(
     result's bracket is ``[value, ceiling]``.
     """
     mat = as_matrix(a)
-    k = _check_depth(k)
+    k = check_depth(k)
     check_int(seed, "seed", 0)
     n = mat.shape[0]
 

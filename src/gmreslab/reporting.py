@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .bounds import BoundsReport
 from .errors import FileError
@@ -55,7 +55,8 @@ def write_report_json(path, matrix_echo: dict, reports: Sequence[BoundsReport]) 
 
 
 # ---------------------------------------------------------------------------
-# Curves: the columns of curves.csv and the lines of plot.svg
+# Curves: the columns of curves.csv and the lines of plot.svg, each a
+# BoundsReport field
 # ---------------------------------------------------------------------------
 
 _SERIES = (
@@ -71,16 +72,10 @@ _SERIES = (
 CSV_COLUMNS = ("k", *(name for name, _ in _SERIES))
 
 
-def _series_values(report: BoundsReport, name: str) -> Optional[float]:
-    if name.startswith("gmres_"):
-        return report.gmres_stats()[name.split("_", 1)[1]]
-    return getattr(report, name)
-
-
 def write_curves_csv(path, reports: Sequence[BoundsReport]) -> None:
     lines = [",".join(CSV_COLUMNS)]
     for report in reports:
-        values = (_series_values(report, name) for name, _ in _SERIES)
+        values = (getattr(report, name) for name, _ in _SERIES)
         cells = ["" if value is None else format_real(value) for value in values]
         lines.append(",".join([str(report.k), *cells]))
     _write_text(path, "\n".join(lines) + "\n")
@@ -105,7 +100,7 @@ def write_plot_svg(path, reports: Sequence[BoundsReport], title: str = "") -> No
         value
         for report in reports
         for name, _ in _SERIES
-        if (value := _series_values(report, name)) is not None and value > 0.0
+        if (value := getattr(report, name)) is not None and value > 0.0
     ]
     floor = max(min(positive) / 10.0 if positive else 1e-16, 1e-16)
     log_floor = math.floor(math.log10(floor))
@@ -178,7 +173,7 @@ def write_plot_svg(path, reports: Sequence[BoundsReport], title: str = "") -> No
         points = [
             (x_of(report.k), y_of(value))
             for report in reports
-            if (value := _series_values(report, name)) is not None
+            if (value := getattr(report, name)) is not None
         ]
         if points:
             path_data = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)

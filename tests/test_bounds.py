@@ -1,3 +1,7 @@
+import json
+import warnings
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, seed
@@ -9,7 +13,7 @@ from gmreslab import (
     starke_bound,
     verify_chain,
 )
-from gmreslab import bounds
+from gmreslab import bounds, minimax
 from conftest import random_complex, random_nonsingular
 
 SQRT3_OVER_2 = np.sqrt(3.0) / 2.0
@@ -250,3 +254,81 @@ def test_lambda_max_aha_is_null_outside_the_float_range(s):
 
 def test_lambda_max_aha_of_the_zero_matrix_is_zero():
     assert verify_chain(np.zeros((2, 2)), 1, 3).lambda_max_aha == 0.0
+
+
+# Each verdict of verify_chain as (report field of lhs, of rhs, slack name).
+CHAIN_LINKS = {
+    "gmres_le_worst_case": ("gmres_max", "worst_case", "_SOLVER_SLACK"),
+    "worst_case_le_ideal": ("worst_case", "ideal", "_SOLVER_SLACK"),
+    "ideal_le_starke": ("ideal", "starke_rhs", "_BOUND_SLACK"),
+    "ideal_le_elman": ("ideal", "elman_rhs", "_BOUND_SLACK"),
+    "starke_le_elman": ("starke_rhs", "elman_rhs", "_BOUND_SLACK"),
+}
+
+
+def _pd_part_matrix():
+    """A nonnormal 5x5 matrix whose Hermitian part is positive definite."""
+    a = random_complex(np.random.default_rng(29), 5, spread=0.6, shift=1.5)
+    assert np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0] > 0.1
+    return a
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_every_verdict_is_its_link_exactly(k):
+    report = verify_chain(_pd_part_matrix(), k, trials=5)
+    assert set(report.verdicts) == set(CHAIN_LINKS)
+    for name, (lhs_field, rhs_field, slack_name) in CHAIN_LINKS.items():
+        lhs, rhs = getattr(report, lhs_field), getattr(report, rhs_field)
+        verdict = report.verdicts[name]
+        assert verdict.margin == rhs - lhs, name
+        assert verdict.passed == (lhs <= rhs + getattr(bounds, slack_name)), name
+
+
+def test_verify_chain_makes_three_non_solver_eigensolves_per_depth(monkeypatch):
+    """Besides the ideal solver's own (one per ``minimax._spectrum`` call),
+    a depth costs the Hermitian part's and the Gram matrix's eigenvalues,
+    for the Elman bound and ||A|| together, and the worst case's top right
+    singular vector start."""
+    counts = {"eig": 0, "spectrum": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    a = _pd_part_matrix()
+    data = fov_summary(a)
+    monkeypatch.setattr(np.linalg, "eigh", counted("eig", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eig", np.linalg.eigvalsh))
+    monkeypatch.setattr(minimax, "_spectrum", counted("spectrum", minimax._spectrum))
+    for k in (1, 2, 3):
+        counts.update(eig=0, spectrum=0)
+        report = verify_chain(a, k, trials=5, fov_data=data)
+        assert report.elman_rhs is not None
+        assert counts["eig"] - counts["spectrum"] <= 3, (k, counts)
+
+
+def test_verify_chain_near_the_float_max_is_warning_free():
+    """||A||^2 = 2.6 * 1.7e308^2 overflows: lambda_max_aha is None, without
+    the RuntimeWarning of an unscaled norm, and the Elman bound is that of
+    elman_bound."""
+    a = 1.7e308 * np.array([[1.0, 1.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_chain(a, 1, 3)
+    assert report.elman_rhs == elman_bound(a, 1)
+    assert report.lambda_max_aha is None
+
+
+def test_schema_verdict_names_are_the_chain_links():
+    schema = json.loads(
+        resources.files("gmreslab.schemas").joinpath("report.schema.json").read_text()
+    )
+    verdicts = schema["definitions"]["depth_report"]["properties"]["verdicts"]
+    rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    all_links = verify_chain(_pd_part_matrix(), 1, 3).verdicts
+    assert set(verdicts["properties"]) == set(all_links) == set(CHAIN_LINKS)
+    assert set(verdicts["required"]) == set(verify_chain(rotation, 1, 3).verdicts)
+    assert verdicts["additionalProperties"] is False

@@ -429,3 +429,49 @@ def test_run_at_extreme_scales(tmp_path, capsys, s):
     jsonschema.validate(doc, schema)
     assert main(["ideal", "--matrix", str(path), "-k", "2"]) == 0
     assert "coefficients: outside the float range" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [[], ["--seed", "3"], ["--trials", "2", "--strict"]])
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '"cfg"', "null"])
+def test_non_object_config_exits_two(tmp_path, capsys, text, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), *flags]) == 2
+    assert "error: config must be a JSON object" in capsys.readouterr().err
+
+
+# nu(F(A^-1)) = 5e309 and lambda_min(M) = -3.4e308 lie beyond the float
+# range; the first also has an inverse with infinite entries.
+BEYOND_THE_FLOAT_RANGE = {
+    "subnormal_scale": 1e-310 * np.diag([1.0, 2.0]),
+    "near_float_max": -1.7e308 * np.ones((2, 2)),
+}
+
+
+@pytest.mark.parametrize("command", ["bounds", "fov"])
+@pytest.mark.parametrize("name", sorted(BEYOND_THE_FLOAT_RANGE))
+def test_fov_data_beyond_the_float_range_exits_two(tmp_path, capsys, command, name):
+    path = tmp_path / "a.mtx"
+    write_matrix_market(str(path), BEYOND_THE_FLOAT_RANGE[name])
+    out = tmp_path / "out"
+    argv = {
+        "bounds": ["bounds", "--matrix", str(path), "--depths", "1..2",
+                   "--out-dir", str(out)],
+        "fov": ["fov", "--matrix", str(path), "--samples", "8",
+                "--out", str(out / "fov.csv")],
+    }[command]
+    assert main(argv) == 2
+    assert "error: a field-of-values value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_small_scale_keeps_its_inverse_distance(tmp_path, capsys):
+    """At 1e-305 the inverse of A is in range, and nu(F(A^-1)) = 5e304 reads
+    the same from the inverse of the scaled matrix as from that of A."""
+    path = tmp_path / "a.mtx"
+    write_matrix_market(str(path), 1e-305 * np.diag([1.0, 2.0]))
+    out = tmp_path / "out"
+    argv = ["bounds", "--matrix", str(path), "--depths", "1..2", "--out-dir", str(out)]
+    assert main(argv) == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert [r["nu_ainv"] for r in doc["reports"]] == [5e304, 5e304]

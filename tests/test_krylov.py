@@ -4,10 +4,12 @@ from hypothesis import given, seed
 from hypothesis import strategies as st
 
 from gmreslab import (
+    InvalidSpec,
     ZeroVector,
     gmres_residuals,
     spectral_norm,
 )
+from gmreslab.errors import MAX_DEPTH
 from gmreslab.krylov import min_residual_gradients, min_residual_values
 from conftest import deep_matrices, random_complex, random_unit
 import oracles
@@ -239,3 +241,18 @@ def test_one_step_identity_is_exact(n, key):
     assert abs(res.residual_ratio**2 + cos2 - 1.0) <= 1e-13
     value = min_residual_values(a, v[:, None], 1)[0]
     assert abs(res.residual_ratio - value) <= 1e-12
+
+
+@pytest.mark.parametrize("kernel", [min_residual_values, min_residual_gradients])
+@pytest.mark.parametrize("k", [0, -1, 2.5, 2.0, True, "2", MAX_DEPTH + 1, 40])
+def test_kernel_refuses_depths_outside_the_depth_rule(kernel, k):
+    with pytest.raises(InvalidSpec, match="invalid depth"):
+        kernel(np.diag([1.0, 2.0]), np.ones((2, 1)), k)
+
+
+@pytest.mark.parametrize("kernel", [min_residual_values, min_residual_gradients])
+def test_kernel_accepts_depths_above_the_order(kernel):
+    """k > n is in the rule (the solvers pass it): the ratio is 0."""
+    phi = kernel(np.diag([1.0, 2.0]), np.ones((2, 1)), MAX_DEPTH)
+    phi = phi[0] if kernel is min_residual_gradients else phi
+    assert phi[0] == pytest.approx(0.0, abs=1e-12)

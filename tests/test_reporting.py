@@ -123,6 +123,28 @@ def test_report_json_matches_bundled_schema(tmp_path):
     assert "ideal_le_elman" not in doc["reports"][1]["verdicts"]
 
 
+@pytest.mark.parametrize("name", ["ideal_le_stark", "Ideal_le_elman", "gmres_le_ideal"])
+def test_schema_refuses_an_unknown_verdict_name(name):
+    doc = {"matrix": {"family": "diagonal"}, "reports": [make_report().to_dict()]}
+    schema = json.loads(
+        resources.files("gmreslab.schemas").joinpath("report.schema.json").read_text()
+    )
+    jsonschema.validate(doc, schema)
+    doc["reports"][0]["verdicts"][name] = {"passed": True, "margin": 0.1}
+    with pytest.raises(jsonschema.ValidationError, match=name):
+        jsonschema.validate(doc, schema)
+
+
+def test_gmres_statistics_are_fields_set_on_construction():
+    report = make_report()
+    stats = (report.gmres_min, report.gmres_median, report.gmres_max)
+    assert stats == (0.125, 0.25, 0.5)
+    gmres = report.to_dict()["gmres"]
+    assert list(gmres.items()) == [
+        ("ratios", [0.25, 0.5, 0.125]), ("min", 0.125), ("median", 0.25), ("max", 0.5)
+    ]
+
+
 def test_report_json_floats_survive_round_trip(tmp_path):
     path = tmp_path / "report.json"
     report = make_report()
