@@ -173,12 +173,10 @@ def _cmd_ideal(args: argparse.Namespace) -> int:
     print(f"certified lower bound = {format_real(result.lower_bound)}")
     print(f"gap = {format_real(result.upper_bound - result.lower_bound)}")
     print(f"certified = {'yes' if result.certified else 'no'}")
-    if result.coefficients is None:
-        print("residual polynomial coefficients: outside the float range")
-    else:
-        print("residual polynomial 1 + c1*z + ... coefficients:")
-        for j, c in enumerate(result.coefficients, start=1):
-            print(f"  c{j} = {format_real(c.real)} + {format_real(c.imag)}j")
+    factors = " * ".join(f"(1 - z/t{j})" for j in range(1, result.roots.size + 1))
+    print(f"residual polynomial p(z) = {factors or 1}")
+    for j, t in enumerate(result.roots, start=1):
+        print(f"  t{j} = {format_real(t.real)} + {format_real(t.imag)}j")
     if args.strict and not result.certified:
         return EXIT_NOT_CERTIFIED
     return EXIT_OK

@@ -141,7 +141,7 @@ def fov_boundary(a, m: int) -> FovBoundary:
     pi are solved, the rest mirrored (the point conjugated).  As ``H(theta +
     pi) = -H(theta)``, an even ``m`` reads ``support_min`` off the opposite
     angle; an odd ``m`` solves for it in the buffer before the factorization.
-    A value beyond the float range reads infinite.
+    Raises :class:`InvalidSpec` where a value leaves the float range.
     """
     mat = as_matrix(a)
     m = check_int(m, "samples", 8)
@@ -182,10 +182,10 @@ def fov_boundary(a, m: int) -> FovBoundary:
         support_min[solved:] = support_min[mirror]
     else:
         support_min = -np.roll(support_max, -(m // 2))
-    back = dense_core.scaled_back
-    points = back(points.real, e) + 1j * back(points.imag, e)
-    support_max, support_min = back(support_max, e), back(support_min, e)
-    return FovBoundary(angles, points, support_max, support_min)
+    values = dense_core.scaled_back([points.real, points.imag, support_max, support_min], e)
+    if not np.isfinite(values).all():
+        raise InvalidSpec("a field-of-values value on the boundary leaves the float range")
+    return FovBoundary(angles, values[0] + 1j * values[1], values[2], values[3])
 
 
 def _zero_tol(mat: np.ndarray) -> float:

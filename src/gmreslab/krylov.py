@@ -8,12 +8,14 @@ where pi_k is the set of polynomials of degree at most k with p(0) = 1.
 One kernel computes it for a whole block of vectors at once: Arnoldi
 builds orthonormal Krylov directions for every column, and they are
 projected out of the residual, so normal equations are never formed.  The
-same Arnoldi function builds the ideal solver's matrix-space basis.
-:func:`gmres_residuals` returns the ratio at every depth up to ``kmax``,
-:func:`min_residual_values` the ratio at one depth, and
-:func:`min_residual_gradients` adds its exact gradient in v.  Arnoldi with
-Givens rotations and a dense least-squares solve serve as independent
-cross-checks in the test suite.
+residual polynomial lives in the coordinates of the Arnoldi recurrence, its
+Hessenberg matrix H, and nowhere in monomials.  The same Arnoldi function
+builds the ideal solver's matrix-space basis.  :func:`gmres_residuals`
+returns the ratio at every depth up to ``kmax``, :func:`min_residual_values`
+the ratio at one depth, and :func:`min_residual_gradients` adds its exact
+gradient in v, applying ``p(A)^H`` through H.  Arnoldi with Givens
+rotations and a dense least-squares solve serve as independent cross-checks
+in the test suite.
 """
 
 from __future__ import annotations
@@ -31,30 +33,31 @@ __all__ = [
 
 
 def _arnoldi(apply, start: np.ndarray, k: int):
-    """Arnoldi on each column x of ``start``: ``(Q, T)`` with ``Q[j - 1]``
+    """Arnoldi on each column x of ``start``: ``(Q, H)`` with ``Q[j - 1]``
     the j-th orthonormal direction of ``span{M x, .., M^k x}``, M the map
-    ``apply``, and ``Q_j = sum_i T[i - 1, j - 1] M^i x``, T upper triangular;
-    the last axis runs over the columns x.  ``Q_j`` comes from ``M Q_(j-1)``
-    (``M x`` for j = 1) by two classical Gram-Schmidt passes in the column
-    inner product.  A direction below 1e-14 of ``M Q_(j-1)`` lies in the
-    span already: it and every later direction of that column stay zero.
+    ``apply``, and H upper triangular with ``M Q_(j-1) = sum_(i <= j)
+    H[i - 1, j - 1] Q_i``, ``Q_0 = x``; the last axis runs over the columns
+    x.  H holds the summed coefficients of two classical Gram-Schmidt passes
+    in the column inner product and, on its diagonal, the divisor: the norm,
+    or infinity for a direction below 1e-14 of ``M Q_(j-1)``, which lies in
+    the span already and, as every later direction of that column, is zero.
     """
     size, cols = start.shape
-    # rows 0..size-1 of basis[j] hold Q[j], the k rows below T[j]
-    basis = np.zeros((k, size + k, cols), dtype=np.complex128)
-    basis[0, :size], basis[0, size] = apply(start), 1.0
+    q = np.zeros((k, size, cols), dtype=np.complex128)
+    h = np.zeros((k, k, cols), dtype=np.complex128)
+    w = apply(start)
     for j in range(k):
-        w = basis[j]
-        ref = np.linalg.norm(w[:size], axis=0)
+        ref = np.linalg.norm(w, axis=0)
         for _ in range(2 if j else 0):
-            h = np.einsum("jnb,nb->jb", basis[:j, :size].conj(), w[:size])
-            w -= np.einsum("jnb,jb->nb", basis[:j], h)
-        norm = np.linalg.norm(w[:size], axis=0)
-        w /= np.where(norm > 1e-14 * ref, norm, np.inf)
+            coeffs = np.einsum("jnb,nb->jb", q[:j].conj(), w)
+            w -= np.einsum("jnb,jb->nb", q[:j], coeffs)
+            h[:j, j] += coeffs
+        norm = np.linalg.norm(w, axis=0)
+        h[j, j] = np.where(norm > 1e-14 * ref, norm, np.inf)
+        q[j] = w / h[j, j].real
         if j + 1 < k:
-            # T is upper triangular: M Q[j] has the coordinates of Q[j] shifted
-            basis[j + 1, :size], basis[j + 1, size + 1 :] = apply(w[:size]), w[size:-1]
-    return basis[:, :size], basis[:, size:].swapaxes(0, 1)
+            w = apply(q[j])
+    return q, h
 
 
 def _residual_curves(mat: np.ndarray, batch: np.ndarray, k: int):
@@ -63,18 +66,17 @@ def _residual_curves(mat: np.ndarray, batch: np.ndarray, k: int):
     Row j holds ``min over p in pi_j of ||p(A) v|| / ||v||``: the Arnoldi
     directions ``Q_1 .. Q_k`` of :func:`_arnoldi` span ``{A v, .., A^k v}``
     and are projected out of the running residual one at a time.  A
-    dependent direction stays zero, which leaves the spanned space and hence
-    the minimum unchanged.  The projection coefficients h give, through the
-    coordinates T of the directions in the powers ``A^i v``, the
-    coefficients ``c = -T h`` of the depth-k residual polynomial, ``p(A) v =
-    v + c_1 A v + .. + c_k A^k v``, returned with the residual.
+    dependent direction is zero, which leaves the spanned space and hence
+    the minimum unchanged.  With ``Q_j = q_j(A) v`` for the polynomials q_j
+    of the Arnoldi recurrence H, the depth-k residual is ``p(A) v`` for
+    ``p = 1 - h_1 q_1 - .. - h_k q_k``, h the projection coefficients;
+    the residual, h and H are returned with the ratios.
 
     Callers pass ``dense_core.binary_scaled(A)``: the ratios do not depend
-    on the scale of A, and the coordinates T, of size ``1 / ||A^i v||``,
-    leave the float range on the raw A when ``||A||`` is far from 1.  The
-    coefficients are then those of the polynomial in the scaled matrix.
+    on the scale of A, and H, of the size of ``||A||``, is then that of the
+    scaled matrix.
     """
-    q, t = _arnoldi(lambda w: mat @ w, batch, k)
+    q, hessenberg = _arnoldi(lambda w: mat @ w, batch, k)
     h = np.empty((k, batch.shape[1]), dtype=np.complex128)
     residuals = np.empty((k + 1,) + batch.shape, dtype=np.complex128)
     residuals[0] = batch
@@ -83,7 +85,7 @@ def _residual_curves(mat: np.ndarray, batch: np.ndarray, k: int):
         residuals[j + 1] = residuals[j] - q[j] * h[j]
     norms = np.linalg.norm(residuals, axis=1)
     curves = norms / np.where(norms[0] > 0.0, norms[0], 1.0)
-    return curves, residuals[k], -np.einsum("ijb,jb->ib", t, h)
+    return curves, residuals[k], h, hessenberg
 
 
 def gmres_residuals(a, r0s, kmax: int) -> np.ndarray:
@@ -130,19 +132,25 @@ def min_residual_gradients(a, vs: np.ndarray, k: int):
 
     The gradient (complex form ``d/dRe v + i d/dIm v``) is, by the envelope
     theorem, ``(p(A)^H p(A) v - phi^2 v) / ||v||^2`` with p the minimizing
-    polynomial of v held fixed; ``p(A)^H`` is applied to the kernel's
-    residual ``p(A) v`` by Horner's rule, on the same power-of-two scaling
-    of A as the kernel.  Raises :class:`ZeroVector` for a
-    zero column.
+    polynomial of v held fixed.  ``p(A)^H`` acts on the kernel's residual
+    ``r = p(A) v`` through the adjoint of its Arnoldi recurrence, on the same
+    power-of-two scaling of A: ``u_0 = r``, ``u_(j+1) = (A^H u_j - sum_(i<j)
+    conj(H[i, j]) u_(i+1)) / H[j, j]`` and ``p(A)^H r = r - sum_j conj(h_j)
+    u_(j+1)`` (0-based j).  Raises :class:`ZeroVector` for a zero column.
     """
     mat, batch, k = _candidate_block(a, vs, k)
     norms_sq = np.sum(np.abs(batch) ** 2, axis=0)
     if np.any(norms_sq == 0.0):
         raise ZeroVector("gradient at the zero vector")
-    curves, residual, coeffs = _residual_curves(mat, batch, k)
+    curves, residual, h, hessenberg = _residual_curves(mat, batch, k)
     adjoint = mat.conj().T
-    adjoint_terms = np.zeros_like(residual)  # sum_j conj(c_j) (A^H)^j p(A) v
-    for c in coeffs[::-1]:
-        adjoint_terms = adjoint @ (np.conj(c) * residual + adjoint_terms)
+    u = np.empty((k + 1,) + batch.shape, dtype=np.complex128)
+    u[0] = residual
+    for j in range(k):
+        u[j + 1] = adjoint @ u[j]
+        if j:
+            u[j + 1] -= np.einsum("ib,inb->nb", hessenberg[:j, j].conj(), u[1 : j + 1])
+        u[j + 1] /= hessenberg[j, j].real
     phi = curves[k]
-    return phi, (residual + adjoint_terms - phi**2 * batch) / norms_sq
+    gram = residual - np.einsum("jb,jnb->nb", h.conj(), u[1:])  # p(A)^H r
+    return phi, (gram - phi**2 * batch) / norms_sq

@@ -25,7 +25,9 @@ bound is a norm-duality certificate,
     ideal(A, k) = max |tr Y| / ||Y||_*  over Y != 0 with <A^j, Y> = 0, j = 1..k,
 
 built from the smoothed problem's own dual matrix (``||.||_*`` is the
-nuclear norm, ``<.,.>`` the Frobenius inner product).
+nuclear norm, ``<.,.>`` the Frobenius inner product).  The polynomial is
+reported by its roots, the eigenvalues of a comrade pencil of the basis's
+Arnoldi recurrence H and the coefficients d; no monomial basis is formed.
 
 ``worst_case_gmres`` runs L-BFGS-B on ``phi(v)^2 / 2``, phi(v) the residual
 ratio, over the real and imaginary parts of v: the best starts climb as one
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
+from scipy import linalg, optimize
 
 from . import dense_core
 from .dense_core import as_matrix
@@ -102,19 +104,15 @@ class MinimaxResult:
     true worst case) and ``upper_bound`` is the caller's ceiling: the
     ideal value under ``verify_chain``, else the trivial bound 1.
 
-    ``coefficients`` holds ``c_1 .. c_k`` of ``p(A) = I + c_1 A + ... +
-    c_k A^k``, obtained as ``c_j = (T d)_j / 2^(e j)`` from the coefficients
-    d of the solve in the orthonormal basis ``Q_j = sum_i T_ij S^i``, ``S =
-    A / 2^e``.  When some ``2^(e j)`` or ``c_j`` leaves the normal float
-    range (``||A||^k`` beyond about 1e308 or below 1e-308) it is None.
-    Monomial coefficients lose accuracy as k grows: on a 24 x 24 triangular
-    matrix at k = 16, ``||p(A)||`` rebuilt from them misses the value by
-    6e-9.  Value, witness and bracket come from the polynomial in Q and
-    are unaffected.  For ``worst_case_gmres`` it is None.
+    ``roots`` holds the roots ``theta_i`` of the returned polynomial of
+    ``ideal_gmres``, ``p(z) = prod_i (1 - z / theta_i)``, sorted by real and
+    then imaginary part: at most k, none for ``p = 1``, and infinite where
+    ``2^e theta_i`` leaves the float range (see :func:`_roots`).  For
+    ``worst_case_gmres`` it is None.
     """
 
     value: float
-    coefficients: Optional[np.ndarray]
+    roots: Optional[np.ndarray]
     witness_vector: np.ndarray
     lower_bound: float
     upper_bound: float
@@ -129,21 +127,39 @@ class OneStepIdealResult(NamedTuple):
 
 
 def _orthonormal_basis(mat: np.ndarray, k: int):
-    """``(Q, T, e)``: Frobenius-orthonormal ``Q_1 .. Q_k`` spanning
+    """``(Q, H, e)``: Frobenius-orthonormal ``Q_1 .. Q_k`` spanning
     ``{S, .., S^k}`` for ``(S, e) = binary_scaled(A)``, and the upper
-    triangular ``T`` with ``Q_j = sum_i T_ij S^i``.
+    triangular H of their recurrence ``S Q_(j-1) = sum_(i <= j) H_ij Q_i``,
+    ``Q_0 = I`` (1-based H).
 
     Arnoldi in matrix space (Toh & Trefethen, SIMAX 1998): :func:`_arnoldi`
     on ``vec(I)`` with the map ``X -> S X``, whose column inner product is
-    the Frobenius product.  A dependent direction and every later ``Q_j``
-    stay zero.  The basis stays well conditioned when A is close to a
-    multiple of I, where the powers of A are nearly parallel.
+    the Frobenius product; a dependent direction, with an infinite divisor,
+    and every later ``Q_j`` are zero.  The basis stays well conditioned when
+    A is close to a multiple of I, where the powers of A are nearly parallel.
     """
     s, e = dense_core.binary_scaled(mat)
     n = s.shape[0]
     vec_eye = np.eye(n).reshape(-1, 1)
-    q, t = _arnoldi(lambda x: (s @ x.reshape(n, n)).reshape(-1, 1), vec_eye, k)
-    return q.reshape(k, n, n), t[:, :, 0], e
+    q, h = _arnoldi(lambda x: (s @ x.reshape(n, n)).reshape(-1, 1), vec_eye, k)
+    return q.reshape(k, n, n), h[:, :, 0], e
+
+
+def _roots(h: np.ndarray, d: np.ndarray, e: int) -> np.ndarray:
+    """Sorted roots of ``p = 1 + d_1 q_1 + .. + d_k q_k``, ``Q_j = q_j(S)``:
+    ``2^e`` times the finite eigenvalues of the comrade pencil (Barnett, LAA
+    1975) of ``(q_0, .., q_(m-1))`` for the m finite divisors of H, its rows
+    ``z q_(j-1) = sum_(i <= j) H_ij q_i``, the last times ``d_m`` with ``d_m
+    q_m = -1 - sum_(j < m) d_j q_j`` put in; infinite beyond the float range."""
+    m = int(np.isfinite(h.diagonal().real).sum())
+    if not m:
+        return np.zeros(0, dtype=np.complex128)
+    pencil = np.zeros((m, m), dtype=np.complex128)
+    pencil[:, 1:] = h[: m - 1, :m].T
+    pencil[-1] = d[m - 1] * pencil[-1] - h[m - 1, m - 1] * np.r_[1.0, d[: m - 1]]
+    theta = linalg.eigvals(pencil, np.diag(np.r_[np.ones(m - 1), d[m - 1]]))
+    theta = np.sort(theta[np.isfinite(theta)])
+    return dense_core.scaled_back(theta.view(np.float64), e).view(np.complex128)
 
 
 def _spectrum(basis: np.ndarray, x: np.ndarray, mu: float):
@@ -302,36 +318,20 @@ def _dual_lower_bound(basis: np.ndarray, p, lam, vecs, w, d: np.ndarray) -> floa
 def ideal_gmres(a, k: int) -> MinimaxResult:
     """Minimize ``||p(A)||`` over polynomials p in pi_k.
 
-    One solve at depth k, from p = 1; depth 1 is the solve of
-    :func:`one_step_ideal` itself.  No deeper solve starts from the
-    one-step polynomial, so ``ideal(k) <= one_step_ideal(A).value ** k`` is
-    a property of the converged solve (and a tested one), not of the start.
-    The value is the spectral norm of the returned polynomial (an upper
-    bound on the true minimum: a stage end of the solver or an extrapolant
-    of its stage ends), the witness a unit vector that attains it and the
-    lower bound a norm-duality certificate, all from the solver's own
-    eigendecompositions in an orthonormal basis of ``span{A, .., A^k}``, so
-    none depends on the scale of A.  A gap above 1e-4 flags the result
-    non-certified, but both bounds remain sound.  The solve has no starts
-    and no randomness.
+    One solve at depth k, from p = 1, with no starts and no randomness;
+    depth 1 is the solve of :func:`one_step_ideal`.  The value is the
+    spectral norm of the returned polynomial (an upper bound on the true
+    minimum: a stage end of the solver or an extrapolant of its stage ends),
+    the witness a unit vector that attains it and the lower bound a
+    norm-duality certificate, all from the solver's own eigendecompositions
+    in an orthonormal basis of ``span{A, .., A^k}``, so none depends on the
+    scale of A; the roots come from that basis's recurrence.  A gap above
+    1e-4 flags the result non-certified, but both bounds remain sound.
     """
-    mat = as_matrix(a)
-    k = check_depth(k)
-    q, t, e = _orthonormal_basis(mat, k)
+    q, h, e = _orthonormal_basis(as_matrix(a), check_depth(k))
     d, upper, witness, lower = _minimize_norm(q)
-    try:
-        with np.errstate(over="raise", under="raise"):
-            coeffs = (t @ d) / 2.0 ** (e * np.arange(1, k + 1))
-    except FloatingPointError:
-        coeffs = None
-    return MinimaxResult(
-        value=upper,
-        coefficients=coeffs,
-        witness_vector=witness,
-        lower_bound=lower,
-        upper_bound=upper,
-        certified=bool(upper - lower <= _CERTIFY_GAP),
-    )
+    certified = bool(upper - lower <= _CERTIFY_GAP)
+    return MinimaxResult(upper, _roots(h, d, e), witness, lower, upper, certified)
 
 
 class _Bracketed(Exception):
@@ -429,23 +429,17 @@ def worst_case_gmres(
             budget = max(_ASCENT_EVALS - nfev, 1)
             best_v = _ascend(mat, best_v[:, None], k, budget, target)[0][:, 0]
     best_phi = float(min_residual_values(mat, best_v[:, None], k)[0])
-    return MinimaxResult(
-        value=best_phi,
-        coefficients=None,
-        witness_vector=best_v,
-        lower_bound=best_phi,
-        upper_bound=ceiling,
-        certified=bool(ceiling - best_phi <= _CERTIFY_GAP),
-    )
+    certified = bool(ceiling - best_phi <= _CERTIFY_GAP)
+    return MinimaxResult(best_phi, None, best_v, best_phi, ceiling, certified)
 
 
 def one_step_ideal(a) -> OneStepIdealResult:
     """Minimize ``||I - alpha A||`` over complex alpha."""
-    q, t, e = _orthonormal_basis(as_matrix(a), 1)
+    q, h, e = _orthonormal_basis(as_matrix(a), 1)
     d, value, _, _ = _minimize_norm(q)
-    alpha = -t[0, 0] * d[0]  # over 2^e, taken exactly
+    alpha = -d[0] / h[0, 0].real  # over 2^e, taken exactly
     return OneStepIdealResult(
-        value, complex(np.ldexp(alpha.real, -e), np.ldexp(alpha.imag, -e))
+        value, complex(*dense_core.scaled_back([alpha.real, alpha.imag], -e))
     )
 
 

@@ -8,8 +8,8 @@ one-step damping instead of the package's batched kernel, which projects
 the residual off its Arnoldi directions, a generalized
 Hermitian eigenproblem instead of an explicit inverse, an angular scan
 with golden-section refinement instead of Newton steps on the support
-function, Horner's rule for a residual polynomial instead of the ideal
-solver's own eigendecomposition.  Two
+function, a product of root factors in Leja order for a residual
+polynomial instead of the ideal solver's Arnoldi recurrence.  Two
 small helpers that the package no longer needs live here as well: the
 Rayleigh quotient and ``nu(F(A^{-1}))`` on its own.
 """
@@ -25,15 +25,22 @@ from gmreslab.dense_core import as_matrix
 from gmreslab.errors import ZeroVector
 
 
-def residual_polynomial(a, coefficients) -> np.ndarray:
-    """``p(A) = I + c_1 A + ... + c_k A^k`` by Horner's rule, for
-    ``coefficients = c_1 .. c_k``; an empty list gives the identity."""
+def polynomial_from_roots(a, roots) -> np.ndarray:
+    """``p(A) = prod_i (I - A / theta_i)`` for ``roots = theta_1 ..
+    theta_r``; an empty list gives the identity.  The factors go in Leja
+    order (Reichel, BIT 1990): the root of largest modulus first, then each
+    time the one whose product of distances to those already taken is
+    largest, which keeps the partial products from growing or cancelling."""
     m = as_matrix(a)
-    eye = np.eye(m.shape[0], dtype=np.complex128)
-    q = np.zeros_like(eye)
-    for c in np.asarray(coefficients, dtype=np.complex128).ravel()[::-1]:
-        q = c * eye + m @ q
-    return eye + m @ q
+    left = list(np.asarray(roots, dtype=np.complex128).ravel())
+    taken = []
+    while left:
+        score = [np.prod(np.abs(t - np.array(taken))) if taken else abs(t) for t in left]
+        taken.append(left.pop(int(np.argmax(score))))
+    p = np.eye(m.shape[0], dtype=np.complex128)
+    for theta in taken:
+        p = p - (m @ p) / theta
+    return p
 
 
 def point_segment_distance(p, a, b):

@@ -214,12 +214,30 @@ def test_fov_requires_enough_samples(diag_mtx, capsys):
     assert main(["fov", "--matrix", diag_mtx, "--samples", "4"]) == 2
 
 
+def _printed_roots(out: str) -> np.ndarray:
+    """The roots ``t1 = re + imj`` that ``lab ideal`` prints, in order."""
+    rows = [line.split("=")[1] for line in out.splitlines() if line.startswith("  t")]
+    return np.array([complex(row.replace(" ", "").replace("+-", "-")) for row in rows])
+
+
 def test_ideal_subcommand(diag_mtx, capsys):
     assert main(["ideal", "--matrix", diag_mtx, "-k", "1"]) == 0
     out = capsys.readouterr().out
     assert "ideal(k=1) = 0.333333" in out
     assert "certified = yes" in out
-    assert "c1 = -0.666" in out
+    assert "p(z) = (1 - z/t1)\n" in out
+    assert _printed_roots(out) == pytest.approx([1.5], abs=1e-8)
+
+
+def test_ideal_without_roots_prints_p_equal_one(tmp_path, capsys):
+    """No polynomial beats p = 1 for the nilpotent [[0, 1], [0, 0]] at k = 1."""
+    path = tmp_path / "nilpotent.mtx"
+    write_matrix_market(str(path), np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert main(["ideal", "--matrix", str(path), "-k", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "ideal(k=1) = 1\n" in out
+    assert "residual polynomial p(z) = 1\n" in out
+    assert _printed_roots(out).size == 0
 
 
 def test_ideal_depth_out_of_range(tmp_path, diag_mtx, capsys):
@@ -428,7 +446,8 @@ def test_run_at_extreme_scales(tmp_path, capsys, s):
     )
     jsonschema.validate(doc, schema)
     assert main(["ideal", "--matrix", str(path), "-k", "2"]) == 0
-    assert "coefficients: outside the float range" in capsys.readouterr().out
+    roots = _printed_roots(capsys.readouterr().out)
+    assert np.allclose(roots, [s, 2.0 * s], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("flags", [[], ["--seed", "3"], ["--trials", "2", "--strict"]])
@@ -462,6 +481,17 @@ def test_fov_data_beyond_the_float_range_exits_two(tmp_path, capsys, command, na
     }[command]
     assert main(argv) == 2
     assert "error: a field-of-values value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fov_boundary_beyond_the_float_range_exits_two(tmp_path, capsys):
+    """F(A) of 1.7e308 [[1, 1], [0, 1]] reaches Re z = 2.55e308 while its
+    nu values are in range: the scan wrote inf into its CSV and exited 0."""
+    path = tmp_path / "a.mtx"
+    write_matrix_market(str(path), 1.7e308 * np.array([[1.0, 1.0], [0.0, 1.0]]))
+    out = tmp_path / "fov.csv"
+    assert main(["fov", "--matrix", str(path), "--samples", "8", "--out", str(out)]) == 2
+    assert "error: a field-of-values value on the boundary" in capsys.readouterr().err
     assert not out.exists()
 
 

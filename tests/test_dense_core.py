@@ -98,26 +98,26 @@ def test_spectral_norm_dominates_sampled_vectors():
     assert sampled.max() <= sigma + 1e-10
 
 
-# The polynomial tests check the Horner reference of tests/oracles.py.
+# The polynomial tests check the root-product reference of tests/oracles.py.
 
 
 def test_polynomial_empty_is_identity():
     rng = np.random.default_rng(1)
     a = random_complex(rng, 4)
     assert np.array_equal(
-        oracles.residual_polynomial(a, np.zeros(0, dtype=complex)), np.eye(4)
+        oracles.polynomial_from_roots(a, np.zeros(0, dtype=complex)), np.eye(4)
     )
 
 
 def test_polynomial_one_minus_z_kills_identity():
-    p = oracles.residual_polynomial(np.eye(3), np.array([-1.0]))
+    p = oracles.polynomial_from_roots(np.eye(3), np.array([1.0]))
     assert np.allclose(p, np.zeros((3, 3)))
 
 
 def test_polynomial_annihilates_both_eigenvalues():
-    # (1 - z)(1 - z/2) = 1 - 3z/2 + z^2/2 vanishes at z = 1 and z = 2
+    # (1 - z)(1 - z/2) vanishes at z = 1 and z = 2
     a = np.diag([1.0, 2.0])
-    p = oracles.residual_polynomial(a, np.array([-1.5, 0.5]))
+    p = oracles.polynomial_from_roots(a, np.array([2.0, 1.0]))
     assert np.allclose(p, np.zeros((2, 2)), atol=1e-14)
 
 

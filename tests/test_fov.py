@@ -252,6 +252,13 @@ def test_boundary_rejects_non_integer_sample_counts(jordan_block, m):
         fov_boundary(jordan_block, m)
 
 
+def test_boundary_beyond_the_float_range_is_refused(jordan_block):
+    """F(1.7e308 [[1, 1], [0, 1]]) reaches Re z = 2.55e308: support_max
+    read infinite at 3 of 8 angles, while fov_summary refuses such a value."""
+    with pytest.raises(InvalidSpec, match="leaves the float range"):
+        fov_boundary(1.7e308 * jordan_block, 8)
+
+
 def test_nu_identity():
     assert nu_fov(np.eye(4)).value == pytest.approx(1.0, abs=1e-12)
 

@@ -47,15 +47,19 @@ def test_ideal_two_point_equioscillation():
     expected, alpha = oracles.equioscillation_two_points()
     res = ideal_gmres(np.diag([1.0, 2.0]), 1)
     assert res.value == pytest.approx(expected, abs=PINNED_TOL)
-    assert res.coefficients[0] == pytest.approx(-alpha, abs=1e-5)
+    assert res.roots.shape == (1,)
+    assert res.roots[0] == pytest.approx(1.0 / alpha, abs=1e-5)  # 1.5
     assert res.certified
 
 
 def test_ideal_three_point_equioscillation():
-    expected, coeffs = oracles.equioscillation_three_points()
+    """p(z) = 1 - 8z/7 + 2z^2/7 has the roots 2 -+ 1/sqrt(2)."""
+    expected, _ = oracles.equioscillation_three_points()
     res = ideal_gmres(np.diag([1.0, 2.0, 3.0]), 2)
     assert res.value == pytest.approx(expected, abs=PINNED_TOL)
-    assert np.allclose(res.coefficients, coeffs, atol=1e-4)
+    roots = [2.0 - 0.5**0.5, 2.0 + 0.5**0.5]
+    assert res.roots.shape == (2,)
+    assert np.allclose(res.roots, roots, atol=1e-4)
 
 
 def test_ideal_certificates_are_ordered():
@@ -206,7 +210,7 @@ def test_multiple_top_singular_value_closes_in_few_stages(k, monkeypatch):
     the optimum, and the extrapolated starts close the gap within 7 stages
     (10-11 when each stage started at the last stage end).  A stage is one
     value of mu among the Newton steps.  The returned polynomial may be an
-    extrapolant, so its norm is recomputed from its coefficients."""
+    extrapolant, so its norm is recomputed from its roots."""
     mus = []
     derivatives = minimax._derivatives
 
@@ -220,7 +224,7 @@ def test_multiple_top_singular_value_closes_in_few_stages(k, monkeypatch):
     assert res.upper_bound - res.lower_bound <= 1e-10
     assert abs(res.value - scalar_minimax_oracle(MULTIPLE_TOP, k)) <= ORACLE_TOL
     assert len(set(mus)) <= 7
-    p = oracles.residual_polynomial(a, res.coefficients)
+    p = oracles.polynomial_from_roots(a, res.roots)
     assert abs(spectral_norm(p) - res.value) <= 1e-10
 
 
@@ -235,29 +239,42 @@ def test_ideal_sixteen_by_sixteen_depth_eight_certifies():
 
 @pytest.mark.parametrize("s", [1e-200, 1.0, 1e160])
 def test_ideal_depth_two_is_scale_free(s):
-    """ideal(s diag(1, 2, 3), 2) = 1/7 at every scale; where ||A||^2 leaves
-    the float range the coefficients in A's own basis are None."""
+    """ideal(s diag(1, 2, 3), 2) = 1/7 at every scale, and the roots scale
+    with A; monomial coefficients left the float range at 1e-200 and 1e160."""
     res = ideal_gmres(s * np.diag([1.0, 2.0, 3.0]), 2)
     assert abs(res.value - 1.0 / 7.0) <= 1e-9
     assert res.certified
-    assert (res.coefficients is None) == (s != 1.0)
+    want = s * ideal_gmres(np.diag([1.0, 2.0, 3.0]), 2).roots
+    assert np.allclose(res.roots, want, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("c", [1e-200, 1e200])
+@pytest.mark.parametrize("name, k", [("triu24", 16), ("rand16", 15)])
+def test_ideal_norm_rebuilds_from_its_roots_at_depth(name, k):
+    """The product of the root factors rebuilds ||p(A)|| to 1e-10 at depth
+    (2.7e-15 and 9.0e-17 when measured); rebuilt from monomial coefficients
+    it missed by 6.0e-9 and 1.7e-11."""
+    a = deep_matrices()[name]
+    res = ideal_gmres(a, k)
+    p = oracles.polynomial_from_roots(a, res.roots)
+    assert abs(spectral_norm(p) - res.value) <= 1e-10
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e200, 8e307])
 def test_ideal_at_extreme_magnitudes(c):
     """ideal(cA) = ideal(A): the Gram matrices inside may not overflow or
-    underflow."""
+    underflow, and the root 1.5 c scales back by 2^1024 at 8e307."""
     res = ideal_gmres(c * np.diag([1.0, 2.0]), 1)
     assert abs(res.value - 1.0 / 3.0) <= 1e-8
     assert res.certified
+    assert res.roots == pytest.approx([1.5 * c], rel=1e-8)
 
 
-def test_ideal_witness_and_coefficients_recompute():
+def test_ideal_witness_and_roots_recompute():
     """The reported value must match a from-scratch norm evaluation."""
     rng = np.random.default_rng(27)
     a = random_complex(rng, 6)
     res = ideal_gmres(a, 3)
-    p = oracles.residual_polynomial(a, res.coefficients)
+    p = oracles.polynomial_from_roots(a, res.roots)
     assert abs(spectral_norm(p) - res.value) <= 1e-10
     assert np.linalg.norm(res.witness_vector) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(p @ res.witness_vector) == pytest.approx(
@@ -300,28 +317,32 @@ def test_near_scalar_ideal_meets_starke_without_slack(tmp_path, shift, spread, d
 
 
 def test_orthonormal_basis_and_its_change_of_basis():
-    """``Q_1 .. Q_k`` are Frobenius-orthonormal and ``sum_i T_ij S^i``
-    rebuilds each ``Q_j``, for ``(S, e) = binary_scaled(A)``."""
+    """``Q_1 .. Q_k`` are Frobenius-orthonormal and satisfy their Arnoldi
+    recurrence ``S Q_(j-1) = sum_(i <= j) H_ij Q_i``, ``Q_0 = I``, for
+    ``(S, e) = binary_scaled(A)``, with H upper triangular."""
     rng = np.random.default_rng(53)
     a = random_complex(rng, 6)
-    q, t, e = minimax._orthonormal_basis(a, 4)
+    q, h, e = minimax._orthonormal_basis(a, 4)
     flat = q.reshape(4, -1)
     assert np.abs(flat.conj() @ flat.T - np.eye(4)).max() <= 1e-13
+    assert not np.tril(h, -1).any()
     s = a / 2.0**e
-    powers = [np.linalg.matrix_power(s, i) for i in range(1, 5)]
+    previous = np.concatenate([np.eye(6)[None], q[:-1]])
     for j in range(4):
-        rebuilt = sum(t[i, j] * powers[i] for i in range(4))
-        assert np.abs(rebuilt - q[j]).max() <= 1e-13
+        rebuilt = sum(h[i, j] * q[i] for i in range(j + 1))
+        assert np.abs(rebuilt - s @ previous[j]).max() <= 1e-13
 
 
 def test_dependent_direction_stays_zero():
-    """diag(1, 2) spans only {A, A^2}: Q_3 is zero, the ideal value at k = 3
-    is rounding and p(z) = 1 - 1.5 z + 0.5 z^2 vanishes on the spectrum."""
+    """diag(1, 2) spans only {A, A^2}: Q_3 is zero, its divisor infinite,
+    the ideal value at k = 3 is rounding and p(z) = (1 - z)(1 - z/2)
+    vanishes on the spectrum."""
     a = np.diag([1.0, 2.0])
-    assert not minimax._orthonormal_basis(a, 3)[0][2].any()
+    q, h, _ = minimax._orthonormal_basis(a, 3)
+    assert not q[2].any() and h[2, 2] == np.inf
     res = ideal_gmres(a, 3)
     assert res.value <= 1e-14
-    assert np.allclose(res.coefficients, [-1.5, 0.5, 0.0], atol=1e-12)
+    assert np.allclose(res.roots, [1.0, 2.0], rtol=0.0, atol=1e-12)
 
 
 def test_ideal_deterministic_given_seed():
@@ -330,7 +351,7 @@ def test_ideal_deterministic_given_seed():
     first = ideal_gmres(a, 2)
     second = ideal_gmres(a, 2)
     assert first.value == second.value
-    assert np.array_equal(first.coefficients, second.coefficients)
+    assert np.array_equal(first.roots, second.roots)
     assert first.lower_bound == second.lower_bound
 
 
@@ -528,6 +549,15 @@ def test_one_step_two_point():
     res = one_step_ideal(np.diag([1.0, 2.0]))
     assert res.value == pytest.approx(expected, abs=1e-7)
     assert res.alpha == pytest.approx(alpha, abs=1e-5)
+
+
+def test_one_step_alpha_beyond_the_float_range_is_infinite():
+    """At 1e-310 diag(1, 2) the optimal alpha = 2 / 3e-310 lies beyond the
+    float range: it reads infinite, without the overflow warning (an error
+    under this suite's filterwarnings) that scaling it back raised before."""
+    res = one_step_ideal(1e-310 * np.diag([1.0, 2.0]))
+    assert abs(res.value - 1.0 / 3.0) <= 1e-8
+    assert res.alpha.real == np.inf
 
 
 def test_one_step_rotation_cannot_improve():
