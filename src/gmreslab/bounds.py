@@ -179,8 +179,7 @@ def verify_chain(
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101, k)))
     r0_block = rng.standard_normal((n, trials)) + 1j * rng.standard_normal((n, trials))
-    k_eff = min(k, n)
-    ratios = gmres_residuals(mat, r0_block, k_eff)[k_eff].tolist()
+    ratios = gmres_residuals(mat, r0_block, k)[k].tolist()
 
     ideal = ideal_gmres(mat, k)
     extra = [r0_block[:, t] for t in range(trials)]

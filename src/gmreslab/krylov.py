@@ -13,9 +13,9 @@ Hessenberg matrix H, and nowhere in monomials.  The same Arnoldi function
 builds the ideal solver's matrix-space basis.  :func:`gmres_residuals`
 returns the ratio at every depth up to ``kmax``, :func:`min_residual_values`
 the ratio at one depth, and :func:`min_residual_gradients` adds its exact
-gradient in v, applying ``p(A)^H`` through H.  Arnoldi with Givens
-rotations and a dense least-squares solve serve as independent cross-checks
-in the test suite.
+gradient in v, applying ``p(A)^H`` through H.  All three take an n x B block
+of nonzero vectors and a depth in 1..16, which may exceed n.  Arnoldi with
+Givens rotations and a dense least-squares solve cross-check it in the tests.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dense_core import as_matrix, binary_scaled
-from .errors import ZeroVector, check_depth, check_int
+from .errors import ZeroVector, check_depth
 
 __all__ = [
     "gmres_residuals",
@@ -74,7 +74,7 @@ def _residual_curves(mat: np.ndarray, batch: np.ndarray, k: int):
 
     Callers pass ``dense_core.binary_scaled(A)``: the ratios do not depend
     on the scale of A, and H, of the size of ``||A||``, is then that of the
-    scaled matrix.
+    scaled matrix.  A zero column raises :class:`ZeroVector`.
     """
     q, hessenberg = _arnoldi(lambda w: mat @ w, batch, k)
     h = np.empty((k, batch.shape[1]), dtype=np.complex128)
@@ -84,47 +84,40 @@ def _residual_curves(mat: np.ndarray, batch: np.ndarray, k: int):
         h[j] = np.einsum("nb,nb->b", q[j].conj(), residuals[j])
         residuals[j + 1] = residuals[j] - q[j] * h[j]
     norms = np.linalg.norm(residuals, axis=1)
-    curves = norms / np.where(norms[0] > 0.0, norms[0], 1.0)
-    return curves, residuals[k], h, hessenberg
+    if np.any(norms[0] == 0.0):
+        raise ZeroVector("zero vector in the residual kernel's block")
+    return norms / norms[0], residuals[k], h, hessenberg
+
+
+def _candidate_block(a, vs, k) -> tuple[np.ndarray, np.ndarray, int]:
+    """The one argument check of the kernels: A scaled by a power of two (see
+    :func:`_residual_curves`), ``vs`` as an n x B block, and the depth."""
+    mat = binary_scaled(as_matrix(a))[0]
+    batch = np.asarray(vs, dtype=np.complex128)
+    if batch.ndim != 2 or batch.shape[0] != mat.shape[0]:
+        raise ValueError("vector block must be n x B")
+    return mat, batch, check_depth(k)
 
 
 def gmres_residuals(a, r0s, kmax: int) -> np.ndarray:
     """GMRES residual ratios ``||r_j|| / ||r_0||`` for steps j = 0..kmax.
 
-    ``r0s`` holds one initial residual per column; the result is the
-    ``(kmax + 1) x B`` block of ratio curves.  After a lucky breakdown the
+    ``r0s`` holds one nonzero initial residual per column, and ``kmax`` is a
+    depth in 1..16; the result is the ``(kmax + 1) x B`` block of ratio
+    curves.  After a lucky breakdown, at the latest past step n, the
     remaining ratios are zero up to rounding.
     """
-    mat = binary_scaled(as_matrix(a))[0]
-    n = mat.shape[0]
-    kmax = check_int(kmax, "kmax", 1, n)
-    block = np.asarray(r0s, dtype=np.complex128)
-    if block.ndim != 2 or block.shape[0] != n:
-        raise ValueError("initial residual block must be n x B")
-    if np.any(np.linalg.norm(block, axis=0) == 0.0):
-        raise ZeroVector("initial residual is zero")
-    return _residual_curves(mat, block, kmax)[0]
-
-
-def _candidate_block(a, vs, k) -> tuple[np.ndarray, np.ndarray, int]:
-    """A scaled by a power of two (see :func:`_residual_curves`), the
-    candidate block and the checked depth."""
-    mat = binary_scaled(as_matrix(a))[0]
-    batch = np.asarray(vs, dtype=np.complex128)
-    if batch.ndim != 2 or batch.shape[0] != mat.shape[0]:
-        raise ValueError("candidate block must be n x B")
-    return mat, batch, check_depth(k)
+    return _residual_curves(*_candidate_block(a, r0s, kmax))[0]
 
 
 def min_residual_values(a, vs: np.ndarray, k: int) -> np.ndarray:
     """Minimize ``||p(A) v|| / ||v||`` over p in pi_k for a block of vectors.
 
-    ``vs`` holds one candidate vector per column; the return value has one
-    residual ratio per column.  Zero columns yield ratio 0; callers that
-    care should not pass them.
+    ``vs`` holds one nonzero candidate vector per column, and ``k`` is a
+    depth in 1..16, which may exceed n; the return value has one residual
+    ratio per column.
     """
-    mat, batch, k = _candidate_block(a, vs, k)
-    return _residual_curves(mat, batch, k)[0][k]
+    return _residual_curves(*_candidate_block(a, vs, k))[0][-1]
 
 
 def min_residual_gradients(a, vs: np.ndarray, k: int):
@@ -136,12 +129,14 @@ def min_residual_gradients(a, vs: np.ndarray, k: int):
     ``r = p(A) v`` through the adjoint of its Arnoldi recurrence, on the same
     power-of-two scaling of A: ``u_0 = r``, ``u_(j+1) = (A^H u_j - sum_(i<j)
     conj(H[i, j]) u_(i+1)) / H[j, j]`` and ``p(A)^H r = r - sum_j conj(h_j)
-    u_(j+1)`` (0-based j).  Raises :class:`ZeroVector` for a zero column.
+    u_(j+1)`` (0-based j).
     """
-    mat, batch, k = _candidate_block(a, vs, k)
+    return _gradients(*_candidate_block(a, vs, k))
+
+
+def _gradients(mat: np.ndarray, batch: np.ndarray, k: int):
+    """:func:`min_residual_gradients` on the output of its argument check."""
     norms_sq = np.sum(np.abs(batch) ** 2, axis=0)
-    if np.any(norms_sq == 0.0):
-        raise ZeroVector("gradient at the zero vector")
     curves, residual, h, hessenberg = _residual_curves(mat, batch, k)
     adjoint = mat.conj().T
     u = np.empty((k + 1,) + batch.shape, dtype=np.complex128)

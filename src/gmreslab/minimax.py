@@ -53,6 +53,7 @@ inputs besides A and k are the worst case's integer seed and its ceiling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -60,8 +61,9 @@ from scipy import linalg, optimize
 
 from . import dense_core
 from .dense_core import as_matrix
-from .errors import MAX_DEPTH, BudgetExceeded, NoConvergence, check_depth, check_int
-from .krylov import _arnoldi, min_residual_gradients, min_residual_values
+from .errors import MAX_DEPTH, BudgetExceeded, InvalidSpec, NoConvergence, ZeroVector
+from .errors import check_depth, check_int
+from .krylov import _arnoldi, _gradients, min_residual_values
 
 __all__ = [
     "MAX_DEPTH",
@@ -95,10 +97,10 @@ _BRACKET_GAP = 1e-10
 class MinimaxResult:
     """Outcome of one minimax solve.
 
-    ``certified`` says that ``lower_bound`` and ``upper_bound`` lie within
-    1e-4 of each other.  For ``ideal_gmres`` the value equals
-    ``upper_bound`` (the norm of the returned feasible polynomial) and
-    ``lower_bound`` is the norm-duality certificate of
+    ``certified`` says that ``upper_bound`` lies at most 1e-4 above
+    ``lower_bound`` and not below it beyond rounding.  For ``ideal_gmres``
+    the value equals ``upper_bound`` (the norm of the returned feasible
+    polynomial) and ``lower_bound`` is the norm-duality certificate of
     :func:`_dual_lower_bound`.  For ``worst_case_gmres`` the value equals
     ``lower_bound`` (phi at the witness, a certified lower bound on the
     true worst case) and ``upper_bound`` is the caller's ceiling: the
@@ -355,7 +357,7 @@ def _ascend(mat: np.ndarray, v0: np.ndarray, k: int, budget: int, target: float)
         nonlocal nfev
         nfev += 1
         v = np.ascontiguousarray(x).view(np.complex128).reshape(v0.shape)
-        phi, grad = min_residual_gradients(mat, v, k)
+        phi, grad = _gradients(mat, v, k)
         up = phi > best_phi
         best_phi[up], best_v[:, up] = phi[up], v[:, up]
         if best_phi.max() >= target:
@@ -384,30 +386,35 @@ def worst_case_gmres(
 ) -> MinimaxResult:
     """Maximize ``min over p in pi_k of ||p(A) v|| / ||v||`` over v != 0.
 
-    ``extra_starts`` lets callers seed the ascent with vectors they care
-    about (sampled initial residuals, witnesses of other solves); every seed
-    is at least evaluated, so the returned value is never smaller than the
-    best seed's ratio.  ``seed`` (a non-negative int) roots the random
-    starts that fill the pool up to 16.  ``ceiling`` is a known upper bound
-    on the worst case, such as ``ideal_gmres(a, k).value``; the default 1
-    is the bound from p = 1.  No ascent runs once the best start comes
-    within 1e-10 of it, and the ascent stops at the first evaluation that
-    does.  The value is a certified lower bound on the true worst case; the
-    result's bracket is ``[value, ceiling]``.
+    ``extra_starts`` are finite length-n vectors the caller cares about,
+    such as sampled initial residuals; each is evaluated, so the value is
+    never below the best one's ratio.  ``seed`` (a non-negative int) roots
+    the random starts that fill the pool up to 16.  ``ceiling``, a finite
+    number >= 0, is a known upper bound on the worst case, such as
+    ``ideal_gmres(a, k).value``; the default 1 is the bound from p = 1.
+    The ascent stops, or never starts, once phi comes within 1e-10 of it.
+    The value is a certified lower bound on the true worst case; the
+    bracket ``[value, ceiling]`` is certified when ``-1e-10 <= ceiling -
+    value <= 1e-4``.  A zero start raises :class:`ZeroVector`, any other
+    argument outside its rule :class:`InvalidSpec`.
     """
-    mat = as_matrix(a)
-    k = check_depth(k)
+    scaled, k = dense_core.binary_scaled(as_matrix(a))[0], check_depth(k)
     check_int(seed, "seed", 0)
-    n = mat.shape[0]
+    if not (isinstance(ceiling, Real) and 0 <= ceiling < np.inf):
+        raise InvalidSpec(f"invalid ceiling {ceiling!r}: need a finite number >= 0")
+    n = scaled.shape[0]
 
     seeds: list[np.ndarray] = []
     for vec in extra_starts or ():
         w = np.asarray(vec, dtype=np.complex128).ravel()
+        if w.shape[0] != n or not np.all(np.isfinite(w)):
+            raise InvalidSpec(f"extra start must be a finite vector of length {n}")
         nw = np.linalg.norm(w)
-        if w.shape[0] == n and nw > 0.0:
-            seeds.append(w / nw)
+        if nw == 0.0:
+            raise ZeroVector("extra start is zero")
+        seeds.append(w / nw)
 
-    seeds.append(dense_core.top_right_singular_vector(mat))
+    seeds.append(dense_core.top_right_singular_vector(scaled))
 
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     while len(seeds) < _ASCENT_STARTS:
@@ -415,21 +422,21 @@ def worst_case_gmres(
         seeds.append(w / np.linalg.norm(w))
 
     pool = np.column_stack(seeds)
-    pool_values = min_residual_values(mat, pool, k)
+    pool_values = min_residual_values(scaled, pool, k)
     target = ceiling - _BRACKET_GAP
     best_v = pool[:, int(np.argmax(pool_values))]
     if pool_values.max() < target:
         order = np.argsort(-pool_values, kind="stable")[:_ASCENT_STARTS]
         block, block_values, nfev = _ascend(
-            mat, pool[:, order], k, _ASCENT_EVALS // 2, target
+            scaled, pool[:, order], k, _ASCENT_EVALS // 2, target
         )
         # The block run stops on the sum of phi^2; the best column goes on alone.
         best_v = block[:, int(np.argmax(block_values))]
         if block_values.max() < target:
             budget = max(_ASCENT_EVALS - nfev, 1)
-            best_v = _ascend(mat, best_v[:, None], k, budget, target)[0][:, 0]
-    best_phi = float(min_residual_values(mat, best_v[:, None], k)[0])
-    certified = bool(ceiling - best_phi <= _CERTIFY_GAP)
+            best_v = _ascend(scaled, best_v[:, None], k, budget, target)[0][:, 0]
+    best_phi = float(min_residual_values(scaled, best_v[:, None], k)[0])
+    certified = bool(-_BRACKET_GAP <= ceiling - best_phi <= _CERTIFY_GAP)
     return MinimaxResult(best_phi, None, best_v, best_phi, ceiling, certified)
 
 

@@ -164,13 +164,11 @@ def read_matrix_market(path) -> np.ndarray:
             raise ParseError("entry count must be non-negative", size_lineno)
         seen = set()
     else:  # array format: column-major dense values, one entry per line
-        if symmetry == "general":
-            slots = [(i, j) for j in range(n) for i in range(n)]
-        elif symmetry in ("symmetric", "hermitian"):
-            slots = [(i, j) for j in range(n) for i in range(j, n)]
-        else:  # skew-symmetric: strictly lower triangle, zero diagonal implied
-            slots = [(i, j) for j in range(n) for i in range(j + 1, n)]
-        total = len(slots)
+        # Column j stores rows from 0, from j, or from j + 1 (skew-symmetric,
+        # zero diagonal implied); the slots are walked lazily, in O(1) memory.
+        tri, skip = symmetry != "general", int(symmetry == "skew-symmetric")
+        slots = ((i, j) for j in range(n) for i in range(tri * j + skip, n))
+        total = n * (n + 1) // 2 - skip * n if tri else n * n
     count = 0
     for lineno, tokens in stream:
         if count >= total:
@@ -179,7 +177,7 @@ def read_matrix_market(path) -> np.ndarray:
             i, j = _coordinate_slot(tokens, n, symmetry, seen, lineno)
             tokens = tokens[2:]
         else:
-            i, j = slots[count]
+            i, j = next(slots)
         value = _parse_value(tokens, field, lineno)
         if symmetry == "hermitian" and i == j and value.imag != 0.0:
             raise ParseError("hermitian diagonal entries must be real", lineno)

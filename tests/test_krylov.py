@@ -82,12 +82,6 @@ def test_gmres_two_step_values():
     assert curve[2] == pytest.approx(0.0, abs=1e-13)
 
 
-def test_gmres_rejects_zero_residual():
-    block = np.array([[1.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(ZeroVector):
-        gmres_residuals(np.eye(2), block, 1)
-
-
 def test_gmres_block_columns_are_independent():
     rng = np.random.default_rng(23)
     a = random_complex(rng, 5)
@@ -189,11 +183,6 @@ def test_residual_kernel_is_scale_free(s):
     assert np.allclose(grad, want_grad, rtol=1e-8, atol=1e-12)
 
 
-def test_min_residual_gradient_rejects_zero_column():
-    with pytest.raises(ZeroVector):
-        min_residual_gradients(np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]]), 1)
-
-
 def test_min_residual_identity():
     value, coeffs = oracles.min_residual_lstsq(np.eye(3, dtype=complex), np.ones(3), 1)
     assert value == pytest.approx(0.0, abs=1e-13)
@@ -262,16 +251,29 @@ def test_one_step_identity_is_exact(n, key):
     assert abs(res.residual_ratio - value) <= 1e-12
 
 
-@pytest.mark.parametrize("kernel", [min_residual_values, min_residual_gradients])
+KERNELS = [gmres_residuals, min_residual_values, min_residual_gradients]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("k", [0, -1, 2.5, 2.0, True, "2", MAX_DEPTH + 1, 40])
 def test_kernel_refuses_depths_outside_the_depth_rule(kernel, k):
     with pytest.raises(InvalidSpec, match="invalid depth"):
         kernel(np.diag([1.0, 2.0]), np.ones((2, 1)), k)
 
 
-@pytest.mark.parametrize("kernel", [min_residual_values, min_residual_gradients])
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_kernel_accepts_depths_above_the_order(kernel):
     """k > n is in the rule (the solvers pass it): the ratio is 0."""
-    phi = kernel(np.diag([1.0, 2.0]), np.ones((2, 1)), MAX_DEPTH)
-    phi = phi[0] if kernel is min_residual_gradients else phi
-    assert phi[0] == pytest.approx(0.0, abs=1e-12)
+    ratios = kernel(np.diag([1.0, 2.0]), np.ones((2, 1)), MAX_DEPTH)
+    ratios = ratios[0] if kernel is min_residual_gradients else ratios
+    assert np.ravel(ratios)[-1] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize(
+    "block", [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]], ids=["ones", "e1"]
+)
+def test_kernel_refuses_a_zero_column(kernel, block):
+    """A zero vector has no residual ratio: every kernel refuses it."""
+    with pytest.raises(ZeroVector):
+        kernel(np.eye(2), np.array(block), 1)

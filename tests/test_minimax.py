@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from gmreslab import (
     BudgetExceeded,
     ExperimentConfig,
+    InvalidSpec,
     MatrixSpec,
+    ZeroVector,
     generate_matrix,
     ideal_gmres,
     one_step_ideal,
@@ -514,6 +516,55 @@ def test_worst_case_kernel_calls_do_not_grow_with_starts(starts, monkeypatch):
     a = random_complex(np.random.default_rng(71), 8)
     worst_case_gmres(a, 3)
     assert 0 < len(calls) <= minimax._ASCENT_EVALS + 2
+
+
+def test_worst_case_enters_the_kernel_check_twice_per_solve(monkeypatch):
+    """The ascent evaluates the kernel on the matrix the solve scaled once:
+    one worst-case solve enters the kernels' argument check twice, for the
+    pool and for the final witness, however many evaluations it makes."""
+    checks, passes = [], []
+    for name, calls in (("_candidate_block", checks), ("_residual_curves", passes)):
+        original = getattr(krylov, name)
+        monkeypatch.setattr(
+            krylov, name, lambda *args, f=original, c=calls: c.append(1) or f(*args)
+        )
+    res = worst_case_gmres(toh(0.1), 3)
+    assert len(checks) == 2
+    assert len(passes) > 2
+    assert res.value == pytest.approx(0.4579, abs=1e-4)
+
+
+DIAG3 = np.diag([1.0, 2.0, 4.0])
+
+
+@pytest.mark.parametrize(
+    "start",
+    [np.ones(5), [1.0, np.nan, 0.0], [1.0, np.inf, 0.0]],
+    ids=["long", "nan", "inf"],
+)
+def test_worst_case_refuses_a_malformed_extra_start(start):
+    with pytest.raises(InvalidSpec, match="extra start"):
+        worst_case_gmres(DIAG3, 1, extra_starts=[np.ones(3), start])
+
+
+def test_worst_case_refuses_a_zero_extra_start():
+    with pytest.raises(ZeroVector):
+        worst_case_gmres(DIAG3, 1, extra_starts=[np.ones(3), np.zeros(3)])
+
+
+@pytest.mark.parametrize("ceiling", [-1.0, -1e-300, np.nan, np.inf, "1", None])
+def test_worst_case_refuses_a_ceiling_outside_finite_non_negative_numbers(ceiling):
+    with pytest.raises(InvalidSpec, match="invalid ceiling"):
+        worst_case_gmres(DIAG3, 1, ceiling=ceiling)
+
+
+def test_worst_case_never_certifies_an_inverted_bracket():
+    """A ceiling below the value by more than rounding cannot be an upper
+    bound on wc: the bracket [value, ceiling] is inverted and not certified."""
+    res = worst_case_gmres(DIAG3, 1, ceiling=0.0)
+    assert res.value == pytest.approx(0.536, abs=1e-3)
+    assert res.upper_bound == 0.0
+    assert not res.certified
 
 
 def test_sandwich_worst_below_ideal():

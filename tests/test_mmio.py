@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, seed
@@ -158,6 +160,28 @@ def test_non_finite_entry_is_a_parse_error(tmp_path, header, entry, token):
         read_matrix_market(write(tmp_path, text))
     assert excinfo.value.lineno == 3
     assert "finite" in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "symmetry, total",
+    [("general", 1500 * 1500), ("symmetric", 1500 * 1501 // 2),
+     ("skew-symmetric", 1500 * 1499 // 2)],
+)
+def test_array_size_line_costs_no_slot_list(tmp_path, symmetry, total):
+    """A one-entry array file that declares a large order is refused at its
+    end, with no O(n^2) work or memory beyond the matrix itself (16 n^2
+    bytes) before the first entry is read."""
+    header = f"%%MatrixMarket matrix array real {symmetry}\n"
+    path = write(tmp_path, header + "1500 1500\n1.0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as excinfo:
+            read_matrix_market(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(excinfo.value) == f"line 4: expected {total} entries, found 1"
+    assert peak < 2 * 16 * 1500**2
 
 
 def test_missing_file_raises_file_error():

@@ -1,8 +1,12 @@
-"""Every name a module of the package imports is used in it.
+"""Every name a module of the package imports is used in it, and every
+private module-level name it defines is read somewhere in the package.
 
 Built on the standard ``ast`` module: a name counts as used when it is
 read anywhere in the module (``np`` in ``np.linalg.eigh`` included) or
-listed in its ``__all__``, which is how ``__init__`` re-exports.
+listed in its ``__all__``, which is how ``__init__`` re-exports.  A private
+name (one leading underscore) counts as read when some module of the
+package loads it, imports it or reads it as an attribute
+(``krylov._arnoldi``); reads in the tests do not count.
 """
 
 import ast
@@ -50,3 +54,61 @@ def test_checker_finds_unused_names():
         "    return np.linalg.norm(x)\n"
     )
     assert unused_imports(source) == ["Optional", "os"]
+
+
+def private_definitions(source: str) -> set:
+    """Private functions, classes and constants at the top of a module."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.endswith("__")}
+
+
+def reads(source: str) -> set:
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unread_private_names(sources: dict) -> list:
+    """``module.name`` for each private definition that no source reads."""
+    read = set().union(*map(reads, sources.values()))
+    return sorted(
+        f"{module}.{name}"
+        for module, source in sources.items()
+        for name in private_definitions(source) - read
+    )
+
+
+def test_package_reads_every_private_name():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert unread_private_names(sources) == []
+
+
+def test_checker_finds_unread_private_names():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n"
+            "_SCALE: int = 4\n"
+            "__all__ = ['f']\n"
+            "class _Helper:\n"
+            "    pass\n"
+            "def _check(x):\n"
+            "    return min(x, _LIMIT)\n"
+            "def f(x):\n"
+            "    return _check(x)\n"
+        ),
+        "b": "from .a import _Helper\nfrom . import a\ny = a._SCALE.real\n",
+        "c": "def _lonely():\n    _unseen = 1\n",
+    }
+    assert unread_private_names(sources) == ["c._lonely"]
