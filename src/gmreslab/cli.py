@@ -47,8 +47,6 @@ def parse_depths(text: str) -> List[int]:
             raise InvalidSpec(f"empty depth range {token!r}")
         check_depth(hi)
         depths.extend(range(lo, hi + 1))
-    if not depths:
-        raise InvalidSpec("no depths given")
     return sorted(set(depths))
 
 

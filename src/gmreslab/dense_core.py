@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidSpec
+
 __all__ = [
     "as_matrix",
     "binary_scaled",
@@ -25,12 +27,13 @@ __all__ = [
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate and promote ``a`` to a square ``complex128`` array."""
+    """Validate and promote ``a`` to a square ``complex128`` array, or raise
+    :class:`InvalidSpec`."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        raise InvalidSpec(f"expected a square matrix, got shape {m.shape}")
     if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-        raise ValueError("matrix entries must be finite")
+        raise InvalidSpec("matrix entries must be finite")
     return m
 
 

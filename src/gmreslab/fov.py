@@ -7,9 +7,9 @@ of ``H(theta) = cos(theta) H + sin(theta) S`` is the support function of
 F(A) in direction ``theta``.  ``fov_boundary`` writes each ``-H(theta)``
 in place into one buffer and predicts its top eigenvector by Rayleigh-Ritz
 on the last ones; one Cholesky factorization certifies it to ``_zero_tol``,
-and a full eigensolve runs only where that fails (and, for an odd count of
-angles, once more per angle).  The support value is read off the boundary
-point; real A mirrors the angles past pi.  The distance from the origin,
+and a full eigensolve runs only where that fails.  The support value is
+read off the boundary point, the lower one off the opposite angle of an
+even grid; real A mirrors the angles past pi.  The distance from the origin,
 ``nu(F(A)) = max(0, max_theta lambda_min(H(theta)))``, is the Crawford
 number of the pair (H, S); ``nu_fov`` finds it by safeguarded Newton steps
 on the concave part and brackets it by the hull of the Rayleigh quotients
@@ -91,14 +91,6 @@ class FovSummary:
     witness_vector: Optional[np.ndarray]
 
 
-def _one_eigenpair(h: np.ndarray, index: int, vectors: bool):
-    """Eigenpair ``index`` (1-based, ascending) of a Hermitian ``h`` by ``heevr``."""
-    w, z, _, _, info = lapack.zheevr(h, int(vectors), "I", il=index, iu=index)
-    if info != 0:
-        raise NoConvergence(f"heevr failed with info = {info}")
-    return float(w[0]), (z[:, 0] if vectors else None)
-
-
 def _warm_top_vector(neg: np.ndarray, history: np.ndarray, tol: float):
     """Top eigenvector of ``h = -neg`` from the span of ``history``, or None.
 
@@ -137,11 +129,12 @@ def fov_boundary(a, m: int) -> FovBoundary:
     and at every angle when ``n <= 28`` (the cheaper path there), the buffer
     is formed again and one ``heevr`` call gives its lowest eigenvector.
 
-    For real A, ``H(2 pi - theta) = conj(H(theta))``: only the angles up to
-    pi are solved, the rest mirrored (the point conjugated).  As ``H(theta +
-    pi) = -H(theta)``, an even ``m`` reads ``support_min`` off the opposite
-    angle; an odd ``m`` solves for it in the buffer before the factorization.
-    Raises :class:`InvalidSpec` where a value leaves the float range.
+    The walk is over an even grid, ``m`` angles for an even ``m`` and ``2m``
+    for an odd one, of which every other angle is returned.  As ``H(theta +
+    pi) = -H(theta)``, ``support_min`` is read off the opposite angle.  For
+    real A, ``H(2 pi - theta) = conj(H(theta))``: only the angles up to pi
+    are solved, the rest mirrored (the point conjugated).  Raises
+    :class:`InvalidSpec` where a value leaves the float range.
     """
     mat = as_matrix(a)
     m = check_int(m, "samples", 8)
@@ -151,10 +144,11 @@ def fov_boundary(a, m: int) -> FovBoundary:
     herm = np.asfortranarray(dense_core.hermitian_part(mat))
     skew = np.asfortranarray(dense_core.hermitian_part(-1j * mat))
     tol = _zero_tol(mat)
-    angles = _TWO_PI * np.arange(m) / m
+    grid = 2 * m if m % 2 else m
+    angles = _TWO_PI * np.arange(grid) / grid
     cosines, sines = np.cos(angles), np.sin(angles)
-    solved = m // 2 + 1 if not mat.imag.any() else m
-    points, support_min = np.empty(m, dtype=np.complex128), np.empty(m)
+    solved = grid // 2 + 1 if not mat.imag.any() else grid
+    points = np.empty(grid, dtype=np.complex128)
     warm = n > _WARM_ORDER
     history = np.empty((n, _HISTORY), dtype=np.complex128, order="F")
     neg, term = (np.empty((n, n), dtype=np.complex128, order="F") for _ in range(2))
@@ -165,24 +159,23 @@ def fov_boundary(a, m: int) -> FovBoundary:
 
     for j in range(solved):
         negated(j)
-        if m % 2:
-            support_min[j] = -_one_eigenpair(neg, n, False)[0]
         v = None
         if warm and j:
             v = _warm_top_vector(neg, history[:, : min(j, _HISTORY)], tol)
         if v is None:  # after a failed factorization, form the buffer again
-            v = _one_eigenpair(negated(j) if warm and j else neg, 1, True)[1]
+            h = negated(j) if warm and j else neg
+            _, z, _, _, info = lapack.zheevr(h, 1, "I", il=1, iu=1)
+            if info != 0:
+                raise NoConvergence(f"heevr failed with info = {info}")
+            v = z[:, 0]
         points[j] = np.vdot(v, mat @ v)
         # Rayleigh-Ritz needs the span of the history, not its order
         history[:, j % _HISTORY] = v
-    mirror = slice(m - solved, 0, -1)
-    points[solved:] = np.conj(points[mirror])
+    points[solved:] = np.conj(points[grid - solved : 0 : -1])
     support_max = cosines * points.real + sines * points.imag
-    if m % 2:
-        support_min[solved:] = support_min[mirror]
-    else:
-        support_min = -np.roll(support_max, -(m // 2))
-    values = dense_core.scaled_back([points.real, points.imag, support_max, support_min], e)
+    support_min = -np.roll(support_max, -(grid // 2))
+    parts = dense_core.scaled_back([points.real, points.imag, support_max, support_min], e)
+    angles, values = angles[:: grid // m], parts[:, :: grid // m]
     if not np.isfinite(values).all():
         raise InvalidSpec("a field-of-values value on the boundary leaves the float range")
     return FovBoundary(angles, values[0] + 1j * values[1], values[2], values[3])

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dense_core import as_matrix, binary_scaled
-from .errors import ZeroVector, check_depth
+from .errors import InvalidSpec, ZeroVector, check_depth
 
 __all__ = [
     "gmres_residuals",
@@ -95,7 +95,7 @@ def _candidate_block(a, vs, k) -> tuple[np.ndarray, np.ndarray, int]:
     mat = binary_scaled(as_matrix(a))[0]
     batch = np.asarray(vs, dtype=np.complex128)
     if batch.ndim != 2 or batch.shape[0] != mat.shape[0]:
-        raise ValueError("vector block must be n x B")
+        raise InvalidSpec("vector block must be n x B")
     return mat, batch, check_depth(k)
 
 

@@ -8,8 +8,9 @@ Reads both ``coordinate`` and ``array`` formats with ``real`` or
 ``nan`` or ``inf`` entry included, raises
 :class:`~gmreslab.errors.ParseError` carrying the offending line number.
 
-The writer emits shortest round-trip decimal literals (Python ``repr``),
-so write-then-read reproduces every entry exactly.
+The writer writes the ``array`` format only, in shortest round-trip
+decimal literals (Python ``repr``), so write-then-read reproduces every
+entry exactly.
 """
 
 from __future__ import annotations
@@ -195,35 +196,17 @@ def _format_value(value: complex, field: str) -> str:
     return repr(float(value.real))
 
 
-def write_matrix_market(path, a, fmt: str = "array") -> None:
-    """Write a square matrix in Matrix Market form.
-
-    ``fmt`` selects ``array`` (dense column-major) or ``coordinate``
-    (nonzero entries only).  The field is ``real`` when every entry has a
-    zero imaginary part and ``complex`` otherwise; symmetry is always
-    written as ``general``.
+def write_matrix_market(path, a) -> None:
+    """Write a square matrix in Matrix Market ``array`` form (dense,
+    column-major).  The field is ``real`` when every entry has a zero
+    imaginary part and ``complex`` otherwise; symmetry is always written as
+    ``general``.
     """
     matrix = as_matrix(a)
-    if fmt not in _FORMATS:
-        raise ValueError(f"format must be one of {_FORMATS}, got {fmt!r}")
     n = matrix.shape[0]
     field = "real" if np.all(matrix.imag == 0.0) else "complex"
-    lines = [f"%%MatrixMarket matrix {fmt} {field} general"]
-    if fmt == "array":
-        lines.append(f"{n} {n}")
-        for j in range(n):
-            for i in range(n):
-                lines.append(_format_value(matrix[i, j], field))
-    else:
-        entries = [
-            (i, j, matrix[i, j])
-            for j in range(n)
-            for i in range(n)
-            if matrix[i, j] != 0.0
-        ]
-        lines.append(f"{n} {n} {len(entries)}")
-        for i, j, value in entries:
-            lines.append(f"{i + 1} {j + 1} {_format_value(value, field)}")
+    lines = [f"%%MatrixMarket matrix array {field} general", f"{n} {n}"]
+    lines += [_format_value(value, field) for value in matrix.T.ravel()]
     try:
         Path(path).write_text("\n".join(lines) + "\n")
     except OSError as exc:

@@ -6,6 +6,7 @@ from scipy.linalg import lapack
 
 from gmreslab import (
     InvalidSpec,
+    NoConvergence,
     ZeroVector,
     fov_boundary,
     fov_summary,
@@ -166,13 +167,17 @@ def _count_calls(monkeypatch, name):
 
 @pytest.mark.parametrize("kind", ["complex", "real"])
 def test_boundary_needs_few_full_eigensolves(kind, monkeypatch):
+    """An odd count walks an even grid of 2m angles, so it needs no
+    eigensolve per angle for support_min either."""
     a = random_complex(np.random.default_rng(73), 64)
     if kind == "real":
         a = a.real
     calls = _count_calls(monkeypatch, "zheevr")
-    b = fov_boundary(a, 720)
-    assert len(calls) <= 16
-    _assert_matches_eigensolves(a, b)
+    for m in (720, 721):
+        calls.clear()
+        b = fov_boundary(a, m)
+        assert len(calls) <= 16
+        _assert_matches_eigensolves(a, b)
 
 
 def _fail_factorizations(monkeypatch):
@@ -195,10 +200,37 @@ def test_boundary_falls_back_when_the_certificate_fails(monkeypatch):
     _assert_matches_eigensolves(a, b)
 
 
+def _report_failure(monkeypatch, name):
+    """``lapack.<name>`` runs but reports ``info = 1``, as a failed call does."""
+    routine = getattr(lapack, name)
+
+    def failing(*args, **kwargs):
+        return (*routine(*args, **kwargs)[:-1], 1)
+
+    monkeypatch.setattr(lapack, name, failing)
+
+
+def test_boundary_falls_back_when_the_ritz_eigensolve_fails(monkeypatch):
+    """A failed heevx on the Rayleigh-Ritz matrix leaves every angle to heevr."""
+    _report_failure(monkeypatch, "zheevx")
+    calls = _count_calls(monkeypatch, "zheevr")
+    a = random_complex(np.random.default_rng(79), 32)
+    b = fov_boundary(a, 720)
+    assert len(calls) == 720
+    _assert_matches_per_angle_eigvalsh(a, b)
+
+
+def test_boundary_refuses_a_failed_eigensolve(monkeypatch):
+    _report_failure(monkeypatch, "zheevr")
+    with pytest.raises(NoConvergence, match="heevr failed"):
+        fov_boundary(random_complex(np.random.default_rng(79), 8), 8)
+
+
 @pytest.mark.parametrize("kind, solved", [("complex", 721), ("real", 361)])
 def test_boundary_falls_back_with_an_odd_sample_count(kind, solved, monkeypatch):
-    """An odd count reads support_min off the buffer first; after the failed
-    factorization the buffer is formed again for the top eigenvector."""
+    """An odd count walks the 2m angles of an even grid (m + 1 of them for
+    real A); after each failed factorization the buffer is formed again for
+    the top eigenvector."""
     _fail_factorizations(monkeypatch)
     calls = _count_calls(monkeypatch, "zheevr")
     a = random_complex(np.random.default_rng(79), 32)
@@ -232,8 +264,8 @@ def test_boundary_below_the_warm_order_matches_per_angle_eigvalsh(kind):
 @pytest.mark.parametrize("m", [9, 721])
 @pytest.mark.parametrize("kind", ["complex", "real"])
 def test_boundary_warm_odd_count_matches_per_angle_eigvalsh(kind, m):
-    """At n = 40 the angles take the warm start, and an odd count solves
-    for support_min at every angle."""
+    """At n = 40 the angles take the warm start, and an odd count reads
+    support_min off the opposite angle of a grid of 2m."""
     a = random_complex(np.random.default_rng(89), 40)
     if kind == "real":
         a = a.real

@@ -196,38 +196,22 @@ def test_writer_array_round_trip(tmp_path):
     assert np.array_equal(read_matrix_market(str(path)), a)
 
 
-def test_writer_coordinate_round_trip(tmp_path):
-    a = np.array([[0.0, 3.0], [0.0, -1.5]])
-    path = tmp_path / "a.mtx"
-    write_matrix_market(str(path), a, fmt="coordinate")
-    text = path.read_text()
-    assert text.startswith("%%MatrixMarket matrix coordinate real general")
-    assert "2 2 2" in text.splitlines()[1]
-    assert np.array_equal(read_matrix_market(str(path)), a)
-
-
 def test_writer_real_matrices_use_real_field(tmp_path):
     path = tmp_path / "a.mtx"
     write_matrix_market(str(path), np.eye(2))
     assert "array real general" in path.read_text().splitlines()[0]
 
 
-def test_writer_rejects_unknown_format(tmp_path):
-    with pytest.raises(ValueError):
-        write_matrix_market(str(tmp_path / "a.mtx"), np.eye(2), fmt="harwell")
-
-
 @seed(19)
 @given(
     n=st.integers(min_value=1, max_value=5),
     key=st.integers(min_value=0, max_value=2**31),
-    fmt=st.sampled_from(["array", "coordinate"]),
 )
-def test_round_trip_is_exact(tmp_path_factory, n, key, fmt):
+def test_round_trip_is_exact(tmp_path_factory, n, key):
     """Write-then-read must reproduce every float bit for bit."""
     rng = np.random.default_rng(key)
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     a[rng.random((n, n)) < 0.3] = 0.0
     path = tmp_path_factory.mktemp("mm") / "rt.mtx"
-    write_matrix_market(str(path), a, fmt=fmt)
+    write_matrix_market(str(path), a)
     assert np.array_equal(read_matrix_market(str(path)), a)
