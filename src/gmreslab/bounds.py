@@ -62,7 +62,9 @@ class Verdict:
 @dataclass
 class BoundsReport:
     """Everything computed for one matrix at one depth; the statistics of
-    the sampled ratios are set from them on construction."""
+    the sampled ratios are set from them on construction.  Where the worst
+    case meets the ideal value it may exceed it by a few ulps (different
+    computations), so the ``worst_case_le_ideal`` margin may read -2e-16."""
 
     k: int
     gmres_ratios: List[float]
@@ -158,7 +160,8 @@ def verify_chain(
     The sampled residuals are fed to the worst-case solver as extra starts,
     so the first verdict cannot fail merely because the ascent missed the
     sampled directions, and the ideal value as its ceiling, so the ascent
-    stops once it meets that value.  Deterministic given ``seed``, a
+    stops once it meets that value.  The ideal witness is a start too; where
+    it attains the ideal value no ascent runs.  Deterministic given ``seed``, a
     non-negative int from which the sampling and the ascent draw separate
     streams.
     """

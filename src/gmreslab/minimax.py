@@ -18,9 +18,8 @@ damped Newton with the exact Hessian on a smoothed top eigenvalue F_mu of
 and the next starts at the Richardson extrapolant of the stage ends to
 zero smoothing.  A line-search trial costs one eigendecomposition.  The
 upper bound is the norm of the returned feasible polynomial, a stage end
-or an extrapolant, and the witness its top right singular vector, both
-read off the solver's eigendecomposition at that polynomial; the lower
-bound is a norm-duality certificate,
+or an extrapolant, read off the solver's eigendecomposition at that
+polynomial; the lower bound is a norm-duality certificate,
 
     ideal(A, k) = max |tr Y| / ||Y||_*  over Y != 0 with <A^j, Y> = 0, j = 1..k,
 
@@ -28,6 +27,10 @@ built from the smoothed problem's own dual matrix (``||.||_*`` is the
 nuclear norm, ``<.,.>`` the Frobenius inner product).  The polynomial is
 reported by its roots, the eigenvalues of a comrade pencil of the basis's
 Arnoldi recurrence H and the coefficients d; no monomial basis is formed.
+ideal^2 is the max over density matrices Z of ``min_p tr(p(A) Z
+p(A)^H)``, wc^2 the max over rank-one Z (Faber, Liesen & Tichy, SIMAX
+2013): the witness is a rank-one part of the solver's dual where one is
+found, so its GMRES ratio is the ideal value, else p(A)'s top singular vector.
 
 ``worst_case_gmres`` runs L-BFGS-B on ``phi(v)^2 / 2``, phi(v) the residual
 ratio, over the real and imaginary parts of v: the best starts climb as one
@@ -43,7 +46,8 @@ bound on the worst case, the ceiling (``verify_chain`` passes the ideal
 value, the norm of a feasible polynomial); the ascent stops as soon as phi
 comes within 1e-10 of it, which certifies the value to that gap.  For
 normal A the ideal value is attained (Greenbaum-Gurvits; Joubert), and
-often the starts already attain it, so no ascent runs at all.
+where the ideal witness is a rank-one dual it attains it as a start, so
+no ascent runs at all.
 
 The budgets are constants of the method: 16 ascent starts, 200 kernel
 evaluations, and a certification gap of 1e-4 for both brackets.  The
@@ -57,7 +61,8 @@ from numbers import Real
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import optimize
+from scipy.linalg import lapack
 
 from . import dense_core
 from .dense_core import as_matrix
@@ -91,6 +96,8 @@ _ASCENT_STARTS = 16
 _ASCENT_EVALS = 200
 # The ascent stops once phi is this close to the caller's ceiling on wc.
 _BRACKET_GAP = 1e-10
+# Gauss-Newton steps of _dual_witness: it converges quadratically or not at all.
+_WITNESS_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -104,7 +111,14 @@ class MinimaxResult:
     :func:`_dual_lower_bound`.  For ``worst_case_gmres`` the value equals
     ``lower_bound`` (phi at the witness, a certified lower bound on the
     true worst case) and ``upper_bound`` is the caller's ceiling: the
-    ideal value under ``verify_chain``, else the trivial bound 1.
+    ideal value under ``verify_chain``, else the trivial bound 1.  The two
+    values come from different computations, so a worst case that meets
+    the ideal value may lie a few ulps above it.
+
+    ``witness_vector`` is a unit vector that attains the value: for
+    ``ideal_gmres`` one whose own GMRES polynomial is the returned one
+    where the solver's dual has a rank-one part, else (wc < ideal, as on
+    Toh's matrix at k = 3) the top right singular vector of ``p(A)``.
 
     ``roots`` holds the roots ``theta_i`` of the returned polynomial of
     ``ideal_gmres``, ``p(z) = prod_i (1 - z / theta_i)``, sorted by real and
@@ -159,7 +173,12 @@ def _roots(h: np.ndarray, d: np.ndarray, e: int) -> np.ndarray:
     pencil = np.zeros((m, m), dtype=np.complex128)
     pencil[:, 1:] = h[: m - 1, :m].T
     pencil[-1] = d[m - 1] * pencil[-1] - h[m - 1, m - 1] * np.r_[1.0, d[: m - 1]]
-    theta = linalg.eigvals(pencil, np.diag(np.r_[np.ones(m - 1), d[m - 1]]))
+    alpha, beta, _, _, _, info = lapack.zggev(
+        pencil, np.diag(np.r_[np.ones(m - 1), d[m - 1]]), compute_vl=0, compute_vr=0
+    )
+    if info:
+        raise NoConvergence(f"comrade pencil eigensolve failed (zggev info {info})")
+    theta = alpha[beta != 0] / beta[beta != 0]
     theta = np.sort(theta[np.isfinite(theta)])
     return dense_core.scaled_back(theta.view(np.float64), e).view(np.complex128)
 
@@ -233,10 +252,10 @@ def _minimize_norm(basis: np.ndarray):
     extrapolant to mu = 0 if F_mu is no higher there than at the reweighted
     stage end; its norm is an upper bound too.
 
-    Returns ``(d, norm, witness, lower)``: the best coefficients seen;
-    ``norm = ||P(d)|| = sqrt(lambda_max) <= 1`` and a unit top eigenvector
-    of ``P(d)^H P(d)``, both from its kept eigendecomposition; and the best
-    dual lower bound, at most ``norm``.
+    Returns ``(d, norm, spectrum, lower)``: the best coefficients seen;
+    ``norm = ||P(d)|| = sqrt(lambda_max) <= 1`` and ``spectrum = (P,
+    lambda, V, w)``, the kept eigendecomposition of ``P(d)^H P(d)`` with its
+    dual weights; and the best dual lower bound, at most ``norm``.
     """
     k = basis.shape[0]
     x, ends = np.zeros(2 * k), []
@@ -290,7 +309,7 @@ def _minimize_norm(basis: np.ndarray):
             if spec[0] <= state[0]:
                 x, state = xe, spec
     x, state = best
-    return x[:k] + 1j * x[k:], upper, state[3][:, -1], min(lower, upper)
+    return x[:k] + 1j * x[k:], upper, state[1:], min(lower, upper)
 
 
 def _dual_lower_bound(basis: np.ndarray, p, lam, vecs, w, d: np.ndarray) -> float:
@@ -317,6 +336,63 @@ def _dual_lower_bound(basis: np.ndarray, p, lam, vecs, w, d: np.ndarray) -> floa
     return max(abs(complex(np.trace(yp))) / nuclear - allowance, 0.0)
 
 
+def _dual_witness(basis: np.ndarray, p, vecs, w, lower: float) -> np.ndarray:
+    """A unit v whose own GMRES polynomial is P, else P's top eigenvector.
+
+    That holds when ``<P v, Q_j v> = c^H G_j c = 0``, j = 1..k, for ``v =
+    V c`` in the eigenvectors of ``P^H P`` with dual weight ``w_i > 1e-12
+    w_max`` and ``G_j = (Q_j V)^H P V``; then ``phi(v) = ||P v||``.
+    Gauss-Newton from ``c = sqrt(w)`` takes min-norm least-squares steps on
+    the 2k real residuals, with two rows that keep the step orthogonal to c
+    and ``i c`` (the residual is homogeneous of degree 2), each halved up to
+    three times until it shrinks the residual.  It stops below 1e-12 of
+    ``max |G_j|``, at a step that does not shrink it, or after
+    ``_WITNESS_STEPS`` steps.  v is kept if its residual is within 1e-8 of
+    ``max |G_j|`` and ``||P v||`` reaches the dual lower bound, unless the
+    top eigenvector is such a v already.  None is sought where the dual
+    certifies nothing (lower bound 0).
+    """
+    keep = w > 1e-12 * w[-1]
+    top = vecs[:, keep]
+    g = (basis @ top).conj().swapaxes(1, 2) @ (p @ top)
+    scale = float(np.abs(g).max())
+    if (top.shape[1] == 1 or lower <= 0.0
+            or np.linalg.norm(g[:, -1, -1]) <= 1e-8 * scale):
+        return vecs[:, -1]
+    k, m = g.shape[:2]
+    both = np.concatenate([g, g.conj().swapaxes(1, 2)])
+    jac = np.empty((k + 1, 2 * m), dtype=np.complex128)
+    c = np.sqrt(w[keep]).astype(np.complex128)
+    c /= np.linalg.norm(c)
+    res = c.conj() @ g @ c
+    size = np.linalg.norm(res)
+    for _ in range(_WITNESS_STEPS):
+        if size <= 1e-12 * scale:
+            break
+        # d(c^H G_j c) = s_j dc + t_j conj(dc), s_j = c^H G_j, t_j = G_j c;
+        # the last row is c^H dc
+        ts = both @ c
+        t, s = ts[:k], ts[k:].conj()
+        jac[:k, :m], jac[:k, m:] = s + t, 1j * (s - t)
+        jac[k, :m], jac[k, m:] = c.conj(), 1j * c.conj()
+        rhs = np.concatenate([-res.real, [0.0], -res.imag, [0.0]])
+        step = np.linalg.lstsq(np.concatenate([jac.real, jac.imag]), rhs, rcond=None)[0]
+        step = step[:m] + 1j * step[m:]
+        for _ in range(4):  # the step, halved until it shrinks the residual
+            trial = (c + step) / np.linalg.norm(c + step)
+            trial_res = trial.conj() @ g @ trial
+            if np.linalg.norm(trial_res) < size:
+                break
+            step /= 2
+        else:
+            break
+        c, res, size = trial, trial_res, np.linalg.norm(trial_res)
+    v = top @ c
+    if size <= 1e-8 * scale and np.linalg.norm(p @ v) >= lower:
+        return v
+    return vecs[:, -1]
+
+
 def ideal_gmres(a, k: int) -> MinimaxResult:
     """Minimize ``||p(A)||`` over polynomials p in pi_k.
 
@@ -324,14 +400,18 @@ def ideal_gmres(a, k: int) -> MinimaxResult:
     depth 1 is the solve of :func:`one_step_ideal`.  The value is the
     spectral norm of the returned polynomial (an upper bound on the true
     minimum: a stage end of the solver or an extrapolant of its stage ends),
-    the witness a unit vector that attains it and the lower bound a
-    norm-duality certificate, all from the solver's own eigendecompositions
-    in an orthonormal basis of ``span{A, .., A^k}``, so none depends on the
-    scale of A; the roots come from that basis's recurrence.  A gap above
-    1e-4 flags the result non-certified, but both bounds remain sound.
+    the witness a unit vector v with ``||p(A) v||`` in the bracket and the
+    lower bound a norm-duality certificate, all from the solver's own
+    eigendecompositions in an orthonormal basis of ``span{A, .., A^k}``, so
+    none depends on the scale of A; the roots come from that basis's
+    recurrence.  A gap above 1e-4 flags the result non-certified, but both
+    bounds remain sound.  Where the solver's dual has a rank-one part the
+    witness is its own GMRES worst case, with ratio ``||p(A) v||``
+    (:func:`_dual_witness`); else it is p(A)'s top right singular vector.
     """
     q, h, e = _orthonormal_basis(as_matrix(a), check_depth(k))
-    d, upper, witness, lower = _minimize_norm(q)
+    d, upper, (p, _, vecs, w), lower = _minimize_norm(q)
+    witness = _dual_witness(q, p, vecs, w, lower)
     certified = bool(upper - lower <= _CERTIFY_GAP)
     return MinimaxResult(upper, _roots(h, d, e), witness, lower, upper, certified)
 

@@ -1,9 +1,11 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, seed
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from gmreslab import (
     BudgetExceeded,
@@ -20,7 +22,7 @@ from gmreslab import (
     verify_chain,
     worst_case_gmres,
 )
-from gmreslab import bounds, krylov, minimax
+from gmreslab import NoConvergence, bounds, krylov, minimax
 from conftest import deep_matrices, random_complex
 import oracles
 
@@ -284,6 +286,17 @@ def test_ideal_witness_and_roots_recompute():
     )
 
 
+def test_roots_refuse_a_failed_pencil_eigensolve(monkeypatch):
+    """``zggev`` reporting info = 1, as a QZ iteration that fails to
+    converge does, raises NoConvergence instead of returning its output."""
+    routine = lapack.zggev
+    monkeypatch.setattr(
+        lapack, "zggev", lambda *args, **kwargs: (*routine(*args, **kwargs)[:-1], 1)
+    )
+    with pytest.raises(NoConvergence, match="zggev info 1"):
+        ideal_gmres(np.diag([1.0, 2.0, 4.0]), 2)
+
+
 def test_ideal_depth_monotonicity():
     rng = np.random.default_rng(33)
     a = random_complex(rng, 6)
@@ -440,10 +453,29 @@ def test_ideal_ceiling_closes_the_bracket_on_normal_gallery(name, k):
     assert res.certified
 
 
+def _spec_matrix(spec):
+    return generate_matrix(MatrixSpec.from_dict(spec))
+
+
+BIDIAGONAL = {"family": "bidiagonal", "diag": [1.0, 1.5, 2.0, 2.5], "superdiag": 0.6}
+RANDOM_PD_PART = {"family": "random_pd_part", "n": 8, "seed": 3}
+# Depths where the ideal solver's dual holds a rank-one part, a vector whose
+# own GMRES polynomial is the ideal one: the normal gallery (wc = ideal,
+# Greenbaum-Gurvits; Joubert), Toh's matrix at k = 2, the bidiagonal at k = 2
+# and random_pd_part at k = 2, whose top right singular vector is one.
+POOL_MEETS_IDEAL = (
+    [(f"{name}-{k}", _spec_matrix(spec), k)
+     for name, spec in NORMAL_GALLERY.items() for k in (1, 2, 3)]
+    + [(f"toh{eps}-2", toh(eps), 2) for eps in (0.5, 0.1)]
+    + [("bidiagonal-2", _spec_matrix(BIDIAGONAL), 2),
+       ("random_pd_part-2", _spec_matrix(RANDOM_PD_PART), 2)]
+)
+
+
 def test_verify_chain_skips_the_ascent_when_the_pool_meets_the_ideal(monkeypatch):
-    """On random_pd_part at k = 2 a start of the pool already attains the
-    ideal value, so the worst case makes two kernel passes, the pool and
-    the witness's re-evaluation, and no L-BFGS-B evaluation."""
+    """On each of ``POOL_MEETS_IDEAL`` the ideal witness attains the ideal
+    value, so the worst case makes two kernel passes, the pool and the
+    witness's re-evaluation, and no L-BFGS-B evaluation."""
     calls, inside = [], []
     kernel, worst_case = krylov._residual_curves, bounds.worst_case_gmres
 
@@ -459,10 +491,87 @@ def test_verify_chain_skips_the_ascent_when_the_pool_meets_the_ideal(monkeypatch
 
     monkeypatch.setattr(krylov, "_residual_curves", counting)
     monkeypatch.setattr(bounds, "worst_case_gmres", counted_worst_case)
-    spec = {"family": "random_pd_part", "n": 8, "seed": 3}
-    report = verify_chain(generate_matrix(MatrixSpec.from_dict(spec)), 2, 20)
-    assert inside == [2]
-    assert report.all_passed
+    passes = {}
+    for name, a, k in POOL_MEETS_IDEAL:
+        assert verify_chain(a, k, 20).all_passed, name
+        passes[name] = inside.pop()
+    assert passes == dict.fromkeys(passes, 2)
+
+
+@pytest.mark.parametrize(
+    "a, k", [case[1:] for case in POOL_MEETS_IDEAL],
+    ids=[case[0] for case in POOL_MEETS_IDEAL],
+)
+def test_ideal_witness_is_its_own_worst_case(a, k):
+    """The witness is a unit vector with ``||p(A) v|| >= lower_bound`` whose
+    own GMRES polynomial is p: its residual ratio, by an independent
+    least-squares solve, is the ideal value."""
+    res = ideal_gmres(a, k)
+    v = res.witness_vector
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+    p = oracles.polynomial_from_roots(a, res.roots)
+    assert np.linalg.norm(p @ v) >= res.lower_bound
+    assert abs(oracles.min_residual_lstsq(a, v, k)[0] - res.value) <= 1e-10
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.1])
+def test_ideal_witness_without_a_rank_one_dual_is_the_top_singular_vector(eps):
+    """On Toh's matrix at k = 3 no vector has the ideal polynomial as its
+    own (wc < ideal), so the witness stays the top right singular vector of
+    p(A), whose ratio lies far below the ideal value."""
+    a = toh(eps)
+    res = ideal_gmres(a, 3)
+    p = oracles.polynomial_from_roots(a, res.roots)
+    top = np.linalg.svd(p)[2][0].conj()
+    assert abs(np.vdot(top, res.witness_vector)) == pytest.approx(1.0, abs=1e-12)
+    assert oracles.min_residual_lstsq(a, res.witness_vector, 3)[0] < res.value - 0.05
+
+
+# The benchmark's lab_run configs: the gallery of scripts/run_gallery.py at
+# depths 1..3, the default matrix of scripts/depth_sweep.py at depths 1..5
+# and Toh's matrix at depths 1..3, 20 trials each.
+LAB_RUN = (
+    [(_spec_matrix(spec), (1, 2, 3)) for spec in (
+        *NORMAL_GALLERY.values(), {"family": "jordan", "n": 5, "lam": 1.0},
+        BIDIAGONAL, RANDOM_PD_PART)]
+    + [(_spec_matrix({"family": "random_pd_part", "n": 7, "seed": 0}), (1, 2, 3, 4, 5))]
+    + [(toh(eps), (1, 2, 3)) for eps in (0.5, 0.1)]
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _lab_run_chain(seed):
+    """``verify_chain`` over ``LAB_RUN`` at ``seed``: the reports and the
+    number of kernel gradient passes (``krylov._gradients``, which the
+    worst-case ascent calls as ``minimax._gradients``)."""
+    calls = []
+    gradients = minimax._gradients
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(minimax, "_gradients", lambda *args: calls.append(1) or gradients(*args))
+        reports = [verify_chain(a, k, 20, seed) for a, depths in LAB_RUN for k in depths]
+    return reports, len(calls)
+
+
+def test_worst_case_work_counts():
+    """Kernel gradient passes of the worst-case ascents over the lab_run
+    configs at seed 0.  Only Toh's matrix at k = 3 ascends (146 and 100
+    passes); with the top singular vector as the ideal witness the ascents
+    of the normal gallery, Toh at k = 2 and the bidiagonal at k = 2 made
+    529 in all.  Counts do not depend on the machine's speed."""
+    reports, passes = _lab_run_chain(0)
+    assert all(report.all_passed for report in reports)
+    assert passes <= 260
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_worst_case_exceeds_ideal_only_by_rounding(seed):
+    """wc <= ideal holds up to rounding: the two come from different
+    computations (the residual kernel at the witness, the top eigenvalue of
+    ``p(A)^H p(A)``), and where the dual witness closes the bracket they
+    agree to a few ulps.  The lab_run configs of seeds 0-2 stay below
+    7.7 eps ideal (the depth sweep at k = 5)."""
+    for report in _lab_run_chain(seed)[0]:
+        assert report.worst_case - report.ideal <= 16 * np.finfo(float).eps * report.ideal
 
 
 @pytest.mark.parametrize("eps", [0.5, 0.1])
@@ -482,9 +591,7 @@ def test_open_bracket_runs_the_full_ascent(eps):
 @pytest.mark.parametrize(
     "a, k",
     [(toh(eps), k) for eps in (0.5, 0.1) for k in (2, 3)]
-    + [(generate_matrix(MatrixSpec.from_dict(
-        {"family": "bidiagonal", "diag": [1.0, 1.5, 2.0, 2.5], "superdiag": 0.6}
-    )), 2)],
+    + [(_spec_matrix(BIDIAGONAL), 2)],
     ids=["toh0.5-2", "toh0.5-3", "toh0.1-2", "toh0.1-3", "bidiagonal-2"],
 )
 def test_worst_case_invariant_under_unitary_similarity_and_scaling(a, k):
