@@ -14,8 +14,9 @@ and ideal GMRES values.  The chain is one table of links ``(name, lhs,
 rhs, slack)``, each the verdict ``lhs <= rhs + slack`` with margin ``rhs -
 lhs``; an undefined Elman bound drops its links.  The slacks are constants
 of the method: 1e-6 where a solver value is compared, 1e-8 where only
-bounds are.  One Gram eigensolve per depth gives ``||A||`` to both the
-Elman bound and the reported ``lambda_max(A^H A)``.
+bounds are.  Per depth, one eigensolve of M gives the Elman bound its
+``lambda_min(M)`` and the report its ``lambda_min_m``, and one Gram
+eigensolve gives ``||A||`` to the Elman bound and ``lambda_max(A^H A)``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import dense_core, fov
 from .dense_core import as_matrix
-from .errors import check_depth, check_int
+from .errors import InvalidSpec, check_depth, check_int
 from .krylov import gmres_residuals
 from .minimax import ideal_gmres, worst_case_gmres
 
@@ -104,16 +105,17 @@ def _decay(x: float, k: int) -> float:
     return float((1.0 - min(max(x, 0.0), 1.0)) ** (0.5 * k))
 
 
-def _elman(scaled: np.ndarray, k: int, norm: Optional[float] = None) -> Optional[float]:
+def _elman(scaled: np.ndarray, k: int, norm: Optional[float] = None):
     """:func:`elman_bound` of a binary-scaled A, whose norm ``norm`` is
-    solved here, if not given, only when M passes the gate."""
+    solved here, if not given, only when M passes the gate, and the
+    ``lambda_min(M)`` it read, in the scaled frame."""
     lam_min, lam_max = np.linalg.eigvalsh(dense_core.hermitian_part(scaled))[[0, -1]]
     scale = max(abs(lam_min), abs(lam_max))
     if scale == 0.0 or lam_min <= _PD_FLOOR * scale:
-        return None
+        return None, lam_min
     if norm is None:
         norm = dense_core.spectral_norm(scaled)
-    return _decay((lam_min / norm) ** 2, k)
+    return _decay((lam_min / norm) ** 2, k), lam_min
 
 
 def elman_bound(a, k: int) -> Optional[float]:
@@ -122,7 +124,7 @@ def elman_bound(a, k: int) -> Optional[float]:
     scaled by a power of two first, which leaves ``lambda_min(M) / ||A||``
     unchanged and keeps the eigensolves in range."""
     k = check_depth(k)
-    return _elman(dense_core.binary_scaled(as_matrix(a))[0], k)
+    return _elman(dense_core.binary_scaled(as_matrix(a))[0], k)[0]
 
 
 def starke_bound(a, k: int, fov_data: Optional[fov.FovSummary] = None) -> float:
@@ -163,7 +165,9 @@ def verify_chain(
     stops once it meets that value.  The ideal witness is a start too; where
     it attains the ideal value no ascent runs.  Deterministic given ``seed``, a
     non-negative int from which the sampling and the ascent draw separate
-    streams.
+    streams.  ``lambda_min_m`` is the Elman bound's own ``lambda_min(M)``;
+    :class:`InvalidSpec` where it, or a value of ``fov_summary``, leaves
+    the float range.
     """
     mat = as_matrix(a)
     k = check_depth(k)
@@ -176,7 +180,10 @@ def verify_chain(
     starke = starke_bound(mat, k, fov_data)
     scaled, e = dense_core.binary_scaled(mat)
     norm = dense_core.spectral_norm(scaled)
-    elman = _elman(scaled, k, norm)
+    elman, lam_min = _elman(scaled, k, norm)
+    lambda_min_m = float(dense_core.scaled_back(lam_min, e))
+    if not np.isfinite(lambda_min_m):
+        raise InvalidSpec("a field-of-values value, lambda_min(M), leaves the float range")
     aha = float(dense_core.scaled_back(norm * norm, 2 * e))  # ||A||^2
     in_range = norm == 0.0 or np.finfo(float).tiny <= aha < np.inf
 
@@ -185,10 +192,7 @@ def verify_chain(
     ratios = gmres_residuals(mat, r0_block, k)[k].tolist()
 
     ideal = ideal_gmres(mat, k)
-    extra = [r0_block[:, t] for t in range(trials)]
-    extra.append(ideal.witness_vector)
-    if fov_data.witness_vector is not None:
-        extra.append(fov_data.witness_vector)
+    extra = [*r0_block.T, ideal.witness_vector]
     worst = worst_case_gmres(
         mat, k, _derived_seed(seed, 202, k), extra_starts=extra, ceiling=ideal.value
     )
@@ -217,7 +221,7 @@ def verify_chain(
         elman_rhs=elman,
         nu_a=fov_data.nu_a,
         nu_ainv=fov_data.nu_ainv,
-        lambda_min_m=fov_data.lambda_min_m,
+        lambda_min_m=lambda_min_m,
         lambda_max_aha=aha if in_range else None,
         verdicts=verdicts,
     )

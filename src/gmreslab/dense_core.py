@@ -22,7 +22,6 @@ __all__ = [
     "hermitian_part",
     "scaled_back",
     "spectral_norm",
-    "top_right_singular_vector",
 ]
 
 
@@ -71,10 +70,3 @@ def spectral_norm(a) -> float:
     lam = np.linalg.eigvalsh(hermitian_part(scaled.conj().T @ scaled))[-1]
     return float(scaled_back(np.sqrt(max(lam, 0.0)), e))
 
-
-def top_right_singular_vector(a) -> np.ndarray:
-    """Unit right singular vector w of the largest singular value,
-    ``||A w|| = ||A||_2``: the top eigenvector of the Gram matrix of
-    :func:`spectral_norm`."""
-    scaled = binary_scaled(as_matrix(a))[0]
-    return np.linalg.eigh(hermitian_part(scaled.conj().T @ scaled))[1][:, -1]

@@ -14,13 +14,14 @@ even grid; real A mirrors the angles past pi.  The distance from the origin,
 number of the pair (H, S); ``nu_fov`` finds it by safeguarded Newton steps
 on the concave part and brackets it by the hull of the Rayleigh quotients
 it has seen.  ``nu(F(A^{-1}))`` is the same on the inverse of ``A / 2^e``,
-formed only where ``nu(F(A)) > 0`` keeps it in range.
+formed only where ``nu(F(A)) > 0`` keeps it in range; ``fov_summary``
+returns the two, the Starke bound's only field-of-values inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -77,18 +78,16 @@ class NuResult(NamedTuple):
 
     value: float
     angle: float
-    witness: Optional[np.ndarray]
     upper: float
 
 
 @dataclass(frozen=True)
 class FovSummary:
-    """Field-of-values data consumed by the bound evaluations."""
+    """Distances from the origin to F(A) and F(A^{-1}), the Starke bound's
+    inputs."""
 
     nu_a: float
     nu_ainv: float
-    lambda_min_m: float
-    witness_vector: Optional[np.ndarray]
 
 
 def _warm_top_vector(neg: np.ndarray, history: np.ndarray, tol: float):
@@ -218,28 +217,26 @@ def nu_fov(a) -> NuResult:
     arc that the evaluated angles leave around the maximum; a Newton point
     outside it gives way to the hull direction (exact at the kinks of normal
     matrices), that to bisection.  The loop stops once ``upper - value <=
-    _zero_tol``.  The witness is the best angle's eigenvector.  A value
-    beyond the float range reads infinite.
+    _zero_tol``.  A value beyond the float range reads infinite.
     """
     scaled, e = dense_core.binary_scaled(as_matrix(a))
-    nu = _nu_fov(scaled)[0]
+    nu = _nu_fov(scaled)
     back = dense_core.scaled_back
     return nu._replace(value=float(back(nu.value, e)), upper=float(back(nu.upper, e)))
 
 
-def _nu_fov(mat: np.ndarray):
-    """``nu_fov`` and ``lambda_min`` of the Hermitian part, its first
-    evaluation (``theta = 0``), of a matrix scaled by ``binary_scaled``,
-    where the norm in ``_zero_tol`` and the squared distances of
-    ``_hull_nearest`` stay in range.  The caller scales back.
+def _nu_fov(mat: np.ndarray) -> NuResult:
+    """``nu_fov`` of a matrix scaled by ``binary_scaled``, where the norm in
+    ``_zero_tol`` and the squared distances of ``_hull_nearest`` stay in
+    range.  The caller scales back.
     """
     herm = dense_core.hermitian_part(mat)
     skew = dense_core.hermitian_part(-1j * mat)
     tol = _zero_tol(mat)
     angles, points = [], []
-    best = None  # (g, g', g'', eigenvector, angle) at the best angle
+    best = None  # (g, g', g'', angle) at the best angle
 
-    def evaluate(theta: float) -> float:
+    def evaluate(theta: float) -> None:
         nonlocal best
         c, s = np.cos(theta), np.sin(theta)
         w, v = np.linalg.eigh(c * herm + s * skew)
@@ -250,18 +247,15 @@ def _nu_fov(mat: np.ndarray):
         coupling = np.abs(du[1:][gaps > 0]) ** 2 / gaps[gaps > 0]
         angles.append(theta)
         if best is None or w[0] > best[0]:
-            best = (w[0], du[0].real, -w[0] - 2.0 * coupling.sum(), v[:, 0], theta)
-        return float(w[0])
+            best = (w[0], du[0].real, -w[0] - 2.0 * coupling.sum(), theta)
 
-    starts = _TWO_PI * np.arange(_START_ANGLES) / _START_ANGLES
-    lambda_min_h = evaluate(starts[0])
-    for theta in starts[1:]:
+    for theta in _TWO_PI * np.arange(_START_ANGLES) / _START_ANGLES:
         evaluate(theta)
     while True:
         near = _hull_nearest(np.asarray(points))
-        upper, theta_b = abs(near), best[4]
+        upper, theta_b = abs(near), best[3]
         if upper <= tol:
-            return NuResult(0.0, theta_b % _TWO_PI, None, upper), lambda_min_h
+            return NuResult(0.0, theta_b % _TWO_PI, upper)
         if best[0] > 0.0 and upper - best[0] <= tol or len(angles) >= _MAX_EVALS:
             break
         if best[0] <= 0.0:
@@ -277,9 +271,7 @@ def _nu_fov(mat: np.ndarray):
             break
         evaluate(theta_b + step)
     value = max(float(best[0]), 0.0)
-    witness = best[3] if value > 0.0 else None
-    upper = max(upper, value)
-    return NuResult(value, theta_b % _TWO_PI, witness, upper), lambda_min_h
+    return NuResult(value, theta_b % _TWO_PI, max(upper, value))
 
 
 def _nu_inverse(scaled: np.ndarray, nu_s: float) -> float:
@@ -297,14 +289,12 @@ def _nu_inverse(scaled: np.ndarray, nu_s: float) -> float:
 
 
 def fov_summary(a) -> FovSummary:
-    """Bundle the field-of-values quantities used by the bound evaluations;
+    """``nu(F(A))`` and ``nu(F(A^{-1}))``, the lower ends of their brackets;
     :class:`InvalidSpec` where one of them leaves the float range."""
     scaled, e = dense_core.binary_scaled(as_matrix(a))
-    nu, lambda_min_h = _nu_fov(scaled)
+    nu = _nu_fov(scaled).value
     # (S, e) = binary_scaled(A): F(A) = 2^e F(S) and F(A^{-1}) = 2^-e F(S^{-1})
-    values = dense_core.scaled_back(
-        [nu.value, _nu_inverse(scaled, nu.value), lambda_min_h], [e, -e, e]
-    )
+    values = dense_core.scaled_back([nu, _nu_inverse(scaled, nu)], [e, -e])
     if not np.isfinite(values).all():
         raise InvalidSpec("a field-of-values value of A or A^-1 leaves the float range")
-    return FovSummary(*values.tolist(), witness_vector=nu.witness)
+    return FovSummary(*values.tolist())

@@ -87,8 +87,8 @@ _NEWTON_STEPS = 100
 # An ideal result is certified when its upper and lower bounds are this close.
 _CERTIFY_GAP = 1e-4
 # Ascent starts of worst_case_gmres, moved together as one block: the best of
-# the caller's starts, the top right singular vector of A and random unit
-# vectors that fill the pool up to this size.
+# the caller's starts and the random unit vectors that fill the pool up to
+# this size.
 _ASCENT_STARTS = 16
 # Kernel evaluations of the ascent, one kernel pass over the block each,
 # shared by its two L-BFGS-B runs; SciPy may finish its current line
@@ -469,14 +469,14 @@ def worst_case_gmres(
     ``extra_starts`` are finite length-n vectors the caller cares about,
     such as sampled initial residuals; each is evaluated, so the value is
     never below the best one's ratio.  ``seed`` (a non-negative int) roots
-    the random starts that fill the pool up to 16.  ``ceiling``, a finite
-    number >= 0, is a known upper bound on the worst case, such as
-    ``ideal_gmres(a, k).value``; the default 1 is the bound from p = 1.
-    The ascent stops, or never starts, once phi comes within 1e-10 of it.
-    The value is a certified lower bound on the true worst case; the
-    bracket ``[value, ceiling]`` is certified when ``-1e-10 <= ceiling -
-    value <= 1e-4``.  A zero start raises :class:`ZeroVector`, any other
-    argument outside its rule :class:`InvalidSpec`.
+    the random unit vectors that fill the pool after them up to 16 starts.
+    ``ceiling``, a finite number >= 0, is a known upper bound on the worst
+    case, such as ``ideal_gmres(a, k).value``; the default 1 is the bound
+    from p = 1.  The ascent stops, or never starts, once phi comes within
+    1e-10 of it.  The value is a certified lower bound on the true worst
+    case; the bracket ``[value, ceiling]`` is certified when ``-1e-10 <=
+    ceiling - value <= 1e-4``.  A zero start raises :class:`ZeroVector`, any
+    other argument outside its rule :class:`InvalidSpec`.
     """
     scaled, k = dense_core.binary_scaled(as_matrix(a))[0], check_depth(k)
     check_int(seed, "seed", 0)
@@ -493,8 +493,6 @@ def worst_case_gmres(
         if nw == 0.0:
             raise ZeroVector("extra start is zero")
         seeds.append(w / nw)
-
-    seeds.append(dense_core.top_right_singular_vector(scaled))
 
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     while len(seeds) < _ASCENT_STARTS:

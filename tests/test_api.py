@@ -9,6 +9,8 @@ error the package raises derives from ``gmreslab.LabError``.
 """
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +59,18 @@ def _resolve(dotted: str):
 @pytest.mark.parametrize("name", sorted(gmreslab.__all__))
 def test_public_name_resolves(name):
     assert hasattr(gmreslab, name)
+
+
+@pytest.mark.parametrize(
+    "module", sorted(info.name for info in pkgutil.iter_modules(gmreslab.__path__))
+)
+def test_module_exports_resolve(module):
+    """Every module but ``__main__`` lists its exports in ``__all__``, and
+    each listed name resolves: a name deleted from a module but left in its
+    list fails here, not only at ``from gmreslab.<module> import *``."""
+    mod = importlib.import_module(f"gmreslab.{module}")
+    assert module == "__main__" or hasattr(mod, "__all__")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 def test_benchmark_targets_are_found():

@@ -284,11 +284,10 @@ def test_every_verdict_is_its_link_exactly(k):
         assert verdict.passed == (lhs <= rhs + getattr(bounds, slack_name)), name
 
 
-def test_verify_chain_makes_three_non_solver_eigensolves_per_depth(monkeypatch):
+def test_verify_chain_makes_two_non_solver_eigensolves_per_depth(monkeypatch):
     """Besides the ideal solver's own (one per ``minimax._spectrum`` call),
-    a depth costs the Hermitian part's and the Gram matrix's eigenvalues,
-    for the Elman bound and ||A|| together, and the worst case's top right
-    singular vector start."""
+    a depth costs the Hermitian part's eigenvalues, for the Elman bound and
+    ``lambda_min_m``, and the Gram matrix's, for ||A||."""
     counts = {"eig": 0, "spectrum": 0}
 
     def counted(key, fn):
@@ -307,7 +306,7 @@ def test_verify_chain_makes_three_non_solver_eigensolves_per_depth(monkeypatch):
         counts.update(eig=0, spectrum=0)
         report = verify_chain(a, k, trials=5, fov_data=data)
         assert report.elman_rhs is not None
-        assert counts["eig"] - counts["spectrum"] <= 3, (k, counts)
+        assert counts["eig"] - counts["spectrum"] <= 2, (k, counts)
 
 
 def test_verify_chain_near_the_float_max_is_warning_free():

@@ -13,6 +13,7 @@ from gmreslab import (
     hermitian_part,
     nu_fov,
     spectral_norm,
+    verify_chain,
 )
 from gmreslab.fov import _zero_tol
 from conftest import random_complex, random_nonsingular
@@ -298,7 +299,6 @@ def test_nu_identity():
 def test_nu_zero_inside():
     res = nu_fov(np.diag([1j, -1j]))
     assert res.value == 0.0
-    assert res.witness is None
 
 
 def test_nu_jordan(jordan_block):
@@ -386,12 +386,15 @@ def test_nu_eigensolve_count(a, monkeypatch):
 def test_nu_at_extreme_magnitudes(c):
     """nu_fov works on A scaled by a power of two, so neither the norm of
     its zero tolerance nor the squared distances of its hull leave range,
-    and the inverse's zero test runs in the same frame."""
+    and the inverse's zero test runs in the same frame; lambda_min(M) of
+    the report is read in that frame too."""
     assert nu_fov(c * np.eye(3)).value == pytest.approx(c, rel=1e-12, abs=0.0)
-    data = fov_summary(c * np.diag([1.0, 2.0]))
+    a = c * np.diag([1.0, 2.0])
+    data = fov_summary(a)
     assert data.nu_a == pytest.approx(c, rel=1e-12, abs=0.0)
-    assert data.lambda_min_m == pytest.approx(c, rel=1e-12, abs=0.0)
     assert data.nu_ainv == pytest.approx(0.5 / c, rel=1e-12, abs=0.0)
+    report = verify_chain(a, 1, trials=1, fov_data=data)
+    assert report.lambda_min_m == pytest.approx(c, rel=1e-12, abs=0.0)
 
 
 def test_nu_inverse_examples():
@@ -473,20 +476,12 @@ def test_inverse_nu_lower_bound():
         assert bound <= nu_fov_inverse(a) + 1e-8
 
 
-def test_nu_witness_realizes_the_distance():
-    rng = np.random.default_rng(41)
-    a = random_complex(rng, 5, spread=0.4)
-    res = nu_fov(a)
-    assert res.witness is not None
-    assert abs(rayleigh(a, res.witness)) == pytest.approx(res.value, abs=1e-7)
-
-
 def test_summary_is_consistent():
     rng = np.random.default_rng(43)
     a = random_nonsingular(rng, 4)
     s = fov_summary(a)
     assert s.nu_a == pytest.approx(nu_fov(a).value, abs=1e-12)
     assert s.nu_ainv == pytest.approx(nu_fov_inverse(a), abs=1e-12)
-    assert s.lambda_min_m == pytest.approx(
+    assert verify_chain(a, 1, trials=1, fov_data=s).lambda_min_m == pytest.approx(
         np.linalg.eigvalsh(hermitian_part(a))[0], abs=1e-12
     )

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, seed
@@ -267,6 +269,40 @@ def test_kernel_accepts_depths_above_the_order(kernel):
     ratios = kernel(np.diag([1.0, 2.0]), np.ones((2, 1)), MAX_DEPTH)
     ratios = ratios[0] if kernel is min_residual_gradients else ratios
     assert np.ravel(ratios)[-1] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_kernels_at_zero_ratio_below_the_order():
+    """phi = 0 below depth n: an eigenvector's Krylov space closes at depth
+    1, that of a sum of two eigenvectors at depth 2.  From there all three
+    kernels read phi <= 1e-12 and finite gradients of at most 1e-12, without
+    a warning, and a generic column in the same block reads as it does
+    alone.  The sum's third Arnoldi direction is rounding, but its norm
+    (7.8e-15) passes the 1e-14 relative test, so the adjoint recurrence
+    divides by it rather than by infinity."""
+    rng = np.random.default_rng(61)
+    a = random_complex(rng, 7)
+    vecs = np.linalg.eig(a)[1]
+    g = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    block = np.column_stack([vecs[:, 0], vecs[:, 1] + vecs[:, 2], g])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curves = gmres_residuals(a, block, 6)
+        assert curves[1:, 0].max() <= 1e-12
+        assert curves[2:, 1].max() <= 1e-12
+        alone = gmres_residuals(a, g[:, None], 6)[:, 0]
+        assert np.abs(curves[:, 2] - alone).max() <= 1e-14
+        for k in range(1, 7):
+            closed = [0, 1] if k >= 2 else [0]
+            values = min_residual_values(a, block, k)
+            phi, grads = min_residual_gradients(a, block, k)
+            assert values[closed].max() <= 1e-12
+            assert phi[closed].max() <= 1e-12
+            assert np.isfinite(grads).all()
+            assert np.abs(grads[:, closed]).max() <= 1e-12
+            phi_g, grad_g = min_residual_gradients(a, g[:, None], k)
+            assert abs(values[2] - min_residual_values(a, g[:, None], k)[0]) <= 1e-14
+            assert abs(phi[2] - phi_g[0]) <= 1e-14
+            assert np.abs(grads[:, 2] - grad_g[:, 0]).max() <= 1e-14
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

@@ -22,7 +22,7 @@ from gmreslab import (
     verify_chain,
     worst_case_gmres,
 )
-from gmreslab import NoConvergence, bounds, krylov, minimax
+from gmreslab import NoConvergence, bounds, dense_core, hermitian_part, krylov, minimax
 from conftest import deep_matrices, random_complex
 import oracles
 
@@ -563,6 +563,19 @@ def test_worst_case_work_counts():
     assert passes <= 260
 
 
+def test_lambda_min_m_is_the_elman_bounds_eigenvalue():
+    """On the lab_run configs, ``lambda_min_m`` is bit for bit the smallest
+    ``eigvalsh`` eigenvalue of the Hermitian part of the binary-scaled A,
+    scaled back: the value the Elman bound reads.  Taken from the FoV
+    scan's own ``eigh`` at angle 0, it differed on 17 of the 29 depths."""
+    reports = iter(_lab_run_chain(0)[0])
+    for a, depths in LAB_RUN:
+        scaled, e = dense_core.binary_scaled(a)
+        want = np.ldexp(np.linalg.eigvalsh(hermitian_part(scaled))[0], e)
+        for _ in depths:
+            assert next(reports).lambda_min_m == want
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_worst_case_exceeds_ideal_only_by_rounding(seed):
     """wc <= ideal holds up to rounding: the two come from different
@@ -665,13 +678,35 @@ def test_worst_case_refuses_a_ceiling_outside_finite_non_negative_numbers(ceilin
         worst_case_gmres(DIAG3, 1, ceiling=ceiling)
 
 
-def test_worst_case_never_certifies_an_inverted_bracket():
+def test_worst_case_never_certifies_an_inverted_bracket(monkeypatch):
     """A ceiling below the value by more than rounding cannot be an upper
-    bound on wc: the bracket [value, ceiling] is inverted and not certified."""
+    bound on wc: the bracket [value, ceiling] is inverted and not certified.
+    The pool already meets the ceiling, so no ascent runs, and the value is
+    the pool's best random start."""
+    calls = []
+    gradients = minimax._gradients
+    monkeypatch.setattr(minimax, "_gradients", lambda *args: calls.append(1) or gradients(*args))
     res = worst_case_gmres(DIAG3, 1, ceiling=0.0)
-    assert res.value == pytest.approx(0.536, abs=1e-3)
+    assert res.value == pytest.approx(0.5975, abs=1e-3)
     assert res.upper_bound == 0.0
     assert not res.certified
+    assert calls == []
+
+
+@pytest.mark.parametrize("extra", [0, 20])
+def test_worst_case_pool_is_the_callers_starts_then_random_up_to_16(extra, monkeypatch):
+    """The pool pass evaluates the caller's starts and, where they are fewer
+    than 16, random unit vectors up to 16: 20 columns with 20 starts, 16
+    with none."""
+    columns = []
+    kernel = minimax.min_residual_values
+    monkeypatch.setattr(
+        minimax, "min_residual_values",
+        lambda a, vs, k: columns.append(vs.shape[1]) or kernel(a, vs, k),
+    )
+    starts = np.random.default_rng(5).standard_normal((extra, 3))
+    worst_case_gmres(DIAG3, 1, extra_starts=list(starts), ceiling=0.0)
+    assert columns[0] == max(extra, minimax._ASCENT_STARTS)
 
 
 def test_sandwich_worst_below_ideal():
