@@ -11,11 +11,12 @@ and a full eigensolve runs only where that fails.  The support value is
 read off the boundary point, the lower one off the opposite angle of an
 even grid; real A mirrors the angles past pi.  The distance from the origin,
 ``nu(F(A)) = max(0, max_theta lambda_min(H(theta)))``, is the Crawford
-number of the pair (H, S); ``nu_fov`` finds it by safeguarded Newton steps
-on the concave part and brackets it by the hull of the Rayleigh quotients
-it has seen.  ``nu(F(A^{-1}))`` is the same on the inverse of ``A / 2^e``,
-formed only where ``nu(F(A)) > 0`` keeps it in range; ``fov_summary``
-returns the two, the Starke bound's only field-of-values inputs.
+number of the pair (H, S); ``nu_fov`` finds it by one safeguarded step
+rule, Newton, else the hull direction, else bisection, and brackets it by
+the hull of the Rayleigh quotients it has seen.  ``nu(F(A^{-1}))`` is the
+same on the inverse of ``A / 2^e``, formed only where ``nu(F(A)) > 0``
+keeps it in range; ``fov_summary`` returns the two, the Starke bound's
+only field-of-values inputs.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ def _wrap(theta):
 def _hull_nearest(points: np.ndarray) -> complex:
     """Point of the convex hull of ``points`` nearest to the origin."""
     args = np.sort(np.angle(points))
-    if np.any(points == 0) or np.diff(args, append=args[0] + _TWO_PI).max() < np.pi:
+    if np.diff(args, append=args[0] + _TWO_PI).max() < np.pi:
         return 0j  # the arguments leave no gap of pi: the origin is inside
     a, b = points[:, None], points[None, :]
     d = b - a
@@ -211,13 +212,14 @@ def nu_fov(a) -> NuResult:
     One eigensolve of ``H(theta)`` gives ``g = lambda_min``, ``g' = u^H H' u``
     and ``g'' = -g + 2 sum_j |u_j^H H' u|^2 / (g - lambda_j)`` (``H'' = -H``),
     negative where g > 0, and two Rayleigh quotients for the hull.  After 8
-    equispaced angles, while no g is positive, the next angle points to the
-    hull point nearest the origin; the value is 0 once that point is within
-    ``_zero_tol``.  Then Newton steps from the best angle stay inside the
-    arc that the evaluated angles leave around the maximum; a Newton point
-    outside it gives way to the hull direction (exact at the kinks of normal
-    matrices), that to bisection.  The loop stops once ``upper - value <=
-    _zero_tol``.  A value beyond the float range reads infinite.
+    equispaced angles each step follows one rule.  A Newton step from the
+    best angle is taken if it stays inside the arc that the evaluated angles
+    leave around the maximum; else the direction of the hull point nearest
+    the origin (exact at the kinks of normal matrices), which may leave the
+    arc, as g may have several local maxima where it is negative; else the
+    arc's midpoint.  No angle is evaluated twice.  The value is 0 once the
+    hull point is within ``_zero_tol``, and the loop stops once ``upper -
+    value <= _zero_tol``.  A value beyond the float range reads infinite.
     """
     scaled, e = dense_core.binary_scaled(as_matrix(a))
     nu = _nu_fov(scaled)
@@ -256,17 +258,14 @@ def _nu_fov(mat: np.ndarray) -> NuResult:
         upper, theta_b = abs(near), best[3]
         if upper <= tol:
             return NuResult(0.0, theta_b % _TWO_PI, upper)
-        if best[0] > 0.0 and upper - best[0] <= tol or len(angles) >= _MAX_EVALS:
+        if upper - best[0] <= tol or len(angles) >= _MAX_EVALS:
             break
-        if best[0] <= 0.0:
-            evaluate(float(np.angle(near)))
-            continue
         offsets = _wrap(np.asarray(angles) - theta_b)
         lo = 0.0 if best[1] > 0.0 else offsets[offsets < 0.0].max()
         hi = 0.0 if best[1] < 0.0 else offsets[offsets > 0.0].min()
         steps = (-best[1] / best[2], _wrap(np.angle(near) - theta_b), 0.5 * (lo + hi))
-        step = next((t for t in steps if lo + _ANGLE_EPS < t < hi - _ANGLE_EPS
-                     and abs(t) > _ANGLE_EPS), None)
+        step = next((t for i, t in enumerate(steps) if (i == 1 or lo < t < hi)
+                     and np.abs(_wrap(offsets - t)).min() > _ANGLE_EPS), None)
         if step is None:
             break
         evaluate(theta_b + step)

@@ -29,8 +29,8 @@ reported by its roots, the eigenvalues of a comrade pencil of the basis's
 Arnoldi recurrence H and the coefficients d; no monomial basis is formed.
 ideal^2 is the max over density matrices Z of ``min_p tr(p(A) Z
 p(A)^H)``, wc^2 the max over rank-one Z (Faber, Liesen & Tichy, SIMAX
-2013): the witness is a rank-one part of the solver's dual where one is
-found, so its GMRES ratio is the ideal value, else p(A)'s top singular vector.
+2013): the witness is a rank-one part of the solver's dual whose GMRES
+ratio reaches the dual bound, where found, else p(A)'s top singular vector.
 
 ``worst_case_gmres`` runs L-BFGS-B on ``phi(v)^2 / 2``, phi(v) the residual
 ratio, over the real and imaginary parts of v: the best starts climb as one
@@ -116,7 +116,7 @@ class MinimaxResult:
     the ideal value may lie a few ulps above it.
 
     ``witness_vector`` is a unit vector that attains the value: for
-    ``ideal_gmres`` one whose own GMRES polynomial is the returned one
+    ``ideal_gmres`` one whose own GMRES ratio reaches the lower bound
     where the solver's dual has a rank-one part, else (wc < ideal, as on
     Toh's matrix at k = 3) the top right singular vector of ``p(A)``.
 
@@ -242,15 +242,13 @@ def _minimize_norm(basis: np.ndarray):
     :func:`_dual_lower_bound` meet within ``_GAP_TARGET`` or ``mu`` reaches
     rounding level.  A stage ends at its first point whose predicted
     decrease is at the rounding level, where its dual bound is taken.  If
-    the gap is still open and the stage looks stalled (its first step was
-    already at that level, the gap fell less than tenfold, or the next
-    ``mu`` passes the floor), a polish of full Newton steps runs: each is
-    kept while it shrinks the Newton decrement, which sharpens the dual
-    matrix Y, the first that does not is undone, and the bound is taken
-    again.  The stage ends lie O(mu) from the optimum when the top singular
-    value is multiple, so the next stage starts at their Richardson
-    extrapolant to mu = 0 if F_mu is no higher there than at the reweighted
-    stage end; its norm is an upper bound too.
+    the gap is still open and fell less than tenfold in the stage, a polish
+    of full Newton steps runs: each is kept while it shrinks the Newton
+    decrement, which sharpens the dual matrix Y, the first that does not is
+    undone, and the bound is taken again.  The stage ends lie O(mu) from the
+    optimum when the top singular value is multiple, so the next stage
+    starts at their Richardson extrapolant to mu = 0 if F_mu is no higher
+    there than at the reweighted stage end; its norm is an upper bound too.
 
     Returns ``(d, norm, spectrum, lower)``: the best coefficients seen;
     ``norm = ||P(d)|| = sqrt(lambda_max) <= 1`` and ``spectrum = (P,
@@ -263,7 +261,7 @@ def _minimize_norm(basis: np.ndarray):
     state = _spectrum(basis, x, mu)
     best = x, state
     while upper - lower > _GAP_TARGET and mu >= 1e-14 * upper**2:
-        gap, start, direction, undo = upper - lower, x, None, None
+        gap, direction, undo = upper - lower, None, None
         for polish in (False, True):
             for _ in range(_NEWTON_STEPS):
                 if direction is None:
@@ -293,8 +291,7 @@ def _minimize_norm(basis: np.ndarray):
             if value < upper:
                 best, upper = (x, state), value
             lower = max(lower, _dual_lower_bound(basis, *state[1:], x[:k] + 1j * x[k:]))
-            stalled = x is start or upper - lower > 0.1 * gap or mu < 1e-13 * upper**2
-            if upper - lower <= _GAP_TARGET or not stalled:
+            if upper - lower <= max(_GAP_TARGET, 0.1 * gap):
                 break
         mu *= 0.1
         state = _weighted(p, lam, vecs, mu)
@@ -347,17 +344,16 @@ def _dual_witness(basis: np.ndarray, p, vecs, w, lower: float) -> np.ndarray:
     and ``i c`` (the residual is homogeneous of degree 2), each halved up to
     three times until it shrinks the residual.  It stops below 1e-12 of
     ``max |G_j|``, at a step that does not shrink it, or after
-    ``_WITNESS_STEPS`` steps.  v is kept if its residual is within 1e-8 of
-    ``max |G_j|`` and ``||P v||`` reaches the dual lower bound, unless the
-    top eigenvector is such a v already.  None is sought where the dual
-    certifies nothing (lower bound 0).
+    ``_WITNESS_STEPS`` steps.  v is kept if its own GMRES ratio, one
+    least-squares solve on ``[Q_1 v, .., Q_k v]``, reaches the dual lower
+    bound.  None is sought where the dual certifies nothing (lower bound 0)
+    or the top eigenvector has a residual within 1e-8 of ``max |G_j|``.
     """
     keep = w > 1e-12 * w[-1]
     top = vecs[:, keep]
     g = (basis @ top).conj().swapaxes(1, 2) @ (p @ top)
     scale = float(np.abs(g).max())
-    if (top.shape[1] == 1 or lower <= 0.0
-            or np.linalg.norm(g[:, -1, -1]) <= 1e-8 * scale):
+    if lower <= 0.0 or np.linalg.norm(g[:, -1, -1]) <= 1e-8 * scale:
         return vecs[:, -1]
     k, m = g.shape[:2]
     both = np.concatenate([g, g.conj().swapaxes(1, 2)])
@@ -388,7 +384,8 @@ def _dual_witness(basis: np.ndarray, p, vecs, w, lower: float) -> np.ndarray:
             break
         c, res, size = trial, trial_res, np.linalg.norm(trial_res)
     v = top @ c
-    if size <= 1e-8 * scale and np.linalg.norm(p @ v) >= lower:
+    kv = (basis @ v).T  # the columns Q_1 v .. Q_k v
+    if np.linalg.norm(v + kv @ np.linalg.lstsq(kv, -v, rcond=None)[0]) >= lower:
         return v
     return vecs[:, -1]
 
@@ -406,8 +403,8 @@ def ideal_gmres(a, k: int) -> MinimaxResult:
     none depends on the scale of A; the roots come from that basis's
     recurrence.  A gap above 1e-4 flags the result non-certified, but both
     bounds remain sound.  Where the solver's dual has a rank-one part the
-    witness is its own GMRES worst case, with ratio ``||p(A) v||``
-    (:func:`_dual_witness`); else it is p(A)'s top right singular vector.
+    witness's own GMRES ratio lies in the bracket (:func:`_dual_witness`);
+    else it is p(A)'s top right singular vector.
     """
     q, h, e = _orthonormal_basis(as_matrix(a), check_depth(k))
     d, upper, (p, _, vecs, w), lower = _minimize_norm(q)
