@@ -4,16 +4,17 @@ The field of values of A is the set of Rayleigh quotients
 ``F(A) = { <Av, v> / <v, v> : v != 0 }``, a convex compact subset of the
 complex plane.  With ``A = H + iS`` (H, S Hermitian), the top eigenvalue
 of ``H(theta) = cos(theta) H + sin(theta) S`` is the support function of
-F(A) in direction ``theta``.  ``fov_boundary`` writes each ``-H(theta)``
-in place into one buffer and predicts its top eigenvector by Rayleigh-Ritz
-on the last ones; one Cholesky factorization certifies it to ``_zero_tol``,
-and a full eigensolve runs only where that fails.  The support value is
+F(A) in direction ``theta``.  ``fov_boundary`` forms each ``-H(theta)``
+by one BLAS call and predicts its top eigenvector by Rayleigh-Ritz on the
+last ones; one Cholesky factorization certifies it to ``_zero_tol``, and a
+full eigensolve runs only where that fails.  The support value is
 read off the boundary point, the lower one off the opposite angle of an
 even grid; real A mirrors the angles past pi.  The distance from the origin,
 ``nu(F(A)) = max(0, max_theta lambda_min(H(theta)))``, is the Crawford
 number of the pair (H, S); ``nu_fov`` finds it by one safeguarded step
-rule, Newton, else the hull direction, else bisection, and brackets it by
-the hull of the Rayleigh quotients it has seen.  ``nu(F(A^{-1}))`` is the
+rule, Newton, else the hull direction, else bisection, each eigensolve
+evaluating an angle and its opposite, and brackets it by the hull of the
+Rayleigh quotients it has seen.  ``nu(F(A^{-1}))`` is the
 same on the inverse of ``A / 2^e``, formed only where ``nu(F(A)) > 0``
 keeps it in range; ``fov_summary`` returns the two, the Starke bound's
 only field-of-values inputs.
@@ -43,7 +44,8 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 # Multiple of n eps ||A||_F up to which a distance from the origin is rounding.
 _ZERO_FACTOR = 4.0
-# Equispaced angles evaluated first by nu_fov, and its evaluation budget.
+# Equispaced angles evaluated first by nu_fov, in opposite pairs, and its
+# budget of eigensolves.
 _START_ANGLES = 8
 _MAX_EVALS = 64
 # Offsets closer than this to an evaluated angle count as evaluated.
@@ -110,7 +112,7 @@ def _warm_top_vector(neg: np.ndarray, history: np.ndarray, tol: float):
     factor, info = lapack.zpotrf(neg, clean=0, overwrite_a=1)
     if info != 0:
         return None
-    x = lapack.zpotrs(factor, q @ z, overwrite_b=1)[0][:, 0]
+    x = lapack.zpotrs(factor, blas.zgemv(1.0, q, z[:, 0]), overwrite_b=1)[0]
     return x / np.sqrt(np.vdot(x, x).real)
 
 
@@ -119,15 +121,17 @@ def fov_boundary(a, m: int) -> FovBoundary:
 
     Each angle needs the top eigenvector v of ``H(theta)``: ``p = v^H A v``
     is the boundary point and ``support_max = Re(e^{-i theta} p)``.  The
-    angles are walked in order, each writing ``-H(theta)`` in place into one
-    buffer.  Rayleigh-Ritz on the span of the last 8 top eigenvectors gives
-    ``ritz <= lambda_max``, a Cholesky factorization of ``(ritz + tau) I -
-    H(theta)`` in the buffer, ``tau = _zero_tol``, certifies ``lambda_max <
-    ritz + tau``, and one inverse-iteration step with it gives v, whose
+    angles are walked in order, each forming ``-H(theta)`` in one buffer by
+    one ``gemv`` over the stacked columns ``vec(H)``, ``vec(S)``.
+    Rayleigh-Ritz on the span of the last 8 top eigenvectors gives ``ritz <=
+    lambda_max``, a Cholesky factorization of ``(ritz + tau) I - H(theta)``
+    in the buffer, ``tau = _zero_tol``, certifies ``lambda_max < ritz +
+    tau``, and one inverse-iteration step with it gives v, whose
     ``support_max`` is at least ``ritz``.  Where it fails (too little
     history, a crossing of the top branch, a nearly double top eigenvalue)
-    and at every angle when ``n <= 28`` (the cheaper path there), the buffer
-    is formed again and one ``heevr`` call gives its lowest eigenvector.
+    the buffer is formed again; there and at every angle when ``n <= 28``
+    (the cheaper path there) one ``heevr`` call gives its lowest
+    eigenvector.
 
     The walk is over an even grid, ``m`` angles for an even ``m`` and ``2m``
     for an odd one, of which every other angle is returned.  As ``H(theta +
@@ -141,8 +145,8 @@ def fov_boundary(a, m: int) -> FovBoundary:
     n = mat.shape[0]
     # an exact power-of-two scale keeps the inverse iteration in range
     mat, e = dense_core.binary_scaled(mat)
-    herm = np.asfortranarray(dense_core.hermitian_part(mat))
-    skew = np.asfortranarray(dense_core.hermitian_part(-1j * mat))
+    herm = dense_core.hermitian_part(mat)
+    skew = dense_core.hermitian_part(-1j * mat)
     tol = _zero_tol(mat)
     grid = 2 * m if m % 2 else m
     angles = _TWO_PI * np.arange(grid) / grid
@@ -151,24 +155,27 @@ def fov_boundary(a, m: int) -> FovBoundary:
     points = np.empty(grid, dtype=np.complex128)
     warm = n > _WARM_ORDER
     history = np.empty((n, _HISTORY), dtype=np.complex128, order="F")
-    neg, term = (np.empty((n, n), dtype=np.complex128, order="F") for _ in range(2))
-
-    def negated(j: int) -> np.ndarray:  # -H(theta_j), written into neg
-        np.multiply(herm, -cosines[j], out=neg)
-        return np.subtract(neg, np.multiply(skew, sines[j], out=term), out=neg)
+    # -H(theta_j) is one gemv of the Fortran-ordered columns vec(H), vec(S)
+    # with row j of weights, written into flat, the storage of neg
+    stack = np.array([herm.ravel("F"), skew.ravel("F")]).T
+    weights = -np.column_stack([cosines, sines]).astype(np.complex128)
+    flat = np.empty(n * n, dtype=np.complex128)
+    neg = flat.reshape((n, n), order="F")
+    mat_f = np.asfortranarray(mat)
 
     for j in range(solved):
-        negated(j)
+        blas.zgemv(1.0, stack, weights[j], y=flat, overwrite_y=1)
         v = None
         if warm and j:
             v = _warm_top_vector(neg, history[:, : min(j, _HISTORY)], tol)
-        if v is None:  # after a failed factorization, form the buffer again
-            h = negated(j) if warm and j else neg
-            _, z, _, _, info = lapack.zheevr(h, 1, "I", il=1, iu=1)
+            if v is None:  # the failed factorization overwrote neg
+                blas.zgemv(1.0, stack, weights[j], y=flat, overwrite_y=1)
+        if v is None:
+            _, z, _, _, info = lapack.zheevr(neg, 1, "I", il=1, iu=1)
             if info != 0:
                 raise NoConvergence(f"heevr failed with info = {info}")
             v = z[:, 0]
-        points[j] = np.vdot(v, mat @ v)
+        points[j] = np.vdot(v, blas.zgemv(1.0, mat_f, v))
         # Rayleigh-Ritz needs the span of the history, not its order
         history[:, j % _HISTORY] = v
     points[solved:] = np.conj(points[grid - solved : 0 : -1])
@@ -211,8 +218,14 @@ def nu_fov(a) -> NuResult:
 
     One eigensolve of ``H(theta)`` gives ``g = lambda_min``, ``g' = u^H H' u``
     and ``g'' = -g + 2 sum_j |u_j^H H' u|^2 / (g - lambda_j)`` (``H'' = -H``),
-    negative where g > 0, and two Rayleigh quotients for the hull.  After 8
-    equispaced angles each step follows one rule.  A Newton step from the
+    negative where g > 0, and two Rayleigh quotients for the hull.  As
+    ``H(theta + pi) = -H(theta)``, its top eigenpair gives the same at
+    ``theta + pi``: ``g = -lambda_n``, ``g' = -u_n^H H' u_n``, ``g'' =
+    lambda_n - 2 sum_j |u_j^H H' u_n|^2 / (lambda_n - lambda_j)``.  The 8
+    equispaced start angles take 4 eigensolves, at 0, pi/4, pi/2 and 3 pi/4,
+    and the bracket is tested after each, so a real A, whose g peaks at 0,
+    or an origin deep inside F(A) ends the search early.  After the starts
+    each step follows one rule.  A Newton step from the
     best angle is taken if it stays inside the arc that the evaluated angles
     leave around the maximum; else the direction of the hull point nearest
     the origin (exact at the kinks of normal matrices), which may leave the
@@ -230,7 +243,8 @@ def nu_fov(a) -> NuResult:
 def _nu_fov(mat: np.ndarray) -> NuResult:
     """``nu_fov`` of a matrix scaled by ``binary_scaled``, where the norm in
     ``_zero_tol`` and the squared distances of ``_hull_nearest`` stay in
-    range.  The caller scales back.
+    range.  The caller scales back.  At most ``_MAX_EVALS`` eigensolves,
+    each of which evaluates an angle and its opposite.
     """
     herm = dense_core.hermitian_part(mat)
     skew = dense_core.hermitian_part(-1j * mat)
@@ -239,27 +253,36 @@ def _nu_fov(mat: np.ndarray) -> NuResult:
     best = None  # (g, g', g'', angle) at the best angle
 
     def evaluate(theta: float) -> None:
+        """g at theta from the bottom eigenpair of H(theta), and at theta +
+        pi, where H = -H(theta), from the top one."""
         nonlocal best
         c, s = np.cos(theta), np.sin(theta)
         w, v = np.linalg.eigh(c * herm + s * skew)
         ends = v[:, [0, -1]]
         points.extend(np.sum(np.conj(ends) * (mat @ ends), axis=0))
-        du = np.conj(v.T) @ ((c * skew - s * herm) @ v[:, 0])
-        gaps = w[1:] - w[0]
-        coupling = np.abs(du[1:][gaps > 0]) ** 2 / gaps[gaps > 0]
-        angles.append(theta)
-        if best is None or w[0] > best[0]:
-            best = (w[0], du[0].real, -w[0] - 2.0 * coupling.sum(), theta)
+        du = np.conj(v.T) @ ((c * skew - s * herm) @ ends)
+        angles.extend((theta, theta + np.pi))
+        for g, slope, gaps, cross, angle in (
+            (w[0], du[0, 0].real, w[1:] - w[0], du[1:, 0], theta),
+            (-w[-1], -du[-1, 1].real, w[-1] - w[:-1], du[:-1, 1], theta + np.pi),
+        ):
+            if best is None or g > best[0]:
+                coupling = np.abs(cross[gaps > 0]) ** 2 / gaps[gaps > 0]
+                best = (g, slope, -g - 2.0 * coupling.sum(), angle)
 
-    for theta in _TWO_PI * np.arange(_START_ANGLES) / _START_ANGLES:
+    starts = _TWO_PI * np.arange(_START_ANGLES // 2) / _START_ANGLES
+    theta = starts[0]
+    for count in range(1, _MAX_EVALS + 1):
         evaluate(theta)
-    while True:
         near = _hull_nearest(np.asarray(points))
         upper, theta_b = abs(near), best[3]
         if upper <= tol:
             return NuResult(0.0, theta_b % _TWO_PI, upper)
-        if upper - best[0] <= tol or len(angles) >= _MAX_EVALS:
+        if upper - best[0] <= tol or count == _MAX_EVALS:
             break
+        if count < starts.size:
+            theta = starts[count]
+            continue
         offsets = _wrap(np.asarray(angles) - theta_b)
         lo = 0.0 if best[1] > 0.0 else offsets[offsets < 0.0].max()
         hi = 0.0 if best[1] < 0.0 else offsets[offsets > 0.0].min()
@@ -268,7 +291,7 @@ def _nu_fov(mat: np.ndarray) -> NuResult:
                      and np.abs(_wrap(offsets - t)).min() > _ANGLE_EPS), None)
         if step is None:
             break
-        evaluate(theta_b + step)
+        theta = theta_b + step
     value = max(float(best[0]), 0.0)
     return NuResult(value, theta_b % _TWO_PI, max(upper, value))
 

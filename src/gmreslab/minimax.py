@@ -346,14 +346,18 @@ def _dual_witness(basis: np.ndarray, p, vecs, w, lower: float) -> np.ndarray:
     ``max |G_j|``, at a step that does not shrink it, or after
     ``_WITNESS_STEPS`` steps.  v is kept if its own GMRES ratio, one
     least-squares solve on ``[Q_1 v, .., Q_k v]``, reaches the dual lower
-    bound.  None is sought where the dual certifies nothing (lower bound 0)
-    or the top eigenvector has a residual within 1e-8 of ``max |G_j|``.
+    bound.  None is sought where the dual certifies nothing (lower bound 0),
+    keeps one eigenvector, or the top eigenvector has a residual within 1e-8
+    of ``max |G_j|``.
     """
     keep = w > 1e-12 * w[-1]
     top = vecs[:, keep]
+    # with one kept eigenvector the search could only turn the phase of c
+    if lower <= 0.0 or top.shape[1] == 1:
+        return vecs[:, -1]
     g = (basis @ top).conj().swapaxes(1, 2) @ (p @ top)
     scale = float(np.abs(g).max())
-    if lower <= 0.0 or np.linalg.norm(g[:, -1, -1]) <= 1e-8 * scale:
+    if np.linalg.norm(g[:, -1, -1]) <= 1e-8 * scale:
         return vecs[:, -1]
     k, m = g.shape[:2]
     both = np.concatenate([g, g.conj().swapaxes(1, 2)])

@@ -7,6 +7,12 @@ Reads both ``coordinate`` and ``array`` formats with ``real`` or
 :class:`~gmreslab.errors.UnsupportedFormat`; malformed content, a
 ``nan`` or ``inf`` entry included, raises
 :class:`~gmreslab.errors.ParseError` carrying the offending line number.
+The entries are read in one pass: their tokens are split at once and each
+column becomes numbers in one NumPy call, which reads what Python's
+``float`` reads (Fortran ``D`` exponents read as ``E``).  The checks run
+over all entries together, and the error raised is that of the first
+offending line and, on it, of the first check a line-by-line reader would
+make.  Symmetric storage is mirrored in one assignment.
 
 The writer writes the ``array`` format only, in shortest round-trip
 decimal literals (Python ``repr``), so write-then-read reproduces every
@@ -15,7 +21,7 @@ entry exactly.
 
 from __future__ import annotations
 
-import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -30,32 +36,24 @@ _FIELDS = ("real", "complex", "integer", "pattern")
 _SYMMETRIES = ("general", "symmetric", "hermitian", "skew-symmetric")
 
 
-def _parse_number(token: str, lineno: int) -> float:
+def _parsed(tokens, kind):
+    """``tokens`` as an array of ``kind`` (float or int) in one call, and the
+    mask of the tokens that do not parse.  A malformed token sends the list
+    to a scan token by token; an integer beyond int64 reads as -1, outside
+    every index range."""
     try:
-        value = float(token)
-    except ValueError:
-        # Fortran-style exponents occur in the wild.
+        return np.array(tokens, dtype=kind), np.zeros(len(tokens), dtype=bool)
+    except (ValueError, OverflowError):
+        pass
+    values, bad = np.zeros(len(tokens), dtype=kind), np.zeros(len(tokens), dtype=bool)
+    for k, token in enumerate(tokens):
         try:
-            value = float(token.replace("D", "E").replace("d", "e"))
+            values[k] = kind(token)
         except ValueError:
-            raise ParseError(f"not a number: {token!r}", lineno) from None
-    if not math.isfinite(value):
-        raise ParseError(f"entry must be finite, got {token!r}", lineno)
-    return value
-
-
-def _parse_value(tokens, field: str, lineno: int) -> complex:
-    need = 2 if field == "complex" else 1
-    if len(tokens) != need:
-        raise ParseError(
-            f"expected {need} numeric value(s) for a {field} entry, got {len(tokens)}",
-            lineno,
-        )
-    if field == "complex":
-        return complex(
-            _parse_number(tokens[0], lineno), _parse_number(tokens[1], lineno)
-        )
-    return complex(_parse_number(tokens[0], lineno))
+            bad[k] = True
+        except OverflowError:
+            values[k] = -1
+    return values, bad
 
 
 def _parse_header(line: str):
@@ -78,51 +76,102 @@ def _parse_header(line: str):
     return fmt, field, symmetry
 
 
-def _data_lines(lines):
-    """Yield (lineno, tokens) for non-comment, non-blank lines after the header."""
-    for idx, raw in enumerate(lines[1:], start=2):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        yield idx, stripped.split()
+def _data_lines(lines) -> list:
+    """Numbers of the non-comment, non-blank lines after the header."""
+    return [
+        lineno
+        for lineno, line in enumerate(map(str.lstrip, lines[1:]), start=2)
+        if line and line[0] != "%"
+    ]
 
 
-def _mirror(matrix: np.ndarray, i: int, j: int, value: complex, symmetry: str):
-    matrix[i, j] = value
-    if i == j:
-        return
-    if symmetry == "symmetric":
-        matrix[j, i] = value
-    elif symmetry == "hermitian":
-        matrix[j, i] = np.conj(value)
-    elif symmetry == "skew-symmetric":
-        matrix[j, i] = -value
+def _array_slots(n: int, symmetry: str, count: int):
+    """0-based (i, j) of the first ``count`` entries of an ``array`` file.
+
+    Column-major; column j stores rows from 0, from j, or from j + 1
+    (skew-symmetric, zero diagonal implied).  O(count + n) memory, so a
+    short file that declares a large order costs no slot list.
+    """
+    k = np.arange(count)
+    if symmetry == "general":
+        return k % n, k // n
+    skip = int(symmetry == "skew-symmetric")
+    lengths = n - skip - np.arange(n)
+    starts = np.cumsum(lengths) - lengths
+    j = np.searchsorted(starts, k, side="right") - 1
+    return k - starts[j] + j + skip, j
 
 
-def _coordinate_slot(tokens, n: int, symmetry: str, seen: set, lineno: int):
-    """0-based (i, j) of a coordinate entry: indices in range, in the stored
-    triangle, not seen before."""
-    if len(tokens) < 2:
-        raise ParseError("coordinate entry needs row and column indices", lineno)
-    try:
-        i, j = int(tokens[0]), int(tokens[1])
-    except ValueError:
-        raise ParseError("indices must be integers", lineno) from None
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ParseError(f"index ({i}, {j}) outside 1..{n}", lineno)
-    if symmetry in ("symmetric", "hermitian") and i < j:
-        raise ParseError(
-            f"{symmetry} storage must keep entries on or below the diagonal", lineno
-        )
-    if symmetry == "skew-symmetric" and i <= j:
-        raise ParseError(
-            "skew-symmetric storage must keep entries strictly below the diagonal",
-            lineno,
-        )
-    if (i, j) in seen:
-        raise ParseError(f"duplicate entry for ({i}, {j})", lineno)
-    seen.add((i, j))
-    return i - 1, j - 1
+def _entries(lines, linenos, fmt: str, field: str, symmetry: str, n: int):
+    """0-based (i, j) and values of the entries on lines ``linenos``, each
+    checked; a ParseError names the first offending line.
+
+    The tokens of all lines are split at once and parsed in one call per
+    column.  No list per line outlives its split, which keeps the garbage
+    collector from tracing one per line of a large file.
+    """
+    texts = [lines[lineno - 1] for lineno in linenos]
+    count = len(texts)
+    need = 2 if field == "complex" else 1
+    first = 2 if fmt == "coordinate" else 0  # position of the first value
+    width = first + need
+    widths = np.fromiter(map(len, map(str.split, texts)), dtype=np.intp, count=count)
+    # No number that float() reads contains a d: Fortran exponents read as E
+    joined = "\n".join(texts).replace("D", "E").replace("d", "e")
+    if (widths == width).all():
+        flat = joined.split()
+    else:  # malformed: cut or pad each line to width
+        rows = ((t.split() + [""] * width)[:width] for t in joined.split("\n"))
+        flat = list(chain.from_iterable(rows))
+    checks = []  # (mask over the entries, message of entry k), in line order
+
+    if fmt == "coordinate":
+        (i, bad_i), (j, bad_j) = (_parsed(flat[at::width], np.int64) for at in (0, 1))
+        inside = (1 <= i) & (i <= n) & (1 <= j) & (j <= n)
+        key = np.where(inside, (i - 1) * n + j - 1, -1 - np.arange(count))
+        repeated = np.ones(count, dtype=bool)
+        repeated[np.unique(key, return_index=True)[1]] = False
+
+        def pair(k: int) -> str:
+            return "({}, {})".format(*map(int, texts[k].split()[:2]))
+
+        checks += [
+            (widths < 2, lambda k: "coordinate entry needs row and column indices"),
+            (bad_i | bad_j, lambda k: "indices must be integers"),
+            (~inside, lambda k: f"index {pair(k)} outside 1..{n}"),
+        ]
+        if symmetry == "skew-symmetric":
+            checks.append((i <= j, lambda k: (
+                "skew-symmetric storage must keep entries strictly below the diagonal")))
+        elif symmetry != "general":
+            checks.append((i < j, lambda k: (
+                f"{symmetry} storage must keep entries on or below the diagonal")))
+        checks.append((repeated, lambda k: f"duplicate entry for {pair(k)}"))
+        i, j = i - 1, j - 1
+    else:
+        i, j = _array_slots(n, symmetry, count)
+    checks.append((widths != width, lambda k: (
+        f"expected {need} numeric value(s) for a {field} entry, got {widths[k] - first}")))
+    parts = []
+    for at in range(first, width):
+        part, bad = _parsed(flat[at::width], float)
+        checks.append((bad | ~np.isfinite(part), lambda k, at=at, bad=bad: (
+            f"not a number: {texts[k].split()[at]!r}" if bad[k]
+            else f"entry must be finite, got {texts[k].split()[at]!r}")))
+        parts.append(part)
+    # complex(re, im) exactly, and complex(re) with a +0.0 that mirrors as -0.0
+    values = (np.column_stack(parts).view(np.complex128)[:, 0] if need == 2
+              else parts[0].astype(np.complex128))
+    if symmetry == "hermitian":
+        checks.append(((i == j) & (values.imag != 0.0),
+                       lambda k: "hermitian diagonal entries must be real"))
+    # the first offending line and, on it, the first check a line-by-line
+    # reader would make
+    found = [(int(bad.argmax()), order) for order, (bad, _) in enumerate(checks) if bad.any()]
+    if found:
+        k, order = min(found)
+        raise ParseError(checks[order][1](k), linenos[k])
+    return i, j, values
 
 
 def read_matrix_market(path) -> np.ndarray:
@@ -136,11 +185,11 @@ def read_matrix_market(path) -> np.ndarray:
         raise ParseError("empty file", 1)
     fmt, field, symmetry = _parse_header(lines[0])
 
-    stream = _data_lines(lines)
-    try:
-        size_lineno, size_tokens = next(stream)
-    except StopIteration:
-        raise ParseError("missing size line", len(lines) + 1) from None
+    data = _data_lines(lines)
+    if not data:
+        raise ParseError("missing size line", len(lines) + 1)
+    size_lineno = data[0]
+    size_tokens = lines[size_lineno - 1].split()
 
     expected = 3 if fmt == "coordinate" else 2
     if len(size_tokens) != expected:
@@ -157,35 +206,25 @@ def read_matrix_market(path) -> np.ndarray:
     if rows < 1:
         raise ParseError("matrix order must be positive", size_lineno)
     n = rows
-    matrix = np.zeros((n, n), dtype=np.complex128)
 
     if fmt == "coordinate":
         total = dims[2]
         if total < 0:
             raise ParseError("entry count must be non-negative", size_lineno)
-        seen = set()
     else:  # array format: column-major dense values, one entry per line
-        # Column j stores rows from 0, from j, or from j + 1 (skew-symmetric,
-        # zero diagonal implied); the slots are walked lazily, in O(1) memory.
         tri, skip = symmetry != "general", int(symmetry == "skew-symmetric")
-        slots = ((i, j) for j in range(n) for i in range(tri * j + skip, n))
         total = n * (n + 1) // 2 - skip * n if tri else n * n
-    count = 0
-    for lineno, tokens in stream:
-        if count >= total:
-            raise ParseError("unexpected data after the declared entries", lineno)
-        if fmt == "coordinate":
-            i, j = _coordinate_slot(tokens, n, symmetry, seen, lineno)
-            tokens = tokens[2:]
-        else:
-            i, j = next(slots)
-        value = _parse_value(tokens, field, lineno)
-        if symmetry == "hermitian" and i == j and value.imag != 0.0:
-            raise ParseError("hermitian diagonal entries must be real", lineno)
-        _mirror(matrix, i, j, value, symmetry)
-        count += 1
-    if count != total:
-        raise ParseError(f"expected {total} entries, found {count}", len(lines) + 1)
+    entries = data[1 : total + 1]
+    i, j, values = _entries(lines, entries, fmt, field, symmetry, n)
+    if len(data) > total + 1:
+        raise ParseError("unexpected data after the declared entries", data[total + 1])
+    if len(entries) != total:
+        raise ParseError(f"expected {total} entries, found {len(entries)}", len(lines) + 1)
+    matrix = np.zeros((n, n), dtype=np.complex128)
+    if symmetry != "general":  # the mirror first: the diagonal keeps the stored value
+        matrix[j, i] = (np.conj(values) if symmetry == "hermitian"
+                        else -values if symmetry == "skew-symmetric" else values)
+    matrix[i, j] = values
     return matrix
 
 

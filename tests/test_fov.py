@@ -166,18 +166,27 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("kind", ["complex", "real"])
-def test_boundary_needs_few_full_eigensolves(kind, monkeypatch):
+@pytest.mark.parametrize(
+    "kind, warm",
+    [pytest.param("complex", (719, 1441), id="complex"), pytest.param("real", (360, 721), id="real")],
+)
+def test_boundary_needs_few_full_eigensolves(kind, warm, monkeypatch):
     """An odd count walks an even grid of 2m angles, so it needs no
-    eigensolve per angle for support_min either."""
+    eigensolve per angle for support_min either.  Every angle after the
+    first (up to pi for real A) is certified by its own Cholesky
+    factorization, so the few full eigensolves are not bought by skipping
+    certificates."""
     a = random_complex(np.random.default_rng(73), 64)
     if kind == "real":
         a = a.real
     calls = _count_calls(monkeypatch, "zheevr")
-    for m in (720, 721):
+    factorizations = _count_calls(monkeypatch, "zpotrf")
+    for m, angles in zip((720, 721), warm):
         calls.clear()
+        factorizations.clear()
         b = fov_boundary(a, m)
-        assert len(calls) <= 16
+        assert len(calls) <= 6
+        assert len(factorizations) == angles
         _assert_matches_eigensolves(a, b)
 
 
@@ -385,7 +394,8 @@ def test_nu_work_on_rotated_disks(monkeypatch):
     inside or just outside a curved boundary.  On 24 angles off the start
     grid and 5 offsets every value is exact to the zero tolerance, and the
     eigensolve count, exact and machine-independent, stays near its
-    measured 1,256 in all and 11 per call."""
+    measured 776 in all and 7 per call: each eigensolve evaluates an angle
+    and its opposite."""
     counts = []
     eigh = np.linalg.eigh
 
@@ -400,8 +410,45 @@ def test_nu_work_on_rotated_disks(monkeypatch):
             a = np.exp(1j * phi) * np.array([[1.0 + delta, 2.0], [0.0, 1.0 + delta]])
             counts.append(0)
             assert abs(nu_fov(a).value - max(delta, 0.0)) <= _zero_tol(a), (phi, delta)
-    assert max(counts) <= 16
-    assert sum(counts) <= 1380
+    assert max(counts) <= 8
+    assert sum(counts) <= 860
+
+
+def _count_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(m):
+        calls.append(None)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_summary_of_a_real_matrix_with_definite_m_takes_two_eigensolves(monkeypatch):
+    """For real A with M positive definite, g(0) = lambda_min(M) = nu(F(A))
+    and the bottom and top eigenvectors of M give real Rayleigh quotients
+    whose segment starts at it, so the first eigensolve closes the bracket;
+    A^{-1} is real with a definite Hermitian part too."""
+    rng = np.random.default_rng(101)
+    a = 1.5 * np.eye(24) + 0.5 * rng.standard_normal((24, 24)) / np.sqrt(24)
+    assert np.linalg.eigvalsh(hermitian_part(a))[0] > 0.0
+    calls = _count_eigh(monkeypatch)
+    data = fov_summary(a)
+    assert len(calls) == 2
+    assert data.nu_a == pytest.approx(np.linalg.eigvalsh(hermitian_part(a))[0], abs=1e-14)
+
+
+def test_nu_with_the_origin_deep_inside_takes_at_most_two_eigensolves(monkeypatch):
+    """The four Rayleigh quotients of the eigensolves at 0 and pi/4 (with
+    their opposite angles pi and 5 pi/4) surround an origin deep inside
+    F(A)."""
+    a = random_complex(np.random.default_rng(103), 12, shift=0.05)
+    calls = _count_eigh(monkeypatch)
+    res = nu_fov(a)
+    assert len(calls) <= 2
+    assert res.value == 0.0
 
 
 @pytest.mark.parametrize("c", [1e-200, 1e160, 1e200], ids=["1e-200", "1e160", "1e200"])

@@ -534,6 +534,30 @@ def test_ideal_witness_is_its_own_worst_case(a, k):
     assert abs(oracles.min_residual_lstsq(a, v, k)[0] - res.value) <= 1e-10
 
 
+def test_ideal_witness_from_a_one_weight_dual_skips_the_search(monkeypatch):
+    """Where the dual keeps one eigenvector of ``P^H P`` the Gauss-Newton
+    search could only turn the phase of its coefficient, so the witness is
+    that eigenvector and no least-squares solve runs inside the search."""
+    lstsq, solves, seen = np.linalg.lstsq, [], []
+    monkeypatch.setattr(
+        np.linalg, "lstsq", lambda *args, **kw: solves.append(None) or lstsq(*args, **kw)
+    )
+    search = minimax._dual_witness
+
+    def spied(basis, p, vecs, w, lower):
+        solves.clear()
+        v = search(basis, p, vecs, w, lower)
+        seen.append((np.count_nonzero(w > 1e-12 * w[-1]), lower, len(solves),
+                     np.array_equal(v, vecs[:, -1])))
+        return v
+
+    monkeypatch.setattr(minimax, "_dual_witness", spied)
+    ideal_gmres(random_complex(np.random.default_rng(2), 5), 2)
+    (kept, lower, count, top), = seen
+    assert (kept, count, top) == (1, 0, True)
+    assert lower > 0.0
+
+
 @pytest.mark.parametrize("eps", [0.5, 0.1])
 def test_ideal_witness_without_a_rank_one_dual_is_the_top_singular_vector(eps):
     """On Toh's matrix at k = 3 no vector has the ideal polynomial as its

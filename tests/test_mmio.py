@@ -87,6 +87,62 @@ def test_fortran_exponent_tolerated(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "token, value",
+    [("1.0D+00", 1.0), ("2.5d-1", 0.25), ("1_0", 10.0), ("-0.0", -0.0), ("+.5", 0.5)],
+)
+def test_number_syntax_matches_python_float(tmp_path, token, value):
+    """Every token that Python's float reads, and Fortran D exponents, in
+    both fields and formats."""
+    texts = [
+        f"%%MatrixMarket matrix array real general\n1 1\n{token}\n",
+        f"%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 {token} {token}\n",
+    ]
+    for text, expected in zip(texts, [complex(value), complex(value, value)]):
+        a = read_matrix_market(write(tmp_path, text))
+        assert a[0, 0] == expected
+        assert np.signbit(a[0, 0].real) == np.signbit(value)
+
+
+def test_array_hermitian_and_skew_symmetric_mirror(tmp_path):
+    """The stored lower triangle, column by column, is mirrored: conjugated
+    for hermitian storage, negated for skew-symmetric storage."""
+    hermitian = read_matrix_market(write(
+        tmp_path,
+        "%%MatrixMarket matrix array complex hermitian\n3 3\n"
+        "1.0 0.0\n2.0 1.0\n3.0 -2.0\n4.0 0.0\n5.0 0.5\n6.0 0.0\n",
+    ))
+    assert np.array_equal(hermitian, np.array(
+        [[1.0, 2.0 - 1.0j, 3.0 + 2.0j], [2.0 + 1.0j, 4.0, 5.0 - 0.5j],
+         [3.0 - 2.0j, 5.0 + 0.5j, 6.0]]
+    ))
+    skew = read_matrix_market(write(
+        tmp_path,
+        "%%MatrixMarket matrix array complex skew-symmetric\n3 3\n"
+        "1.0 1.0\n2.0 0.0\n3.0 -1.0\n",
+    ))
+    assert np.array_equal(skew, np.array(
+        [[0.0, -1.0 - 1.0j, -2.0], [1.0 + 1.0j, 0.0, -3.0 + 1.0j],
+         [2.0, 3.0 - 1.0j, 0.0]]
+    ))
+
+
+@pytest.mark.parametrize(
+    "line5, line9, message",
+    [("bad", "inf", "not a number: 'bad'"), ("inf", "bad", "entry must be finite, got 'inf'")],
+)
+def test_first_offending_line_is_reported(tmp_path, line5, line9, message):
+    """Entries are checked all at once, but the error is that of the first
+    offending line, whichever check fails there."""
+    values = ["1.0"] * 9
+    values[2], values[6] = line5, line9  # lines 5 and 9
+    text = "%%MatrixMarket matrix array real general\n3 3\n" + "\n".join(values) + "\n"
+    with pytest.raises(ParseError) as excinfo:
+        read_matrix_market(write(tmp_path, text))
+    assert excinfo.value.lineno == 5
+    assert str(excinfo.value) == f"line 5: {message}"
+
+
+@pytest.mark.parametrize(
     "text,lineno",
     [
         ("%%MatrixMarket vector array real general\n1 1\n1.0\n", None),
