@@ -67,10 +67,13 @@ def _residual_curves(mat: np.ndarray, batch: np.ndarray, k: int):
     directions ``Q_1 .. Q_k`` of :func:`_arnoldi` span ``{A v, .., A^k v}``
     and are projected out of the running residual one at a time.  A
     dependent direction is zero, which leaves the spanned space and hence
-    the minimum unchanged.  With ``Q_j = q_j(A) v`` for the polynomials q_j
-    of the Arnoldi recurrence H, the depth-k residual is ``p(A) v`` for
-    ``p = 1 - h_1 q_1 - .. - h_k q_k``, h the projection coefficients;
-    the residual, h and H are returned with the ratios.
+    the minimum unchanged.  A column with n independent directions (n its
+    length) spans C^n, so its residual from depth n on is set to exactly
+    zero; one whose Krylov space closes earlier keeps its computed
+    residual, as a singular A can stall.  With ``Q_j = q_j(A) v`` for the
+    polynomials q_j of the Arnoldi recurrence H, the depth-k residual is
+    ``p(A) v`` for ``p = 1 - h_1 q_1 - .. - h_k q_k``, h the projection
+    coefficients; the residual, h and H are returned with the ratios.
 
     Callers pass ``dense_core.binary_scaled(A)``: the ratios do not depend
     on the scale of A, and H, of the size of ``||A||``, is then that of the
@@ -83,6 +86,10 @@ def _residual_curves(mat: np.ndarray, batch: np.ndarray, k: int):
     for j in range(k):
         h[j] = np.einsum("nb,nb->b", q[j].conj(), residuals[j])
         residuals[j + 1] = residuals[j] - q[j] * h[j]
+    n = batch.shape[0]
+    if k >= n:  # n independent directions span C^n
+        full = np.isfinite(hessenberg[range(n), range(n)].real).all(axis=0)
+        residuals[n:, :, full] = 0.0
     norms = np.linalg.norm(residuals, axis=1)
     if np.any(norms[0] == 0.0):
         raise ZeroVector("zero vector in the residual kernel's block")
@@ -104,8 +111,9 @@ def gmres_residuals(a, r0s, kmax: int) -> np.ndarray:
 
     ``r0s`` holds one nonzero initial residual per column, and ``kmax`` is a
     depth in 1..16; the result is the ``(kmax + 1) x B`` block of ratio
-    curves.  After a lucky breakdown, at the latest past step n, the
-    remaining ratios are zero up to rounding.
+    curves.  Once n independent directions ``A r_0 .. A^n r_0`` span the
+    space the ratios are exactly zero; after an earlier lucky breakdown
+    they are zero up to rounding, and a singular A can stall above zero.
     """
     return _residual_curves(*_candidate_block(a, r0s, kmax))[0]
 

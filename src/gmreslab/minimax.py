@@ -10,16 +10,18 @@ The worst case never exceeds the ideal value, and both lie in [0, 1]
 because p = 1 is admissible.  At depth 1 the two coincide.
 
 ``ideal_gmres`` and ``one_step_ideal`` share one convex solver, run once
-per depth from p = 1.  It writes ``p(A) = I + d_1 Q_1 + ... + d_k Q_k`` in
-a Frobenius-orthonormal basis of ``span{A, .., A^k}``, built by the residual
-kernel's Arnoldi in matrix space (Toh & Trefethen, SIMAX 1998), and runs
-damped Newton with the exact Hessian on a smoothed top eigenvalue F_mu of
-``p(A)^H p(A)``, one Newton run per smoothing stage.  A stage ends at the rounding level,
-and the next starts at the Richardson extrapolant of the stage ends to
-zero smoothing.  A line-search trial costs one eigendecomposition.  The
-upper bound is the norm of the returned feasible polynomial, a stage end
-or an extrapolant, read off the solver's eigendecomposition at that
-polynomial; the lower bound is a norm-duality certificate,
+per depth.  It writes ``p(A) = I + d_1 Q_1 + ... + d_k Q_k`` in a
+Frobenius-orthonormal basis of ``span{A, .., A^k}``, built by the residual
+kernel's Arnoldi in matrix space (Toh & Trefethen, SIMAX 1998), starts at
+the better of p = 1 and the Frobenius-norm minimizer ``d_j = -conj(tr
+Q_j)``, and runs damped Newton with the exact Hessian on a smoothed top
+eigenvalue F_mu of ``p(A)^H p(A)``, one Newton run per smoothing stage.  A
+stage ends at the rounding level, and the next starts at the Richardson
+extrapolant of the stage ends to zero smoothing.  A line-search trial
+costs one eigendecomposition.  The upper bound is the norm of the returned
+feasible polynomial, a stage end or an extrapolant, read off the solver's
+eigendecomposition at that polynomial; the lower bound is a norm-duality
+certificate,
 
     ideal(A, k) = max |tr Y| / ||Y||_*  over Y != 0 with <A^j, Y> = 0, j = 1..k,
 
@@ -116,9 +118,10 @@ class MinimaxResult:
     the ideal value may lie a few ulps above it.
 
     ``witness_vector`` is a unit vector that attains the value: for
-    ``ideal_gmres`` one whose own GMRES ratio reaches the lower bound
-    where the solver's dual has a rank-one part, else (wc < ideal, as on
-    Toh's matrix at k = 3) the top right singular vector of ``p(A)``.
+    ``ideal_gmres`` one whose own GMRES ratio reaches the lower bound, to
+    within 1e-10, where the solver's dual has a rank-one part, else (wc <
+    ideal, as on Toh's matrix at k = 3) the top right singular vector of
+    ``p(A)``.
 
     ``roots`` holds the roots ``theta_i`` of the returned polynomial of
     ``ideal_gmres``, ``p(z) = prod_i (1 - z / theta_i)``, sorted by real and
@@ -227,8 +230,12 @@ def _derivatives(basis: np.ndarray, spec, mu: float):
 
 
 def _minimize_norm(basis: np.ndarray):
-    """Minimize ``||P(d)||``, ``P(d) = I + d_1 Q_1 + ... + d_k Q_k``, from d = 0.
+    """Minimize ``||P(d)||``, ``P(d) = I + d_1 Q_1 + ... + d_k Q_k``.
 
+    The start is the Frobenius-norm minimizer ``d_j = -<Q_j, I> =
+    -conj(tr Q_j)`` (the ``Q_j`` are orthonormal in ``tr(X^H Y)``) when
+    ``0 < ||P(d)|| < 1`` there, else d = 0 (``P = I``, taken without an
+    eigensolve); the start's one eigendecomposition is the first state.
     Damped Newton with the exact Hessian of :func:`_derivatives` minimizes
     the smoothed top eigenvalue of ``X = P^H P``,
 
@@ -237,8 +244,9 @@ def _minimize_norm(basis: np.ndarray):
     which is convex in d.  Armijo backtracking from the full step runs
     while the predicted decrease exceeds ``4 eps |F_mu|``; a trial
     evaluates only :func:`_spectrum`, and the derivatives are built once
-    per accepted point.  ``mu`` starts at ``0.1 = 0.1 ||P(0)||^2`` and
-    shrinks tenfold per stage until the norm and the dual bound of
+    per accepted point.  ``mu`` starts at ``0.01 ||P(start)||^2``, small
+    enough not to pull a start near the optimum away from it, and shrinks
+    tenfold per stage until the norm and the dual bound of
     :func:`_dual_lower_bound` meet within ``_GAP_TARGET`` or ``mu`` reaches
     rounding level.  A stage ends at its first point whose predicted
     decrease is at the rounding level, where its dual bound is taken.  If
@@ -255,10 +263,16 @@ def _minimize_norm(basis: np.ndarray):
     lambda, V, w)``, the kept eigendecomposition of ``P(d)^H P(d)`` with its
     dual weights; and the best dual lower bound, at most ``norm``.
     """
-    k = basis.shape[0]
-    x, ends = np.zeros(2 * k), []
-    upper, lower, mu = 1.0, 0.0, 0.1
-    state = _spectrum(basis, x, mu)
+    k, n = basis.shape[:2]
+    d = -np.trace(basis, axis1=1, axis2=2).conj()
+    x = np.concatenate([d.real, d.imag])
+    _, p, lam, vecs, _ = _spectrum(basis, x, 1.0)  # reweighted with mu below
+    mu = 0.01 * lam[-1]
+    if not 0.0 < mu < 0.01:  # no better than P = I, or P = 0, where mu = 0
+        x, mu, lam = np.zeros(2 * k), 0.01, np.ones(n)
+        p, vecs = np.eye(n, dtype=np.complex128), np.eye(n, dtype=np.complex128)
+    state, ends = _weighted(p, lam, vecs, mu), []
+    upper, lower = float(np.sqrt(lam[-1])), 0.0
     best = x, state
     while upper - lower > _GAP_TARGET and mu >= 1e-14 * upper**2:
         gap, direction, undo = upper - lower, None, None
@@ -346,9 +360,10 @@ def _dual_witness(basis: np.ndarray, p, vecs, w, lower: float) -> np.ndarray:
     ``max |G_j|``, at a step that does not shrink it, or after
     ``_WITNESS_STEPS`` steps.  v is kept if its own GMRES ratio, one
     least-squares solve on ``[Q_1 v, .., Q_k v]``, reaches the dual lower
-    bound.  None is sought where the dual certifies nothing (lower bound 0),
-    keeps one eigenvector, or the top eigenvector has a residual within 1e-8
-    of ``max |G_j|``.
+    bound less ``_BRACKET_GAP``: the two agree only to rounding, and the
+    worst case's ascent stops at that gap too.  None is sought where the
+    dual certifies nothing (lower bound 0), keeps one eigenvector, or the
+    top eigenvector has a residual within 1e-8 of ``max |G_j|``.
     """
     keep = w > 1e-12 * w[-1]
     top = vecs[:, keep]
@@ -389,7 +404,8 @@ def _dual_witness(basis: np.ndarray, p, vecs, w, lower: float) -> np.ndarray:
         c, res, size = trial, trial_res, np.linalg.norm(trial_res)
     v = top @ c
     kv = (basis @ v).T  # the columns Q_1 v .. Q_k v
-    if np.linalg.norm(v + kv @ np.linalg.lstsq(kv, -v, rcond=None)[0]) >= lower:
+    ratio = np.linalg.norm(v + kv @ np.linalg.lstsq(kv, -v, rcond=None)[0])
+    if ratio >= lower - _BRACKET_GAP:
         return v
     return vecs[:, -1]
 
@@ -397,18 +413,19 @@ def _dual_witness(basis: np.ndarray, p, vecs, w, lower: float) -> np.ndarray:
 def ideal_gmres(a, k: int) -> MinimaxResult:
     """Minimize ``||p(A)||`` over polynomials p in pi_k.
 
-    One solve at depth k, from p = 1, with no starts and no randomness;
-    depth 1 is the solve of :func:`one_step_ideal`.  The value is the
-    spectral norm of the returned polynomial (an upper bound on the true
-    minimum: a stage end of the solver or an extrapolant of its stage ends),
-    the witness a unit vector v with ``||p(A) v||`` in the bracket and the
-    lower bound a norm-duality certificate, all from the solver's own
+    One solve at depth k, from the better of p = 1 and the polynomial of
+    least Frobenius norm, with no randomness; depth 1 is the solve of
+    :func:`one_step_ideal`.  The value is the spectral norm of the returned
+    polynomial (an upper bound on the true minimum: a stage end of the
+    solver or an extrapolant of its stage ends), the witness a unit vector
+    v with ``||p(A) v||`` at most 1e-10 below the bracket and the lower
+    bound a norm-duality certificate, all from the solver's own
     eigendecompositions in an orthonormal basis of ``span{A, .., A^k}``, so
     none depends on the scale of A; the roots come from that basis's
     recurrence.  A gap above 1e-4 flags the result non-certified, but both
     bounds remain sound.  Where the solver's dual has a rank-one part the
-    witness's own GMRES ratio lies in the bracket (:func:`_dual_witness`);
-    else it is p(A)'s top right singular vector.
+    witness's own GMRES ratio lies in the bracket, or at most 1e-10 below
+    it (:func:`_dual_witness`); else it is p(A)'s top right singular vector.
     """
     q, h, e = _orthonormal_basis(as_matrix(a), check_depth(k))
     d, upper, (p, _, vecs, w), lower = _minimize_norm(q)

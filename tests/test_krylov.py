@@ -271,6 +271,37 @@ def test_kernel_accepts_depths_above_the_order(kernel):
     assert np.ravel(ratios)[-1] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_kernels_are_exactly_zero_once_n_directions_span_the_space():
+    """n independent Arnoldi directions ``A v .. A^n v`` span C^n, so the
+    ratio at every depth >= n is exactly 0, and so is the gradient; below n
+    the kernel matches the Givens oracle."""
+    rng = np.random.default_rng(5)
+    a = random_complex(rng, 5)
+    block = np.column_stack([random_unit(rng, 5) for _ in range(3)])
+    curves = gmres_residuals(a, block, 7)
+    assert np.all(curves[5:] == 0.0)
+    assert curves[4].min() > 1e-3
+    for j in range(3):
+        assert np.allclose(curves[:5, j], oracles.gmres_givens(a, block[:, j], 4), atol=1e-12)
+    for k in (5, 7):
+        phi, grads = min_residual_gradients(a, block, k)
+        assert np.all(phi == 0.0) and np.all(grads == 0.0)
+        assert np.all(min_residual_values(a, block, k) == 0.0)
+
+
+def test_singular_matrix_keeps_its_residual_at_the_order():
+    """A singular A can stall: for ``diag(0, 1, 2)`` the directions ``A v ..
+    A^3 v`` span only two dimensions, and the residual keeps v's component
+    on the kernel of A, the ratio an independent least-squares solve gives
+    (``oracles.gmres_givens`` reads 0 there: it takes every breakdown as
+    lucky)."""
+    a = np.diag([0.0, 1.0, 2.0])
+    v = np.array([1.0, 2.0, 3.0])
+    ratio = gmres_residuals(a, v[:, None], 3)[3, 0]
+    assert ratio == pytest.approx(1.0 / np.sqrt(14.0), abs=1e-14)
+    assert abs(ratio - oracles.min_residual_lstsq(a, v, 3)[0]) <= 1e-14
+
+
 def test_kernels_at_zero_ratio_below_the_order():
     """phi = 0 below depth n: an eigenvector's Krylov space closes at depth
     1, that of a sum of two eigenvectors at depth 2.  From there all three

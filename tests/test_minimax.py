@@ -183,11 +183,11 @@ def test_ideal_solver_work_counts(monkeypatch):
     (``_derivatives`` calls) of ``_minimize_norm`` over the line-search
     cases and the multiple-top-singular-value matrix at k = 1..3.  Counts
     do not depend on the machine's speed, so timing noise cannot hide a
-    regression.  The ceilings sit about 10% above the 479 and 429 of the
-    solver in the orthonormal basis with a plain full-step polish; in the
-    monomial basis, with a duality cap and an Armijo polish, it made 679
-    and 488, and before stage ends at the rounding level and extrapolated
-    starts 1,105 and 784."""
+    regression.  The ceilings sit about 10% above the 421 and 255 of the
+    solver that starts at the Frobenius-norm minimizer; from p = 1 it made
+    477 and 425, in the monomial basis, with a duality cap and an Armijo
+    polish, 679 and 488, and before stage ends at the rounding level and
+    extrapolated starts 1,105 and 784."""
     counts = {"_spectrum": 0, "_derivatives": 0}
 
     def counted(name, function):
@@ -204,15 +204,16 @@ def test_ideal_solver_work_counts(monkeypatch):
         minimax._minimize_norm(minimax._orthonormal_basis(diagonal, k)[0])
     for basis in LINE_SEARCH_CASES:
         minimax._minimize_norm(basis)
-    assert counts["_spectrum"] <= 530
-    assert counts["_derivatives"] <= 470
+    assert counts["_spectrum"] <= 465
+    assert counts["_derivatives"] <= 280
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_multiple_top_singular_value_closes_in_few_stages(k, monkeypatch):
     """With a multiple top singular value the stage ends lie O(mu) from
-    the optimum, and the extrapolated starts close the gap within 7 stages
-    (10-11 when each stage started at the last stage end).  A stage is one
+    the optimum, and the extrapolated starts close the gap within 5 stages
+    (3, 4 and 4 from the Frobenius-norm minimizer; up to 7 from p = 1, and
+    10-11 when each stage started at the last stage end).  A stage is one
     value of mu among the Newton steps.  The returned polynomial may be an
     extrapolant, so its norm is recomputed from its roots."""
     mus = []
@@ -227,7 +228,7 @@ def test_multiple_top_singular_value_closes_in_few_stages(k, monkeypatch):
     res = ideal_gmres(a, k)
     assert res.upper_bound - res.lower_bound <= 1e-10
     assert abs(res.value - scalar_minimax_oracle(MULTIPLE_TOP, k)) <= ORACLE_TOL
-    assert len(set(mus)) <= 7
+    assert len(set(mus)) <= 5
     p = oracles.polynomial_from_roots(a, res.roots)
     assert abs(spectral_norm(p) - res.value) <= 1e-10
 
@@ -558,16 +559,35 @@ def test_ideal_witness_from_a_one_weight_dual_skips_the_search(monkeypatch):
     assert lower > 0.0
 
 
+def test_ideal_witness_is_kept_against_a_lower_bound_a_few_ulps_above_it():
+    """The witness's own GMRES ratio and the dual lower bound agree only to
+    rounding, so the witness is kept within 1e-10 of the bound, the gap at
+    which the ascent stops.  On Toh's matrix (eps = 0.5) at k = 2, a bound 4
+    ulps above the found vector's ratio keeps that vector; compared strictly,
+    the witness fell back to the top eigenvector, whose ratio is 0.5168."""
+    a = toh(0.5)
+    q = minimax._orthonormal_basis(a, 2)[0]
+    _, value, (p, _, vecs, w), lower = minimax._minimize_norm(q)
+    v = minimax._dual_witness(q, p, vecs, w, lower)
+    assert abs(oracles.min_residual_lstsq(a, v, 2)[0] - value) <= 1e-10
+    kv = (q @ v).T  # v's ratio as _dual_witness computes it
+    ratio = np.linalg.norm(v + kv @ np.linalg.lstsq(kv, -v, rcond=None)[0])
+    raised = minimax._dual_witness(q, p, vecs, w, ratio + 4 * np.spacing(ratio))
+    assert np.array_equal(raised, v)
+
+
 @pytest.mark.parametrize("eps", [0.5, 0.1])
 def test_ideal_witness_without_a_rank_one_dual_is_the_top_singular_vector(eps):
     """On Toh's matrix at k = 3 no vector has the ideal polynomial as its
-    own (wc < ideal), so the witness stays the top right singular vector of
-    p(A), whose ratio lies far below the ideal value."""
+    own (wc < ideal), so the witness stays a top right singular vector of
+    p(A), whose ratio lies far below the ideal value.  p(A) has the
+    singular values (0.8, 0.8, 0.2, 0.2): the top one is double, so the
+    witness is checked to lie in its subspace, not against one basis
+    vector of it."""
     a = toh(eps)
     res = ideal_gmres(a, 3)
     p = oracles.polynomial_from_roots(a, res.roots)
-    top = np.linalg.svd(p)[2][0].conj()
-    assert abs(np.vdot(top, res.witness_vector)) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(p @ res.witness_vector) >= (1 - 1e-12) * spectral_norm(p)
     assert oracles.min_residual_lstsq(a, res.witness_vector, 3)[0] < res.value - 0.05
 
 
