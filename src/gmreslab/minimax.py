@@ -20,19 +20,19 @@ stage ends at the rounding level, and the next starts at the Richardson
 extrapolant of the stage ends to zero smoothing.  A line-search trial
 costs one eigendecomposition.  The upper bound is the norm of the returned
 feasible polynomial, a stage end or an extrapolant, read off the solver's
-eigendecomposition at that polynomial; the lower bound is a norm-duality
-certificate,
+eigendecomposition at that polynomial.  The lower bound rests on duality:
+ideal^2 is the max over density matrices Z of ``min_p tr(p(A) Z p(A)^H)``,
+wc^2 the max over rank-one Z (Faber, Liesen & Tichy, SIMAX 2013).  With
+the smoothed problem's own dual ``Z = B B^H``, ``B = V diag(w)^(1/2)``,
+it is the GMRES ratio of the block B,
 
-    ideal(A, k) = max |tr Y| / ||Y||_*  over Y != 0 with <A^j, Y> = 0, j = 1..k,
+    min over p in pi_k of ||p(A) B||_F / ||B||_F  <=  ideal(A, k),
 
-built from the smoothed problem's own dual matrix (``||.||_*`` is the
-nuclear norm, ``<.,.>`` the Frobenius inner product).  The polynomial is
+one least-squares solve, the same that gives a vector its GMRES ratio.
+The witness is a rank-one part of that dual whose ratio reaches the lower
+bound, where found, else p(A)'s top singular vector.  The polynomial is
 reported by its roots, the eigenvalues of a comrade pencil of the basis's
 Arnoldi recurrence H and the coefficients d; no monomial basis is formed.
-ideal^2 is the max over density matrices Z of ``min_p tr(p(A) Z
-p(A)^H)``, wc^2 the max over rank-one Z (Faber, Liesen & Tichy, SIMAX
-2013): the witness is a rank-one part of the solver's dual whose GMRES
-ratio reaches the dual bound, where found, else p(A)'s top singular vector.
 
 ``worst_case_gmres`` runs L-BFGS-B on ``phi(v)^2 / 2``, phi(v) the residual
 ratio, over the real and imaginary parts of v: the best starts climb as one
@@ -109,8 +109,8 @@ class MinimaxResult:
     ``certified`` says that ``upper_bound`` lies at most 1e-4 above
     ``lower_bound`` and not below it beyond rounding.  For ``ideal_gmres``
     the value equals ``upper_bound`` (the norm of the returned feasible
-    polynomial) and ``lower_bound`` is the norm-duality certificate of
-    :func:`_dual_lower_bound`.  For ``worst_case_gmres`` the value equals
+    polynomial) and ``lower_bound`` is the GMRES ratio of the solver's dual
+    block (:func:`_gmres_ratio`).  For ``worst_case_gmres`` the value equals
     ``lower_bound`` (phi at the witness, a certified lower bound on the
     true worst case) and ``upper_bound`` is the caller's ceiling: the
     ideal value under ``verify_chain``, else the trivial bound 1.  The two
@@ -246,22 +246,19 @@ def _minimize_norm(basis: np.ndarray):
     evaluates only :func:`_spectrum`, and the derivatives are built once
     per accepted point.  ``mu`` starts at ``0.01 ||P(start)||^2``, small
     enough not to pull a start near the optimum away from it, and shrinks
-    tenfold per stage until the norm and the dual bound of
-    :func:`_dual_lower_bound` meet within ``_GAP_TARGET`` or ``mu`` reaches
-    rounding level.  A stage ends at its first point whose predicted
-    decrease is at the rounding level, where its dual bound is taken.  If
-    the gap is still open and fell less than tenfold in the stage, a polish
-    of full Newton steps runs: each is kept while it shrinks the Newton
-    decrement, which sharpens the dual matrix Y, the first that does not is
-    undone, and the bound is taken again.  The stage ends lie O(mu) from the
-    optimum when the top singular value is multiple, so the next stage
-    starts at their Richardson extrapolant to mu = 0 if F_mu is no higher
-    there than at the reweighted stage end; its norm is an upper bound too.
+    tenfold per stage until the norm and the lower bound meet within
+    ``_GAP_TARGET`` or ``mu`` reaches rounding level.  A stage ends at its
+    first point whose predicted decrease is at the rounding level, where
+    the lower bound is taken: the :func:`_gmres_ratio` of the dual block
+    ``V diag(w)^(1/2)``.  The stage ends lie O(mu) from the optimum when
+    the top singular value is multiple, so the next stage starts at their
+    Richardson extrapolant to mu = 0 if F_mu is no higher there than at the
+    reweighted stage end; its norm is an upper bound too.
 
     Returns ``(d, norm, spectrum, lower)``: the best coefficients seen;
     ``norm = ||P(d)|| = sqrt(lambda_max) <= 1`` and ``spectrum = (P,
     lambda, V, w)``, the kept eigendecomposition of ``P(d)^H P(d)`` with its
-    dual weights; and the best dual lower bound, at most ``norm``.
+    dual weights; and the best lower bound, at most ``norm``.
     """
     k, n = basis.shape[:2]
     d = -np.trace(basis, axis1=1, axis2=2).conj()
@@ -275,38 +272,25 @@ def _minimize_norm(basis: np.ndarray):
     upper, lower = float(np.sqrt(lam[-1])), 0.0
     best = x, state
     while upper - lower > _GAP_TARGET and mu >= 1e-14 * upper**2:
-        gap, direction, undo = upper - lower, None, None
-        for polish in (False, True):
-            for _ in range(_NEWTON_STEPS):
-                if direction is None:
-                    grad, hess = _derivatives(basis, state, mu)
-                    direction = grad, np.linalg.lstsq(hess, -grad, rcond=None)[0]
-                grad, step = direction
-                slope, t = float(grad @ step), 1.0
-                if polish:
-                    if undo is not None and slope <= undo[2]:
-                        x, state = undo[:2]  # the step did not shrink the decrement
-                        break
-                    undo, trial = (x, state, slope), _spectrum(basis, x + step, mu)
-                else:
-                    level = 4.0 * np.finfo(float).eps * abs(state[0])
-                    if -slope <= level:
-                        break
-                    trial = _spectrum(basis, x + step, mu)
-                    while (trial[0] > state[0] + 0.25 * t * slope
-                           and -t * slope > level):
-                        t *= 0.5
-                        trial = _spectrum(basis, x + t * step, mu)
-                    if trial[0] > state[0] + 0.25 * t * slope:
-                        break
-                x, state, direction = x + t * step, trial, None
-            _, p, lam, vecs, w = state
-            value = float(np.sqrt(max(lam[-1], 0.0)))
-            if value < upper:
-                best, upper = (x, state), value
-            lower = max(lower, _dual_lower_bound(basis, *state[1:], x[:k] + 1j * x[k:]))
-            if upper - lower <= max(_GAP_TARGET, 0.1 * gap):
+        for _ in range(_NEWTON_STEPS):
+            grad, hess = _derivatives(basis, state, mu)
+            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+            slope, t = float(grad @ step), 1.0
+            level = 4.0 * np.finfo(float).eps * abs(state[0])
+            if -slope <= level:
                 break
+            trial = _spectrum(basis, x + step, mu)
+            while trial[0] > state[0] + 0.25 * t * slope and -t * slope > level:
+                t *= 0.5
+                trial = _spectrum(basis, x + t * step, mu)
+            if trial[0] > state[0] + 0.25 * t * slope:
+                break
+            x, state = x + t * step, trial
+        _, p, lam, vecs, w = state
+        value = float(np.sqrt(max(lam[-1], 0.0)))
+        if value < upper:
+            best, upper = (x, state), value
+        lower = max(lower, _gmres_ratio(basis, vecs * np.sqrt(w)))
         mu *= 0.1
         state = _weighted(p, lam, vecs, mu)
         ends = (ends + [x])[-3:]
@@ -323,28 +307,20 @@ def _minimize_norm(basis: np.ndarray):
     return x[:k] + 1j * x[k:], upper, state[1:], min(lower, upper)
 
 
-def _dual_lower_bound(basis: np.ndarray, p, lam, vecs, w, d: np.ndarray) -> float:
-    """Norm-duality lower bound on ``min over c of ||I + sum_j c_j Q_j||``.
+def _gmres_ratio(basis: np.ndarray, block: np.ndarray) -> float:
+    """``min over c of ||B + sum_j c_j Q_j B||_F / ||B||_F`` for a vector or
+    n x m block B, less a rounding allowance ``n eps (1 + sum_j |c_j|)``.
 
-    Every Y orthogonal to all ``Q_j`` in the Frobenius inner product gives
-    ``|tr Y| = |<P(c), Y>| <= ||P(c)|| ||Y||_*`` for every c, so
-    ``|tr Y| / ||Y||_*`` is a lower bound.  ``Y = P V W V^H`` from the
-    ``_spectrum`` values (``||Y||_* = sum_i w_i sqrt(lambda_i)``) is projected
-    off the orthonormal ``Q_j`` by ``Q^H Y``; the rounding allowance covers
-    the leftover inner products weighted by the incumbent coefficients
-    ``d``.  A projection that removes nearly all of Y certifies nothing.
+    One least-squares solve on ``[Q_1 B, .., Q_k B]``.  For a vector it is
+    the vector's own GMRES ratio; for any B a lower bound on the ideal
+    value, as ``||P B||_F <= ||P|| ||B||_F`` for every P.
     """
-    y = p @ (vecs * w) @ vecs.conj().T
-    k, n = basis.shape[0], y.shape[0]
-    qh = basis.reshape(k, -1).conj()
-    yp = y - np.tensordot(qh @ y.ravel(), basis, axes=1)
-    nuclear = float(np.linalg.svd(yp, compute_uv=False).sum())
-    eps = np.finfo(float).eps
-    if nuclear <= np.sqrt(eps) * float(w @ np.sqrt(np.maximum(lam, 0.0))):
-        return 0.0
-    leftover = float(np.abs(qh @ yp.ravel()) @ np.abs(d))
-    allowance = leftover / nuclear + n * eps * (1.0 + float(np.abs(d).sum()))
-    return max(abs(complex(np.trace(yp))) / nuclear - allowance, 0.0)
+    k, n = basis.shape[:2]
+    b = block.ravel()
+    kb = (basis @ block).reshape(k, -1).T  # the columns vec(Q_j B)
+    c = np.linalg.lstsq(kb, -b, rcond=None)[0]
+    ratio = float(np.linalg.norm(b + kb @ c) / np.linalg.norm(b))
+    return max(ratio - n * np.finfo(float).eps * (1.0 + float(np.abs(c).sum())), 0.0)
 
 
 def _dual_witness(basis: np.ndarray, p, vecs, w, lower: float) -> np.ndarray:
@@ -358,12 +334,12 @@ def _dual_witness(basis: np.ndarray, p, vecs, w, lower: float) -> np.ndarray:
     and ``i c`` (the residual is homogeneous of degree 2), each halved up to
     three times until it shrinks the residual.  It stops below 1e-12 of
     ``max |G_j|``, at a step that does not shrink it, or after
-    ``_WITNESS_STEPS`` steps.  v is kept if its own GMRES ratio, one
-    least-squares solve on ``[Q_1 v, .., Q_k v]``, reaches the dual lower
-    bound less ``_BRACKET_GAP``: the two agree only to rounding, and the
-    worst case's ascent stops at that gap too.  None is sought where the
-    dual certifies nothing (lower bound 0), keeps one eigenvector, or the
-    top eigenvector has a residual within 1e-8 of ``max |G_j|``.
+    ``_WITNESS_STEPS`` steps.  v is kept if its own :func:`_gmres_ratio`
+    reaches the lower bound, the ratio of the whole dual block, less
+    ``_BRACKET_GAP``: the two agree only to rounding, and the worst case's
+    ascent stops at that gap too.  None is sought where the dual certifies
+    nothing (lower bound 0), keeps one eigenvector, or the top eigenvector
+    has a residual within 1e-8 of ``max |G_j|``.
     """
     keep = w > 1e-12 * w[-1]
     top = vecs[:, keep]
@@ -403,9 +379,7 @@ def _dual_witness(basis: np.ndarray, p, vecs, w, lower: float) -> np.ndarray:
             break
         c, res, size = trial, trial_res, np.linalg.norm(trial_res)
     v = top @ c
-    kv = (basis @ v).T  # the columns Q_1 v .. Q_k v
-    ratio = np.linalg.norm(v + kv @ np.linalg.lstsq(kv, -v, rcond=None)[0])
-    if ratio >= lower - _BRACKET_GAP:
+    if _gmres_ratio(basis, v) >= lower - _BRACKET_GAP:
         return v
     return vecs[:, -1]
 
@@ -419,9 +393,9 @@ def ideal_gmres(a, k: int) -> MinimaxResult:
     polynomial (an upper bound on the true minimum: a stage end of the
     solver or an extrapolant of its stage ends), the witness a unit vector
     v with ``||p(A) v||`` at most 1e-10 below the bracket and the lower
-    bound a norm-duality certificate, all from the solver's own
-    eigendecompositions in an orthonormal basis of ``span{A, .., A^k}``, so
-    none depends on the scale of A; the roots come from that basis's
+    bound the GMRES ratio of the solver's dual block, all from the solver's
+    own eigendecompositions in an orthonormal basis of ``span{A, .., A^k}``,
+    so none depends on the scale of A; the roots come from that basis's
     recurrence.  A gap above 1e-4 flags the result non-certified, but both
     bounds remain sound.  Where the solver's dual has a rank-one part the
     witness's own GMRES ratio lies in the bracket, or at most 1e-10 below

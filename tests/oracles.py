@@ -197,10 +197,14 @@ def _givens(a, b):
 
 def gmres_givens(a, r0, kmax):
     """GMRES ratios ``||r_j|| / ||r_0||`` for j = 0..kmax from Arnoldi plus
-    Givens rotations on the Hessenberg least-squares problem; exact zeros
-    after a lucky breakdown."""
+    Givens rotations on the Hessenberg least-squares problem, padded with
+    the last ratio after a breakdown: exact zeros after a lucky one.  At a
+    breakdown of a singular A the rotated diagonal entry of H is at rounding
+    level (at most Arnoldi's breakdown floor), the last row of the
+    triangular system is zero, and the ratio stays where it was."""
     start = np.asarray(r0, dtype=np.complex128).ravel()
     norm0 = float(np.linalg.norm(start))
+    floor = 1e-13 * float(np.linalg.norm(np.asarray(a), 2))
     dec = arnoldi(a, start, kmax)
     steps = dec.hbar.shape[1]
     h = dec.hbar.copy()
@@ -219,8 +223,8 @@ def gmres_givens(a, r0, kmax):
         h[j + 1, j] = 0.0
         g[j + 1] = -np.conj(sn[j]) * g[j]
         g[j] = cs[j] * g[j]
-        ratios.append(float(abs(g[j + 1])) / norm0)
-    ratios += [0.0] * (kmax + 1 - len(ratios))
+        ratios.append(float(abs(g[j + 1])) / norm0 if abs(h[j, j]) > floor else ratios[-1])
+    ratios += ratios[-1:] * (kmax + 1 - len(ratios))
     return np.asarray(ratios)
 
 

@@ -293,13 +293,13 @@ def test_singular_matrix_keeps_its_residual_at_the_order():
     """A singular A can stall: for ``diag(0, 1, 2)`` the directions ``A v ..
     A^3 v`` span only two dimensions, and the residual keeps v's component
     on the kernel of A, the ratio an independent least-squares solve gives
-    (``oracles.gmres_givens`` reads 0 there: it takes every breakdown as
-    lucky)."""
+    and the Givens oracle keeps past its breakdown."""
     a = np.diag([0.0, 1.0, 2.0])
     v = np.array([1.0, 2.0, 3.0])
     ratio = gmres_residuals(a, v[:, None], 3)[3, 0]
     assert ratio == pytest.approx(1.0 / np.sqrt(14.0), abs=1e-14)
     assert abs(ratio - oracles.min_residual_lstsq(a, v, 3)[0]) <= 1e-14
+    assert np.allclose(oracles.gmres_givens(a, v, 4)[2:], ratio, rtol=0.0, atol=1e-14)
 
 
 def test_kernels_at_zero_ratio_below_the_order():
