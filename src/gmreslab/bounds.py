@@ -138,10 +138,6 @@ def starke_bound(a, k: int, fov_data: Optional[fov.FovSummary] = None) -> float:
     return _decay(fov_data.nu_a * fov_data.nu_ainv, k)
 
 
-def _derived_seed(seed: int, *path: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=path).generate_state(1)[0])
-
-
 def verify_chain(
     a,
     k: int,
@@ -159,13 +155,13 @@ def verify_chain(
 
     the Elman links only where that bound is defined.
 
-    The sampled residuals are fed to the worst-case solver as extra starts,
-    so the first verdict cannot fail merely because the ascent missed the
-    sampled directions, and the ideal value as its ceiling, so the ascent
-    stops once it meets that value.  The ideal witness is a start too; where
-    it attains the ideal value no ascent runs.  Deterministic given ``seed``, a
-    non-negative int from which the sampling and the ascent draw separate
-    streams.  ``lambda_min_m`` is the Elman bound's own ``lambda_min(M)``;
+    The sampled residuals are the worst-case solver's starts, so the first
+    verdict cannot fail merely because the ascent missed the sampled
+    directions, and the ideal value its ceiling, so the ascent stops once it
+    meets that value.  The ideal witness is the last start; where it attains
+    the ideal value no ascent runs.  Deterministic given ``seed``, a
+    non-negative int that roots the sampling, the one random stream per
+    depth.  ``lambda_min_m`` is the Elman bound's own ``lambda_min(M)``;
     :class:`InvalidSpec` where it, or a value of ``fov_summary``, leaves
     the float range.
     """
@@ -192,10 +188,8 @@ def verify_chain(
     ratios = gmres_residuals(mat, r0_block, k)[k].tolist()
 
     ideal = ideal_gmres(mat, k)
-    extra = [*r0_block.T, ideal.witness_vector]
-    worst = worst_case_gmres(
-        mat, k, _derived_seed(seed, 202, k), extra_starts=extra, ceiling=ideal.value
-    )
+    starts = np.column_stack([r0_block, ideal.witness_vector])
+    worst = worst_case_gmres(mat, k, starts, ceiling=ideal.value)
 
     links = (
         ("gmres_le_worst_case", max(ratios), worst.value, _SOLVER_SLACK),

@@ -12,9 +12,10 @@ A config is a single JSON document.  Example::
       "strict": false
     }
 
-The top-level ``seed`` feeds every sampling and solver stream, and depths
-run in ascending order, so a config fully determines the bytes of
-``report.json`` and ``curves.csv``.
+The top-level ``seed`` roots the sampled initial residuals, the one
+random stream of a run (a random matrix family draws from its own
+``seed``; the solvers draw none), and depths run in ascending order, so a
+config fully determines the bytes of ``report.json`` and ``curves.csv``.
 
 Exit codes returned by :func:`run_experiment` (codes 2 and 4 come from
 :func:`guarded`, which the command line shares):

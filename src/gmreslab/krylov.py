@@ -14,8 +14,9 @@ builds the ideal solver's matrix-space basis.  :func:`gmres_residuals`
 returns the ratio at every depth up to ``kmax``, :func:`min_residual_values`
 the ratio at one depth, and :func:`min_residual_gradients` adds its exact
 gradient in v, applying ``p(A)^H`` through H.  All three take an n x B block
-of nonzero vectors and a depth in 1..16, which may exceed n.  Arnoldi with
-Givens rotations and a dense least-squares solve cross-check it in the tests.
+of finite nonzero vectors, B >= 1, and a depth in 1..16, which may exceed
+n.  Arnoldi with Givens rotations and a dense least-squares solve
+cross-check it in the tests.
 """
 
 from __future__ import annotations
@@ -98,11 +99,14 @@ def _residual_curves(mat: np.ndarray, batch: np.ndarray, k: int):
 
 def _candidate_block(a, vs, k) -> tuple[np.ndarray, np.ndarray, int]:
     """The one argument check of the kernels: A scaled by a power of two (see
-    :func:`_residual_curves`), ``vs`` as an n x B block, and the depth."""
+    :func:`_residual_curves`), ``vs`` as a finite n x B block, B >= 1, and
+    the depth.  A zero column is left to the kernel's :class:`ZeroVector`."""
     mat = binary_scaled(as_matrix(a))[0]
     batch = np.asarray(vs, dtype=np.complex128)
-    if batch.ndim != 2 or batch.shape[0] != mat.shape[0]:
-        raise InvalidSpec("vector block must be n x B")
+    if batch.ndim != 2 or batch.shape[0] != mat.shape[0] or not batch.shape[1]:
+        raise InvalidSpec("vector block must be n x B with B >= 1")
+    if not np.isfinite(batch).all():
+        raise InvalidSpec("vector block must be finite")
     return mat, batch, check_depth(k)
 
 

@@ -35,12 +35,13 @@ reported by its roots, the eigenvalues of a comrade pencil of the basis's
 Arnoldi recurrence H and the coefficients d; no monomial basis is formed.
 
 ``worst_case_gmres`` runs L-BFGS-B on ``phi(v)^2 / 2``, phi(v) the residual
-ratio, over the real and imaginary parts of v: the best starts climb as one
-block, then the best of them alone.  One kernel pass per evaluation solves
-the inner polynomial problem exactly for every candidate and returns its
-exact gradient, by the envelope theorem ``(p_v(A)^H p_v(A) v - phi^2 v) /
-||v||^2`` with p_v the minimizing polynomial of v; its Arnoldi directions
-keep phi exact to rounding at every depth.  phi is scale-invariant, so no
+ratio, over the real and imaginary parts of v: the best of the caller's
+starts climb as one block, then the best of them alone.  One kernel pass
+per evaluation solves the inner polynomial problem exactly for every
+candidate and returns its exact gradient, by the envelope theorem
+``(p_v(A)^H p_v(A) v - phi^2 v) / ||v||^2`` with p_v the minimizing
+polynomial of v; its Arnoldi directions keep phi exact to rounding at
+every depth.  phi is scale-invariant, so no
 sphere constraint is needed.  Every evaluated candidate is a
 certified lower bound on the true worst case, so under-convergence is safe
 for the inequality checks downstream.  The caller may pass a known upper
@@ -52,15 +53,16 @@ where the ideal witness is a rank-one dual it attains it as a start, so
 no ascent runs at all.
 
 The budgets are constants of the method: 16 ascent starts, 200 kernel
-evaluations, and a certification gap of 1e-4 for both brackets.  The
-inputs besides A and k are the worst case's integer seed and its ceiling.
+evaluations, and a certification gap of 1e-4 for both brackets.  Neither
+solver draws a random number: the inputs besides A and k are the worst
+case's starts and its ceiling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Real
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import optimize
@@ -68,8 +70,8 @@ from scipy.linalg import lapack
 
 from . import dense_core
 from .dense_core import as_matrix
-from .errors import MAX_DEPTH, BudgetExceeded, InvalidSpec, NoConvergence, ZeroVector
-from .errors import check_depth, check_int
+from .errors import MAX_DEPTH, BudgetExceeded, InvalidSpec, NoConvergence
+from .errors import check_depth
 from .krylov import _arnoldi, _gradients, min_residual_values
 
 __all__ = [
@@ -82,21 +84,20 @@ __all__ = [
     "scalar_minimax_oracle",
 ]
 
-# _minimize_norm stops once the norm and its dual bound are this close.
-_GAP_TARGET = 1e-10
 # Newton steps per smoothing stage; rounding stops a stage long before.
 _NEWTON_STEPS = 100
 # An ideal result is certified when its upper and lower bounds are this close.
 _CERTIFY_GAP = 1e-4
-# Ascent starts of worst_case_gmres, moved together as one block: the best of
-# the caller's starts and the random unit vectors that fill the pool up to
-# this size.
+# Ascent starts of worst_case_gmres, moved together as one block: at most
+# this many of the caller's starts, the best by phi.
 _ASCENT_STARTS = 16
 # Kernel evaluations of the ascent, one kernel pass over the block each,
 # shared by its two L-BFGS-B runs; SciPy may finish its current line
 # search, at most 20 evaluations, past it.
 _ASCENT_EVALS = 200
-# The ascent stops once phi is this close to the caller's ceiling on wc.
+# The bracket both solvers close: _minimize_norm stops once the norm and
+# its dual bound are this close, the ascent once phi is this close to the
+# caller's ceiling on wc.
 _BRACKET_GAP = 1e-10
 # Gauss-Newton steps of _dual_witness: it converges quadratically or not at all.
 _WITNESS_STEPS = 16
@@ -247,13 +248,12 @@ def _minimize_norm(basis: np.ndarray):
     per accepted point.  ``mu`` starts at ``0.01 ||P(start)||^2``, small
     enough not to pull a start near the optimum away from it, and shrinks
     tenfold per stage until the norm and the lower bound meet within
-    ``_GAP_TARGET`` or ``mu`` reaches rounding level.  A stage ends at its
+    ``_BRACKET_GAP`` or ``mu`` reaches rounding level.  A stage ends at its
     first point whose predicted decrease is at the rounding level, where
     the lower bound is taken: the :func:`_gmres_ratio` of the dual block
     ``V diag(w)^(1/2)``.  The stage ends lie O(mu) from the optimum when
     the top singular value is multiple, so the next stage starts at their
-    Richardson extrapolant to mu = 0 if F_mu is no higher there than at the
-    reweighted stage end; its norm is an upper bound too.
+    Richardson extrapolant to mu = 0; its norm is an upper bound too.
 
     Returns ``(d, norm, spectrum, lower)``: the best coefficients seen;
     ``norm = ||P(d)|| = sqrt(lambda_max) <= 1`` and ``spectrum = (P,
@@ -271,7 +271,7 @@ def _minimize_norm(basis: np.ndarray):
     state, ends = _weighted(p, lam, vecs, mu), []
     upper, lower = float(np.sqrt(lam[-1])), 0.0
     best = x, state
-    while upper - lower > _GAP_TARGET and mu >= 1e-14 * upper**2:
+    while upper - lower > _BRACKET_GAP and mu >= 1e-14 * upper**2:
         for _ in range(_NEWTON_STEPS):
             grad, hess = _derivatives(basis, state, mu)
             step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
@@ -292,17 +292,16 @@ def _minimize_norm(basis: np.ndarray):
             best, upper = (x, state), value
         lower = max(lower, _gmres_ratio(basis, vecs * np.sqrt(w)))
         mu *= 0.1
-        state = _weighted(p, lam, vecs, mu)
         ends = (ends + [x])[-3:]
         if ends[1:]:  # Richardson extrapolation of the stage ends to mu = 0
-            xe = (np.dot([10 / 8910, -100 / 810, 1000 / 891], ends) if ends[2:]
-                  else x + (x - ends[0]) / 9)
-            spec = _spectrum(basis, xe, mu)
-            value = float(np.sqrt(max(spec[2][-1], 0.0)))
+            x = (np.dot([10 / 8910, -100 / 810, 1000 / 891], ends) if ends[2:]
+                 else x + (x - ends[0]) / 9)
+            state = _spectrum(basis, x, mu)
+            value = float(np.sqrt(max(state[2][-1], 0.0)))
             if value < upper:
-                best, upper = (xe, spec), value
-            if spec[0] <= state[0]:
-                x, state = xe, spec
+                best, upper = (x, state), value
+        else:
+            state = _weighted(p, lam, vecs, mu)
     x, state = best
     return x[:k] + 1j * x[k:], upper, state[1:], min(lower, upper)
 
@@ -449,50 +448,26 @@ def _ascend(mat: np.ndarray, v0: np.ndarray, k: int, budget: int, target: float)
     return best_v / np.linalg.norm(best_v, axis=0), best_phi, nfev
 
 
-def worst_case_gmres(
-    a,
-    k: int,
-    seed: int = 0,
-    extra_starts: Optional[Sequence[np.ndarray]] = None,
-    ceiling: float = 1.0,
-) -> MinimaxResult:
+def worst_case_gmres(a, k: int, starts, ceiling: float = 1.0) -> MinimaxResult:
     """Maximize ``min over p in pi_k of ||p(A) v|| / ||v||`` over v != 0.
 
-    ``extra_starts`` are finite length-n vectors the caller cares about,
-    such as sampled initial residuals; each is evaluated, so the value is
-    never below the best one's ratio.  ``seed`` (a non-negative int) roots
-    the random unit vectors that fill the pool after them up to 16 starts.
+    ``starts`` is an n x B block of finite nonzero vectors, B >= 1, such as
+    sampled initial residuals: each column is evaluated, so the value is
+    never below the best one's ratio, and the best 16 of them climb.
     ``ceiling``, a finite number >= 0, is a known upper bound on the worst
     case, such as ``ideal_gmres(a, k).value``; the default 1 is the bound
     from p = 1.  The ascent stops, or never starts, once phi comes within
     1e-10 of it.  The value is a certified lower bound on the true worst
     case; the bracket ``[value, ceiling]`` is certified when ``-1e-10 <=
-    ceiling - value <= 1e-4``.  A zero start raises :class:`ZeroVector`, any
-    other argument outside its rule :class:`InvalidSpec`.
+    ceiling - value <= 1e-4``.  A zero column raises :class:`ZeroVector`,
+    any other argument outside its rule :class:`InvalidSpec`.
     """
     scaled, k = dense_core.binary_scaled(as_matrix(a))[0], check_depth(k)
-    check_int(seed, "seed", 0)
     if not (isinstance(ceiling, Real) and 0 <= ceiling < np.inf):
         raise InvalidSpec(f"invalid ceiling {ceiling!r}: need a finite number >= 0")
-    n = scaled.shape[0]
-
-    seeds: list[np.ndarray] = []
-    for vec in extra_starts or ():
-        w = np.asarray(vec, dtype=np.complex128).ravel()
-        if w.shape[0] != n or not np.all(np.isfinite(w)):
-            raise InvalidSpec(f"extra start must be a finite vector of length {n}")
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            raise ZeroVector("extra start is zero")
-        seeds.append(w / nw)
-
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    while len(seeds) < _ASCENT_STARTS:
-        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        seeds.append(w / np.linalg.norm(w))
-
-    pool = np.column_stack(seeds)
-    pool_values = min_residual_values(scaled, pool, k)
+    pool_values = min_residual_values(scaled, starts, k)
+    pool = np.asarray(starts, dtype=np.complex128)
+    pool = pool / np.linalg.norm(pool, axis=0)
     target = ceiling - _BRACKET_GAP
     best_v = pool[:, int(np.argmax(pool_values))]
     if pool_values.max() < target:

@@ -43,6 +43,13 @@ def random_unit(rng, n):
     return v / np.linalg.norm(v)
 
 
+def random_starts(n, count=16):
+    """An n x count block of random unit vectors for ``worst_case_gmres``,
+    from one fixed stream: the block its tests ascend from."""
+    rng = np.random.default_rng(np.random.SeedSequence(0).spawn(1)[0])
+    return np.column_stack([random_unit(rng, n) for _ in range(count)])
+
+
 @pytest.fixture(scope="session")
 def jordan_block():
     return np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.complex128)

@@ -5,10 +5,12 @@
 ``SPANS`` and ``CALL_COUNTS`` and calls package functions from its
 workloads; a deleted or renamed name there turns a benchmark run into a
 failure.  The benchmark files are read as text, not imported.  Every
-error the package raises derives from ``gmreslab.LabError``.
+error the package raises derives from ``gmreslab.LabError``, and only the
+modules that sample reach ``numpy.random``.
 """
 
 import ast
+import functools
 import importlib
 import pkgutil
 from pathlib import Path
@@ -111,9 +113,10 @@ def foreign_raises(source: str) -> list:
     return sorted(name for name in names if name not in RAISABLE)
 
 
-@pytest.mark.parametrize(
-    "path", sorted(Path(gmreslab.__file__).parent.glob("*.py")), ids=lambda path: path.name
-)
+PACKAGE_FILES = sorted(Path(gmreslab.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda path: path.name)
 def test_package_raises_only_its_own_errors(path):
     assert foreign_raises(path.read_text()) == []
 
@@ -134,15 +137,61 @@ def test_checker_finds_foreign_raises():
     assert foreign_raises(source) == ["", "ValueError"]
 
 
+def reaches_numpy_random(source: str) -> bool:
+    """Whether ``source`` names ``np.random`` or ``numpy.random``, or
+    imports from it."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and ast.unparse(node) in ("np.random", "numpy.random"):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.random"):
+            if node.module == "numpy.random" or "random" in (a.name for a in node.names):
+                return True
+        if isinstance(node, ast.Import) and any(a.name == "numpy.random" for a in node.names):
+            return True
+    return False
+
+
+def test_only_the_sampling_modules_draw_random_numbers():
+    """The sampled initial residuals (bounds.py) and the random matrix
+    families (matrices.py) are the package's random streams; the solvers
+    draw none, so a worst case or an ideal value depends only on its
+    arguments."""
+    users = {path.name for path in PACKAGE_FILES if reaches_numpy_random(path.read_text())}
+    assert users == {"bounds.py", "matrices.py"}
+
+
 @pytest.mark.parametrize(
-    "call",
-    [
-        lambda: gmreslab.ideal_gmres(np.ones((2, 3)), 1),
-        lambda: gmreslab.fov_summary([[np.nan]]),
-        lambda: gmreslab.gmres_residuals(np.eye(3), np.ones((2, 1)), 1),
-    ],
-    ids=["non_square_matrix", "non_finite_matrix", "short_vector_block"],
+    "source, reaches",
+    [("rng = np.random.default_rng(0)", True), ("from numpy import random", True),
+     ("from numpy.random import SeedSequence", True), ("import numpy.random", True),
+     ("x = np.linalg.norm(v)\nrandom = 3", False)],
+    ids=["attribute", "from_numpy", "from_numpy_random", "import", "none"],
 )
+def test_checker_finds_numpy_random(source, reaches):
+    assert reaches_numpy_random(source) is reaches
+
+
+# Vector blocks that every residual kernel refuses with InvalidSpec.
+BAD_BLOCKS = {
+    "nan": [[np.nan], [1.0], [1.0]],
+    "inf": [[np.inf], [1.0], [1.0]],
+    "empty": np.ones((3, 0)),
+}
+MALFORMED = {
+    "non_square_matrix": lambda: gmreslab.ideal_gmres(np.ones((2, 3)), 1),
+    "non_finite_matrix": lambda: gmreslab.fov_summary([[np.nan]]),
+    "short_vector_block": lambda: gmreslab.gmres_residuals(np.eye(3), np.ones((2, 1)), 1),
+    **{
+        f"{bad}_vector_block_{kernel}": functools.partial(
+            getattr(gmreslab.krylov, kernel), np.diag([1.0, 2.0, 3.0]), block, 1
+        )
+        for bad, block in BAD_BLOCKS.items()
+        for kernel in gmreslab.krylov.__all__
+    },
+}
+
+
+@pytest.mark.parametrize("call", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_arguments_raise_invalid_spec(call):
     with pytest.raises(InvalidSpec):
         call()

@@ -23,7 +23,7 @@ from gmreslab import (
     worst_case_gmres,
 )
 from gmreslab import NoConvergence, bounds, dense_core, hermitian_part, krylov, minimax
-from conftest import deep_matrices, random_complex
+from conftest import deep_matrices, random_complex, random_starts
 import oracles
 
 PINNED_TOL = 1e-6
@@ -93,7 +93,7 @@ def test_toh_ideal_strictly_above_worst_case(eps):
     ideal = ideal_gmres(a, 3)
     assert abs(ideal.value - 0.8) <= 1e-8
     assert ideal.certified
-    assert worst_case_gmres(a, 3).value < ideal.value - 0.05
+    assert worst_case_gmres(a, 3, random_starts(4)).value < ideal.value - 0.05
 
 
 @pytest.mark.parametrize("rel_mu", [1e-1, 1e-3])
@@ -374,17 +374,18 @@ def test_ideal_deterministic_given_seed():
 
 
 def test_worst_case_identity_is_zero():
-    assert worst_case_gmres(np.eye(4), 2).value == pytest.approx(0.0, abs=1e-10)
+    res = worst_case_gmres(np.eye(4), 2, random_starts(4))
+    assert res.value == pytest.approx(0.0, abs=1e-10)
 
 
 def test_worst_case_two_point():
     expected, _ = oracles.equioscillation_two_points()
-    res = worst_case_gmres(np.diag([1.0, 2.0]), 1)
+    res = worst_case_gmres(np.diag([1.0, 2.0]), 1, random_starts(2))
     assert res.value == pytest.approx(expected, abs=EQUALITY_TOL)
 
 
 def test_worst_case_full_depth_is_zero():
-    res = worst_case_gmres(np.diag([1.0, 2.0]), 2)
+    res = worst_case_gmres(np.diag([1.0, 2.0]), 2, random_starts(2))
     assert res.value == pytest.approx(0.0, abs=1e-10)
 
 
@@ -392,7 +393,7 @@ def test_worst_case_extra_starts_are_floor():
     a = np.diag([1.0, 2.0, 4.0]).astype(complex)
     v = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
     floor, _ = oracles.min_residual_lstsq(a, v, 1)
-    res = worst_case_gmres(a, 1, extra_starts=[v])
+    res = worst_case_gmres(a, 1, np.column_stack([v, random_starts(3, 15)]))
     assert res.value >= floor - 1e-14
 
 
@@ -414,7 +415,7 @@ NORMAL_GALLERY = {
 def test_worst_case_matches_scalar_oracle_on_normal_gallery(name, k):
     a = generate_matrix(MatrixSpec.from_dict(NORMAL_GALLERY[name]))
     want = scalar_minimax_oracle(np.linalg.eigvals(a), k)
-    assert abs(worst_case_gmres(a, k).value - want) <= 1e-6
+    assert abs(worst_case_gmres(a, k, random_starts(len(a))).value - want) <= 1e-6
 
 
 @pytest.mark.parametrize("name", sorted(deep_matrices()))
@@ -425,7 +426,7 @@ def test_deep_ideal_closes_and_bounds_the_worst_case(name):
     for k in range(9, 17):
         ideal = ideal_gmres(a, k)
         assert ideal.upper_bound - ideal.lower_bound <= 1e-8
-        assert worst_case_gmres(a, k, ceiling=ideal.value).value <= ideal.value
+        assert worst_case_gmres(a, k, random_starts(len(a)), ideal.value).value <= ideal.value
 
 
 def test_verify_chain_passes_at_depth_twelve():
@@ -437,7 +438,7 @@ def test_worst_case_invariant_under_transpose_and_adjoint(eps):
     """wc(A) = wc(A^T) = wc(A^H) (Faber, Liesen & Tichy, SIMAX 2013), on
     Toh's matrix, where wc < ideal strictly at k = 3."""
     a = toh(eps)
-    values = [worst_case_gmres(m, 3).value for m in (a, a.T, a.conj().T)]
+    values = [worst_case_gmres(m, 3, random_starts(4)).value for m in (a, a.T, a.conj().T)]
     assert max(values) - min(values) <= 1e-10
 
 
@@ -449,7 +450,7 @@ def test_ideal_ceiling_closes_the_bracket_on_normal_gallery(name, k):
     stops within 1e-10 below it, and the bracket is certified."""
     a = generate_matrix(MatrixSpec.from_dict(NORMAL_GALLERY[name]))
     ideal = ideal_gmres(a, k)
-    res = worst_case_gmres(a, k, ceiling=ideal.value)
+    res = worst_case_gmres(a, k, random_starts(len(a)), ideal.value)
     assert -1e-15 <= ideal.value - res.value <= minimax._BRACKET_GAP
     assert res.upper_bound == ideal.value
     assert res.lower_bound == res.value
@@ -623,8 +624,42 @@ def test_ideal_is_the_worst_case_of_the_block_diagonal_copy(a, k):
     so ideal(A) = wc(I_n (x) A).  The ascent on the Kronecker matrix checks
     the Newton solver from below, also where wc(A) < ideal (Toh, k = 3)."""
     ideal = ideal_gmres(a, k)
-    wc = worst_case_gmres(np.kron(np.eye(a.shape[0]), a), k, ceiling=ideal.value)
+    kron = np.kron(np.eye(len(a)), a)
+    wc = worst_case_gmres(kron, k, random_starts(len(kron)), ideal.value)
     assert -16 * np.finfo(float).eps * ideal.value <= ideal.value - wc.value <= 1e-10
+
+
+@pytest.mark.parametrize("lam", [1.5, 2.0, 3.0, 5.0])
+def test_jordan_block_ideal_is_at_most_the_power_of_its_eigenvalue(lam):
+    """For a Jordan block J = lam I + N of order n and k < n, p = (1 -
+    z/lam)^k is feasible, ``p(J) = (-N/lam)^k`` and ``||N^k|| = 1``, so
+    ideal(J, k) <= |lam|^-k (n = 4..10; measured excess at most 5.4e-11).
+    Whether p is the ideal polynomial depends on lam and on the radius of
+    the polynomial numerical hull of J, a disk about lam (Faber, Greenbaum &
+    Marshall, LAA 2003; Tichy, Liesen & Faber, ETNA 2007).  The closed form
+    is pinned only where the solver's own dual lower bound proves it: k <
+    n/2 and lam >= 2, within 5.4e-11.  At lam = 1.5 it fails although k <
+    n/2: the certified value lies below 1.5^-k by 2.0e-3 relative at (n, k)
+    = (5, 2) and by 1.1e-4 at (7, 3)."""
+    for n in range(4, 11):
+        j = _spec_matrix({"family": "jordan", "n": n, "lam": lam})
+        for k in range(1, n):
+            res = ideal_gmres(j, k)
+            assert res.value <= lam**-k + 1e-10
+            if lam >= 2 and 2 * k < n:
+                assert res.lower_bound >= lam**-k - 1e-10
+
+
+def test_verify_chain_on_a_jordan_block_meets_the_closed_form():
+    """On the ``jordan`` family with n = 8 and lam = 2 at k = 1..3, where
+    the closed form 2^-k holds, every verdict passes and the worst case and
+    the ideal value both lie within 2e-12 of 2^-k (1.6e-12 measured)."""
+    j = _spec_matrix({"family": "jordan", "n": 8, "lam": 2.0})
+    for k in (1, 2, 3):
+        report = verify_chain(j, k, 20)
+        assert report.all_passed
+        assert abs(report.worst_case - 2.0**-k) <= 2e-12
+        assert abs(report.ideal - 2.0**-k) <= 2e-12
 
 
 # The benchmark's lab_run configs: the gallery of scripts/run_gallery.py at
@@ -693,8 +728,8 @@ def test_open_bracket_runs_the_full_ascent(eps):
     ceiling changes nothing: the same value to the bit, not certified."""
     a = toh(eps)
     ideal = ideal_gmres(a, 3)
-    free = worst_case_gmres(a, 3)
-    capped = worst_case_gmres(a, 3, ceiling=ideal.value)
+    free = worst_case_gmres(a, 3, random_starts(4))
+    capped = worst_case_gmres(a, 3, random_starts(4), ideal.value)
     assert capped.value == free.value
     assert capped.upper_bound == ideal.value
     assert not capped.certified
@@ -713,9 +748,9 @@ def test_worst_case_invariant_under_unitary_similarity_and_scaling(a, k):
     rng = np.random.default_rng(83)
     n = a.shape[0]
     q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
-    want = worst_case_gmres(a, k).value
+    want = worst_case_gmres(a, k, random_starts(n)).value
     for b in [q @ a @ q.conj().T] + [c * a for c in (1e-150, 3.7, 1e150)]:
-        assert abs(worst_case_gmres(b, k).value - want) <= 1e-9
+        assert abs(worst_case_gmres(b, k, random_starts(n)).value - want) <= 1e-9
 
 
 @pytest.mark.parametrize("starts", [4, 64])
@@ -734,7 +769,7 @@ def test_worst_case_kernel_calls_do_not_grow_with_starts(starts, monkeypatch):
     monkeypatch.setattr(krylov, "_residual_curves", counting)
     monkeypatch.setattr(minimax, "_ASCENT_STARTS", starts)
     a = random_complex(np.random.default_rng(71), 8)
-    worst_case_gmres(a, 3)
+    worst_case_gmres(a, 3, random_starts(8, starts))
     assert 0 < len(calls) <= minimax._ASCENT_EVALS + 2
 
 
@@ -748,7 +783,7 @@ def test_worst_case_enters_the_kernel_check_twice_per_solve(monkeypatch):
         monkeypatch.setattr(
             krylov, name, lambda *args, f=original, c=calls: c.append(1) or f(*args)
         )
-    res = worst_case_gmres(toh(0.1), 3)
+    res = worst_case_gmres(toh(0.1), 3, random_starts(4))
     assert len(checks) == 2
     assert len(passes) > 2
     assert res.value == pytest.approx(0.4579, abs=1e-4)
@@ -758,24 +793,27 @@ DIAG3 = np.diag([1.0, 2.0, 4.0])
 
 
 @pytest.mark.parametrize(
-    "start",
-    [np.ones(5), [1.0, np.nan, 0.0], [1.0, np.inf, 0.0]],
-    ids=["long", "nan", "inf"],
+    "starts",
+    [np.ones((5, 2)), [[1.0, 1.0], [1.0, np.nan], [1.0, 0.0]],
+     [[1.0, 1.0], [1.0, np.inf], [1.0, 0.0]], np.ones((3, 0)), np.ones(3)],
+    ids=["long", "nan", "inf", "empty", "vector"],
 )
-def test_worst_case_refuses_a_malformed_extra_start(start):
-    with pytest.raises(InvalidSpec, match="extra start"):
-        worst_case_gmres(DIAG3, 1, extra_starts=[np.ones(3), start])
+def test_worst_case_refuses_a_malformed_start_block(starts):
+    """The starts pass the kernels' one argument check: a finite n x B block
+    with B >= 1."""
+    with pytest.raises(InvalidSpec, match="vector block"):
+        worst_case_gmres(DIAG3, 1, starts)
 
 
 def test_worst_case_refuses_a_zero_extra_start():
     with pytest.raises(ZeroVector):
-        worst_case_gmres(DIAG3, 1, extra_starts=[np.ones(3), np.zeros(3)])
+        worst_case_gmres(DIAG3, 1, np.column_stack([np.ones(3), np.zeros(3)]))
 
 
 @pytest.mark.parametrize("ceiling", [-1.0, -1e-300, np.nan, np.inf, "1", None])
 def test_worst_case_refuses_a_ceiling_outside_finite_non_negative_numbers(ceiling):
     with pytest.raises(InvalidSpec, match="invalid ceiling"):
-        worst_case_gmres(DIAG3, 1, ceiling=ceiling)
+        worst_case_gmres(DIAG3, 1, random_starts(3), ceiling)
 
 
 def test_worst_case_never_certifies_an_inverted_bracket(monkeypatch):
@@ -786,27 +824,25 @@ def test_worst_case_never_certifies_an_inverted_bracket(monkeypatch):
     calls = []
     gradients = minimax._gradients
     monkeypatch.setattr(minimax, "_gradients", lambda *args: calls.append(1) or gradients(*args))
-    res = worst_case_gmres(DIAG3, 1, ceiling=0.0)
+    res = worst_case_gmres(DIAG3, 1, random_starts(3), 0.0)
     assert res.value == pytest.approx(0.5975, abs=1e-3)
     assert res.upper_bound == 0.0
     assert not res.certified
     assert calls == []
 
 
-@pytest.mark.parametrize("extra", [0, 20])
-def test_worst_case_pool_is_the_callers_starts_then_random_up_to_16(extra, monkeypatch):
-    """The pool pass evaluates the caller's starts and, where they are fewer
-    than 16, random unit vectors up to 16: 20 columns with 20 starts, 16
-    with none."""
-    columns = []
+@pytest.mark.parametrize("count", [1, 20])
+def test_worst_case_pool_is_the_callers_starts(count, monkeypatch):
+    """The pool pass evaluates exactly the caller's starts, however few:
+    no random vector fills the pool up."""
+    pools = []
     kernel = minimax.min_residual_values
     monkeypatch.setattr(
-        minimax, "min_residual_values",
-        lambda a, vs, k: columns.append(vs.shape[1]) or kernel(a, vs, k),
+        minimax, "min_residual_values", lambda a, vs, k: pools.append(vs) or kernel(a, vs, k)
     )
-    starts = np.random.default_rng(5).standard_normal((extra, 3))
-    worst_case_gmres(DIAG3, 1, extra_starts=list(starts), ceiling=0.0)
-    assert columns[0] == max(extra, minimax._ASCENT_STARTS)
+    starts = random_starts(3, count)
+    worst_case_gmres(DIAG3, 1, starts, ceiling=0.0)
+    assert np.array_equal(pools[0], starts)
 
 
 def test_sandwich_worst_below_ideal():
@@ -815,7 +851,7 @@ def test_sandwich_worst_below_ideal():
         n = int(rng.integers(2, 8))
         a = random_complex(rng, n, spread=float(rng.uniform(0.3, 1.2)))
         for k in (1, 2):
-            worst = worst_case_gmres(a, k).value
+            worst = worst_case_gmres(a, k, random_starts(n)).value
             ideal = ideal_gmres(a, k).value
             assert worst <= ideal + SANDWICH_SLACK
             assert ideal <= 1.0 + CEILING_SLACK
@@ -824,7 +860,7 @@ def test_sandwich_worst_below_ideal():
 def test_depth_one_equality_trio():
     rng = np.random.default_rng(57)
     a = random_complex(rng, 6, spread=0.8)
-    worst = worst_case_gmres(a, 1).value
+    worst = worst_case_gmres(a, 1, random_starts(6)).value
     ideal = ideal_gmres(a, 1).value
     one = one_step_ideal(a).value
     assert abs(worst - ideal) <= EQUALITY_TOL
@@ -920,7 +956,7 @@ def test_diagonal_ideal_matches_scalar_oracle(n, k, key):
 
 DEPTH_CALLS = {
     "ideal_gmres": ideal_gmres,
-    "worst_case_gmres": worst_case_gmres,
+    "worst_case_gmres": lambda a, k: worst_case_gmres(a, k, np.ones((3, 1))),
     "verify_chain": lambda a, k: verify_chain(a, k, 3),
     "elman_bound": bounds.elman_bound,
     "starke_bound": bounds.starke_bound,
@@ -952,7 +988,5 @@ def test_numpy_integer_depth_is_accepted():
 def test_seed_validation():
     a = np.diag([1.0, 2.0])
     for bad in (True, -1, 1.5, "3"):
-        with pytest.raises(ValueError):
-            worst_case_gmres(a, 1, seed=bad)
         with pytest.raises(ValueError):
             verify_chain(a, 1, trials=3, seed=bad)
