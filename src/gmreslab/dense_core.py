@@ -5,9 +5,9 @@ where dense O(n^3) work is instantaneous (n up to a few hundred).  Real
 input is accepted everywhere and is promoted to complex storage; there is
 no separate real code path.  The inner product convention is
 ``<x, y> = y^H x`` (conjugate-linear in the second argument) throughout
-the package.  Hermitian eigenproblems go straight to ``np.linalg.eigh``
-(``eigvalsh`` where only the eigenvalues are read); their ``LinAlgError``
-reaches ``run_experiment`` and ``cli.main``, which exit 4.
+the package.  Hermitian eigenproblems go to ``np.linalg.eigh`` (``eigvalsh``
+for eigenvalues; the ideal solver calls ``zheevd``), and their errors reach
+``run_experiment`` and ``cli.main``, which exit 4.
 """
 
 from __future__ import annotations

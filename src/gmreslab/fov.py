@@ -11,13 +11,13 @@ full eigensolve runs only where that fails.  The support value is
 read off the boundary point, the lower one off the opposite angle of an
 even grid; real A mirrors the angles past pi.  The distance from the origin,
 ``nu(F(A)) = max(0, max_theta lambda_min(H(theta)))``, is the Crawford
-number of the pair (H, S); ``nu_fov`` finds it by one safeguarded step
-rule, Newton, else the hull direction, else bisection, each eigensolve
-evaluating an angle and its opposite, and brackets it by the hull of the
-Rayleigh quotients it has seen.  ``nu(F(A^{-1}))`` is the
-same on the inverse of ``A / 2^e``, formed only where ``nu(F(A)) > 0``
-keeps it in range; ``fov_summary`` returns the two, the Starke bound's
-only field-of-values inputs.
+number of the pair (H, S); ``nu_fov`` finds it from start angles, which
+stop at the first positive g, by one safeguarded step rule, Newton, else
+the hull direction, else bisection, each eigensolve evaluating an angle
+and its opposite, and brackets it by the hull of the Rayleigh quotients it
+has seen.  ``nu(F(A^{-1}))`` is the same on the inverse of ``A / 2^e``,
+formed only where ``nu(F(A)) > 0`` keeps it in range; ``fov_summary``
+returns the two, the Starke bound's only field-of-values inputs.
 """
 
 from __future__ import annotations
@@ -223,16 +223,17 @@ def nu_fov(a) -> NuResult:
     ``theta + pi``: ``g = -lambda_n``, ``g' = -u_n^H H' u_n``, ``g'' =
     lambda_n - 2 sum_j |u_j^H H' u_n|^2 / (lambda_n - lambda_j)``.  The 8
     equispaced start angles take 4 eigensolves, at 0, pi/4, pi/2 and 3 pi/4,
-    and the bracket is tested after each, so a real A, whose g peaks at 0,
-    or an origin deep inside F(A) ends the search early.  After the starts
-    each step follows one rule.  A Newton step from the
-    best angle is taken if it stays inside the arc that the evaluated angles
-    leave around the maximum; else the direction of the hull point nearest
-    the origin (exact at the kinks of normal matrices), which may leave the
-    arc, as g may have several local maxima where it is negative; else the
-    arc's midpoint.  No angle is evaluated twice.  The value is 0 once the
-    hull point is within ``_zero_tol``, and the loop stops once ``upper -
-    value <= _zero_tol``.  A value beyond the float range reads infinite.
+    up to the first with g > 0, and the bracket is tested after each.  There
+    F(A) lies within pi/2 of that angle in argument, so ``g = min_z |z|
+    cos(theta - arg z)`` is concave where positive, with one maximum.  Then
+    a Newton step from the best angle is taken if it stays inside the arc
+    the evaluated angles leave around the maximum (pi either side if none);
+    else the direction of the hull point nearest the origin (exact at the
+    kinks of normal matrices), which may leave the arc, as g may have
+    several local maxima where negative; else the arc's midpoint.  No angle
+    is evaluated twice.  The value is 0 once the hull point is within
+    ``_zero_tol``; the loop stops once ``upper - value <= _zero_tol``.  A
+    value beyond the float range reads infinite.
     """
     scaled, e = dense_core.binary_scaled(as_matrix(a))
     nu = _nu_fov(scaled)
@@ -280,12 +281,12 @@ def _nu_fov(mat: np.ndarray) -> NuResult:
             return NuResult(0.0, theta_b % _TWO_PI, upper)
         if upper - best[0] <= tol or count == _MAX_EVALS:
             break
-        if count < starts.size:
+        if count < starts.size and best[0] <= 0.0:
             theta = starts[count]
             continue
         offsets = _wrap(np.asarray(angles) - theta_b)
-        lo = 0.0 if best[1] > 0.0 else offsets[offsets < 0.0].max()
-        hi = 0.0 if best[1] < 0.0 else offsets[offsets > 0.0].min()
+        lo = 0.0 if best[1] > 0.0 else offsets[offsets < 0.0].max(initial=-np.pi)
+        hi = 0.0 if best[1] < 0.0 else offsets[offsets > 0.0].min(initial=np.pi)
         steps = (-best[1] / best[2], _wrap(np.angle(near) - theta_b), 0.5 * (lo + hi))
         step = next((t for i, t in enumerate(steps) if (i == 1 or lo < t < hi)
                      and np.abs(_wrap(offsets - t)).min() > _ANGLE_EPS), None)

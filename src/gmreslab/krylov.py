@@ -74,12 +74,15 @@ def _residual_curves(mat: np.ndarray, batch: np.ndarray, k: int):
     residual, as a singular A can stall.  With ``Q_j = q_j(A) v`` for the
     polynomials q_j of the Arnoldi recurrence H, the depth-k residual is
     ``p(A) v`` for ``p = 1 - h_1 q_1 - .. - h_k q_k``, h the projection
-    coefficients; the residual, h and H are returned with the ratios.
+    coefficients.  Each v is first scaled as ``binary_scaled`` scales a
+    matrix; the residual, h, H, the scaled block and e return with the ratios.
 
     Callers pass ``dense_core.binary_scaled(A)``: the ratios do not depend
     on the scale of A, and H, of the size of ``||A||``, is then that of the
     scaled matrix.  A zero column raises :class:`ZeroVector`.
     """
+    e = np.frexp(np.maximum(np.abs(batch.real), np.abs(batch.imag)).max(axis=0))[1]
+    batch = np.ldexp(batch.real, -e) + 1j * np.ldexp(batch.imag, -e)
     q, hessenberg = _arnoldi(lambda w: mat @ w, batch, k)
     h = np.empty((k, batch.shape[1]), dtype=np.complex128)
     residuals = np.empty((k + 1,) + batch.shape, dtype=np.complex128)
@@ -94,7 +97,7 @@ def _residual_curves(mat: np.ndarray, batch: np.ndarray, k: int):
     norms = np.linalg.norm(residuals, axis=1)
     if np.any(norms[0] == 0.0):
         raise ZeroVector("zero vector in the residual kernel's block")
-    return norms / norms[0], residuals[k], h, hessenberg
+    return norms / norms[0], residuals[k], h, hessenberg, batch, e
 
 
 def _candidate_block(a, vs, k) -> tuple[np.ndarray, np.ndarray, int]:
@@ -102,7 +105,10 @@ def _candidate_block(a, vs, k) -> tuple[np.ndarray, np.ndarray, int]:
     :func:`_residual_curves`), ``vs`` as a finite n x B block, B >= 1, and
     the depth.  A zero column is left to the kernel's :class:`ZeroVector`."""
     mat = binary_scaled(as_matrix(a))[0]
-    batch = np.asarray(vs, dtype=np.complex128)
+    try:
+        batch = np.asarray(vs, dtype=np.complex128)
+    except (TypeError, ValueError):  # ragged or not numbers
+        raise InvalidSpec("vector block must be a numeric n x B array") from None
     if batch.ndim != 2 or batch.shape[0] != mat.shape[0] or not batch.shape[1]:
         raise InvalidSpec("vector block must be n x B with B >= 1")
     if not np.isfinite(batch).all():
@@ -148,8 +154,8 @@ def min_residual_gradients(a, vs: np.ndarray, k: int):
 
 def _gradients(mat: np.ndarray, batch: np.ndarray, k: int):
     """:func:`min_residual_gradients` on the output of its argument check."""
+    curves, residual, h, hessenberg, batch, e = _residual_curves(mat, batch, k)
     norms_sq = np.sum(np.abs(batch) ** 2, axis=0)
-    curves, residual, h, hessenberg = _residual_curves(mat, batch, k)
     adjoint = mat.conj().T
     u = np.empty((k + 1,) + batch.shape, dtype=np.complex128)
     u[0] = residual
@@ -160,4 +166,4 @@ def _gradients(mat: np.ndarray, batch: np.ndarray, k: int):
         u[j + 1] /= hessenberg[j, j].real
     phi = curves[k]
     gram = residual - np.einsum("jb,jnb->nb", h.conj(), u[1:])  # p(A)^H r
-    return phi, (gram - phi**2 * batch) / norms_sq
+    return phi, (gram - phi**2 * batch) / np.ldexp(norms_sq, e)  # degree -1 in v

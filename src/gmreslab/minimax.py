@@ -14,13 +14,13 @@ per depth.  It writes ``p(A) = I + d_1 Q_1 + ... + d_k Q_k`` in a
 Frobenius-orthonormal basis of ``span{A, .., A^k}``, built by the residual
 kernel's Arnoldi in matrix space (Toh & Trefethen, SIMAX 1998), starts at
 the better of p = 1 and the Frobenius-norm minimizer ``d_j = -conj(tr
-Q_j)``, and runs damped Newton with the exact Hessian on a smoothed top
-eigenvalue F_mu of ``p(A)^H p(A)``, one Newton run per smoothing stage.  A
-stage ends at the rounding level, and the next starts at the Richardson
-extrapolant of the stage ends to zero smoothing.  A line-search trial
-costs one eigendecomposition.  The upper bound is the norm of the returned
-feasible polynomial, a stage end or an extrapolant, read off the solver's
-eigendecomposition at that polynomial.  The lower bound rests on duality:
+Q_j)``, and runs damped Newton (Cholesky solves, exact Hessian) on a
+smoothed top eigenvalue F_mu of ``p(A)^H p(A)``, one run per smoothing
+stage.  A stage ends at the rounding level, the next starts at the
+Richardson extrapolant of the stage ends to zero smoothing.  A line-search
+trial costs one ``zheevd`` call.  The upper bound is the norm of the
+returned feasible polynomial, a stage end or an extrapolant, read off the
+solver's eigendecomposition there.  The lower bound rests on duality:
 ideal^2 is the max over density matrices Z of ``min_p tr(p(A) Z p(A)^H)``,
 wc^2 the max over rank-one Z (Faber, Liesen & Tichy, SIMAX 2013).  With
 the smoothed problem's own dual ``Z = B B^H``, ``B = V diag(w)^(1/2)``,
@@ -188,13 +188,16 @@ def _roots(h: np.ndarray, d: np.ndarray, e: int) -> np.ndarray:
 
 
 def _spectrum(basis: np.ndarray, x: np.ndarray, mu: float):
-    """F_mu at ``d = x[:k] + i x[k:]`` from one eigendecomposition:
-    ``(F_mu, P, lambda, V, w)`` with ``P = P(d)``, ``P^H P = V diag(lambda)
-    V^H`` (lambda ascending) and ``w = softmax(lambda / mu)``."""
+    """F_mu at ``d = x[:k] + i x[k:]`` from one ``zheevd`` call (else
+    :class:`NoConvergence`): ``(F_mu, P, lambda, V, w)`` with ``P = P(d)``,
+    ``P^H P = V diag(lambda) V^H`` (ascending) and ``w = softmax(lambda / mu)``."""
     k, n = basis.shape[:2]
     p = ((x[:k] + 1j * x[k:]) @ basis.reshape(k, -1)).reshape(n, n)
     p.flat[:: n + 1] += 1.0
-    return _weighted(p, *np.linalg.eigh(p.conj().T @ p), mu)
+    lam, vecs, info = lapack.zheevd(p.conj().T @ p, lower=1, overwrite_a=1)
+    if info:
+        raise NoConvergence(f"Hermitian eigensolve failed (zheevd info {info})")
+    return _weighted(p, lam, vecs, mu)
 
 
 def _weighted(p: np.ndarray, lam: np.ndarray, vecs: np.ndarray, mu: float):
@@ -242,18 +245,20 @@ def _minimize_norm(basis: np.ndarray):
 
         F_mu(d) = lambda_max + mu log sum_i exp((lambda_i - lambda_max) / mu),
 
-    which is convex in d.  Armijo backtracking from the full step runs
-    while the predicted decrease exceeds ``4 eps |F_mu|``; a trial
-    evaluates only :func:`_spectrum`, and the derivatives are built once
-    per accepted point.  ``mu`` starts at ``0.01 ||P(start)||^2``, small
-    enough not to pull a start near the optimum away from it, and shrinks
-    tenfold per stage until the norm and the lower bound meet within
-    ``_BRACKET_GAP`` or ``mu`` reaches rounding level.  A stage ends at its
-    first point whose predicted decrease is at the rounding level, where
-    the lower bound is taken: the :func:`_gmres_ratio` of the dual block
-    ``V diag(w)^(1/2)``.  The stage ends lie O(mu) from the optimum when
-    the top singular value is multiple, so the next stage starts at their
-    Richardson extrapolant to mu = 0; its norm is an upper bound too.
+    which is convex in d.  The step is a Cholesky solve (``dposv``), else
+    the minimum-norm least-squares one.  Armijo backtracking from ``t =
+    min(1, 4 l / ||step||)``, l the stage's last accepted step length, runs
+    while the predicted decrease exceeds ``4 eps |F_mu|``; a trial evaluates
+    only :func:`_spectrum`, the derivatives are built once per accepted point.
+    ``mu`` starts at ``0.01 ||P(start)||^2``, small enough not to pull a
+    start near the optimum away, and shrinks tenfold per stage until the
+    norm and the lower bound meet within ``_BRACKET_GAP`` or ``mu`` reaches
+    rounding level.  A stage ends at its first point whose predicted
+    decrease is at the rounding level, where the lower bound is taken: the
+    :func:`_gmres_ratio` of the dual block ``V diag(w)^(1/2)``.  The stage
+    ends lie O(mu) from the optimum when the top singular value is multiple,
+    so the next stage starts at their Richardson extrapolant to mu = 0; its
+    norm is an upper bound too.
 
     Returns ``(d, norm, spectrum, lower)``: the best coefficients seen;
     ``norm = ||P(d)|| = sqrt(lambda_max) <= 1`` and ``spectrum = (P,
@@ -268,30 +273,33 @@ def _minimize_norm(basis: np.ndarray):
     if not 0.0 < mu < 0.01:  # no better than P = I, or P = 0, where mu = 0
         x, mu, lam = np.zeros(2 * k), 0.01, np.ones(n)
         p, vecs = np.eye(n, dtype=np.complex128), np.eye(n, dtype=np.complex128)
-    state, ends = _weighted(p, lam, vecs, mu), []
+    state, ends, length = _weighted(p, lam, vecs, mu), [], np.inf
     upper, lower = float(np.sqrt(lam[-1])), 0.0
     best = x, state
     while upper - lower > _BRACKET_GAP and mu >= 1e-14 * upper**2:
         for _ in range(_NEWTON_STEPS):
             grad, hess = _derivatives(basis, state, mu)
-            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-            slope, t = float(grad @ step), 1.0
+            step, info = lapack.dposv(hess, -grad)[1:]
+            if info:  # not positive definite: the minimum-norm step
+                step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+            slope, size = float(grad @ step), float(np.linalg.norm(step))
             level = 4.0 * np.finfo(float).eps * abs(state[0])
             if -slope <= level:
                 break
-            trial = _spectrum(basis, x + step, mu)
+            t = min(1.0, 4.0 * length / size)  # length = inf at a stage start
+            trial = _spectrum(basis, x + t * step, mu)
             while trial[0] > state[0] + 0.25 * t * slope and -t * slope > level:
                 t *= 0.5
                 trial = _spectrum(basis, x + t * step, mu)
             if trial[0] > state[0] + 0.25 * t * slope:
                 break
-            x, state = x + t * step, trial
+            x, state, length = x + t * step, trial, t * size
         _, p, lam, vecs, w = state
         value = float(np.sqrt(max(lam[-1], 0.0)))
         if value < upper:
             best, upper = (x, state), value
         lower = max(lower, _gmres_ratio(basis, vecs * np.sqrt(w)))
-        mu *= 0.1
+        mu, length = 0.1 * mu, np.inf
         ends = (ends + [x])[-3:]
         if ends[1:]:  # Richardson extrapolation of the stage ends to mu = 0
             x = (np.dot([10 / 8910, -100 / 810, 1000 / 891], ends) if ends[2:]
@@ -390,15 +398,15 @@ def ideal_gmres(a, k: int) -> MinimaxResult:
     least Frobenius norm, with no randomness; depth 1 is the solve of
     :func:`one_step_ideal`.  The value is the spectral norm of the returned
     polynomial (an upper bound on the true minimum: a stage end of the
-    solver or an extrapolant of its stage ends), the witness a unit vector
-    v with ``||p(A) v||`` at most 1e-10 below the bracket and the lower
-    bound the GMRES ratio of the solver's dual block, all from the solver's
-    own eigendecompositions in an orthonormal basis of ``span{A, .., A^k}``,
-    so none depends on the scale of A; the roots come from that basis's
+    solver or an extrapolant of its stage ends) and the lower bound the
+    GMRES ratio of the solver's dual block, both from the solver's own
+    eigendecompositions in an orthonormal basis of ``span{A, .., A^k}``, so
+    neither depends on the scale of A; the roots come from that basis's
     recurrence.  A gap above 1e-4 flags the result non-certified, but both
-    bounds remain sound.  Where the solver's dual has a rank-one part the
-    witness's own GMRES ratio lies in the bracket, or at most 1e-10 below
-    it (:func:`_dual_witness`); else it is p(A)'s top right singular vector.
+    bounds remain sound.  The witness is a unit vector whose own GMRES ratio
+    lies in the bracket or at most 1e-10 below it, where the solver's dual
+    has a rank-one part (:func:`_dual_witness`), else p(A)'s top right
+    singular vector.
     """
     q, h, e = _orthonormal_basis(as_matrix(a), check_depth(k))
     d, upper, (p, _, vecs, w), lower = _minimize_norm(q)
@@ -467,7 +475,7 @@ def worst_case_gmres(a, k: int, starts, ceiling: float = 1.0) -> MinimaxResult:
         raise InvalidSpec(f"invalid ceiling {ceiling!r}: need a finite number >= 0")
     pool_values = min_residual_values(scaled, starts, k)
     pool = np.asarray(starts, dtype=np.complex128)
-    pool = pool / np.linalg.norm(pool, axis=0)
+    pool = pool / np.hypot.reduce(np.abs(pool), axis=0)  # no square overflows
     target = ceiling - _BRACKET_GAP
     best_v = pool[:, int(np.argmax(pool_values))]
     if pool_values.max() < target:

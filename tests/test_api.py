@@ -171,11 +171,14 @@ def test_checker_finds_numpy_random(source, reaches):
     assert reaches_numpy_random(source) is reaches
 
 
-# Vector blocks that every residual kernel refuses with InvalidSpec.
+# Vector blocks that every residual kernel refuses with InvalidSpec: NumPy's
+# own ValueError of a ragged or non-numeric block included.
 BAD_BLOCKS = {
     "nan": [[np.nan], [1.0], [1.0]],
     "inf": [[np.inf], [1.0], [1.0]],
     "empty": np.ones((3, 0)),
+    "ragged": [[1], [1, 2], [1]],
+    "string": [["1"], ["x"], ["1"]],
 }
 MALFORMED = {
     "non_square_matrix": lambda: gmreslab.ideal_gmres(np.ones((2, 3)), 1),
@@ -187,6 +190,12 @@ MALFORMED = {
         )
         for bad, block in BAD_BLOCKS.items()
         for kernel in gmreslab.krylov.__all__
+    },
+    **{
+        f"{bad}_starts_worst_case_gmres": functools.partial(
+            gmreslab.worst_case_gmres, np.diag([1.0, 2.0, 3.0]), 1, block
+        )
+        for bad, block in BAD_BLOCKS.items()
     },
 }
 

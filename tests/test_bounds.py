@@ -285,9 +285,10 @@ def test_every_verdict_is_its_link_exactly(k):
 
 
 def test_verify_chain_makes_two_non_solver_eigensolves_per_depth(monkeypatch):
-    """Besides the ideal solver's own (one per ``minimax._spectrum`` call),
-    a depth costs the Hermitian part's eigenvalues, for the Elman bound and
-    ``lambda_min_m``, and the Gram matrix's, for ||A||."""
+    """Besides the ideal solver's own (one ``zheevd`` per
+    ``minimax._spectrum`` call), a depth costs the Hermitian part's
+    eigenvalues, for the Elman bound and ``lambda_min_m``, and the Gram
+    matrix's, for ||A||."""
     counts = {"eig": 0, "spectrum": 0}
 
     def counted(key, fn):
@@ -301,6 +302,7 @@ def test_verify_chain_makes_two_non_solver_eigensolves_per_depth(monkeypatch):
     data = fov_summary(a)
     monkeypatch.setattr(np.linalg, "eigh", counted("eig", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eig", np.linalg.eigvalsh))
+    monkeypatch.setattr(minimax.lapack, "zheevd", counted("eig", minimax.lapack.zheevd))
     monkeypatch.setattr(minimax, "_spectrum", counted("spectrum", minimax._spectrum))
     for k in (1, 2, 3):
         counts.update(eig=0, spectrum=0)

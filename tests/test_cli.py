@@ -8,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import gmreslab
 from gmreslab import write_matrix_market
@@ -305,25 +306,39 @@ def test_solver_failure_exits_four(tmp_path, monkeypatch, capsys):
     assert not (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("command", ["run", "ideal"])
+ZHEEVD = lapack.zheevd
+
+
+def _failing_zheevd(*args, **kwargs):
+    """The ideal solver's direct eigensolve, returning info = 3."""
+    return ZHEEVD(*args, **kwargs)[:2] + (3,)
+
+
+# (module, routine, error line): the NumPy routines raise, the direct LAPACK
+# call returns its info, on which the solver raises NoConvergence.
+LAPACK_FAILURES = {
+    "eigh": (np.linalg, "eigh", "Eigenvalues did not converge"),
+    "lstsq": (np.linalg, "lstsq", "SVD did not converge in Linear Least Squares"),
+    "zheevd": (lapack, "zheevd", "Hermitian eigensolve failed (zheevd info 3)"),
+}
+
+
 @pytest.mark.parametrize(
-    "routine,message",
-    [
-        ("eigh", "Eigenvalues did not converge"),
-        ("lstsq", "SVD did not converge in Linear Least Squares"),
-    ],
-    ids=["eigh", "lstsq"],
+    "routine,command",
+    [("eigh", "run"), ("lstsq", "ideal"), ("lstsq", "run"), ("zheevd", "ideal"),
+     ("zheevd", "run")],
+    ids=["eigh-run", "lstsq-ideal", "lstsq-run", "zheevd-ideal", "zheevd-run"],
 )
-def test_lapack_failure_exits_four(
-    tmp_path, monkeypatch, capsys, diag_mtx, command, routine, message
-):
+def test_lapack_failure_exits_four(tmp_path, monkeypatch, capsys, diag_mtx, routine, command):
     """A LAPACK failure is a solver failure: exit 4 with an error line, not
-    a traceback, and no report."""
+    a traceback, and no report.  ``lab ideal`` makes no ``np.linalg.eigh``
+    call: the ideal solver's eigensolves are direct ``zheevd`` calls."""
+    module, name, message = LAPACK_FAILURES[routine]
 
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError(message)
 
-    monkeypatch.setattr(np.linalg, routine, failing)
+    monkeypatch.setattr(module, name, _failing_zheevd if module is lapack else failing)
     out = tmp_path / "out"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(

@@ -10,6 +10,7 @@ from gmreslab import (
     ZeroVector,
     gmres_residuals,
     spectral_norm,
+    worst_case_gmres,
 )
 from gmreslab.errors import MAX_DEPTH
 from gmreslab.krylov import min_residual_gradients, min_residual_values
@@ -344,3 +345,25 @@ def test_kernel_refuses_a_zero_column(kernel, block):
     """A zero vector has no residual ratio: every kernel refuses it."""
     with pytest.raises(ZeroVector):
         kernel(np.eye(2), np.array(block), 1)
+
+
+@pytest.mark.parametrize("c", [1e200, 1e-200], ids=["1e200", "1e-200"])
+def test_kernels_and_worst_case_are_scale_safe(c):
+    """Each column is divided by its largest part in modulus before a norm
+    is squared, so for c v the ratios match those of v and the gradient,
+    homogeneous of degree -1, matches once multiplied by c.  Undivided,
+    ``[1e200, 1, 1]`` overflowed and ``[1e-200, 1e-200, 0]`` read as a zero
+    vector; warnings are errors here."""
+    a = np.diag([1.0, 2.0, 3.0])
+    v = np.array([[1.0, 1.0, 0.3], [1.0, 1e-200, -2j], [0.0, 1e-200, 0.5 + 1j]])
+    assert np.abs(gmres_residuals(a, c * v, 3) - gmres_residuals(a, v, 3)).max() <= 1e-14
+    for k in (1, 2):
+        values = min_residual_values(a, v, k)
+        assert np.abs(min_residual_values(a, c * v, k) - values).max() <= 1e-14
+        phi, grads = min_residual_gradients(a, v, k)
+        phi_c, grads_c = min_residual_gradients(a, c * v, k)
+        assert np.abs(phi_c - phi).max() <= 1e-14
+        assert np.abs(c * grads_c - grads).max() <= 1e-14 * np.abs(grads).max()
+        worst = worst_case_gmres(a, k, v)
+        worst_c = worst_case_gmres(a, k, c * v)
+        assert abs(worst_c.value - worst.value) <= 1e-14

@@ -142,10 +142,11 @@ LINE_SEARCH_CASES = _line_search_cases()
 
 
 def test_derivatives_once_per_newton_step(monkeypatch):
-    """One gradient and Hessian per Newton step and one ``lstsq`` each; the
-    only other ``lstsq`` is the one of each lower bound, the GMRES ratio of
-    the solver's dual block."""
-    counts = {"derivatives": 0, "lstsq": 0, "ratio": 0}
+    """One gradient and Hessian per Newton step and one Newton solve each:
+    a Cholesky solve (``dposv``), and the minimum-norm ``lstsq`` only where
+    that factorization fails.  The only other ``lstsq`` is the one of each
+    lower bound, the GMRES ratio of the solver's dual block."""
+    counts = {"derivatives": 0, "cholesky": 0, "failed": 0, "lstsq": 0, "ratio": 0}
 
     def counted(name, function):
         def wrapper(*args, **kwargs):
@@ -154,6 +155,13 @@ def test_derivatives_once_per_newton_step(monkeypatch):
 
         return wrapper
 
+    def cholesky(*args, **kwargs):
+        out = dposv(*args, **kwargs)
+        counts["failed"] += bool(out[-1])
+        return out
+
+    dposv = counted("cholesky", lapack.dposv)
+    monkeypatch.setattr(minimax.lapack, "dposv", cholesky)
     for module, name, key in [
         (minimax, "_derivatives", "derivatives"),
         (np.linalg, "lstsq", "lstsq"),
@@ -163,7 +171,21 @@ def test_derivatives_once_per_newton_step(monkeypatch):
     for basis in LINE_SEARCH_CASES:
         minimax._minimize_norm(basis)
     assert counts["derivatives"] > 0 and counts["ratio"] > 0
-    assert counts["lstsq"] == counts["derivatives"] + counts["ratio"]
+    assert counts["cholesky"] == counts["derivatives"]
+    assert counts["lstsq"] == counts["failed"] + counts["ratio"]
+
+
+def test_newton_steps_by_least_squares_alone_close_the_same_brackets(monkeypatch):
+    """Where the Cholesky factorization of the Hessian fails, the Newton step
+    is the minimum-norm ``lstsq`` solution.  Taken at every step, it closes
+    brackets that overlap the Cholesky solver's."""
+    dposv = lapack.dposv
+    direct = [minimax._minimize_norm(basis) for basis in LINE_SEARCH_CASES]
+    monkeypatch.setattr(minimax.lapack, "dposv", lambda *args: dposv(*args)[:2] + (1,))
+    for basis, (_, upper, _, lower) in zip(LINE_SEARCH_CASES, direct):
+        _, fallback_upper, _, fallback_lower = minimax._minimize_norm(basis)
+        assert max(lower, fallback_lower) <= min(upper, fallback_upper) + 1e-12
+        assert fallback_upper - fallback_lower <= 1e-10
 
 
 def _multiple_top_spectrum():
@@ -184,12 +206,14 @@ def test_ideal_solver_work_counts(monkeypatch):
     (``_derivatives`` calls) of ``_minimize_norm`` over the line-search
     cases and the multiple-top-singular-value matrix at k = 1..3.  Counts
     do not depend on the machine's speed, so timing noise cannot hide a
-    regression.  The ceilings sit about 10% above the 384 and 218 of the
-    solver whose lower bound is the GMRES ratio of its dual block; with the
-    norm-duality bound and its polish pass it made 421 and 255, from p = 1
-    477 and 425, in the monomial basis, with a duality cap and an Armijo
-    polish, 679 and 488, and before stage ends at the rounding level and
-    extrapolated starts 1,105 and 784."""
+    regression.  The ceilings sit about 10% above the 344 and 221 of the
+    solver whose line search starts at most 4 times the stage's last
+    accepted step length away.  Each line search from the full step made 384
+    and 218; the lower bound was then already the GMRES ratio of the dual
+    block.  With the norm-duality bound and its polish pass it made 421 and
+    255, from p = 1 477 and 425, in the monomial basis, with a duality cap
+    and an Armijo polish, 679 and 488, and before stage ends at the rounding
+    level and extrapolated starts 1,105 and 784."""
     counts = {"_spectrum": 0, "_derivatives": 0}
 
     def counted(name, function):
@@ -206,7 +230,7 @@ def test_ideal_solver_work_counts(monkeypatch):
         minimax._minimize_norm(minimax._orthonormal_basis(diagonal, k)[0])
     for basis in LINE_SEARCH_CASES:
         minimax._minimize_norm(basis)
-    assert counts["_spectrum"] <= 420
+    assert counts["_spectrum"] <= 380
     assert counts["_derivatives"] <= 240
 
 
