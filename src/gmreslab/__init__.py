@@ -15,7 +15,6 @@ from .bounds import (
 )
 from .dense_core import hermitian_part, spectral_norm
 from .errors import (
-    BudgetExceeded,
     FileError,
     InvalidSpec,
     LabError,
@@ -53,7 +52,6 @@ __all__ = [
     "LabError",
     "ZeroVector",
     "NoConvergence",
-    "BudgetExceeded",
     "InvalidSpec",
     "ParseError",
     "UnsupportedFormat",

@@ -22,7 +22,7 @@ import sys
 from typing import List, Optional
 
 from . import experiment, fov, mmio
-from .errors import FileError, InvalidSpec, check_depth
+from .errors import InvalidSpec, check_depth, write_text
 from .experiment import EXIT_IO, EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_SOLVER_FAILED
 from .minimax import ideal_gmres
 from .reporting import format_real
@@ -153,11 +153,7 @@ def _cmd_fov(args: argparse.Namespace) -> int:
         sys.stdout.write(text)
         sys.stderr.write(summary)
     else:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise FileError(f"cannot write {args.out}: {exc}") from exc
+        write_text(args.out, text)
         sys.stdout.write(summary)
         print(f"wrote {len(b.angles)} boundary samples to {args.out}")
     return EXIT_OK

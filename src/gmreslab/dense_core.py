@@ -6,8 +6,9 @@ input is accepted everywhere and is promoted to complex storage; there is
 no separate real code path.  The inner product convention is
 ``<x, y> = y^H x`` (conjugate-linear in the second argument) throughout
 the package.  Hermitian eigenproblems go to ``np.linalg.eigh`` (``eigvalsh``
-for eigenvalues; the ideal solver calls ``zheevd``), and their errors reach
-``run_experiment`` and ``cli.main``, which exit 4.
+for eigenvalues; the ideal solver calls ``zheevd``, ``fov_boundary``
+``zheevr``), and their errors reach ``run_experiment`` and ``cli.main``,
+which exit 4.
 """
 
 from __future__ import annotations
@@ -28,7 +29,10 @@ __all__ = [
 def as_matrix(a) -> np.ndarray:
     """Validate and promote ``a`` to a square ``complex128`` array, or raise
     :class:`InvalidSpec`."""
-    m = np.asarray(a, dtype=np.complex128)
+    try:
+        m = np.asarray(a, dtype=np.complex128)
+    except (TypeError, ValueError):  # ragged or not numbers
+        raise InvalidSpec("matrix must be a numeric square array") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidSpec(f"expected a square matrix, got shape {m.shape}")
     if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):

@@ -1,6 +1,7 @@
-"""Exception types shared across the lab, and its integer checks."""
+"""Exception types shared across the lab, its integer checks and file helpers."""
 
 from numbers import Integral
+from pathlib import Path
 
 # The deepest depth measured so far, not a conditioning limit: both solvers work
 # in Arnoldi bases, whose conditioning does not grow with the depth.
@@ -13,11 +14,12 @@ __all__ = [
     "LabError",
     "ZeroVector",
     "NoConvergence",
-    "BudgetExceeded",
     "InvalidSpec",
     "ParseError",
     "UnsupportedFormat",
     "FileError",
+    "read_text",
+    "write_text",
 ]
 
 
@@ -31,10 +33,6 @@ class ZeroVector(LabError):
 
 class NoConvergence(LabError):
     """An iterative kernel exhausted its iteration budget."""
-
-
-class BudgetExceeded(LabError):
-    """A solver or oracle was asked for more than its design budget covers."""
 
 
 class InvalidSpec(LabError, ValueError):
@@ -57,6 +55,22 @@ class UnsupportedFormat(LabError):
 
 class FileError(LabError):
     """File system level failure while reading or writing artifacts."""
+
+
+def read_text(path) -> str:
+    """The text of the file at ``path``, or :class:`FileError`."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise FileError(f"cannot read {path}: {exc}") from exc
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to the file at ``path``, or raise :class:`FileError`."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise FileError(f"cannot write {path}: {exc}") from exc
 
 
 def check_int(value, what: str, lo: int, hi=None) -> int:

@@ -54,6 +54,7 @@ from .errors import (
     UnsupportedFormat,
     check_depth,
     check_int,
+    read_text,
 )
 from .matrices import MatrixSpec
 
@@ -119,11 +120,7 @@ class ExperimentConfig:
 def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
     """Read a JSON config file and apply CLI overrides on top."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FileError(f"cannot read config {path}: {exc}") from exc
-    try:
-        raw = json.loads(text)
+        raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc.msg}", lineno=exc.lineno)
     if isinstance(raw, dict):  # from_dict refuses anything else, flags or not

@@ -297,27 +297,16 @@ def _nu_fov(mat: np.ndarray) -> NuResult:
     return NuResult(value, theta_b % _TWO_PI, max(upper, value))
 
 
-def _nu_inverse(scaled: np.ndarray, nu_s: float) -> float:
-    """``nu(F(S^{-1}))`` given ``nu_s = nu(F(S))``, S a binary-scaled A.
-
-    With ``w = S v``, ``w^H S^{-1} w = conj(v^H S v)``, so the origin lies in
-    F(S^{-1}) exactly when it lies in F(S), and the value is 0.  A singular
-    S has 0 in F(S) as well.  A ``nu_s`` within ``_zero_tol``, as in
-    ``nu_fov``, counts as 0; above it ``||S^{-1}|| <= 1 / nu_s``, so the
-    inverse of S stays in range where that of A may not.
-    """
-    if nu_s <= _zero_tol(scaled):
-        return 0.0
-    return nu_fov(np.linalg.inv(scaled)).value
-
-
 def fov_summary(a) -> FovSummary:
     """``nu(F(A))`` and ``nu(F(A^{-1}))``, the lower ends of their brackets;
     :class:`InvalidSpec` where one of them leaves the float range."""
     scaled, e = dense_core.binary_scaled(as_matrix(a))
     nu = _nu_fov(scaled).value
-    # (S, e) = binary_scaled(A): F(A) = 2^e F(S) and F(A^{-1}) = 2^-e F(S^{-1})
-    values = dense_core.scaled_back([nu, _nu_inverse(scaled, nu)], [e, -e])
+    # (S, e) = binary_scaled(A): F(A) = 2^e F(S) and F(A^{-1}) = 2^-e F(S^{-1}).
+    # As (Sv)^H S^{-1} (Sv) = conj(v^H S v), 0 lies in both or in neither (a
+    # singular S included); beyond _zero_tol, ||S^{-1}|| <= 1 / nu(F(S)).
+    nu_inv = nu_fov(np.linalg.inv(scaled)).value if nu > _zero_tol(scaled) else 0.0
+    values = dense_core.scaled_back([nu, nu_inv], [e, -e])
     if not np.isfinite(values).all():
         raise InvalidSpec("a field-of-values value of A or A^-1 leaves the float range")
     return FovSummary(*values.tolist())

@@ -53,9 +53,9 @@ where the ideal witness is a rank-one dual it attains it as a start, so
 no ascent runs at all.
 
 The budgets are constants of the method: 16 ascent starts, 200 kernel
-evaluations, and a certification gap of 1e-4 for both brackets.  Neither
-solver draws a random number: the inputs besides A and k are the worst
-case's starts and its ceiling.
+evaluations, and one bracket gap of 1e-10, which both solvers close and
+both ``certified`` flags read.  Neither solver draws a random number: the
+inputs besides A and k are the worst case's starts and its ceiling.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ from scipy.linalg import lapack
 
 from . import dense_core
 from .dense_core import as_matrix
-from .errors import MAX_DEPTH, BudgetExceeded, InvalidSpec, NoConvergence
-from .errors import check_depth
+from .errors import MAX_DEPTH, InvalidSpec, NoConvergence
+from .errors import check_depth, check_int
 from .krylov import _arnoldi, _gradients, min_residual_values
 
 __all__ = [
@@ -86,8 +86,6 @@ __all__ = [
 
 # Newton steps per smoothing stage; rounding stops a stage long before.
 _NEWTON_STEPS = 100
-# An ideal result is certified when its upper and lower bounds are this close.
-_CERTIFY_GAP = 1e-4
 # Ascent starts of worst_case_gmres, moved together as one block: at most
 # this many of the caller's starts, the best by phi.
 _ASCENT_STARTS = 16
@@ -95,9 +93,9 @@ _ASCENT_STARTS = 16
 # shared by its two L-BFGS-B runs; SciPy may finish its current line
 # search, at most 20 evaluations, past it.
 _ASCENT_EVALS = 200
-# The bracket both solvers close: _minimize_norm stops once the norm and
-# its dual bound are this close, the ascent once phi is this close to the
-# caller's ceiling on wc.
+# The bracket both solvers close, and within which a result is certified:
+# _minimize_norm stops once the norm and its dual bound are this close, the
+# ascent once phi is this close to the caller's ceiling on wc.
 _BRACKET_GAP = 1e-10
 # Gauss-Newton steps of _dual_witness: it converges quadratically or not at all.
 _WITNESS_STEPS = 16
@@ -107,16 +105,18 @@ _WITNESS_STEPS = 16
 class MinimaxResult:
     """Outcome of one minimax solve.
 
-    ``certified`` says that ``upper_bound`` lies at most 1e-4 above
-    ``lower_bound`` and not below it beyond rounding.  For ``ideal_gmres``
-    the value equals ``upper_bound`` (the norm of the returned feasible
-    polynomial) and ``lower_bound`` is the GMRES ratio of the solver's dual
-    block (:func:`_gmres_ratio`).  For ``worst_case_gmres`` the value equals
-    ``lower_bound`` (phi at the witness, a certified lower bound on the
-    true worst case) and ``upper_bound`` is the caller's ceiling: the
-    ideal value under ``verify_chain``, else the trivial bound 1.  The two
-    values come from different computations, so a worst case that meets
-    the ideal value may lie a few ulps above it.
+    ``certified`` says that the solver closed its bracket to the 1e-10 gap
+    it aims for: ``upper_bound - lower_bound <= 1e-10`` for ``ideal_gmres``,
+    ``|upper_bound - lower_bound| <= 1e-10`` for ``worst_case_gmres``.  For
+    ``ideal_gmres`` the value equals ``upper_bound`` (the norm of the
+    returned feasible polynomial) and ``lower_bound`` is the GMRES ratio of
+    the solver's dual block (:func:`_gmres_ratio`).  For
+    ``worst_case_gmres`` the value equals ``lower_bound`` (phi at the
+    witness, a certified lower bound on the true worst case) and
+    ``upper_bound`` is the caller's ceiling: the ideal value under
+    ``verify_chain``, else the trivial bound 1.  The two values come from
+    different computations, so a worst case that meets the ideal value may
+    lie a few ulps above it.
 
     ``witness_vector`` is a unit vector that attains the value: for
     ``ideal_gmres`` one whose own GMRES ratio reaches the lower bound, to
@@ -402,16 +402,16 @@ def ideal_gmres(a, k: int) -> MinimaxResult:
     GMRES ratio of the solver's dual block, both from the solver's own
     eigendecompositions in an orthonormal basis of ``span{A, .., A^k}``, so
     neither depends on the scale of A; the roots come from that basis's
-    recurrence.  A gap above 1e-4 flags the result non-certified, but both
-    bounds remain sound.  The witness is a unit vector whose own GMRES ratio
-    lies in the bracket or at most 1e-10 below it, where the solver's dual
-    has a rank-one part (:func:`_dual_witness`), else p(A)'s top right
-    singular vector.
+    recurrence.  A gap above 1e-10, the one the solver aims for, flags the
+    result non-certified, but both bounds remain sound.  The witness is a
+    unit vector whose own GMRES ratio lies in the bracket or at most 1e-10
+    below it, where the solver's dual has a rank-one part
+    (:func:`_dual_witness`), else p(A)'s top right singular vector.
     """
     q, h, e = _orthonormal_basis(as_matrix(a), check_depth(k))
     d, upper, (p, _, vecs, w), lower = _minimize_norm(q)
     witness = _dual_witness(q, p, vecs, w, lower)
-    certified = bool(upper - lower <= _CERTIFY_GAP)
+    certified = bool(upper - lower <= _BRACKET_GAP)
     return MinimaxResult(upper, _roots(h, d, e), witness, lower, upper, certified)
 
 
@@ -466,9 +466,9 @@ def worst_case_gmres(a, k: int, starts, ceiling: float = 1.0) -> MinimaxResult:
     case, such as ``ideal_gmres(a, k).value``; the default 1 is the bound
     from p = 1.  The ascent stops, or never starts, once phi comes within
     1e-10 of it.  The value is a certified lower bound on the true worst
-    case; the bracket ``[value, ceiling]`` is certified when ``-1e-10 <=
-    ceiling - value <= 1e-4``.  A zero column raises :class:`ZeroVector`,
-    any other argument outside its rule :class:`InvalidSpec`.
+    case; the bracket ``[value, ceiling]`` is certified when ``|ceiling -
+    value| <= 1e-10``.  A zero column raises :class:`ZeroVector`, any other
+    argument outside its rule :class:`InvalidSpec`.
     """
     scaled, k = dense_core.binary_scaled(as_matrix(a))[0], check_depth(k)
     if not (isinstance(ceiling, Real) and 0 <= ceiling < np.inf):
@@ -489,7 +489,7 @@ def worst_case_gmres(a, k: int, starts, ceiling: float = 1.0) -> MinimaxResult:
             budget = max(_ASCENT_EVALS - nfev, 1)
             best_v = _ascend(scaled, best_v[:, None], k, budget, target)[0][:, 0]
     best_phi = float(min_residual_values(scaled, best_v[:, None], k)[0])
-    certified = bool(-_BRACKET_GAP <= ceiling - best_phi <= _CERTIFY_GAP)
+    certified = bool(abs(ceiling - best_phi) <= _BRACKET_GAP)
     return MinimaxResult(best_phi, None, best_v, best_phi, ceiling, certified)
 
 
@@ -558,8 +558,9 @@ def scalar_minimax_oracle(eigenvalues, k: int) -> float:
     """Minimize ``max_i |p(lambda_i)|`` over p in pi_k for a small spectrum.
 
     Intended as a test oracle: supports k up to 3 and at most 12
-    eigenvalues, raising :class:`BudgetExceeded` beyond that.  When some
-    eigenvalue vanishes the constraint ``p(0) = 1`` pins the value to 1.
+    eigenvalues, raising :class:`InvalidSpec` beyond that, as for any other
+    argument out of range.  When some eigenvalue vanishes the constraint
+    ``p(0) = 1`` pins the value to 1.
 
     Two passes of phase-discretized linear programming: a shared coarse
     phase grid, then per-eigenvalue refinement around the optimal phases of
@@ -568,11 +569,9 @@ def scalar_minimax_oracle(eigenvalues, k: int) -> float:
     discretization keeps the excess below 1e-7 relative.
     """
     lam = np.asarray(eigenvalues, dtype=np.complex128).ravel()
-    k = int(k)
-    if not 1 <= k <= 3:
-        raise BudgetExceeded(f"oracle supports 1 <= k <= 3, got {k}")
+    k = check_int(k, "oracle depth", 1, 3)
     if not 1 <= lam.size <= 12:
-        raise BudgetExceeded(f"oracle supports 1..12 eigenvalues, got {lam.size}")
+        raise InvalidSpec(f"oracle supports 1..12 eigenvalues, got {lam.size}")
     moduli = np.abs(lam)
     if float(moduli.max()) == 0.0 or float(moduli.min()) <= 1e-12 * float(moduli.max()):
         return 1.0

@@ -22,12 +22,11 @@ entry exactly.
 from __future__ import annotations
 
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
 from .dense_core import as_matrix
-from .errors import FileError, ParseError, UnsupportedFormat
+from .errors import ParseError, UnsupportedFormat, read_text, write_text
 
 __all__ = ["read_matrix_market", "write_matrix_market"]
 
@@ -176,11 +175,7 @@ def _entries(lines, linenos, fmt: str, field: str, symmetry: str, n: int):
 
 def read_matrix_market(path) -> np.ndarray:
     """Read a square dense matrix from a Matrix Market file."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FileError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ParseError("empty file", 1)
     fmt, field, symmetry = _parse_header(lines[0])
@@ -246,7 +241,4 @@ def write_matrix_market(path, a) -> None:
     field = "real" if np.all(matrix.imag == 0.0) else "complex"
     lines = [f"%%MatrixMarket matrix array {field} general", f"{n} {n}"]
     lines += [_format_value(value, field) for value in matrix.T.ravel()]
-    try:
-        Path(path).write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise FileError(f"cannot write {path}: {exc}") from exc
+    write_text(path, "\n".join(lines) + "\n")

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
 from typing import Sequence
 
 from .bounds import BoundsReport
-from .errors import FileError
+from .errors import write_text
 
 __all__ = [
     "format_real",
@@ -39,19 +38,12 @@ def dumps_document(doc: dict) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _write_text(path, text: str) -> None:
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise FileError(f"cannot write {path}: {exc}") from exc
-
-
 def write_report_json(path, matrix_echo: dict, reports: Sequence[BoundsReport]) -> None:
     doc = {
         "matrix": matrix_echo,
         "reports": [report.to_dict() for report in reports],
     }
-    _write_text(path, dumps_document(doc))
+    write_text(path, dumps_document(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +70,7 @@ def write_curves_csv(path, reports: Sequence[BoundsReport]) -> None:
         values = (getattr(report, name) for name, _ in _SERIES)
         cells = ["" if value is None else format_real(value) for value in values]
         lines.append(",".join([str(report.k), *cells]))
-    _write_text(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +85,7 @@ def write_plot_svg(path, reports: Sequence[BoundsReport], title: str = "") -> No
     reports = list(reports)
     ks = [report.k for report in reports]
     if not ks:
-        _write_text(path, "<svg xmlns='http://www.w3.org/2000/svg'/>\n")
+        write_text(path, "<svg xmlns='http://www.w3.org/2000/svg'/>\n")
         return
 
     positive = [
@@ -197,4 +189,4 @@ def write_plot_svg(path, reports: Sequence[BoundsReport], title: str = "") -> No
         legend_y += 18
 
     parts.append("</svg>")
-    _write_text(path, "\n".join(parts) + "\n")
+    write_text(path, "\n".join(parts) + "\n")

@@ -9,13 +9,16 @@ the residual off its Arnoldi directions, a generalized
 Hermitian eigenproblem instead of an explicit inverse, an angular scan
 with golden-section refinement instead of Newton steps on the support
 function, a product of root factors in Leja order for a residual
-polynomial instead of the ideal solver's Arnoldi recurrence.  Two
+polynomial instead of the ideal solver's Arnoldi recurrence, and 40-digit
+``mpmath`` arithmetic on the monomial Krylov basis to referee the ideal
+solver's bracket.  Two
 small helpers that the package no longer needs live here as well: the
 Rayleigh quotient and ``nu(F(A^{-1}))`` on its own.
 """
 
 from typing import NamedTuple, Optional
 
+import mpmath
 import numpy as np
 from scipy.linalg import eigh
 from scipy.spatial import ConvexHull, QhullError
@@ -41,6 +44,43 @@ def polynomial_from_roots(a, roots) -> np.ndarray:
     for theta in taken:
         p = p - (m @ p) / theta
     return p
+
+
+def _mp_matrix(a) -> mpmath.matrix:
+    """A complex array as an ``mpmath`` matrix, every entry taken exactly."""
+    m = np.atleast_2d(np.asarray(a, dtype=np.complex128))
+    return mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in m])
+
+
+def polynomial_norm_mp(a, roots, dps=40) -> float:
+    """``||prod_i (I - A / theta_i)||_2`` in ``dps``-digit arithmetic, by
+    ``mpmath.svd_c``, with the entries of A and the roots taken exactly: the
+    norm of the polynomial that the roots give, rounded once."""
+    with mpmath.workdps(dps):
+        m = _mp_matrix(a)
+        eye = mpmath.eye(m.rows)
+        p = eye
+        for t in np.asarray(roots, dtype=np.complex128).ravel():
+            p = p * (eye - m / mpmath.mpc(t.real, t.imag))
+        return float(max(mpmath.svd_c(p, compute_uv=False)))
+
+
+def gmres_ratio_mp(a, block, k, dps=40) -> float:
+    """``min over c of ||B + sum_j c_j A^j B||_F / ||B||_F``, j = 1..k, in
+    ``dps``-digit arithmetic: the normal equations of the monomial Krylov
+    columns ``vec(A^j B)``, whose squared condition stays far inside 40
+    digits at the orders and depths of the tests.  A lower bound on the
+    ideal value for every block B."""
+    with mpmath.workdps(dps):
+        m = _mp_matrix(a)
+        powers = [_mp_matrix(np.reshape(block, (len(block), -1)))]
+        for _ in range(k):
+            powers.append(m * powers[-1])
+        vecs = mpmath.matrix([[x[i, j] for i in range(x.rows) for j in range(x.cols)]
+                              for x in powers]).T
+        rhs, kry = vecs[:, 0], vecs[:, 1:]
+        c = mpmath.lu_solve(kry.H * kry, -(kry.H * rhs))
+        return float(mpmath.norm(rhs + kry * c) / mpmath.norm(rhs))
 
 
 def point_segment_distance(p, a, b):
@@ -128,9 +168,14 @@ def rayleigh(a, v) -> complex:
 
 
 def nu_fov_inverse(a) -> float:
-    """``nu(F(A^{-1}))``; 0 when the origin lies in F(A), singular A included."""
+    """``nu(F(A^{-1}))`` by the public ``nu_fov`` on the inverse of A itself,
+    not of ``fov_summary``'s binary-scaled one.  0 where ``nu_fov(A)`` is 0:
+    the origin then lies in F(A), so in F(A^{-1}), and a singular A has no
+    inverse to form."""
     mat = as_matrix(a)
-    return fov._nu_inverse(mat, fov.nu_fov(mat).value)
+    if fov.nu_fov(mat).value == 0.0:
+        return 0.0
+    return fov.nu_fov(np.linalg.inv(mat)).value
 
 
 def rayleigh_cloud(a, count, seed):

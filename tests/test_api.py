@@ -5,13 +5,15 @@
 ``SPANS`` and ``CALL_COUNTS`` and calls package functions from its
 workloads; a deleted or renamed name there turns a benchmark run into a
 failure.  The benchmark files are read as text, not imported.  Every
-error the package raises derives from ``gmreslab.LabError``, and only the
-modules that sample reach ``numpy.random``.
+error the package raises derives from ``gmreslab.LabError``, only the
+modules that sample reach ``numpy.random``, and only ``errors.py`` and the
+output directory's creation turn an ``OSError`` into ``FileError``.
 """
 
 import ast
 import functools
 import importlib
+import os
 import pkgutil
 from pathlib import Path
 
@@ -171,6 +173,50 @@ def test_checker_finds_numpy_random(source, reaches):
     assert reaches_numpy_random(source) is reaches
 
 
+def os_error_guards(source: str) -> list:
+    """The body, unparsed, of each ``try`` in ``source`` that has an
+    ``except`` clause naming ``OSError``."""
+    guarded = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Try):
+            types = [h.type for h in node.handlers if h.type is not None]
+            names = [n for t in types for n in (t.elts if isinstance(t, ast.Tuple) else [t])]
+            if "OSError" in (ast.unparse(n).rsplit(".", 1)[-1] for n in names):
+                guarded.append("; ".join(ast.unparse(s) for s in node.body))
+    return guarded
+
+
+def test_only_errors_py_and_the_out_dir_mkdir_catch_os_error():
+    """Every read and write of a file goes through ``errors.read_text`` or
+    ``errors.write_text``; the output directory's creation is the one other
+    ``OSError`` the package turns into ``FileError``."""
+    found = {path.name: os_error_guards(path.read_text()) for path in PACKAGE_FILES}
+    assert {name: bodies for name, bodies in found.items() if bodies} == {
+        "errors.py": ["return Path(path).read_text()", "Path(path).write_text(text)"],
+        "experiment.py": ["out.mkdir(parents=True, exist_ok=True)"],
+    }
+
+
+def test_checker_finds_os_error_guards():
+    source = (
+        "try:\n"
+        "    f()\n"
+        "except (ValueError, OSError):\n"
+        "    pass\n"
+        "try:\n"
+        "    g()\n"
+        "except ValueError:\n"
+        "    pass\n"
+        "except builtins.OSError as exc:\n"
+        "    raise FileError(exc)\n"
+        "try:\n"
+        "    h()\n"
+        "except KeyError:\n"
+        "    pass\n"
+    )
+    assert os_error_guards(source) == ["f()", "g()"]
+
+
 # Vector blocks that every residual kernel refuses with InvalidSpec: NumPy's
 # own ValueError of a ragged or non-numeric block included.
 BAD_BLOCKS = {
@@ -179,6 +225,27 @@ BAD_BLOCKS = {
     "empty": np.ones((3, 0)),
     "ragged": [[1], [1, 2], [1]],
     "string": [["1"], ["x"], ["1"]],
+}
+# Matrices that every public function taking one refuses with InvalidSpec, and
+# those functions, each with valid other arguments.
+BAD_MATRICES = {"ragged": [[1.0, 2.0], [3.0]], "string": [["a", "b"], ["c", "d"]]}
+MATRIX_CALLS = {
+    "hermitian_part": gmreslab.hermitian_part,
+    "spectral_norm": gmreslab.spectral_norm,
+    "fov_boundary": lambda a: gmreslab.fov_boundary(a, 8),
+    "nu_fov": gmreslab.nu_fov,
+    "fov_summary": gmreslab.fov_summary,
+    "ideal_gmres": lambda a: gmreslab.ideal_gmres(a, 1),
+    "worst_case_gmres": lambda a: gmreslab.worst_case_gmres(a, 1, np.ones((2, 1))),
+    "one_step_ideal": gmreslab.one_step_ideal,
+    "elman_bound": lambda a: gmreslab.elman_bound(a, 1),
+    "starke_bound": lambda a: gmreslab.starke_bound(a, 1),
+    "verify_chain": lambda a: gmreslab.verify_chain(a, 1, trials=1),
+    "write_matrix_market": lambda a: gmreslab.write_matrix_market(os.devnull, a),
+    **{
+        kernel: lambda a, f=getattr(gmreslab.krylov, kernel): f(a, np.ones((2, 1)), 1)
+        for kernel in gmreslab.krylov.__all__
+    },
 }
 MALFORMED = {
     "non_square_matrix": lambda: gmreslab.ideal_gmres(np.ones((2, 3)), 1),
@@ -196,6 +263,11 @@ MALFORMED = {
             gmreslab.worst_case_gmres, np.diag([1.0, 2.0, 3.0]), 1, block
         )
         for bad, block in BAD_BLOCKS.items()
+    },
+    **{
+        f"{bad}_matrix_{name}": functools.partial(call, matrix)
+        for bad, matrix in BAD_MATRICES.items()
+        for name, call in MATRIX_CALLS.items()
     },
 }
 

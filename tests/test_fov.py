@@ -553,6 +553,8 @@ def test_inverse_nu_lower_bound():
 
 
 def test_summary_is_consistent():
+    """fov_summary against two other paths: nu_fov on A, and nu_fov on the
+    inverse of A itself (the oracle) where the summary inverts A / 2^e."""
     rng = np.random.default_rng(43)
     a = random_nonsingular(rng, 4)
     s = fov_summary(a)

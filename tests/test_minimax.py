@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 from gmreslab import (
-    BudgetExceeded,
     ExperimentConfig,
     InvalidSpec,
     MatrixSpec,
@@ -94,6 +93,33 @@ def test_toh_ideal_strictly_above_worst_case(eps):
     assert abs(ideal.value - 0.8) <= 1e-8
     assert ideal.certified
     assert worst_case_gmres(a, 3, random_starts(4)).value < ideal.value - 0.05
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_ideal_bracket_holds_in_forty_digits(k, monkeypatch):
+    """Toh's matrix (eps = 0.5), refereed in 40-digit arithmetic: the upper
+    end is the norm of the polynomial of the reported roots to 1e-14, and
+    every ratio the solver reports for a block, the lower end among them, is
+    at most that block's ratio over the monomial Krylov columns.  With weak
+    duality, ratio <= ideal <= norm, so the closed 1e-10 bracket of
+    ``certified`` contains the ideal value."""
+    a = toh(0.5)
+    calls = []
+    ratio = minimax._gmres_ratio
+
+    def recording(basis, block):
+        calls.append((block.copy(), ratio(basis, block)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(minimax, "_gmres_ratio", recording)
+    res = ideal_gmres(a, k)
+    upper = oracles.polynomial_norm_mp(a, res.roots)
+    assert abs(res.upper_bound - upper) <= 1e-14
+    referee = [oracles.gmres_ratio_mp(a, block, k) for block, _ in calls]
+    assert all(got <= ref for (_, got), ref in zip(calls, referee))
+    assert res.lower_bound in [got for _, got in calls] + [res.upper_bound]
+    assert res.lower_bound <= max(referee) <= upper
+    assert res.certified
 
 
 @pytest.mark.parametrize("rel_mu", [1e-1, 1e-3])
@@ -260,8 +286,8 @@ def test_multiple_top_singular_value_closes_in_few_stages(k, monkeypatch):
 
 
 def test_ideal_sixteen_by_sixteen_depth_eight_certifies():
-    """The Newton stages close the bracket far below the 1e-4 certification
-    gap at the deepest depth (L-BFGS-B stalled at 1.4e-7 here)."""
+    """The Newton stages close the bracket to the 1e-10 certification gap at
+    depth 8 (L-BFGS-B stalled at 1.4e-7 here)."""
     a = np.random.default_rng(3).standard_normal((16, 16)) / 4 + 1.5 * np.eye(16)
     res = ideal_gmres(a, 8)
     assert res.certified
@@ -855,6 +881,18 @@ def test_worst_case_never_certifies_an_inverted_bracket(monkeypatch):
     assert calls == []
 
 
+def test_worst_case_certifies_only_the_gap_the_ascent_closes():
+    """wc = ideal = 1/2 on diag(1, 2, 3) at k = 1.  A ceiling 1e-6 above it
+    is a valid upper bound that the ascent cannot reach within 1e-10, so the
+    bracket stays open and is not certified, however sound both ends are."""
+    ceiling = 0.5 + 1e-6
+    res = worst_case_gmres(np.diag([1.0, 2.0, 3.0]), 1, random_starts(3), ceiling)
+    assert res.value == pytest.approx(0.5, abs=1e-9)
+    assert res.value <= 0.5 + 1e-15
+    assert res.upper_bound == ceiling
+    assert not res.certified
+
+
 @pytest.mark.parametrize("count", [1, 20])
 def test_worst_case_pool_is_the_callers_starts(count, monkeypatch):
     """The pool pass evaluates exactly the caller's starts, however few:
@@ -955,9 +993,11 @@ def test_oracle_zero_eigenvalue_pins_value():
 
 
 def test_oracle_budget():
-    with pytest.raises(BudgetExceeded):
-        scalar_minimax_oracle([1.0, 2.0], 4)
-    with pytest.raises(BudgetExceeded):
+    """The oracle's limits are argument ranges like any other."""
+    for k in (4, 2.5, True):
+        with pytest.raises(InvalidSpec, match="oracle depth"):
+            scalar_minimax_oracle([1.0, 2.0], k)
+    with pytest.raises(InvalidSpec, match="1..12 eigenvalues"):
         scalar_minimax_oracle(list(range(1, 14)), 1)
 
 
