@@ -21,7 +21,6 @@ from .errors import (
     NoConvergence,
     ParseError,
     UnsupportedFormat,
-    ZeroVector,
 )
 from .experiment import ExperimentConfig, load_config, run_experiment
 from .fov import (
@@ -36,9 +35,7 @@ from .krylov import gmres_residuals
 from .matrices import MatrixSpec, generate_matrix
 from .minimax import (
     MinimaxResult,
-    OneStepIdealResult,
     ideal_gmres,
-    one_step_ideal,
     scalar_minimax_oracle,
     worst_case_gmres,
 )
@@ -50,7 +47,6 @@ __all__ = [
     "__version__",
     # errors
     "LabError",
-    "ZeroVector",
     "NoConvergence",
     "InvalidSpec",
     "ParseError",
@@ -70,10 +66,8 @@ __all__ = [
     "gmres_residuals",
     # minimization
     "MinimaxResult",
-    "OneStepIdealResult",
     "ideal_gmres",
     "worst_case_gmres",
-    "one_step_ideal",
     "scalar_minimax_oracle",
     # bounds
     "Verdict",

@@ -12,7 +12,6 @@ __all__ = [
     "check_depth",
     "check_int",
     "LabError",
-    "ZeroVector",
     "NoConvergence",
     "InvalidSpec",
     "ParseError",
@@ -25,10 +24,6 @@ __all__ = [
 
 class LabError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class ZeroVector(LabError):
-    """A vector argument that must be nonzero had norm zero."""
 
 
 class NoConvergence(LabError):

@@ -15,8 +15,8 @@ returns the ratio at every depth up to ``kmax``, :func:`min_residual_values`
 the ratio at one depth, and :func:`min_residual_gradients` adds its exact
 gradient in v, applying ``p(A)^H`` through H.  All three take an n x B block
 of finite nonzero vectors, B >= 1, and a depth in 1..16, which may exceed
-n.  Arnoldi with Givens rotations and a dense least-squares solve
-cross-check it in the tests.
+n, else raise :class:`InvalidSpec`.  Arnoldi with Givens rotations and a
+dense least-squares solve cross-check it in the tests.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dense_core import as_matrix, binary_scaled
-from .errors import InvalidSpec, ZeroVector, check_depth
+from .errors import InvalidSpec, check_depth
 
 __all__ = [
     "gmres_residuals",
@@ -79,7 +79,7 @@ def _residual_curves(mat: np.ndarray, batch: np.ndarray, k: int):
 
     Callers pass ``dense_core.binary_scaled(A)``: the ratios do not depend
     on the scale of A, and H, of the size of ``||A||``, is then that of the
-    scaled matrix.  A zero column raises :class:`ZeroVector`.
+    scaled matrix.  A zero column raises :class:`InvalidSpec`.
     """
     e = np.frexp(np.maximum(np.abs(batch.real), np.abs(batch.imag)).max(axis=0))[1]
     batch = np.ldexp(batch.real, -e) + 1j * np.ldexp(batch.imag, -e)
@@ -96,14 +96,14 @@ def _residual_curves(mat: np.ndarray, batch: np.ndarray, k: int):
         residuals[n:, :, full] = 0.0
     norms = np.linalg.norm(residuals, axis=1)
     if np.any(norms[0] == 0.0):
-        raise ZeroVector("zero vector in the residual kernel's block")
+        raise InvalidSpec("vector block has a zero column")
     return norms / norms[0], residuals[k], h, hessenberg, batch, e
 
 
 def _candidate_block(a, vs, k) -> tuple[np.ndarray, np.ndarray, int]:
     """The one argument check of the kernels: A scaled by a power of two (see
     :func:`_residual_curves`), ``vs`` as a finite n x B block, B >= 1, and
-    the depth.  A zero column is left to the kernel's :class:`ZeroVector`."""
+    the depth.  A zero column is left to the norms the kernel computes."""
     mat = binary_scaled(as_matrix(a))[0]
     try:
         batch = np.asarray(vs, dtype=np.complex128)

@@ -9,8 +9,8 @@ with pi_k the polynomials of degree at most k normalized to p(0) = 1.
 The worst case never exceeds the ideal value, and both lie in [0, 1]
 because p = 1 is admissible.  At depth 1 the two coincide.
 
-``ideal_gmres`` and ``one_step_ideal`` share one convex solver, run once
-per depth.  It writes ``p(A) = I + d_1 Q_1 + ... + d_k Q_k`` in a
+``ideal_gmres`` runs one convex solver, once per depth (depth 1 is the
+one-step problem).  It writes ``p(A) = I + d_1 Q_1 + ... + d_k Q_k`` in a
 Frobenius-orthonormal basis of ``span{A, .., A^k}``, built by the residual
 kernel's Arnoldi in matrix space (Toh & Trefethen, SIMAX 1998), starts at
 the better of p = 1 and the Frobenius-norm minimizer ``d_j = -conj(tr
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Real
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import optimize
@@ -77,7 +77,6 @@ from .krylov import _arnoldi, _gradients, min_residual_values
 __all__ = [
     "MAX_DEPTH",
     "MinimaxResult",
-    "OneStepIdealResult",
     "ideal_gmres",
     "worst_case_gmres",
     "one_step_ideal",
@@ -137,13 +136,6 @@ class MinimaxResult:
     lower_bound: float
     upper_bound: float
     certified: bool
-
-
-class OneStepIdealResult(NamedTuple):
-    """Minimum of ``||I - alpha A||`` over complex alpha."""
-
-    value: float
-    alpha: complex
 
 
 def _orthonormal_basis(mat: np.ndarray, k: int):
@@ -395,18 +387,19 @@ def ideal_gmres(a, k: int) -> MinimaxResult:
     """Minimize ``||p(A)||`` over polynomials p in pi_k.
 
     One solve at depth k, from the better of p = 1 and the polynomial of
-    least Frobenius norm, with no randomness; depth 1 is the solve of
-    :func:`one_step_ideal`.  The value is the spectral norm of the returned
-    polynomial (an upper bound on the true minimum: a stage end of the
-    solver or an extrapolant of its stage ends) and the lower bound the
-    GMRES ratio of the solver's dual block, both from the solver's own
-    eigendecompositions in an orthonormal basis of ``span{A, .., A^k}``, so
-    neither depends on the scale of A; the roots come from that basis's
-    recurrence.  A gap above 1e-10, the one the solver aims for, flags the
-    result non-certified, but both bounds remain sound.  The witness is a
-    unit vector whose own GMRES ratio lies in the bracket or at most 1e-10
-    below it, where the solver's dual has a rank-one part
-    (:func:`_dual_witness`), else p(A)'s top right singular vector.
+    least Frobenius norm, with no randomness; at depth 1,
+    ``alpha = 1 / theta_1`` minimizes ``||I - alpha A||``.  The value is the
+    spectral norm of the returned polynomial (an upper bound on the true
+    minimum: a stage end of the solver or an extrapolant of its stage ends)
+    and the lower bound the GMRES ratio of the solver's dual block, both
+    from the solver's own eigendecompositions in an orthonormal basis of
+    ``span{A, .., A^k}``, so neither depends on the scale of A; the roots
+    come from that basis's recurrence.  A gap above 1e-10, the one the
+    solver aims for, flags the result non-certified, but both bounds remain
+    sound.  The witness is a unit vector whose own GMRES ratio lies in the
+    bracket or at most 1e-10 below it, where the solver's dual has a
+    rank-one part (:func:`_dual_witness`), else p(A)'s top right singular
+    vector.
     """
     q, h, e = _orthonormal_basis(as_matrix(a), check_depth(k))
     d, upper, (p, _, vecs, w), lower = _minimize_norm(q)
@@ -467,8 +460,8 @@ def worst_case_gmres(a, k: int, starts, ceiling: float = 1.0) -> MinimaxResult:
     from p = 1.  The ascent stops, or never starts, once phi comes within
     1e-10 of it.  The value is a certified lower bound on the true worst
     case; the bracket ``[value, ceiling]`` is certified when ``|ceiling -
-    value| <= 1e-10``.  A zero column raises :class:`ZeroVector`, any other
-    argument outside its rule :class:`InvalidSpec`.
+    value| <= 1e-10``.  A zero column, as any other argument outside its
+    rule, raises :class:`InvalidSpec`.
     """
     scaled, k = dense_core.binary_scaled(as_matrix(a))[0], check_depth(k)
     if not (isinstance(ceiling, Real) and 0 <= ceiling < np.inf):
@@ -493,14 +486,12 @@ def worst_case_gmres(a, k: int, starts, ceiling: float = 1.0) -> MinimaxResult:
     return MinimaxResult(best_phi, None, best_v, best_phi, ceiling, certified)
 
 
-def one_step_ideal(a) -> OneStepIdealResult:
-    """Minimize ``||I - alpha A||`` over complex alpha."""
-    q, h, e = _orthonormal_basis(as_matrix(a), 1)
-    d, value, _, _ = _minimize_norm(q)
-    alpha = -d[0] / h[0, 0].real  # over 2^e, taken exactly
-    return OneStepIdealResult(
-        value, complex(*dense_core.scaled_back([alpha.real, alpha.imag], -e))
-    )
+def one_step_ideal(a) -> MinimaxResult:
+    """``ideal_gmres(a, 1)``: the optimal step of ``||I - alpha A||`` is
+    ``alpha = 1 / theta_1`` for the one root, or 0 where ``roots`` is empty.
+    The name stays only because the benchmark's workload and its tracer's
+    ``SPANS`` call it."""
+    return ideal_gmres(a, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +548,7 @@ def _chebyshev_lp(lam_pows: np.ndarray, angle_lists) -> tuple[np.ndarray, float]
 def scalar_minimax_oracle(eigenvalues, k: int) -> float:
     """Minimize ``max_i |p(lambda_i)|`` over p in pi_k for a small spectrum.
 
-    Intended as a test oracle: supports k up to 3 and at most 12
+    Intended as a test oracle: supports k up to 3 and at most 12 finite
     eigenvalues, raising :class:`InvalidSpec` beyond that, as for any other
     argument out of range.  When some eigenvalue vanishes the constraint
     ``p(0) = 1`` pins the value to 1.
@@ -568,10 +559,15 @@ def scalar_minimax_oracle(eigenvalues, k: int) -> float:
     best LP solution, so it always upper-bounds the true minimax value; the
     discretization keeps the excess below 1e-7 relative.
     """
-    lam = np.asarray(eigenvalues, dtype=np.complex128).ravel()
+    try:
+        lam = np.asarray(eigenvalues, dtype=np.complex128).ravel()
+    except (TypeError, ValueError):  # ragged or not numbers
+        raise InvalidSpec("oracle eigenvalues must be numbers") from None
     k = check_int(k, "oracle depth", 1, 3)
     if not 1 <= lam.size <= 12:
         raise InvalidSpec(f"oracle supports 1..12 eigenvalues, got {lam.size}")
+    if not np.isfinite(lam).all():
+        raise InvalidSpec("oracle eigenvalues must be finite")
     moduli = np.abs(lam)
     if float(moduli.max()) == 0.0 or float(moduli.min()) <= 1e-12 * float(moduli.max()):
         return 1.0

@@ -11,7 +11,7 @@ with golden-section refinement instead of Newton steps on the support
 function, a product of root factors in Leja order for a residual
 polynomial instead of the ideal solver's Arnoldi recurrence, and 40-digit
 ``mpmath`` arithmetic on the monomial Krylov basis to referee the ideal
-solver's bracket.  Two
+solver's bracket and every numeric field of a report.  Two
 small helpers that the package no longer needs live here as well: the
 Rayleigh quotient and ``nu(F(A^{-1}))`` on its own.
 """
@@ -25,7 +25,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from gmreslab import fov
 from gmreslab.dense_core import as_matrix
-from gmreslab.errors import ZeroVector
+from gmreslab.errors import InvalidSpec
 
 
 def polynomial_from_roots(a, roots) -> np.ndarray:
@@ -82,6 +82,78 @@ def gmres_ratio_mp(a, block, k, dps=40) -> float:
         c = mpmath.lu_solve(kry.H * kry, -(kry.H * rhs))
         return float(mpmath.norm(rhs + kry * c) / mpmath.norm(rhs))
 
+
+def _lambda_min_rotated_mp(m, theta) -> mpmath.mpf:
+    """``lambda_min`` of the Hermitian part of ``e^{-i theta} M``, by
+    ``mpmath.eighe`` at the working precision."""
+    rotated = m * mpmath.expj(-theta)
+    return min(mpmath.eighe((rotated + rotated.H) / 2, eigvals_only=True))
+
+
+def _decay_mp(x, k) -> mpmath.mpf:
+    """``(1 - x)^(k/2)`` with x clamped to [0, 1], the form of both bounds."""
+    return (1 - min(max(mpmath.mpf(x), 0), 1)) ** (mpmath.mpf(k) / 2)
+
+
+def referee_report_entry(a, entry, r0_block, witness, roots, dual_block, dps=40) -> dict:
+    """Every numeric field of one depth's ``report.json`` entry, recomputed
+    in ``dps``-digit arithmetic from A and the solvers' by-products, each
+    rounded once to a float:
+
+    - the sampled ratios (and their min, median, max): the GMRES ratio of
+      each column of ``r0_block``, the sampled initial residuals;
+    - ``worst_case``: the GMRES ratio of the worst-case ``witness``;
+    - ``ideal``: the norm of the polynomial of the ideal solver's ``roots``;
+      ``ideal_lower``: the GMRES ratio of its ``dual_block``;
+    - ``nu_a`` and ``nu_ainv``: ``lambda_min`` of the rotated Hermitian part
+      of A, and of A^-1 formed in ``dps`` digits, at the angle ``nu_fov``
+      finds for each (the inverse rounded to floats for that search only);
+    - ``lambda_min_m`` and ``lambda_max_aha``: by ``mpmath.eighe``;
+    - ``starke_rhs`` and ``elman_rhs``: from the entry's own ``nu_a``,
+      ``nu_ainv``, ``lambda_min_m`` and ``lambda_max_aha``;
+    - ``margins``: each verdict's ``rhs - lhs`` from the values above.
+    """
+    k = entry["k"]
+    ratios = [gmres_ratio_mp(a, col, k, dps) for col in np.asarray(r0_block).T]
+    with mpmath.workdps(dps):
+        m = _mp_matrix(a)
+        inverse = mpmath.inverse(m)
+        inverse_float = np.array(inverse.tolist(), dtype=np.complex128)
+        nus = [max(_lambda_min_rotated_mp(x, fov.nu_fov(xf).angle), 0)
+               for x, xf in ((m, a), (inverse, inverse_float))]
+        herm = (m + m.H) / 2
+        lambda_min_m = min(mpmath.eighe(herm, eigvals_only=True))
+        lambda_max_aha = max(mpmath.eighe(m.H * m, eigvals_only=True))
+        starke = _decay_mp(mpmath.mpf(entry["nu_a"]) * entry["nu_ainv"], k)
+        elman = None
+        if entry["elman_rhs"] is not None:
+            x = mpmath.mpf(entry["lambda_min_m"]) ** 2 / entry["lambda_max_aha"]
+            elman = _decay_mp(x, k)
+        worst = mpmath.mpf(gmres_ratio_mp(a, witness, k, dps))
+        ideal = mpmath.mpf(polynomial_norm_mp(a, roots, dps))
+        links = {
+            "gmres_le_worst_case": (max(ratios), worst),
+            "worst_case_le_ideal": (worst, ideal),
+            "ideal_le_starke": (ideal, starke),
+            "ideal_le_elman": (ideal, elman),
+            "starke_le_elman": (starke, elman),
+        }
+        margins = {name: float(rhs - lhs) for name, (lhs, rhs) in links.items()
+                   if rhs is not None}
+        return {
+            "gmres": {"ratios": ratios, "min": min(ratios),
+                      "median": float(np.median(ratios)), "max": max(ratios)},
+            "worst_case": float(worst),
+            "ideal": float(ideal),
+            "ideal_lower": gmres_ratio_mp(a, dual_block, k, dps),
+            "nu_a": float(nus[0]),
+            "nu_ainv": float(nus[1]),
+            "lambda_min_m": float(lambda_min_m),
+            "lambda_max_aha": float(lambda_max_aha),
+            "starke_rhs": float(starke),
+            "elman_rhs": None if elman is None else float(elman),
+            "margins": margins,
+        }
 
 def point_segment_distance(p, a, b):
     """Distance from point p to the segment [a, b], all 2-vectors."""
@@ -163,7 +235,7 @@ def rayleigh(a, v) -> complex:
         raise ValueError("vector length does not match matrix order")
     denom = np.vdot(vec, vec)
     if denom.real == 0.0:
-        raise ZeroVector("Rayleigh quotient of the zero vector")
+        raise InvalidSpec("Rayleigh quotient of the zero vector")
     return complex(np.vdot(vec, m @ vec) / denom)
 
 

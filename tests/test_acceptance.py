@@ -24,7 +24,6 @@ from gmreslab import (
     ideal_gmres,
     MatrixSpec,
     nu_fov,
-    one_step_ideal,
     scalar_minimax_oracle,
     starke_bound,
     verify_chain,
@@ -60,7 +59,8 @@ DIAG_COUNT = 30
 
 @lru_cache(maxsize=1)
 def general_suite():
-    """Seeded nonsingular matrices with ideal, one-step, and bound data."""
+    """Seeded nonsingular matrices with ideal, one-step (ideal at depth 1),
+    and bound data."""
     entries = []
     for i in range(GENERAL_COUNT):
         rng = np.random.default_rng(1000 + i)
@@ -68,9 +68,8 @@ def general_suite():
         a = random_nonsingular(rng, n, spread=float(rng.uniform(0.3, 1.0)))
         data = fov_summary(a)
         ideal = {k: ideal_gmres(a, k).value for k in DEPTHS}
-        one_step = one_step_ideal(a).value
         starke = {k: starke_bound(a, k, data) for k in DEPTHS}
-        entries.append((ideal, one_step, starke))
+        entries.append((ideal, ideal[1], starke))
     return entries
 
 
@@ -139,10 +138,7 @@ def test_depth_one_quantities_coincide():
         a = random_complex(rng, n, spread=float(rng.uniform(0.3, 1.2)))
         ideal = ideal_gmres(a, 1).value
         worst = worst_case_gmres(a, 1, random_starts(n)).value
-        one_step = one_step_ideal(a).value
         assert abs(ideal - worst) <= DEPTH_ONE_TOL
-        assert abs(ideal - one_step) <= DEPTH_ONE_TOL
-        assert abs(worst - one_step) <= DEPTH_ONE_TOL
 
 
 def test_one_step_alpha_beats_random_sampling():
@@ -216,7 +212,7 @@ def test_diagonal_ideal_matches_equioscillation_oracle():
 
 def test_ideal_below_one_step_power():
     for ideal, one_step, _ in general_suite():
-        for k in DEPTHS:
+        for k in DEPTHS[1:]:  # one_step is ideal[1]
             assert ideal[k] <= one_step**k + RELAXATION_SLACK
 
 

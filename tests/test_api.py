@@ -218,13 +218,23 @@ def test_checker_finds_os_error_guards():
 
 
 # Vector blocks that every residual kernel refuses with InvalidSpec: NumPy's
-# own ValueError of a ragged or non-numeric block included.
+# own ValueError of a ragged or non-numeric block included, and a zero column,
+# which has no residual ratio.
 BAD_BLOCKS = {
     "nan": [[np.nan], [1.0], [1.0]],
     "inf": [[np.inf], [1.0], [1.0]],
     "empty": np.ones((3, 0)),
     "ragged": [[1], [1, 2], [1]],
     "string": [["1"], ["x"], ["1"]],
+    "zero_column": [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]],
+}
+# Spectra that the scalar oracle refuses with InvalidSpec, not with NumPy's or
+# linprog's own error, nor by returning a value for an infinite eigenvalue.
+BAD_SPECTRA = {
+    "ragged": [[1.0, 2.0], [3.0]],
+    "string": ["1", "x"],
+    "nan": [1.0, np.nan],
+    "inf": [1.0, np.inf],
 }
 # Matrices that every public function taking one refuses with InvalidSpec, and
 # those functions, each with valid other arguments.
@@ -237,7 +247,6 @@ MATRIX_CALLS = {
     "fov_summary": gmreslab.fov_summary,
     "ideal_gmres": lambda a: gmreslab.ideal_gmres(a, 1),
     "worst_case_gmres": lambda a: gmreslab.worst_case_gmres(a, 1, np.ones((2, 1))),
-    "one_step_ideal": gmreslab.one_step_ideal,
     "elman_bound": lambda a: gmreslab.elman_bound(a, 1),
     "starke_bound": lambda a: gmreslab.starke_bound(a, 1),
     "verify_chain": lambda a: gmreslab.verify_chain(a, 1, trials=1),
@@ -263,6 +272,12 @@ MALFORMED = {
             gmreslab.worst_case_gmres, np.diag([1.0, 2.0, 3.0]), 1, block
         )
         for bad, block in BAD_BLOCKS.items()
+    },
+    **{
+        f"{bad}_eigenvalues_scalar_minimax_oracle": functools.partial(
+            gmreslab.scalar_minimax_oracle, spectrum, 1
+        )
+        for bad, spectrum in BAD_SPECTRA.items()
     },
     **{
         f"{bad}_matrix_{name}": functools.partial(call, matrix)

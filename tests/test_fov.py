@@ -7,7 +7,6 @@ from scipy.linalg import lapack
 from gmreslab import (
     InvalidSpec,
     NoConvergence,
-    ZeroVector,
     fov_boundary,
     fov_summary,
     hermitian_part,
@@ -38,7 +37,7 @@ def test_rayleigh_jordan(jordan_block):
 
 
 def test_rayleigh_rejects_zero():
-    with pytest.raises(ZeroVector):
+    with pytest.raises(InvalidSpec, match="zero vector"):
         rayleigh(np.eye(2), np.zeros(2))
 
 

@@ -11,10 +11,8 @@ from gmreslab import (
     ExperimentConfig,
     InvalidSpec,
     MatrixSpec,
-    ZeroVector,
     generate_matrix,
     ideal_gmres,
-    one_step_ideal,
     run_experiment,
     scalar_minimax_oracle,
     spectral_norm,
@@ -856,7 +854,8 @@ def test_worst_case_refuses_a_malformed_start_block(starts):
 
 
 def test_worst_case_refuses_a_zero_extra_start():
-    with pytest.raises(ZeroVector):
+    """A zero start is a bad argument, as any other: InvalidSpec, exit 2."""
+    with pytest.raises(InvalidSpec, match="zero column"):
         worst_case_gmres(DIAG3, 1, np.column_stack([np.ones(3), np.zeros(3)]))
 
 
@@ -924,38 +923,60 @@ def test_depth_one_equality_trio():
     a = random_complex(rng, 6, spread=0.8)
     worst = worst_case_gmres(a, 1, random_starts(6)).value
     ideal = ideal_gmres(a, 1).value
-    one = one_step_ideal(a).value
     assert abs(worst - ideal) <= EQUALITY_TOL
-    assert abs(worst - one) <= EQUALITY_TOL
+
+
+@pytest.mark.parametrize(
+    "a", [toh(0.5), random_complex(np.random.default_rng(59), 5)], ids=["toh", "random"]
+)
+def test_one_step_ideal_is_ideal_gmres_at_depth_one(a):
+    """``minimax.one_step_ideal``, kept for the benchmark, is the depth-1
+    solve itself: every field equal, bit for bit."""
+    one, ideal = minimax.one_step_ideal(a), ideal_gmres(a, 1)
+    assert (one.value, one.lower_bound, one.certified) == (
+        ideal.value, ideal.lower_bound, ideal.certified
+    )
+    assert np.array_equal(one.roots, ideal.roots)
+    assert np.array_equal(one.witness_vector, ideal.witness_vector)
+
+
+def one_step(a):
+    """``(value, alpha)`` of min over alpha of ``||I - alpha A||`` from
+    ``ideal_gmres(a, 1)``: ``alpha = 1 / theta_1``, or 0 without a root."""
+    res = ideal_gmres(a, 1)
+    return res.value, 1.0 / res.roots[0] if res.roots.size else 0.0
 
 
 def test_one_step_identity():
-    res = one_step_ideal(np.eye(3))
-    assert res.value == pytest.approx(0.0, abs=1e-10)
-    assert res.alpha == pytest.approx(1.0, abs=1e-8)
+    value, alpha = one_step(np.eye(3))
+    assert value == pytest.approx(0.0, abs=1e-10)
+    assert alpha == pytest.approx(1.0, abs=1e-8)
 
 
 def test_one_step_two_point():
-    expected, alpha = oracles.equioscillation_two_points()
-    res = one_step_ideal(np.diag([1.0, 2.0]))
-    assert res.value == pytest.approx(expected, abs=1e-7)
-    assert res.alpha == pytest.approx(alpha, abs=1e-5)
+    expected, want = oracles.equioscillation_two_points()
+    value, alpha = one_step(np.diag([1.0, 2.0]))
+    assert value == pytest.approx(expected, abs=1e-7)
+    assert alpha == pytest.approx(want, abs=1e-5)
 
 
 def test_one_step_alpha_beyond_the_float_range_is_infinite():
     """At 1e-310 diag(1, 2) the optimal alpha = 2 / 3e-310 lies beyond the
-    float range: it reads infinite, without the overflow warning (an error
-    under this suite's filterwarnings) that scaling it back raised before."""
-    res = one_step_ideal(1e-310 * np.diag([1.0, 2.0]))
-    assert abs(res.value - 1.0 / 3.0) <= 1e-8
-    assert res.alpha.real == np.inf
+    float range, so the result carries its root theta_1 = 1.5e-310, which is
+    finite; only alpha = 1 / theta_1 reads infinite."""
+    res = ideal_gmres(1e-310 * np.diag([1.0, 2.0]), 1)
+    assert res.value == pytest.approx(1.0 / 3.0, rel=1e-8)
+    assert res.roots.shape == (1,) and np.isfinite(res.roots[0])
+    assert res.roots[0] == pytest.approx(1.5e-310, rel=1e-8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert (1.0 / res.roots[0]).real == np.inf
 
 
 def test_one_step_rotation_cannot_improve():
     a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    res = one_step_ideal(a)
-    assert res.value == pytest.approx(1.0, abs=1e-9)
-    assert abs(res.alpha) <= 1e-6
+    value, alpha = one_step(a)
+    assert value == pytest.approx(1.0, abs=1e-9)
+    assert abs(alpha) <= 1e-6
     # coarse grid over complex alpha confirms no step beats standing still
     re, im = np.meshgrid(np.linspace(-1, 1, 41), np.linspace(-1, 1, 41))
     for alpha in (re + 1j * im).ravel():
@@ -965,8 +986,8 @@ def test_one_step_rotation_cannot_improve():
 def test_relaxation_chain_one_step_power():
     rng = np.random.default_rng(61)
     a = random_complex(rng, 5, spread=0.5)
-    one = one_step_ideal(a).value
-    for k in (1, 2, 3):
+    one = ideal_gmres(a, 1).value
+    for k in (2, 3):
         assert ideal_gmres(a, k).value <= one**k + SANDWICH_SLACK
 
 
