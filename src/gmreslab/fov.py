@@ -56,6 +56,9 @@ _HISTORY = 8
 # LAPACK calls and their glue cost about 50 us per angle whatever n, and the
 # two break even at n = 28.
 _WARM_ORDER = 28
+# Angles per turn from which it pays: on coarser grids the certificate fails
+# at most angles, and at n = 32..128 the two break even between 144 and 180.
+_WARM_GRID = 160
 
 
 @dataclass(frozen=True)
@@ -130,8 +133,8 @@ def fov_boundary(a, m: int) -> FovBoundary:
     ``support_max`` is at least ``ritz``.  Where it fails (too little
     history, a crossing of the top branch, a nearly double top eigenvalue)
     the buffer is formed again; there and at every angle when ``n <= 28``
-    (the cheaper path there) one ``heevr`` call gives its lowest
-    eigenvector.
+    or the walk has fewer than 160 angles (the cheaper path there) one
+    ``heevr`` call gives its lowest eigenvector.
 
     The walk is over an even grid, ``m`` angles for an even ``m`` and ``2m``
     for an odd one, of which every other angle is returned.  As ``H(theta +
@@ -153,7 +156,7 @@ def fov_boundary(a, m: int) -> FovBoundary:
     cosines, sines = np.cos(angles), np.sin(angles)
     solved = grid // 2 + 1 if not mat.imag.any() else grid
     points = np.empty(grid, dtype=np.complex128)
-    warm = n > _WARM_ORDER
+    warm = n > _WARM_ORDER and grid >= _WARM_GRID
     history = np.empty((n, _HISTORY), dtype=np.complex128, order="F")
     # -H(theta_j) is one gemv of the Fortran-ordered columns vec(H), vec(S)
     # with row j of weights, written into flat, the storage of neg

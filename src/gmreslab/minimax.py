@@ -34,15 +34,18 @@ bound, where found, else p(A)'s top singular vector.  The polynomial is
 reported by its roots, the eigenvalues of a comrade pencil of the basis's
 Arnoldi recurrence H and the coefficients d; no monomial basis is formed.
 
-``worst_case_gmres`` runs L-BFGS-B on ``phi(v)^2 / 2``, phi(v) the residual
-ratio, over the real and imaginary parts of v: the best of the caller's
-starts climb as one block, then the best of them alone.  One kernel pass
-per evaluation solves the inner polynomial problem exactly for every
-candidate and returns its exact gradient, by the envelope theorem
-``(p_v(A)^H p_v(A) v - phi^2 v) / ||v||^2`` with p_v the minimizing
-polynomial of v; its Arnoldi directions keep phi exact to rounding at
-every depth.  phi is scale-invariant, so no
-sphere constraint is needed.  Every evaluated candidate is a
+``worst_case_gmres`` climbs on ``phi(v)^2 / 2``, phi(v) the residual ratio,
+over the real and imaginary parts of v: each of the best of the caller's
+starts runs its own BFGS ascent with Armijo halving, and one kernel pass
+per round evaluates every climbing start's trial point.  The pass solves
+the inner polynomial problem exactly for every candidate and returns its
+exact gradient, by the envelope theorem ``(p_v(A)^H p_v(A) v - phi^2 v) /
+||v||^2`` with p_v the minimizing polynomial of v; its Arnoldi directions
+keep phi exact to rounding at every depth.  phi is scale-invariant, so no
+sphere constraint is needed.  The ascent stops once the leading start is
+stationary, its residual ``||p_v(A)^H p_v(A) v - phi^2 v|| / (phi^2
+||v||)`` at most 1e-8 (the cross equality of Faber, Liesen & Tichy, SIMAX
+2013), or can rise only by rounding.  Every evaluated candidate is a
 certified lower bound on the true worst case, so under-convergence is safe
 for the inequality checks downstream.  The caller may pass a known upper
 bound on the worst case, the ceiling (``verify_chain`` passes the ideal
@@ -53,7 +56,7 @@ where the ideal witness is a rank-one dual it attains it as a start, so
 no ascent runs at all.
 
 The budgets are constants of the method: 16 ascent starts, 200 kernel
-evaluations, and one bracket gap of 1e-10, which both solvers close and
+gradient passes, and one bracket gap of 1e-10, which both solvers close and
 both ``certified`` flags read.  Neither solver draws a random number: the
 inputs besides A and k are the worst case's starts and its ceiling.
 """
@@ -85,12 +88,11 @@ __all__ = [
 
 # Newton steps per smoothing stage; rounding stops a stage long before.
 _NEWTON_STEPS = 100
-# Ascent starts of worst_case_gmres, moved together as one block: at most
-# this many of the caller's starts, the best by phi.
+# Ascent starts of worst_case_gmres, each climbing on its own: at most this
+# many of the caller's starts, the best by phi.
 _ASCENT_STARTS = 16
-# Kernel evaluations of the ascent, one kernel pass over the block each,
-# shared by its two L-BFGS-B runs; SciPy may finish its current line
-# search, at most 20 evaluations, past it.
+# Kernel gradient passes of the ascent, the one at the starts included; a
+# pass evaluates the trial points of all starts still climbing.
 _ASCENT_EVALS = 200
 # The bracket both solvers close, and within which a result is certified:
 # _minimize_norm stops once the norm and its dual bound are this close, the
@@ -408,45 +410,58 @@ def ideal_gmres(a, k: int) -> MinimaxResult:
     return MinimaxResult(upper, _roots(h, d, e), witness, lower, upper, certified)
 
 
-class _Bracketed(Exception):
-    """Raised by the ascent's objective once some phi reaches the target."""
+def _ascend(mat: np.ndarray, v: np.ndarray, k: int, target: float) -> np.ndarray:
+    """The best point of quasi-Newton climbs on ``phi^2 / 2``, one from each
+    column of ``v``, renormalized.
 
-
-def _ascend(mat: np.ndarray, v0: np.ndarray, k: int, budget: int, target: float):
-    """L-BFGS-B on ``-sum_j phi(v_j)^2 / 2`` over the columns of ``v0``.
-
-    One kernel pass per evaluation, ``budget`` evaluations plus the line
-    search under way; the run ends at the first evaluation whose best phi
-    reaches ``target``, even inside a line search.  Returns each column's
-    best evaluated vector, renormalized, its value, and the number of
-    evaluations.
+    Each column climbs on its own 2n real coordinates, with a dense BFGS
+    inverse Hessian, first ``0.1 ||v|| / ||g||`` times I for its gradient g
+    and updated only where ``s^T y > 0``, and its own Armijo halving (c =
+    1e-4) from the full step.  One kernel pass per round evaluates every
+    live column's trial point.  A column is done once its stationarity
+    residual ``||g|| ||v|| / phi^2`` is at most 1e-8 or its predicted rise
+    is at the rounding level ``4 eps phi^2 / 2``, as at a start where g =
+    0.  The climb ends once the leading column, the highest phi accepted,
+    is done or reaches ``target``, or after ``_ASCENT_EVALS`` passes.
     """
-    best_v = v0.copy()
-    best_phi = np.full(v0.shape[1], -1.0)
-    nfev = 0
-
-    def negative_energy(x: np.ndarray):
-        nonlocal nfev
-        nfev += 1
-        v = np.ascontiguousarray(x).view(np.complex128).reshape(v0.shape)
-        phi, grad = _gradients(mat, v, k)
-        up = phi > best_phi
-        best_phi[up], best_v[:, up] = phi[up], v[:, up]
-        if best_phi.max() >= target:
-            raise _Bracketed
-        return -0.5 * float(phi @ phi), -grad.ravel().view(np.float64)
-
-    try:
-        optimize.minimize(
-            negative_energy,
-            v0.ravel().view(np.float64),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxfun": budget, "maxiter": budget, "ftol": 0.0, "gtol": 1e-15},
-        )
-    except _Bracketed:
-        pass
-    return best_v / np.linalg.norm(best_v, axis=0), best_phi, nfev
+    phi, grad = _gradients(mat, v, k)
+    x = np.ascontiguousarray(v.T).view(np.float64)  # row b: column b, Re and Im
+    grad = np.ascontiguousarray(grad.T).view(np.float64)
+    cols, size = x.shape
+    norms = np.linalg.norm(grad, axis=1)
+    scale = np.divide(0.1 * np.linalg.norm(x, axis=1), norms, out=np.zeros(cols), where=norms > 0)
+    inverse = scale[:, None, None] * np.eye(size)
+    direction, step, slope = scale[:, None] * grad, np.ones(cols), scale * norms**2
+    rounding = 2.0 * np.finfo(float).eps
+    done = slope <= rounding * phi**2
+    for _ in range(_ASCENT_EVALS - 1):
+        lead = int(np.argmax(phi))
+        if done[lead] or phi[lead] >= target:
+            break
+        live = np.flatnonzero(~done)
+        trial = x[live] + step[live, None] * direction[live]
+        trial_phi, trial_grad = _gradients(mat, trial.view(np.complex128).T, k)
+        trial_grad = np.ascontiguousarray(trial_grad.T).view(np.float64)
+        up = trial_phi**2 >= phi[live] ** 2 + 2e-4 * step[live] * slope[live]
+        go, stay = live[up], live[~up]
+        # BFGS on -phi^2 / 2: H += (rho^2 y'Hy + rho) s s' - rho (Hy s' + s y'H)
+        s, y = trial[up] - x[go], grad[go] - trial_grad[up]
+        sy = np.einsum("bi,bi->b", s, y)
+        s, y, rho, at = s[sy > 0], y[sy > 0], 1.0 / sy[sy > 0], go[sy > 0]
+        hy = np.einsum("bij,bj->bi", inverse[at], y)
+        cross = hy[:, :, None] * s[:, None, :]
+        inverse[at] += (rho**2 * np.einsum("bi,bi->b", y, hy) + rho)[:, None, None] * (
+            s[:, :, None] * s[:, None, :]
+        ) - rho[:, None, None] * (cross + cross.swapaxes(1, 2))
+        x[go], phi[go], grad[go], step[go] = trial[up], trial_phi[up], trial_grad[up], 1.0
+        direction[go] = np.einsum("bij,bj->bi", inverse[go], grad[go])
+        slope[go] = np.einsum("bi,bi->b", grad[go], direction[go])
+        step[stay] *= 0.5
+        residual = np.linalg.norm(x[live], axis=1) * np.linalg.norm(grad[live], axis=1)
+        rise = step[live] * slope[live]
+        done[live] = (residual <= 1e-8 * phi[live] ** 2) | (rise <= rounding * phi[live] ** 2)
+    best = x[int(np.argmax(phi))].view(np.complex128)
+    return best / np.linalg.norm(best)
 
 
 def worst_case_gmres(a, k: int, starts, ceiling: float = 1.0) -> MinimaxResult:
@@ -473,14 +488,7 @@ def worst_case_gmres(a, k: int, starts, ceiling: float = 1.0) -> MinimaxResult:
     best_v = pool[:, int(np.argmax(pool_values))]
     if pool_values.max() < target:
         order = np.argsort(-pool_values, kind="stable")[:_ASCENT_STARTS]
-        block, block_values, nfev = _ascend(
-            scaled, pool[:, order], k, _ASCENT_EVALS // 2, target
-        )
-        # The block run stops on the sum of phi^2; the best column goes on alone.
-        best_v = block[:, int(np.argmax(block_values))]
-        if block_values.max() < target:
-            budget = max(_ASCENT_EVALS - nfev, 1)
-            best_v = _ascend(scaled, best_v[:, None], k, budget, target)[0][:, 0]
+        best_v = _ascend(scaled, pool[:, order], k, target)
     best_phi = float(min_residual_values(scaled, best_v[:, None], k)[0])
     certified = bool(abs(ceiling - best_phi) <= _BRACKET_GAP)
     return MinimaxResult(best_phi, None, best_v, best_phi, ceiling, certified)

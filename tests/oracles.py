@@ -13,7 +13,8 @@ polynomial instead of the ideal solver's Arnoldi recurrence, and 40-digit
 ``mpmath`` arithmetic on the monomial Krylov basis to referee the ideal
 solver's bracket and every numeric field of a report.  Two
 small helpers that the package no longer needs live here as well: the
-Rayleigh quotient and ``nu(F(A^{-1}))`` on its own.
+Rayleigh quotient and ``nu(F(A^{-1}))`` on its own.  So do the inputs the
+worst-case tests share: Toh's matrix and the open-bracket corpus.
 """
 
 from typing import NamedTuple, Optional
@@ -23,6 +24,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.spatial import ConvexHull, QhullError
 
+from conftest import deep_matrices, random_complex
 from gmreslab import fov
 from gmreslab.dense_core import as_matrix
 from gmreslab.errors import InvalidSpec
@@ -225,6 +227,32 @@ def equioscillation_three_points():
     value = max(abs(1 + a * z + b * z * z) for z in (1.0, 2.0, 3.0))
     assert abs(value - abs(s)) < 1e-14
     return value, np.array([a, b])
+
+
+def toh(eps):
+    """Toh's 4x4 example (SIMAX 1997): wc < ideal strictly at k = 3."""
+    return np.array(
+        [[1, eps, 0, 0], [0, -1, 1 / eps, 0], [0, 0, 1, eps], [0, 0, 0, -1]],
+        dtype=np.complex128,
+    )
+
+
+def open_bracket_corpus():
+    """``(name, A, k)`` for the 36 solves whose worst-case bracket [wc,
+    ideal] is hardest to close: Toh's matrix, eps = 0.5 and 0.1, at k = 3;
+    ``triu24`` at k = 12 and 16 and ``rand16`` at k = 8 and 12 (the deep
+    matrices of ``conftest``); and 30 ``random_complex`` matrices of one
+    ``default_rng(97)`` stream, each of order ``rng.integers(3, 11)``, at
+    k = n - 1.  About 20 stay open after the full ascent."""
+    deep = deep_matrices()
+    cases = [(f"toh{eps}", toh(eps), 3) for eps in (0.5, 0.1)]
+    cases += [(name, deep[name], k) for name, depths in
+              (("triu24", (12, 16)), ("rand16", (8, 12))) for k in depths]
+    rng = np.random.default_rng(97)
+    for i in range(30):
+        n = int(rng.integers(3, 11))
+        cases.append((f"random{i}", random_complex(rng, n), n - 1))
+    return [(f"{name}-{k}", a, k) for name, a, k in cases]
 
 
 def rayleigh(a, v) -> complex:

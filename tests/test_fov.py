@@ -86,13 +86,6 @@ def test_boundary_jordan_is_a_disk(jordan_block):
     assert np.max(np.abs(cloud - 1.0)) <= 0.5 + 1e-9
 
 
-def _toh(eps):
-    return np.array(
-        [[1, eps, 0, 0], [0, -1, 1 / eps, 0], [0, 0, 1, eps], [0, 0, 0, -1]],
-        dtype=np.complex128,
-    )
-
-
 def _assert_matches_eigensolves(a, b):
     """Support values within 1e-12 of batched eigvalsh, each point on the
     supporting line of its angle within 1e-10."""
@@ -109,7 +102,7 @@ _SMALL_CASES = {
     "normal_kink": np.diag([2 + 1j, 1 - 2j]),
     "segment": np.diag([0.0, 2.0]),
     "jordan_blocks": np.kron(np.eye(3), [[1.0, 1.0], [0.0, 1.0]]),
-    "toh_0.1": _toh(0.1),
+    "toh_0.1": oracles.toh(0.1),
 }
 
 
@@ -187,6 +180,21 @@ def test_boundary_needs_few_full_eigensolves(kind, warm, monkeypatch):
         assert len(calls) <= 6
         assert len(factorizations) == angles
         _assert_matches_eigensolves(a, b)
+
+
+@pytest.mark.parametrize("m, most, factored", [(16, 16, 0), (720, 6, 719)])
+def test_boundary_takes_the_warm_start_only_on_fine_grids(m, most, factored, monkeypatch):
+    """Above the warm order the warm start runs only where the walk has at
+    least 160 angles: at m = 16 its certificate would fail at most angles,
+    so no angle is factorized and each takes one heevr; at m = 720 every
+    angle after the first is certified by its Cholesky factorization."""
+    a = random_complex(np.random.default_rng(73), 64)
+    calls = _count_calls(monkeypatch, "zheevr")
+    factorizations = _count_calls(monkeypatch, "zpotrf")
+    b = fov_boundary(a, m)
+    assert len(factorizations) == factored
+    assert len(calls) <= most
+    _assert_matches_eigensolves(a, b)
 
 
 def _fail_factorizations(monkeypatch):
@@ -273,8 +281,9 @@ def test_boundary_below_the_warm_order_matches_per_angle_eigvalsh(kind):
 @pytest.mark.parametrize("m", [9, 721])
 @pytest.mark.parametrize("kind", ["complex", "real"])
 def test_boundary_warm_odd_count_matches_per_angle_eigvalsh(kind, m):
-    """At n = 40 the angles take the warm start, and an odd count reads
-    support_min off the opposite angle of a grid of 2m."""
+    """At n = 40 an odd count reads support_min off the opposite angle of a
+    grid of 2m, which the warm start walks at m = 721 and one heevr per
+    angle at m = 9."""
     a = random_complex(np.random.default_rng(89), 40)
     if kind == "real":
         a = a.real
