@@ -2,9 +2,11 @@
 """Run the full verification pipeline over a small gallery of matrices.
 
 Each gallery entry exercises a different regime: normal versus defective,
-definite versus indefinite Hermitian part, and a case where the origin
-sits inside the field of values so the bound degenerates to 1.  Outputs
-land in one subdirectory per entry.
+definite versus indefinite Hermitian part, a case where the origin sits
+inside the field of values so the bound degenerates to 1, and points on an
+arc of the unit circle, where ideal = worst case = Starke at k = 1 and the
+``ideal_le_starke`` margin is at rounding level.  Outputs land in one
+subdirectory per entry.
 
 Usage::
 
@@ -13,6 +15,7 @@ Usage::
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,6 +36,10 @@ GALLERY = {
     },
     "random_pd_part": {"family": "random_pd_part", "n": 8, "seed": 3},
     "normal_random": {"family": "normal_random", "n": 6, "seed": 11},
+    "arc": {
+        "family": "diagonal",
+        "entries": [[math.cos(t), math.sin(t)] for t in (0.0, 0.5, 1.0)],
+    },
 }
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -131,10 +132,15 @@ def starke_bound(a, k: int, fov_data: Optional[fov.FovSummary] = None) -> float:
     """Starke bound at depth k.  Equals 1 when the origin lies in F(A),
     singular A included.  It takes the lower ends of the nu brackets
     (``NuResult.value``), so it is an upper bound up to eigensolver
-    rounding."""
+    rounding.  A given ``fov_data`` must be a :class:`fov.FovSummary` of
+    finite values >= 0, else :class:`InvalidSpec`."""
     k = check_depth(k)
     if fov_data is None:
         fov_data = fov.fov_summary(as_matrix(a))
+    elif not isinstance(fov_data, fov.FovSummary) or not all(
+        isinstance(x, Real) and 0 <= x < np.inf for x in dataclasses.astuple(fov_data)
+    ):
+        raise InvalidSpec(f"invalid fov_data {fov_data!r}: need finite nu values >= 0")
     return _decay(fov_data.nu_a * fov_data.nu_ainv, k)
 
 
@@ -163,7 +169,8 @@ def verify_chain(
     non-negative int that roots the sampling, the one random stream per
     depth.  ``lambda_min_m`` is the Elman bound's own ``lambda_min(M)``;
     :class:`InvalidSpec` where it, or a value of ``fov_summary``, leaves
-    the float range.
+    the float range, and where a given ``fov_data`` is refused by
+    :func:`starke_bound`.
     """
     mat = as_matrix(a)
     k = check_depth(k)

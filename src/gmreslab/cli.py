@@ -1,15 +1,16 @@
 """Command-line harness.
 
-Four subcommands::
+Three subcommands::
 
-    lab run <config.json> [flags]     full experiment from a config file
-    lab bounds --matrix A.mtx --depths 1..5
-                                      experiment assembled from flags only
+    lab run [config.json] [flags]     full experiment from a config file,
+                                      from flags only, or both
     lab fov --matrix A.mtx --samples 720
                                       boundary scan of the field of values
     lab ideal --matrix A.mtx -k 3     one ideal-GMRES minimization
 
-Flags override config fields.  Exit codes follow the experiment runner:
+Flags override config fields.  ``lab bounds`` is another name of ``lab
+run``: ``lab bounds --matrix A.mtx --depths 1..5`` is ``lab run`` without
+a config file.  Exit codes follow the experiment runner:
 0 all checks passed, 1 an inequality failed beyond slack, 2 I/O or parse
 trouble, 3 non-certified result under --strict, 4 a solver or kernel
 failure (a LAPACK failure included).
@@ -50,18 +51,6 @@ def parse_depths(text: str) -> List[int]:
     return sorted(set(depths))
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--trials", type=int, default=None, help="r0 samples per depth")
-    sub.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    sub.add_argument("--out-dir", default=None, help="output directory")
-    sub.add_argument(
-        "--strict",
-        action="store_true",
-        default=None,
-        help="exit 3 when a minimization is not certified",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lab",
@@ -69,18 +58,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    run = subs.add_parser("run", help="run an experiment from a JSON config")
-    run.add_argument("config", help="path to the config JSON file")
+    run = subs.add_parser("run", aliases=["bounds"], help="run an experiment")
+    run.add_argument("config", nargs="?", help="path to the config JSON file")
     run.add_argument("--matrix", default=None, help="Matrix Market file override")
     run.add_argument("--depths", default=None, help='e.g. "1..5" or "1,2,3"')
-    _add_common_flags(run)
+    run.add_argument("--trials", type=int, default=None, help="r0 samples per depth")
+    run.add_argument("--seed", type=int, default=None, help="master RNG seed")
+    run.add_argument("--out-dir", default=None, help="output directory")
+    run.add_argument(
+        "--strict",
+        action="store_true",
+        default=None,
+        help="exit 3 when a minimization is not certified",
+    )
     run.set_defaults(func=_cmd_run)
-
-    bounds_cmd = subs.add_parser("bounds", help="run the bound checks on one matrix")
-    bounds_cmd.add_argument("--matrix", required=True, help="Matrix Market file")
-    bounds_cmd.add_argument("--depths", default="1..3", help='e.g. "1..5"')
-    _add_common_flags(bounds_cmd)
-    bounds_cmd.set_defaults(func=_cmd_bounds)
 
     fov_cmd = subs.add_parser("fov", help="scan the field-of-values boundary")
     fov_cmd.add_argument("--matrix", required=True, help="Matrix Market file")
@@ -104,9 +95,9 @@ def _overrides_from(args: argparse.Namespace) -> dict:
         "out_dir": args.out_dir,
         "strict": args.strict,
     }
-    if getattr(args, "matrix", None):
+    if args.matrix:
         overrides["matrix"] = {"family": "file", "path": args.matrix}
-    if getattr(args, "depths", None):
+    if args.depths:
         overrides["depths"] = parse_depths(args.depths)
     return overrides
 
@@ -129,11 +120,6 @@ def _run_and_summarize(cfg: experiment.ExperimentConfig) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = experiment.load_config(args.config, overrides=_overrides_from(args))
     return _run_and_summarize(cfg)
-
-
-def _cmd_bounds(args: argparse.Namespace) -> int:
-    raw = {k: v for k, v in _overrides_from(args).items() if v is not None}
-    return _run_and_summarize(experiment.ExperimentConfig.from_dict(raw))
 
 
 def _cmd_fov(args: argparse.Namespace) -> int:

@@ -118,9 +118,10 @@ class ExperimentConfig:
 
 
 def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
-    """Read a JSON config file and apply CLI overrides on top."""
+    """Read a JSON config file, or start from ``{}`` where ``path`` is None,
+    and apply the overrides that are not None on top."""
     try:
-        raw = json.loads(read_text(path))
+        raw = {} if path is None else json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc.msg}", lineno=exc.lineno)
     if isinstance(raw, dict):  # from_dict refuses anything else, flags or not

@@ -15,9 +15,10 @@ number of the pair (H, S); ``nu_fov`` finds it from start angles, which
 stop at the first positive g, by one safeguarded step rule, Newton, else
 the hull direction, else bisection, each eigensolve evaluating an angle
 and its opposite, and brackets it by the hull of the Rayleigh quotients it
-has seen.  ``nu(F(A^{-1}))`` is the same on the inverse of ``A / 2^e``,
-formed only where ``nu(F(A)) > 0`` keeps it in range; ``fov_summary``
-returns the two, the Starke bound's only field-of-values inputs.
+has seen, all on ``A / 2^e`` scaled by a power of two.  ``fov_summary``
+calls ``nu_fov`` on ``A / 2^e`` and on its inverse, formed only where
+``nu(F(A)) > 0`` keeps it in range, and returns the two, the Starke
+bound's only field-of-values inputs.
 """
 
 from __future__ import annotations
@@ -235,21 +236,14 @@ def nu_fov(a) -> NuResult:
     kinks of normal matrices), which may leave the arc, as g may have
     several local maxima where negative; else the arc's midpoint.  No angle
     is evaluated twice.  The value is 0 once the hull point is within
-    ``_zero_tol``; the loop stops once ``upper - value <= _zero_tol``.  A
+    ``_zero_tol``; the loop stops once ``upper - value <= _zero_tol``, or
+    after ``_MAX_EVALS`` eigensolves.  All of it runs on ``A / 2^e`` of
+    ``binary_scaled`` (e = 0 for an already scaled A), where the norm and
+    the squared distances stay in range; the bracket is scaled back, and a
     value beyond the float range reads infinite.
     """
-    scaled, e = dense_core.binary_scaled(as_matrix(a))
-    nu = _nu_fov(scaled)
+    mat, e = dense_core.binary_scaled(as_matrix(a))
     back = dense_core.scaled_back
-    return nu._replace(value=float(back(nu.value, e)), upper=float(back(nu.upper, e)))
-
-
-def _nu_fov(mat: np.ndarray) -> NuResult:
-    """``nu_fov`` of a matrix scaled by ``binary_scaled``, where the norm in
-    ``_zero_tol`` and the squared distances of ``_hull_nearest`` stay in
-    range.  The caller scales back.  At most ``_MAX_EVALS`` eigensolves,
-    each of which evaluates an angle and its opposite.
-    """
     herm = dense_core.hermitian_part(mat)
     skew = dense_core.hermitian_part(-1j * mat)
     tol = _zero_tol(mat)
@@ -281,7 +275,7 @@ def _nu_fov(mat: np.ndarray) -> NuResult:
         near = _hull_nearest(np.asarray(points))
         upper, theta_b = abs(near), best[3]
         if upper <= tol:
-            return NuResult(0.0, theta_b % _TWO_PI, upper)
+            return NuResult(0.0, theta_b % _TWO_PI, float(back(upper, e)))
         if upper - best[0] <= tol or count == _MAX_EVALS:
             break
         if count < starts.size and best[0] <= 0.0:
@@ -297,14 +291,15 @@ def _nu_fov(mat: np.ndarray) -> NuResult:
             break
         theta = theta_b + step
     value = max(float(best[0]), 0.0)
-    return NuResult(value, theta_b % _TWO_PI, max(upper, value))
+    upper = max(upper, value)
+    return NuResult(float(back(value, e)), theta_b % _TWO_PI, float(back(upper, e)))
 
 
 def fov_summary(a) -> FovSummary:
     """``nu(F(A))`` and ``nu(F(A^{-1}))``, the lower ends of their brackets;
     :class:`InvalidSpec` where one of them leaves the float range."""
     scaled, e = dense_core.binary_scaled(as_matrix(a))
-    nu = _nu_fov(scaled).value
+    nu = nu_fov(scaled).value
     # (S, e) = binary_scaled(A): F(A) = 2^e F(S) and F(A^{-1}) = 2^-e F(S^{-1}).
     # As (Sv)^H S^{-1} (Sv) = conj(v^H S v), 0 lies in both or in neither (a
     # singular S included); beyond _zero_tol, ||S^{-1}|| <= 1 / nu(F(S)).

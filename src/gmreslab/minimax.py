@@ -470,16 +470,17 @@ def worst_case_gmres(a, k: int, starts, ceiling: float = 1.0) -> MinimaxResult:
     ``starts`` is an n x B block of finite nonzero vectors, B >= 1, such as
     sampled initial residuals: each column is evaluated, so the value is
     never below the best one's ratio, and the best 16 of them climb.
-    ``ceiling``, a finite number >= 0, is a known upper bound on the worst
-    case, such as ``ideal_gmres(a, k).value``; the default 1 is the bound
-    from p = 1.  The ascent stops, or never starts, once phi comes within
-    1e-10 of it.  The value is a certified lower bound on the true worst
+    ``ceiling``, a finite number >= 0 and not a bool, is a known upper bound
+    on the worst case, such as ``ideal_gmres(a, k).value``; the default 1 is
+    the bound from p = 1.  The ascent stops, or never starts, once phi comes
+    within 1e-10 of it.  The value is a certified lower bound on the true worst
     case; the bracket ``[value, ceiling]`` is certified when ``|ceiling -
     value| <= 1e-10``.  A zero column, as any other argument outside its
     rule, raises :class:`InvalidSpec`.
     """
     scaled, k = dense_core.binary_scaled(as_matrix(a))[0], check_depth(k)
-    if not (isinstance(ceiling, Real) and 0 <= ceiling < np.inf):
+    finite = isinstance(ceiling, Real) and 0 <= ceiling < np.inf
+    if isinstance(ceiling, bool) or not finite:
         raise InvalidSpec(f"invalid ceiling {ceiling!r}: need a finite number >= 0")
     pool_values = min_residual_values(scaled, starts, k)
     pool = np.asarray(starts, dtype=np.complex128)

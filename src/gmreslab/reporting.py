@@ -11,6 +11,7 @@ strings, so identical inputs give byte-identical files.
 
 from __future__ import annotations
 
+import html
 import json
 import math
 from typing import Sequence
@@ -81,7 +82,8 @@ _WIDTH, _HEIGHT = 760, 480
 _LEFT, _RIGHT, _TOP, _BOTTOM = 80, 180, 36, 56
 
 def write_plot_svg(path, reports: Sequence[BoundsReport], title: str = "") -> None:
-    """Log-scale chart of every curve column against the depth k."""
+    """Log-scale chart of every curve column against the depth k, under
+    ``title`` with its markup characters escaped."""
     reports = list(reports)
     ks = [report.k for report in reports]
     if not ks:
@@ -124,7 +126,7 @@ def write_plot_svg(path, reports: Sequence[BoundsReport], title: str = "") -> No
     if title:
         parts.append(
             f'<text x="{_LEFT}" y="20" font-family="monospace" font-size="13">'
-            f"{title}</text>"
+            f"{html.escape(title)}</text>"
         )
 
     decade_step = max(1, int(math.ceil(-log_floor / 8.0)))

@@ -255,6 +255,81 @@ def open_bracket_corpus():
     return [(f"{name}-{k}", a, k) for name, a, k in cases]
 
 
+def arc_diagonal(phi, points):
+    """``(A, sin(phi / 2), cos(phi / 2))`` for ``A = diag(e^{i psi_j})`` with
+    ``points`` angles ``psi_j`` equispaced on ``[0, phi]``, ``0 < phi < pi``.
+
+    F(A) is the polygon of the points on the arc, so nu(F(A)) = nu(F(A^{-1}))
+    = cos(phi / 2), the distance to the chord from 1 to e^{i phi}, and Starke
+    at k = 1 is sin(phi / 2), as ||A|| = 1.  For every alpha, |1 - alpha| +
+    |1 - alpha e^{i phi}| >= 2 sin(phi / 2), so ideal(1) >= sin(phi / 2);
+    alpha = cos(phi / 2) e^{-i phi / 2} gives |1 - alpha e^{i psi}|^2 = 1 -
+    2 cos(phi / 2) cos(psi - phi / 2) + cos^2(phi / 2) <= sin^2(phi / 2) on
+    [0, phi].  So ideal(1) = wc(1) = Starke = sin(phi / 2): the chain is
+    tight at k = 1.
+    """
+    a = np.diag(np.exp(1j * np.linspace(0.0, phi, points)))
+    return a, float(np.sin(phi / 2)), float(np.cos(phi / 2))
+
+
+def _nu_ellipse_mp(m) -> mpmath.mpf:
+    """nu(F(M)) of a 2 x 2 ``mpmath`` matrix at the working precision.
+
+    F(M) is the ellipse with foci lambda_1, lambda_2 and minor axis
+    sqrt(||M||_F^2 - |lambda_1|^2 - |lambda_2|^2) (the elliptical range
+    theorem; Li, Proc. AMS 1996).  With centre c, semi-axes a >= b and
+    focal-axis angle psi, lambda_min(H(theta)) = Re(e^{-i theta} c) -
+    sqrt(a^2 cos^2(theta - psi) + b^2 sin^2(theta - psi)); its maximum over
+    theta, where positive, is nu.  A double-precision grid of 720 angles
+    finds the start, ``mpmath.findroot`` the zero of the derivative.
+    """
+    tr, det = m[0, 0] + m[1, 1], m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    root = mpmath.sqrt(tr * tr - 4 * det)
+    lam1, lam2 = (tr + root) / 2, (tr - root) / 2
+    frob = sum(abs(m[i, j]) ** 2 for i in range(2) for j in range(2))
+    b2 = max(frob - abs(lam1) ** 2 - abs(lam2) ** 2, 0) / 4
+    a2 = b2 + abs(lam1 - lam2) ** 2 / 4
+    c, psi = (lam1 + lam2) / 2, mpmath.arg(lam2 - lam1)
+
+    def g(theta):
+        u = theta - psi
+        return (mpmath.expj(-theta) * c).real - mpmath.sqrt(
+            a2 * mpmath.cos(u) ** 2 + b2 * mpmath.sin(u) ** 2
+        )
+
+    def slope(theta):
+        u = theta - psi
+        q = a2 * mpmath.cos(u) ** 2 + b2 * mpmath.sin(u) ** 2
+        return (mpmath.expj(-theta) * c).imag - (b2 - a2) * mpmath.sin(2 * u) / (
+            2 * mpmath.sqrt(q)
+        )
+
+    grid = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    u = grid - float(psi)
+    coarse = (np.exp(-1j * grid) * complex(c)).real - np.sqrt(
+        float(a2) * np.cos(u) ** 2 + float(b2) * np.sin(u) ** 2
+    )
+    start = mpmath.mpf(grid[np.argmax(coarse)])
+    if g(start) <= 0:
+        return mpmath.mpf(0)
+    return max(g(mpmath.findroot(slope, start)), g(start))
+
+
+def nu_ellipse_mp(a, dps=40):
+    """``(nu(F(A)), nu(F(A^{-1})))`` of a 2 x 2 matrix in ``dps``-digit
+    arithmetic, by the ellipse of :func:`_nu_ellipse_mp`, with the entries of
+    A taken exactly and A^{-1} formed in the same digits; each rounded once.
+    Both are 0 where the origin lies in F(A)."""
+    with mpmath.workdps(dps):
+        m = _mp_matrix(a)
+        nu = _nu_ellipse_mp(m)
+        if nu == 0:
+            return 0.0, 0.0
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        inv = mpmath.matrix([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
+        return float(nu), float(_nu_ellipse_mp(inv))
+
+
 def rayleigh(a, v) -> complex:
     """Rayleigh quotient ``<Av, v> / <v, v>`` (convention ``<x, y> = y^H x``)."""
     m = as_matrix(a)

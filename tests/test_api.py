@@ -236,6 +236,18 @@ BAD_SPECTRA = {
     "nan": [1.0, np.nan],
     "inf": [1.0, np.inf],
 }
+# FoV data that starke_bound, and so verify_chain, refuses with InvalidSpec,
+# not with AttributeError, a NaN bound or a clamped negative distance.
+BAD_FOV_DATA = {
+    "tuple": (0.5, 0.5),
+    "nan": gmreslab.FovSummary(np.nan, 0.5),
+    "inf": gmreslab.FovSummary(0.5, np.inf),
+    "negative": gmreslab.FovSummary(-1.0, 2.0),
+}
+FOV_DATA_CALLS = {
+    "starke_bound": lambda data: gmreslab.starke_bound(np.eye(2), 1, data),
+    "verify_chain": lambda data: gmreslab.verify_chain(np.eye(2), 1, 1, fov_data=data),
+}
 # Matrices that every public function taking one refuses with InvalidSpec, and
 # those functions, each with valid other arguments.
 BAD_MATRICES = {"ragged": [[1.0, 2.0], [3.0]], "string": [["a", "b"], ["c", "d"]]}
@@ -272,6 +284,18 @@ MALFORMED = {
             gmreslab.worst_case_gmres, np.diag([1.0, 2.0, 3.0]), 1, block
         )
         for bad, block in BAD_BLOCKS.items()
+    },
+    # a bool is a Real but not a ceiling
+    **{
+        f"bool_{flag}_ceiling_worst_case_gmres": functools.partial(
+            gmreslab.worst_case_gmres, np.diag([1.0, 2.0, 3.0]), 1, np.ones((3, 1)), flag
+        )
+        for flag in (True, False)
+    },
+    **{
+        f"{bad}_fov_data_{name}": functools.partial(call, fov_data)
+        for bad, fov_data in BAD_FOV_DATA.items()
+        for name, call in FOV_DATA_CALLS.items()
     },
     **{
         f"{bad}_eigenvalues_scalar_minimax_oracle": functools.partial(

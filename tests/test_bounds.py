@@ -14,7 +14,9 @@ from gmreslab import (
     verify_chain,
 )
 from gmreslab import bounds, minimax
+from gmreslab.fov import _zero_tol
 from conftest import random_complex, random_nonsingular
+from oracles import arc_diagonal
 
 SQRT3_OVER_2 = np.sqrt(3.0) / 2.0
 SQRT_HALF = np.sqrt(0.5)
@@ -333,3 +335,35 @@ def test_schema_verdict_names_are_the_chain_links():
     assert set(verdicts["properties"]) == set(all_links) == set(CHAIN_LINKS)
     assert set(verdicts["required"]) == set(verify_chain(rotation, 1, 3).verdicts)
     assert verdicts["additionalProperties"] is False
+
+
+EPS = np.finfo(float).eps
+# The worst case promises only its bracket gap to the ideal value.
+WORST_CASE_TOL = 1e-10
+
+
+@pytest.mark.parametrize("points", [2, 3, 4])
+@pytest.mark.parametrize("phi", [0.3, 1.0, 2.0, 2.8])
+def test_chain_is_tight_on_an_arc_at_depth_one(phi, points):
+    """On ``oracles.arc_diagonal`` ideal(1) = wc(1) = Starke = sin(phi / 2)
+    and nu(F(A)) = nu(F(A^{-1})) = cos(phi / 2).  Measured: ideal and
+    starke_rhs within 0.5 eps of the closed form, nu_a and nu_ainv within 3.2
+    eps (``_zero_tol`` bounds what nu_fov can pin), worst_case within 5.3e-14
+    (235 eps at phi = 2.8 with 4 points, inside the 1e-10 bracket gap it
+    promises), and the ideal_le_starke margin at rounding level, -1.1e-16 at
+    phi = 1.  For phi < pi/2 the Elman bound is sin(phi), within 0.5 eps,
+    strictly above; beyond, M is not definite and it is undefined."""
+    a, sine, cosine = arc_diagonal(phi, points)
+    report = verify_chain(a, 1, 20, 0)
+    assert abs(report.ideal - sine) <= 2 * EPS
+    assert abs(report.starke_rhs - sine) <= 2 * EPS
+    assert abs(report.worst_case - sine) <= WORST_CASE_TOL
+    assert abs(report.nu_a - cosine) <= _zero_tol(a)
+    assert abs(report.nu_ainv - cosine) <= _zero_tol(a)
+    margin = report.verdicts["ideal_le_starke"]
+    assert margin.passed and abs(margin.margin) <= 2 * EPS
+    assert report.all_passed
+    if phi < np.pi / 2:
+        assert abs(report.elman_rhs - np.sin(phi)) <= 2 * EPS
+    else:
+        assert report.elman_rhs is None

@@ -98,6 +98,50 @@ def test_bounds_subcommand(tmp_path, diag_mtx, capsys):
     assert "all checks passed" in capsys.readouterr().out
 
 
+def test_run_without_config_matches_bounds_and_a_config_file(tmp_path, diag_mtx):
+    """``lab bounds`` is ``lab run`` under another name, and ``lab run``
+    needs no config file: the three forms write the same bytes."""
+    flags = ["--depths", "1..2", "--trials", "3", "--seed", "5"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "matrix": {"family": "file", "path": diag_mtx},
+                "depths": [1, 2],
+                "trials": 3,
+                "seed": 5,
+                "out_dir": str(tmp_path / "config"),
+            }
+        )
+    )
+    runs = {
+        "bounds": ["bounds", "--matrix", diag_mtx, *flags],
+        "flags": ["run", "--matrix", diag_mtx, *flags],
+        "config": ["run", str(cfg)],
+    }
+    for name, argv in runs.items():
+        out = ["--out-dir", str(tmp_path / name)] if name != "config" else []
+        assert main(argv + out) == 0, name
+    for artifact in ("report.json", "curves.csv", "plot.svg"):
+        payloads = {(tmp_path / name / artifact).read_bytes() for name in runs}
+        assert len(payloads) == 1, artifact
+
+
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_run_without_config_or_matrix_exits_two(tmp_path, command):
+    package_root = str(Path(gmreslab.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gmreslab", command, "--depths", "1"],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=package_root),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: config requires a 'matrix' entry\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_exits_two(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err

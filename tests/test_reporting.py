@@ -1,5 +1,6 @@
 import json
 import xml.etree.ElementTree as ET
+from xml.dom import minidom
 from importlib import resources
 
 import jsonschema
@@ -174,3 +175,18 @@ def test_plot_svg_handles_empty_report_list(tmp_path):
     write_plot_svg(str(path), [])
     root = ET.parse(str(path)).getroot()
     assert root.tag.endswith("svg")
+
+
+def test_plot_svg_escapes_its_title(tmp_path):
+    """A title with markup characters still gives well-formed XML, and the
+    parsed text is the title as given."""
+    path = tmp_path / "plot.svg"
+    title = "a<b & c"
+    write_plot_svg(str(path), [make_report(k=1)], title=title)
+    root = minidom.parse(str(path)).documentElement
+    texts = [
+        node.firstChild.data
+        for node in root.getElementsByTagName("text")
+        if node.firstChild is not None
+    ]
+    assert title in texts

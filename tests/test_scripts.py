@@ -33,7 +33,7 @@ def _run_script(script, args, cwd):
 @pytest.mark.parametrize(
     "script, args, count",
     [
-        ("run_gallery.py", ["--trials", "2", "--depths", "1", "2"], 6),
+        ("run_gallery.py", ["--trials", "2", "--depths", "1", "2"], 7),
         ("depth_sweep.py", ["--trials", "2", "--max-depth", "2"], 1),
         ("depth_sweep.py", ["--trials", "2", "--n", "10", "--max-depth", "10"], 1),
     ],

@@ -6,7 +6,8 @@ read anywhere in the module (``np`` in ``np.linalg.eigh`` included) or
 listed in its ``__all__``, which is how ``__init__`` re-exports.  A private
 name (one leading underscore) counts as read when some module of the
 package loads it, imports it or reads it as an attribute
-(``krylov._arnoldi``); reads in the tests do not count.
+(``krylov._arnoldi``) outside the statement that defines it; reads in the
+tests, and a helper's calls of itself, do not count.
 """
 
 import ast
@@ -56,21 +57,21 @@ def test_checker_finds_unused_names():
     assert unused_imports(source) == ["Optional", "os"]
 
 
-def private_definitions(source: str) -> set:
-    """Private functions, classes and constants at the top of a module."""
+def private_names(node: ast.stmt) -> set:
+    """Private functions, classes and constants that a top-level statement
+    defines."""
     names = set()
-    for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names.add(node.name)
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names.update(t.id for t in targets if isinstance(t, ast.Name))
     return {name for name in names if name.startswith("_") and not name.endswith("__")}
 
 
-def reads(source: str) -> set:
+def reads(tree: ast.AST) -> set:
     names = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -81,12 +82,19 @@ def reads(source: str) -> set:
 
 
 def unread_private_names(sources: dict) -> list:
-    """``module.name`` for each private definition that no source reads."""
-    read = set().union(*map(reads, sources.values()))
+    """``module.name`` for each private definition that no source reads
+    outside the statement that defines it: a helper that only calls itself
+    counts as unread."""
+    statements = [
+        (module, node, reads(node))
+        for module, source in sources.items()
+        for node in ast.parse(source).body
+    ]
     return sorted(
         f"{module}.{name}"
-        for module, source in sources.items()
-        for name in private_definitions(source) - read
+        for module, node, _ in statements
+        for name in private_names(node)
+        if not any(name in read for _, other, read in statements if other is not node)
     )
 
 
@@ -110,5 +118,24 @@ def test_checker_finds_unread_private_names():
         ),
         "b": "from .a import _Helper\nfrom . import a\ny = a._SCALE.real\n",
         "c": "def _lonely():\n    _unseen = 1\n",
+        "d": "def _recurse(n):\n    return _recurse(n - 1) if n else 0\n",
     }
-    assert unread_private_names(sources) == ["c._lonely"]
+    assert unread_private_names(sources) == ["c._lonely", "d._recurse"]
+
+
+@pytest.mark.parametrize(
+    "module, helper",
+    [
+        ("fov", "def _nu_fov(mat):\n    return nu_fov(mat)\n"),
+        ("cli", "def _add_common_flags(sub):\n    sub.add_argument('--seed')\n"),
+        ("cli", "def _cmd_bounds(args):\n    return _run_and_summarize(args)\n"),
+    ],
+    ids=["nu_fov", "add_common_flags", "cmd_bounds"],
+)
+def test_checker_finds_a_helper_left_in_the_package(module, helper):
+    """A private helper planted in a real module, calling only public or
+    other private names, is the one unread name."""
+    sources = {path.stem: path.read_text() for path in MODULES}
+    sources[module] += "\n\n" + helper
+    name = helper.split("(")[0].removeprefix("def ")
+    assert unread_private_names(sources) == [f"{module}.{name}"]
